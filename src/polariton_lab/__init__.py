@@ -9,8 +9,7 @@ output observables.
 __version__ = "0.1.0"
 
 from .model import PhysicalParams, DimensionlessGroups, Grid, derive_groups, canonical_params
-from .bessel import bessel_j0, bessel_j1, bessel_i0, bessel_i1, BesselResult
-from .kernels import KernelSet, FieldRecord, SpinRecord, output_field, output_spin
+from .kernels import FieldRecord, SpinRecord, output_field, output_spin
 from .lattice import (
     StabilityError,
     TransferMatrix,
@@ -20,33 +19,30 @@ from .lattice import (
     symplectic_residual,
 )
 from .spectral import (
-    SpectralPoint,
     dispersion_p_of_s,
     group_velocity,
     measure_packet_velocity,
     laplace_identity_residual,
 )
 from .variance import (
-    InputCovariance,
     VarianceBreakdown,
     readout_variances,
     memory_variances,
     general_variances,
     scan,
 )
-from .config import RunConfig, ConfigError, parse_config, load_config
+from .config import RunConfig, ConfigError, parse_config
 from .runner import run
 
 __all__ = [
     "__version__",
     "PhysicalParams", "DimensionlessGroups", "Grid", "derive_groups", "canonical_params",
-    "bessel_j0", "bessel_j1", "bessel_i0", "bessel_i1", "BesselResult",
-    "KernelSet", "FieldRecord", "SpinRecord", "output_field", "output_spin",
+    "FieldRecord", "SpinRecord", "output_field", "output_spin",
     "StabilityError", "TransferMatrix", "integrate", "build_transfer_matrix",
     "symplectic_form", "symplectic_residual",
-    "SpectralPoint", "dispersion_p_of_s", "group_velocity",
+    "dispersion_p_of_s", "group_velocity",
     "measure_packet_velocity", "laplace_identity_residual",
-    "InputCovariance", "VarianceBreakdown", "readout_variances",
+    "VarianceBreakdown", "readout_variances",
     "memory_variances", "general_variances", "scan",
-    "RunConfig", "ConfigError", "parse_config", "load_config", "run",
+    "RunConfig", "ConfigError", "parse_config", "run",
 ]

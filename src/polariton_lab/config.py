@@ -14,7 +14,7 @@ from typing import Any
 
 from .model import DimensionlessGroups, Grid, PhysicalParams, derive_groups
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "MODES"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "MODES"]
 
 MODES = (
     "readout",
@@ -304,8 +304,3 @@ def parse_config(text: str) -> RunConfig:
         packet_bandwidth_frac=packet_bw,
         output=output,
     )
-
-
-def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())

@@ -26,12 +26,11 @@ couplings vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .kernels import FieldRecord, SpinRecord
-from .model import Grid, PhysicalParams, canonical_params
+from .model import Grid, PhysicalParams
 
 __all__ = [
     "StabilityError",
@@ -46,12 +45,11 @@ __all__ = [
     "TransferMatrix",
     "symplectic_form",
     "symplectic_residual",
-    "calibrate_spin_block_sign",
 ]
 
 # Relative sign of the (Jz, Jy) pairing in the preserved antisymmetric form,
-# calibrated once at kappa_c = 0.01 via calibrate_spin_block_sign(); the
-# light pairing carries +1.
+# calibrated at kappa_c = 0.01 by trying both signs (the test suite repeats
+# the calibration); the light pairing carries +1.
 SPIN_BLOCK_SIGN = -1.0
 
 _STABILITY_LIMIT = 0.5
@@ -239,37 +237,6 @@ class TransferMatrix:
     def dim(self) -> int:
         return 2 * self.n_time + 2 * self.n_space
 
-    @property
-    def layout(self) -> tuple[str, ...]:
-        return ("xi1", "xi2", "jz", "jy")
-
-    def block_slices(self) -> dict[str, slice]:
-        nt, ns = self.n_time, self.n_space
-        return {
-            "xi1": slice(0, nt),
-            "xi2": slice(nt, 2 * nt),
-            "jz": slice(2 * nt, 2 * nt + ns),
-            "jy": slice(2 * nt + ns, 2 * nt + 2 * ns),
-        }
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(x, float)
-
-    def save_npz(self, path: str | Path) -> None:
-        np.savez_compressed(
-            path, matrix=self.matrix, n_time=self.n_time, n_space=self.n_space,
-            layout=np.array(self.layout),
-        )
-
-    def save_csv(self, path: str | Path) -> None:
-        """Row-major dump with a layout/grid header, for debugging."""
-        header = (
-            f"transfer matrix, dim={self.dim}, "
-            f"layout=[xi1 x{self.n_time}, xi2 x{self.n_time}, "
-            f"jz x{self.n_space}, jy x{self.n_space}], row-major"
-        )
-        np.savetxt(path, self.matrix, delimiter=",", header=header, fmt="%.17g")
-
 
 def build_transfer_matrix(params: PhysicalParams, grid: Grid,
                           chunk: int = 512) -> TransferMatrix:
@@ -363,16 +330,3 @@ def symplectic_residual(tm: TransferMatrix,
     omega = symplectic_form(tm.n_time, tm.n_space, spin_sign)
     delta = tm.matrix @ omega @ tm.matrix.T - omega
     return float(np.max(np.abs(delta)) / np.max(np.abs(omega)))
-
-
-def calibrate_spin_block_sign(grid: Grid | None = None) -> float:
-    """Pick the spin-block sign empirically at weak coupling (kappa_c = 0.01).
-
-    Both sign choices are tested; the preserved one wins by many orders of
-    magnitude.  The result is persisted as SPIN_BLOCK_SIGN.
-    """
-    grid = grid or Grid(32, 32)
-    params = canonical_params(kappa_c=0.01, ratio_r=3.0)
-    tm = build_transfer_matrix(params, grid)
-    res = {s: symplectic_residual(tm, s) for s in (+1.0, -1.0)}
-    return min(res, key=res.get)

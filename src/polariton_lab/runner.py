@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -34,8 +35,13 @@ def format_number(x: float) -> str:
 
 
 def write_csv(path: str | Path, header, rows) -> None:
+    """Write header and rows; a non-finite value raises ValueError before any write."""
     lines = [",".join(header)]
-    for row in rows:
+    for i, row in enumerate(rows, start=1):
+        for name, v in zip(header, row):
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite value {float(v)!r} in CSV row {i}, "
+                                 f"column {name!r}; {path} not written")
         lines.append(",".join(format_number(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -10,10 +10,9 @@ the group velocity v_g = d omega/d q = -A/q^2, positive on the red wing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import hilbert
+from scipy.fft import fft, ifft
 
 from .kernels import FieldRecord, SpinRecord, kernel_cross_scaled, kernel_self_scaled
 from .lattice import cell_matrix, integrate, _sweep
@@ -21,33 +20,12 @@ from .model import Grid, PhysicalParams
 from .quadrature import PanelRule, panel_nodes
 
 __all__ = [
-    "SpectralPoint",
     "dispersion_p_of_s",
     "group_velocity",
-    "spectral_point",
     "measure_packet_velocity",
     "laplace_identity_residual",
-    "laplace_scan",
     "plane_wave_max_error",
 ]
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """One point on the dispersion curve, in both parametrizations."""
-
-    s: complex
-    p: complex
-
-    @property
-    def omega(self) -> float:
-        # s = -i*omega
-        return float(self.s.imag * -1.0) if self.s.real == 0 else math.nan
-
-    @property
-    def q(self) -> float:
-        # p = i*q
-        return float(self.p.imag) if self.p.real == 0 else math.nan
 
 
 def dispersion_p_of_s(A: float, s: complex) -> complex:
@@ -57,10 +35,6 @@ def dispersion_p_of_s(A: float, s: complex) -> complex:
     if not (math.isfinite(A) and math.isfinite(abs(s))):
         raise ValueError("non-finite dispersion input")
     return A / s
-
-
-def spectral_point(A: float, s: complex) -> SpectralPoint:
-    return SpectralPoint(s=complex(s), p=dispersion_p_of_s(A, s))
 
 
 def group_velocity(A: float, q: float) -> float:
@@ -77,6 +51,15 @@ def _bandpass(x: np.ndarray, dt: float, w_lo: float, w_hi: float) -> np.ndarray:
     w = 2.0 * np.pi * np.fft.rfftfreq(x.size, dt)
     spec[(w < w_lo) | (w > w_hi)] = 0.0
     return np.fft.irfft(spec, n=x.size)
+
+
+def _analytic_signal(x: np.ndarray) -> np.ndarray:
+    """x + i*H[x] for real 1-D x: positive frequencies doubled, negative ones zeroed."""
+    n = x.size
+    spec = fft(x)
+    spec[1:(n + 1) // 2] *= 2.0
+    spec[n // 2 + 1:] = 0.0
+    return ifft(spec)
 
 
 def measure_packet_velocity(params: PhysicalParams, grid: Grid,
@@ -155,7 +138,7 @@ def measure_packet_velocity(params: PhysicalParams, grid: Grid,
     s1 = _bandpass(s1, dt, 0.55 * w_carrier, 1.55 * w_carrier)
     s2 = _bandpass(s2, dt, 0.55 * w_carrier, 1.55 * w_carrier)
     corr = np.correlate(s2, s1, mode="full")
-    env = np.abs(hilbert(corr))
+    env = np.abs(_analytic_signal(corr))
     k = int(np.argmax(env))
     shift = 0.0
     if 0 < k < env.size - 1:
@@ -270,17 +253,6 @@ def laplace_identity_residual(params: PhysicalParams, grid: Grid, s: float,
     ))
     rhs = math.exp(-kc / s_sc) * xin_hat + (cb / s_sc) * spin_hat
     return abs(lhs - rhs) / max(abs(rhs), 1e-300)
-
-
-def laplace_scan(params: PhysicalParams, grid: Grid, s_values, xi1_in, jz_in,
-                 csv_path=None) -> list[tuple[float, float]]:
-    """Residuals over several transform variables, optionally written as CSV."""
-    rows = [(float(s), laplace_identity_residual(params, grid, s, xi1_in, jz_in))
-            for s in s_values]
-    if csv_path is not None:
-        from .runner import write_csv
-        write_csv(csv_path, ("s", "residual"), rows)
-    return rows
 
 
 def plane_wave_max_error(params: PhysicalParams, grid: Grid,

@@ -42,7 +42,6 @@ from .model import DimensionlessGroups, Grid, canonical_params
 from .quadrature import PanelRule, panel_nodes, prefix_integrals
 
 __all__ = [
-    "InputCovariance",
     "VarianceBreakdown",
     "GeneralVarianceResult",
     "ChannelVariance",
@@ -55,22 +54,6 @@ __all__ = [
 ]
 
 _MIN_SCAN_GRID = 64
-
-
-@dataclass(frozen=True)
-class InputCovariance:
-    """Diagonal input covariance over the transfer-matrix bin layout.
-
-    The physical white-noise densities are absorbed by the bin
-    normalization, leaving 1/2 on every diagonal entry for coherent
-    (Poissonian) inputs.  No input cross-correlations.
-    """
-
-    dim: int
-    diagonal_value: float = 0.5
-
-    def diagonal(self) -> np.ndarray:
-        return np.full(self.dim, self.diagonal_value)
 
 
 @dataclass(frozen=True)
@@ -277,8 +260,8 @@ def general_variances(params, grid: Grid, filter_time: np.ndarray,
         raise ValueError(
             f"filters must have shapes ({nt},) and ({ns},), got {ft.shape}, {fs.shape}"
         )
-    cov = InputCovariance(dim)
-    diag = cov.diagonal()
+    # coherent (Poissonian) inputs: variance 1/2 in every normalized bin
+    diag = np.full(dim, 0.5)
     slices = {
         "xi1": (slice(0, nt), ft),
         "xi2": (slice(nt, 2 * nt), ft),

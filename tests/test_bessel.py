@@ -1,4 +1,9 @@
-"""Special-function accuracy against an independent extended-precision oracle.
+"""Bessel accuracy of the kernel functions against an extended-precision oracle.
+
+The kernels are the only place Bessel values are computed.  At unit lag
+they read the Bessel functions directly: with kappa_c = x^2/4,
+G(1, 1) = J0(x) and K(1) = sqrt(kappa_c) * J1(x); with kappa_c = -x^2/4,
+G(1, 1) = I0(x) and K(1) = -sqrt(|kappa_c|) * I1(x).
 
 The frozen constants below were produced by `_series_oracle`, a direct
 Maclaurin/asymptotic-free summation in 40-digit mpmath arithmetic; rerun it
@@ -11,18 +16,40 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from polariton_lab.bessel import (
-    I_OVERFLOW_X,
-    bessel_i0,
-    bessel_i1,
-    bessel_i0_result,
-    bessel_j0,
-    bessel_j1,
-    bessel_j0_result,
-    bessel_j1_result,
-)
+from polariton_lab.kernels import I_OVERFLOW_X, kernel_cross_scaled, kernel_self_scaled
 
 mp.mp.dps = 40
+
+
+def _bessel(kind: str, order: int, x: float) -> tuple[float, float]:
+    """(value, argument) of J or I of order 0/1 at x, read off the kernels.
+
+    The argument is the float64 2*sqrt(|kappa_c|) the kernel forms, which
+    can differ from x by rounding; oracles are evaluated there.
+    """
+    sign = 1.0 if kind == "J" else -1.0
+    kappa_c = sign * x * x / 4.0
+    amp = math.sqrt(abs(kappa_c))
+    arg = 2.0 * amp
+    if order == 0:
+        return float(kernel_cross_scaled(kappa_c, 1.0, 1.0)), arg
+    return sign * float(kernel_self_scaled(kappa_c, 1.0)) / amp, arg
+
+
+def bessel_j0(x):
+    return _bessel("J", 0, x)[0]
+
+
+def bessel_j1(x):
+    return _bessel("J", 1, x)[0]
+
+
+def bessel_i0(x):
+    return _bessel("I", 0, x)[0]
+
+
+def bessel_i1(x):
+    return _bessel("I", 1, x)[0]
 
 
 def _series_oracle(kind: str, order: int, x: float) -> float:
@@ -59,10 +86,12 @@ def test_oracle_reproduces_frozen_values():
 
 
 def test_series_leading_terms():
-    assert bessel_j0(0.0) == 1.0
-    assert bessel_j1(0.0) == 0.0
-    assert bessel_i0(0.0) == 1.0
-    assert bessel_i1(0.0) == 0.0
+    # J0(0) = I0(0) = 1 and J1(x)/(x/2), I1(x)/(x/2) -> 1: G(0, t) = 1 and
+    # K(0+) = kappa_c on both wings
+    for kc in (0.7, -0.7):
+        assert kernel_cross_scaled(kc, 0.0, 1.0) == 1.0
+        assert kernel_self_scaled(kc, 0.0) == kc
+        assert math.isclose(float(kernel_self_scaled(kc, 1e-30)), kc, rel_tol=1e-15)
 
 
 def test_derived_reference_points():
@@ -74,35 +103,32 @@ def test_derived_reference_points():
 
 @pytest.mark.parametrize("x", [0.25, 1.0, 3.5, 7.0, 11.5])
 def test_small_argument_accuracy_vs_oracle(x):
-    assert math.isclose(bessel_j0(x), _series_oracle("J", 0, x), rel_tol=1e-13, abs_tol=1e-14)
-    assert math.isclose(bessel_j1(x), _series_oracle("J", 1, x), rel_tol=1e-13, abs_tol=1e-14)
-    assert math.isclose(bessel_i0(x), _series_oracle("I", 0, x), rel_tol=1e-13)
-    assert math.isclose(bessel_i1(x), _series_oracle("I", 1, x), rel_tol=1e-13)
+    for kind in ("J", "I"):
+        for order in (0, 1):
+            value, arg = _bessel(kind, order, x)
+            ref = _series_oracle(kind, order, arg)
+            abs_tol = 1e-14 if kind == "J" else 0.0
+            assert math.isclose(value, ref, rel_tol=1e-13, abs_tol=abs_tol)
 
 
 def test_envelope_relative_accuracy_large_arguments():
     rng = np.random.default_rng(11)
     xs = np.concatenate([rng.uniform(12, 100, 40), rng.uniform(100, 1e4, 40)])
     for x in xs:
-        envelope = math.sqrt(2.0 / (math.pi * x))
-        assert abs(bessel_j0(x) - float(mp.j0(mp.mpf(x)))) <= 1e-12 * envelope
-        assert abs(bessel_j1(x) - float(mp.j1(mp.mpf(x)))) <= 1e-12 * envelope
+        j0, arg = _bessel("J", 0, x)
+        j1, _ = _bessel("J", 1, x)
+        envelope = math.sqrt(2.0 / (math.pi * arg))
+        assert abs(j0 - float(mp.j0(mp.mpf(arg)))) <= 1e-12 * envelope
+        assert abs(j1 - float(mp.j1(mp.mpf(arg)))) <= 1e-12 * envelope
 
 
 def test_modified_accuracy_to_700():
     rng = np.random.default_rng(12)
     for x in rng.uniform(1.0, 700.0, 40):
-        ref0 = mp.besseli(0, mp.mpf(x))
-        ref1 = mp.besseli(1, mp.mpf(x))
-        assert abs(bessel_i0(x) / float(ref0) - 1.0) <= 1e-12
-        assert abs(bessel_i1(x) / float(ref1) - 1.0) <= 1e-12
-
-
-def test_est_error_bounds():
-    assert bessel_j0_result(1e4).est_error <= 1e-12
-    assert bessel_j1_result(1e4).est_error <= 1e-12
-    assert bessel_i0_result(700.0).est_error <= 1e-12
-    assert bessel_j0_result(1.0).value == bessel_j0(1.0)
+        i0, arg = _bessel("I", 0, x)
+        i1, _ = _bessel("I", 1, x)
+        assert abs(i0 / float(mp.besseli(0, mp.mpf(arg))) - 1.0) <= 1e-12
+        assert abs(i1 / float(mp.besseli(1, mp.mpf(arg))) - 1.0) <= 1e-12
 
 
 def test_recurrence_identity():
@@ -129,11 +155,18 @@ def test_i0_monotone_and_bounded_below():
 
 
 def test_overflow_distinct_from_domain_error():
+    # blue wing: kappa_c = -(x/2)^2 puts the argument x at unit lag
+    over = -(((I_OVERFLOW_X + 5.0) / 2.0) ** 2)
     with pytest.raises(OverflowError):
-        bessel_i0(I_OVERFLOW_X + 5.0)
+        kernel_cross_scaled(over, 1.0, 1.0)
     with pytest.raises(OverflowError):
-        bessel_i1(800.0)
-    with pytest.raises(ValueError):
-        bessel_j0(float("nan"))
-    with pytest.raises(ValueError):
-        bessel_i0(float("inf"))
+        kernel_self_scaled(-(800.0 / 2.0) ** 2, np.linspace(0.0, 1.0, 9))
+    # only the largest argument decides: below the threshold nothing raises,
+    # and the red wing, where J0/J1 stay bounded, never does
+    assert np.all(np.isfinite(kernel_cross_scaled(over, np.linspace(0.0, 0.98, 9), 1.0)))
+    assert np.all(np.isfinite(kernel_self_scaled(-over, np.linspace(0.0, 1.0, 9))))
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            kernel_cross_scaled(bad, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            kernel_self_scaled(bad, 1.0)

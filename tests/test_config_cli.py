@@ -1,9 +1,15 @@
 """Configuration validation, CSV contracts, and the CLI surface."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polariton_lab
 from polariton_lab.cli import main
 from polariton_lab.config import ConfigError, parse_config
 from polariton_lab.runner import format_number, run, write_csv
@@ -103,6 +109,14 @@ def test_write_csv_round_trip(tmp_path):
     assert lines[0] == "a,b"
     parsed = [tuple(float(x) for x in ln.split(",")) for ln in lines[1:]]
     assert parsed == rows
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_write_csv_rejects_non_finite_before_writing(tmp_path, bad):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=r"row 2, column 'b'"):
+        write_csv(path, ("a", "b"), [(0.1, 1.0), (0.2, bad)])
+    assert not path.exists()
 
 
 def _run_cli(tmp_path, doc, mode, extra=()):
@@ -250,3 +264,40 @@ def test_config_output_path_used_when_no_flag(tmp_path, monkeypatch):
     cfg_path.write_text(json.dumps(doc))
     assert main(["dispersion", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "from_config.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("points, message", [
+    # kappa_c = -1e5 keeps the I0/I1 argument below I_OVERFLOW_X, but the
+    # variance integrals overflow to inf/nan; caught before the CSV is written
+    (1, "non-finite value inf in CSV row 1"),
+    # kappa_c = -1.5e5 and beyond overflow the kernel argument itself
+    (3, "exceeds overflow threshold"),
+])
+def test_cli_blue_wing_overflow_writes_nothing(tmp_path, capsys, points, message):
+    doc = {
+        "mode": "readout",
+        "groups": {"kappa_c": -1e5, "r": 10, "omega_T": 0.5},
+        "grid": {"n_time": 64, "n_space": 64},
+        "scan": {"from": -1e5, "to": -2e5, "points": points},
+    }
+    code, out = _run_cli(tmp_path, doc, "readout")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+    assert not (out.parent / (out.name + ".meta.json")).exists()
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal alone costs most of the CLI start-up time
+    src = Path(polariton_lab.__file__).resolve().parents[1]
+    code = ("import sys, polariton_lab.cli; "
+            "print(polariton_lab.cli.__file__); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    loaded_from, signal_modules = result.stdout.splitlines()
+    assert Path(loaded_from).resolve().parent == src / "polariton_lab"
+    assert signal_modules == "[]"

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from polariton_lab.kernels import (
     FieldRecord,
-    KernelSet,
     SpinRecord,
     kernel_self_scaled,
     output_field,
@@ -95,26 +94,30 @@ def test_linearity_machine_precision():
 
 
 def test_time_space_kernel_symmetry():
-    # equal dimensionless argument: T*K_time(u*T) == L*K_space(u*L)
+    # the light self-kernel in time and the spin self-kernel in space are one
+    # scaled kernel: with the conjugate input off, Xi1 out from samples f
+    # equals Jz out from the same samples, even with L != T
     params = PhysicalParams(beta=0.4, epsilon=0.3, xi3_bar=1.9, jx_bar=0.8,
-                           length_L=2.3, time_T=0.7)
-    ks = KernelSet.from_params(params)
-    u = np.linspace(1e-6, 1.0, 57)
-    np.testing.assert_allclose(params.time_T * ks.k_time(u * params.time_T),
-                               params.length_L * ks.k_space(u * params.length_L),
-                               rtol=1e-14)
+                            length_L=2.3, time_T=0.7)
+    rng = np.random.default_rng(4)
+    f = rng.normal(size=GRID.n_time)
+    g = rng.normal(size=GRID.n_time)
+    field = output_field(params, GRID, FieldRecord(f, g), SpinRecord.zeros(GRID.n_space))
+    spin = output_spin(params, GRID, FieldRecord.zeros(GRID.n_time), SpinRecord(f, g))
+    np.testing.assert_allclose(field.xi1, spin.jz, rtol=1e-14)
+    np.testing.assert_allclose(field.xi2, spin.jy, rtol=1e-14)
 
 
 def test_kernel_small_lag_limit_and_integral():
+    # scaled K(u) -> kappa_c as u -> 0, so Int_0^delta K = kappa_c*delta to O(kappa_c*delta)
     params = PhysicalParams(beta=0.5, epsilon=0.5, length_L=2.0, time_T=1.5)
-    ks = KernelSet.from_params(params)
-    aL = params.a_coupling * params.length_L
-    assert math.isclose(float(ks.k_time(1e-14)), aL, rel_tol=1e-6)
-    delta = 1e-3 * params.time_T
-    edges = np.linspace(0.0, delta, 5)
-    integral = integrate_panels(ks.k_time, 0.0, delta, edges)
     kappa_c = params.a_coupling * params.length_L * params.time_T
-    assert abs(integral - aL * delta) <= 2.0 * abs(aL) * delta * (kappa_c * delta / params.time_T)
+    kern = lambda u: kernel_self_scaled(kappa_c, u)
+    assert math.isclose(float(kern(1e-14)), kappa_c, rel_tol=1e-6)
+    delta = 1e-3
+    edges = np.linspace(0.0, delta, 5)
+    integral = integrate_panels(kern, 0.0, delta, edges)
+    assert abs(integral - kappa_c * delta) <= 2.0 * abs(kappa_c) * delta * (kappa_c * delta)
 
 
 def test_negative_coupling_outputs_grow_with_extent():

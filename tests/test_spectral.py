@@ -1,7 +1,5 @@
 """Dispersion law, wavepacket transport, and the Laplace-domain identity."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -10,10 +8,8 @@ from polariton_lab.spectral import (
     dispersion_p_of_s,
     group_velocity,
     laplace_identity_residual,
-    laplace_scan,
     measure_packet_velocity,
     plane_wave_max_error,
-    spectral_point,
 )
 
 
@@ -45,10 +41,9 @@ def test_dispersion_product_one_rounding():
 
 
 def test_spectral_point_parametrization():
-    # p = A/s = -2/(-0.5i) = -4i, so q = -4 on the Fourier section
-    pt = spectral_point(-2.0, s=-1j * 0.5)
-    assert math.isclose(pt.omega, 0.5, rel_tol=1e-15)
-    assert math.isclose(pt.q, -4.0, rel_tol=1e-15)
+    # s = -i*omega with omega = 0.5: p = A/s = -2/(-0.5i) = -4i, so q = -4
+    # on the Fourier section p = i*q
+    assert dispersion_p_of_s(-2.0, -0.5j) == -4j
 
 
 def test_group_velocity_values_and_signs():
@@ -152,14 +147,3 @@ def test_laplace_rejects_blue_wing_and_bad_s():
     params = canonical_params(1.0, 1.0)
     with pytest.raises(ValueError):
         laplace_identity_residual(params, Grid(64, 64), -1.0, xi, jz)
-
-
-def test_laplace_scan_emits_csv(tmp_path):
-    params = canonical_params(1.0, 1.0)
-    xi, jz = _compact_inputs()
-    out = tmp_path / "laplace.csv"
-    rows = laplace_scan(params, Grid(64, 64), (2.0, 5.0), xi, jz, csv_path=out)
-    assert len(rows) == 2
-    text = out.read_text().splitlines()
-    assert text[0] == "s,residual"
-    assert len(text) == 3

@@ -7,7 +7,6 @@ import pytest
 
 from polariton_lab.model import DimensionlessGroups, Grid, canonical_params
 from polariton_lab.variance import (
-    InputCovariance,
     general_variances,
     memory_variances,
     readout_variances,
@@ -212,13 +211,6 @@ def test_blue_wing_exceeds_red_wing():
     blue = readout_variances(groups(-2.0), Grid(128, 128))
     assert blue.v1 > red.v1
     assert blue.f_self > 1.0 > red.f_self
-
-
-def test_input_covariance_diagonal():
-    cov = InputCovariance(12)
-    diag = cov.diagonal()
-    assert diag.shape == (12,)
-    assert np.all(diag == 0.5)
 
 
 def test_error_conditions():

@@ -41,17 +41,20 @@ def _err(path: str, message: str) -> ConfigError:
     return ConfigError(f"{path}: {message}")
 
 
+def _finite(value: Any, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _err(path, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise _err(path, f"non-finite number {value!r}")
+    return float(value)
+
+
 def _number(obj: dict, path: str, key: str, default=None, required=False) -> float | None:
     if key not in obj:
         if required:
             raise _err(f"{path}.{key}", "missing required key")
         return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _err(f"{path}.{key}", f"expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise _err(f"{path}.{key}", f"non-finite number {value!r}")
-    return float(value)
+    return _finite(obj[key], f"{path}.{key}")
 
 
 def _integer(obj: dict, path: str, key: str, default=None, required=False) -> int | None:
@@ -61,6 +64,13 @@ def _integer(obj: dict, path: str, key: str, default=None, required=False) -> in
     if value != int(value):
         raise _err(f"{path}.{key}", f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _count(obj: dict, path: str, key: str, default=None, required=False) -> int:
+    value = _integer(obj, path, key, default=default, required=required)
+    if value < 1:
+        raise _err(f"{path}.{key}", f"need at least one, got {value}")
+    return value
 
 
 def _check_keys(obj: dict, path: str, allowed: set[str]) -> None:
@@ -203,9 +213,7 @@ def parse_config(text: str) -> RunConfig:
         _check_keys(sobj, "$.scan", {"from", "to", "points"})
         lo = _number(sobj, "$.scan", "from", required=True)
         hi = _number(sobj, "$.scan", "to", required=True)
-        points = _integer(sobj, "$.scan", "points", required=True)
-        if points < 1:
-            raise _err("$.scan.points", f"need at least one point, got {points}")
+        points = _count(sobj, "$.scan", "points", required=True)
         scan_range = (lo, hi, points)
     elif mode in ("readout", "memory"):
         raise _err("$.scan", f"missing required key for mode {mode!r}")
@@ -239,14 +247,11 @@ def parse_config(text: str) -> RunConfig:
         if raw is None:
             raise _err("$.dispersion.omega_T", "missing required key")
         values = raw if isinstance(raw, list) else [raw]
-        cleaned = []
-        for i, v in enumerate(values):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise _err(f"$.dispersion.omega_T[{i}]", f"expected a finite number, got {v!r}")
-            if v == 0:
-                raise _err(f"$.dispersion.omega_T[{i}]", "omega_T = 0 sits on the dispersion pole")
-            cleaned.append(float(v))
-        disp_omegas = tuple(cleaned)
+        disp_omegas = tuple(_finite(v, f"$.dispersion.omega_T[{i}]")
+                            for i, v in enumerate(values))
+        if 0.0 in disp_omegas:
+            raise _err(f"$.dispersion.omega_T[{disp_omegas.index(0.0)}]",
+                       "omega_T = 0 sits on the dispersion pole")
 
     compare_kcs = (0.5, 1.0, 2.0)
     compare_profiles = 20
@@ -262,8 +267,9 @@ def parse_config(text: str) -> RunConfig:
             raw = cobj["kappa_c_values"]
             if not isinstance(raw, list) or not raw:
                 raise _err("$.oracle_compare.kappa_c_values", "expected a non-empty list")
-            compare_kcs = tuple(float(v) for v in raw)
-        compare_profiles = _integer(cobj, "$.oracle_compare", "profiles", default=20)
+            compare_kcs = tuple(_finite(v, f"$.oracle_compare.kappa_c_values[{i}]")
+                                for i, v in enumerate(raw))
+        compare_profiles = _count(cobj, "$.oracle_compare", "profiles", default=20)
         compare_seed = _integer(cobj, "$.oracle_compare", "seed", default=2024)
 
     packet_q0 = None

@@ -54,8 +54,9 @@ __all__ = [
 _TINY = 1e-300
 
 # exp(x)/sqrt(2 pi x) crosses the double range just above 713; the margin
-# keeps I0/I1 themselves finite.  Products of them can still overflow (the
-# variance filters square them), which runner.write_csv rejects.
+# keeps I0/I1 themselves finite.  Products of them can still overflow: the
+# variance filters square them, and variance._kernel_breakdown then raises
+# OverflowError naming kappa_c.
 I_OVERFLOW_X = 709.0
 
 
@@ -194,76 +195,81 @@ def _interp_uniform_centers(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     return w0 * v0 + w1 * v1 + w2 * v2 + w3 * v3
 
 
-def _self_convolution(kappa_c: float, samples: np.ndarray, rule: PanelRule,
-                      chunk: int = 256) -> np.ndarray:
-    """(K * f)(tau_j) at every bin center tau_j, panels aligned to bins."""
-    n = samples.size
+def _causal_self_convolution(kappa_c: float, f, n: int, offsets,
+                             rule: PanelRule) -> np.ndarray:
+    """(K * f)(tau) = Int_0^tau K(tau - x) f(x) dx at tau = (b + o)/n.
+
+    ``f`` is a callable on scaled coordinates, ``offsets`` the positions o in
+    [0, 1) of the outputs inside each of the n bins b; returns shape
+    (n, len(offsets)).  Panels are the bins left of b plus one partial panel
+    [b/n, tau].  The lag from node k of bin b' to the output is
+    (b - b' + o - (1 + x_k)/2)/n, a function of the bin distance alone, so
+    the full bins are one causal discrete convolution per (node, offset).
+    """
     h = 1.0 / n
-    taus = _centers(n)
-    edges = np.arange(n + 1) * h
-    full_x, full_w = panel_nodes(edges, rule)          # (n, order)
-    full_x = full_x.ravel()
-    full_w = full_w.ravel()
-    f_full = _interp_uniform_centers(samples, full_x)
-    # half-panel [j*h, tau_j] per output
-    half_lo = taus - 0.5 * h
-    mid = 0.5 * (half_lo + taus)
-    half = 0.25 * h
-    part_x = mid[:, None] + half * rule.x[None, :]     # (n, order)
-    part_w = np.full_like(part_x, half) * rule.w[None, :]
-    f_part = _interp_uniform_centers(samples, part_x.ravel()).reshape(part_x.shape)
-    out = np.empty(n)
-    nodes_per_bin = rule.order
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        js = np.arange(lo, hi)
-        # full bins strictly left of bin j
-        lags = taus[js, None] - full_x[None, :]
-        kern = kernel_self_scaled(kappa_c, lags)
-        mask = (np.arange(full_x.size)[None, :] // nodes_per_bin) < js[:, None]
-        acc = np.sum(np.where(mask, kern * (full_w[None, :] * f_full[None, :]), 0.0), axis=1)
-        acc += np.sum(
-            kernel_self_scaled(kappa_c, taus[js, None] - part_x[js])
-            * part_w[js] * f_part[js],
-            axis=1,
-        )
-        out[js] = acc
+    x, w = panel_nodes(np.arange(n + 1) * h, rule)       # (n, order)
+    fw = w * f(x)
+    frac = 0.5 * (1.0 + rule.x)                          # node positions in a bin
+    bins = np.arange(n)
+    out = np.empty((n, len(offsets)))
+    for i, o in enumerate(offsets):
+        # the partial panel [b/n, tau] has lags o*h*(1 - frac) in every bin
+        px = (bins[:, None] + o * frac[None, :]) * h
+        pw = 0.5 * o * h * rule.w
+        acc = f(px) @ (pw * kernel_self_scaled(kappa_c, o * h * (1.0 - frac)))
+        for k in range(rule.order):
+            lags = kernel_self_scaled(kappa_c, (bins[1:] + (o - frac[k])) * h)
+            acc[1:] += np.convolve(fw[:-1, k], lags)[:n - 1]
+        out[:, i] = acc
     return out
 
 
+# kernel values per dense block (4 MiB of float64), whatever the grid: at
+# grid 512 a block is 128 rows of 4096 quadrature nodes
+_BLOCK_ELEMENTS = 2 ** 19
+
+
+def _apply_kernel(kernel, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """out[i] = sum_j kernel(a[i], b[j]) * w[j], built in row blocks of at most
+    ``_BLOCK_ELEMENTS`` kernel values; ``kernel`` takes broadcast 2-D arguments."""
+    rows = max(1, _BLOCK_ELEMENTS // max(b.size, 1))
+    out = np.empty(a.size)
+    for lo in range(0, a.size, rows):
+        out[lo:lo + rows] = kernel(a[lo:lo + rows, None], b[None, :]) @ w
+    return out
+
+
+def _self_convolution(kappa_c: float, samples: np.ndarray, rule: PanelRule) -> np.ndarray:
+    """(K * f)(tau_j) at every bin center tau_j, f the cubic interpolant of samples."""
+    f = lambda x: _interp_uniform_centers(samples, x)
+    return _causal_self_convolution(kappa_c, f, samples.size, (0.5,), rule)[:, 0]
+
+
 def _cross_integral(kappa_c: float, source: np.ndarray, n_out: int,
-                    residual_of_node, rule: PanelRule, chunk: int = 256) -> np.ndarray:
-    """Int G(residual(node), c_j) * source(node) d(node) at every output center c_j.
+                    rule: PanelRule) -> np.ndarray:
+    """Int_0^1 G(1 - node, c_j) * source(node) d(node) at every output center c_j.
 
     The source lives on its own unit interval (n_source bins); outputs are
     the n_out bin centers of the conjugate axis.
     """
-    n_src = source.size
-    edges = np.arange(n_src + 1) / n_src
-    x, w = panel_nodes(edges, rule)
+    x, w = panel_nodes(np.arange(source.size + 1) / source.size, rule)
     x = x.ravel()
-    wf = (w.ravel()) * _interp_uniform_centers(source, x)
-    res = residual_of_node(x)
-    outs = _centers(n_out)
-    out = np.empty(n_out)
-    for lo in range(0, n_out, chunk):
-        hi = min(lo + chunk, n_out)
-        g = kernel_cross_scaled(kappa_c, res[None, :], outs[lo:hi, None])
-        out[lo:hi] = g @ wf
-    return out
+    wf = w.ravel() * _interp_uniform_centers(source, x)
+    return _apply_kernel(lambda t, r: kernel_cross_scaled(kappa_c, r, t),
+                         _centers(n_out), 1.0 - x, wf)
 
 
 def output_field(params: PhysicalParams, grid: Grid, xi_in: FieldRecord,
-                 spin_in: SpinRecord, rule: PanelRule | None = None) -> FieldRecord:
+                 spin_in: SpinRecord) -> FieldRecord:
     """Light record at z = L from input light (z=0) and input spins (t=0)."""
     if xi_in.n != grid.n_time or spin_in.n != grid.n_space:
         raise ValueError("input records do not match the grid")
-    rule = rule or PanelRule()
+    rule = PanelRule()
     kc = params.a_coupling * params.length_L * params.time_T
     conv1 = _self_convolution(kc, xi_in.xi1, rule)
     conv2 = _self_convolution(kc, xi_in.xi2, rule)
-    crossz = _cross_integral(kc, spin_in.jz, grid.n_time, lambda zeta: 1.0 - zeta, rule)
-    crossy = _cross_integral(kc, spin_in.jy, grid.n_time, lambda zeta: 1.0 - zeta, rule)
+    crossz = _cross_integral(kc, spin_in.jz, grid.n_time, rule)
+    crossy = _cross_integral(kc, spin_in.jy, grid.n_time, rule)
     cb = 2.0 * params.beta * params.xi3_bar * params.length_L
     ce = 2.0 * params.epsilon * params.xi3_bar * params.length_L
     return FieldRecord(
@@ -273,17 +279,17 @@ def output_field(params: PhysicalParams, grid: Grid, xi_in: FieldRecord,
 
 
 def output_spin(params: PhysicalParams, grid: Grid, xi_in: FieldRecord,
-                spin_in: SpinRecord, rule: PanelRule | None = None) -> SpinRecord:
+                spin_in: SpinRecord) -> SpinRecord:
     """Spin record at t = T from input light (z=0) and input spins (t=0)."""
     if xi_in.n != grid.n_time or spin_in.n != grid.n_space:
         raise ValueError("input records do not match the grid")
-    rule = rule or PanelRule()
+    rule = PanelRule()
     kc = params.a_coupling * params.length_L * params.time_T
     conv_z = _self_convolution(kc, spin_in.jz, rule)
     conv_y = _self_convolution(kc, spin_in.jy, rule)
     # G(z, T - t'): residual in the time integral is 1 - tau'
-    cross1 = _cross_integral(kc, xi_in.xi1, grid.n_space, lambda tau: 1.0 - tau, rule)
-    cross2 = _cross_integral(kc, xi_in.xi2, grid.n_space, lambda tau: 1.0 - tau, rule)
+    cross1 = _cross_integral(kc, xi_in.xi1, grid.n_space, rule)
+    cross2 = _cross_integral(kc, xi_in.xi2, grid.n_space, rule)
     ce = params.epsilon * params.jx_bar * params.time_T
     cb = params.beta * params.jx_bar * params.time_T
     return SpinRecord(

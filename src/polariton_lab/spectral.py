@@ -14,7 +14,8 @@ import math
 import numpy as np
 from scipy.fft import fft, ifft
 
-from .kernels import FieldRecord, SpinRecord, kernel_cross_scaled, kernel_self_scaled
+from .kernels import (FieldRecord, SpinRecord, _apply_kernel, _causal_self_convolution,
+                      kernel_cross_scaled, kernel_self_scaled)
 from .lattice import cell_matrix, integrate, _sweep
 from .model import Grid, PhysicalParams
 from .quadrature import PanelRule, panel_nodes
@@ -152,54 +153,29 @@ def measure_packet_velocity(params: PhysicalParams, grid: Grid,
     return v_scaled * L / T
 
 
-def _kernel_output_extended(kc: float, cb: float, xi_fn, jz_fn, taus: np.ndarray,
-                            n_grid: int, rule: PanelRule) -> np.ndarray:
+def _kernel_output_extended(kc: float, cb: float, xi_fn, jz_fn, n_grid: int,
+                            n_inside: int, tail: np.ndarray, rule: PanelRule) -> np.ndarray:
     """Xi1(zeta=1, tau) from the kernel solution, tau allowed beyond 1.
 
-    Inputs are scaled callables compactly supported in (0, 1).
+    The outputs are the Gauss nodes of the first ``n_inside`` grid bins, in
+    panel order, followed by the points ``tail``, all >= 1.  Inputs are
+    scaled callables compactly supported in (0, 1).
     """
-    taus = np.atleast_1d(np.asarray(taus, float))
-    # space cross term: nodes fixed on [0,1]
-    edges_z = np.linspace(0.0, 1.0, n_grid + 1)
-    xz, wz = panel_nodes(edges_z, rule)
-    xz = xz.ravel()
-    wfz = wz.ravel() * jz_fn(xz)
-    cross = kernel_cross_scaled(kc, (1.0 - xz)[None, :], taus[:, None]) @ wfz
-    # time convolution against the compact input; for tau beyond the support
-    # the full [0,1] panel set applies, inside it the upper limit tau must
-    # fall on a panel edge, so full bins plus one partial panel per node
-    edges_t = np.linspace(0.0, 1.0, n_grid + 1)
-    xt, wt = panel_nodes(edges_t, rule)
-    xt = xt.ravel()
-    wft = wt.ravel() * xi_fn(xt)
-    conv = np.zeros_like(taus)
-    outside = taus >= 1.0
-    if np.any(outside):
-        to = taus[outside]
-        block = np.empty(to.size)
-        for lo in range(0, to.size, 512):
-            hi = min(lo + 512, to.size)
-            kern = kernel_self_scaled(kc, to[lo:hi, None] - xt[None, :])
-            block[lo:hi] = kern @ wft
-        conv[outside] = block
-    inside = (taus > 0.0) & (taus < 1.0)
-    if np.any(inside):
-        ti = taus[inside]
-        bins = np.minimum((ti * n_grid).astype(int), n_grid - 1)
-        vals = np.empty(ti.size)
-        nodes_per_bin = rule.order
-        for m, (tau, b) in enumerate(zip(ti, bins)):
-            full = slice(0, b * nodes_per_bin)
-            acc = float(kernel_self_scaled(kc, tau - xt[full]) @ wft[full])
-            lo_edge = b / n_grid
-            mid = 0.5 * (lo_edge + tau)
-            half = 0.5 * (tau - lo_edge)
-            px = mid + half * rule.x
-            pw = half * rule.w
-            acc += float(np.sum(pw * kernel_self_scaled(kc, tau - px) * xi_fn(px)))
-            vals[m] = acc
-        conv[inside] = vals
-    direct = np.where((taus > 0.0) & (taus < 1.0), xi_fn(np.clip(taus, 0.0, 1.0)), 0.0)
+    x, w = panel_nodes(np.arange(n_grid + 1) / n_grid, rule)
+    inside = x[:n_inside].ravel()
+    taus = np.concatenate([inside, tail])
+    x = x.ravel()
+    w = w.ravel()
+    cross = _apply_kernel(lambda r, t: kernel_cross_scaled(kc, r, t),
+                          taus, 1.0 - x, w * jz_fn(x))
+    # inside the support the upper limit tau cuts a bin; beyond it the
+    # whole input contributes
+    offsets = 0.5 * (1.0 + rule.x)
+    conv = np.concatenate([
+        _causal_self_convolution(kc, xi_fn, n_grid, offsets, rule)[:n_inside].ravel(),
+        _apply_kernel(lambda t, s: kernel_self_scaled(kc, t - s), tail, x, w * xi_fn(x)),
+    ])
+    direct = np.concatenate([xi_fn(inside), np.zeros(tail.size)])
     return direct - conv + cb * cross
 
 
@@ -231,17 +207,16 @@ def laplace_identity_residual(params: PhysicalParams, grid: Grid, s: float,
     rule = PanelRule()
     t_max = 40.0 / s_sc
     n = grid.n_time
-    # transform panels: grid-fine over the input support, coarser beyond
-    if t_max <= 1.0:
-        edges = np.linspace(0.0, t_max, max(2, int(np.ceil(t_max * n))) + 1)
-    else:
-        tail = np.arange(1.0, t_max, 0.25)
-        edges = np.concatenate([np.linspace(0.0, 1.0, n + 1), tail[1:], [t_max]])
+    # transform panels: grid bins up to min(t_max, 1), rounded up to a bin
+    # edge (exp(-s*t) < exp(-40) past t_max), then steps of 0.25 to t_max
+    n_inside = min(n, math.ceil(t_max * n))
+    edges = np.arange(n_inside + 1) / n
+    if t_max > 1.0:
+        edges = np.concatenate([edges, np.arange(1.0, t_max, 0.25)[1:], [t_max]])
     xo, wo = panel_nodes(edges, rule)
-    xo = xo.ravel()
-    wo = wo.ravel()
-    field = _kernel_output_extended(kc, cb, xi_sc, jz_sc, xo, n, rule)
-    lhs = float(np.sum(wo * np.exp(-s_sc * xo) * field))
+    field = _kernel_output_extended(kc, cb, xi_sc, jz_sc, n, n_inside,
+                                    xo[n_inside:].ravel(), rule)
+    lhs = float(np.sum(wo.ravel() * np.exp(-s_sc * xo.ravel()) * field))
 
     edges_in = np.linspace(0.0, 1.0, n + 1)
     xi_nodes, wi = panel_nodes(edges_in, rule)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import kernel_cross_scaled, kernel_self_scaled
+from .kernels import _apply_kernel, kernel_cross_scaled, kernel_self_scaled
 from .lattice import transfer_adjoint_apply
 from .model import DimensionlessGroups, Grid, canonical_params
 from .quadrature import PanelRule, panel_nodes, prefix_integrals
@@ -121,29 +121,29 @@ def _filter_self_sq_integral(kappa_c: float, w: float, n: int,
 
 
 def _filter_cross_sq_integral(kappa_c: float, w: float, n: int,
-                              rule: PanelRule, chunk: int = 128) -> float:
+                              rule: PanelRule) -> float:
     """Int_0^1 g(z')^2 dz' with g(z') = Int_0^1 cos(w u) G(1-z', u) du."""
-    edges = np.arange(n + 1) / n
-    xu, wu = panel_nodes(edges, rule)
-    xu = xu.ravel()
-    wcos = wu.ravel() * np.cos(w * xu)
-    xo, wo = panel_nodes(edges, rule)
-    xo = xo.ravel()
-    wo = wo.ravel()
-    res = 1.0 - xo
-    total = 0.0
-    for lo in range(0, xo.size, chunk):
-        hi = min(lo + chunk, xo.size)
-        g = kernel_cross_scaled(kappa_c, res[lo:hi, None], xu[None, :]) @ wcos
-        total += float(np.sum(wo[lo:hi] * g * g))
-    return total
+    x, wt = panel_nodes(np.arange(n + 1) / n, rule)
+    x = x.ravel()
+    wt = wt.ravel()
+    g = _apply_kernel(lambda r, u: kernel_cross_scaled(kappa_c, r, u),
+                      1.0 - x, x, wt * np.cos(w * x))
+    return float(np.sum(wt * g * g))
 
 
 def _kernel_breakdown(kappa_c: float, ratio_r: float, w: float, n: int,
                       mean_density: float = 1.0) -> VarianceBreakdown:
     rule = PanelRule()
-    int_f2, int_cos2 = _filter_self_sq_integral(kappa_c, w, n, rule)
-    int_g2 = _filter_cross_sq_integral(kappa_c, w, n, rule)
+    # the filters square I0/I1 values, so the blue wing can leave the double
+    # range below the kernels' own argument threshold; that raises here
+    with np.errstate(over="ignore", invalid="ignore"):
+        int_f2, int_cos2 = _filter_self_sq_integral(kappa_c, w, n, rule)
+        int_g2 = _filter_cross_sq_integral(kappa_c, w, n, rule)
+    if not (math.isfinite(int_f2) and math.isfinite(int_g2)):
+        raise OverflowError(
+            f"closed-form variance integrals overflow at kappa_c = {kappa_c:.6g}: "
+            f"Int f^2 = {int_f2!r}, Int g^2 = {int_g2!r}"
+        )
     f_self = int_f2 / int_cos2
     gamma = int_g2 / (2.0 * int_cos2)
     coupling = 2.0 * ratio_r * abs(kappa_c)

@@ -266,20 +266,51 @@ def test_config_output_path_used_when_no_flag(tmp_path, monkeypatch):
     assert (tmp_path / "from_config.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("points, message", [
+ORACLE_DOC = {
+    "mode": "oracle-compare",
+    "groups": {"kappa_c": 1, "r": 10},
+    "grid": {"n_time": 64, "n_space": 64},
+}
+
+
+@pytest.mark.parametrize("values, message", [
+    (["abc"], r"\$\.oracle_compare\.kappa_c_values\[0\]: expected a number"),
+    ([0.5, True], r"\$\.oracle_compare\.kappa_c_values\[1\]: expected a number"),
+    ([math.nan], r"\$\.oracle_compare\.kappa_c_values\[0\]: non-finite"),
+    ([], r"\$\.oracle_compare\.kappa_c_values: expected a non-empty list"),
+], ids=["string", "bool", "nan", "empty"])
+def test_oracle_kappa_c_values_validated(tmp_path, capsys, values, message):
+    doc = dict(ORACLE_DOC, oracle_compare={"kappa_c_values": values})
+    with pytest.raises(ConfigError, match=message):
+        parse_config(json.dumps(doc))
+    code, out = _run_cli(tmp_path, doc, "oracle-compare")
+    assert code == 2 and not out.exists()
+    assert "config error: $.oracle_compare.kappa_c_values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("profiles", [0, -3])
+def test_oracle_profiles_must_be_positive(tmp_path, capsys, profiles):
+    doc = dict(ORACLE_DOC, oracle_compare={"profiles": profiles})
+    with pytest.raises(ConfigError, match=r"\$\.oracle_compare\.profiles: need at least one"):
+        parse_config(json.dumps(doc))
+    code, out = _run_cli(tmp_path, doc, "oracle-compare")
+    assert code == 2 and not out.exists()
+    assert "config error: $.oracle_compare.profiles" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("start, message", [
     # kappa_c = -1e5 keeps the I0/I1 argument below I_OVERFLOW_X, but the
-    # variance integrals overflow to inf/nan; caught before the CSV is written
-    (1, "non-finite value inf in CSV row 1"),
+    # squared variance filters leave the double range; the variance layer raises
+    (-1e5, "variance integrals overflow at kappa_c = -100000:"),
     # kappa_c = -1.5e5 and beyond overflow the kernel argument itself
-    (3, "exceeds overflow threshold"),
-])
-def test_cli_blue_wing_overflow_writes_nothing(tmp_path, capsys, points, message):
+    (-1.5e5, "exceeds overflow threshold"),
+], ids=["variance-overflow", "kernel-threshold"])
+def test_cli_blue_wing_overflow_writes_nothing(tmp_path, capsys, start, message):
     doc = {
         "mode": "readout",
         "groups": {"kappa_c": -1e5, "r": 10, "omega_T": 0.5},
         "grid": {"n_time": 64, "n_space": 64},
-        "scan": {"from": -1e5, "to": -2e5, "points": points},
+        "scan": {"from": start, "to": -2e5, "points": 3},
     }
     code, out = _run_cli(tmp_path, doc, "readout")
     assert code == 1

@@ -9,12 +9,14 @@ from scipy.integrate import quad
 from polariton_lab.kernels import (
     FieldRecord,
     SpinRecord,
+    _causal_self_convolution,
+    _interp_uniform_centers,
     kernel_self_scaled,
     output_field,
     output_spin,
 )
 from polariton_lab.model import Grid, PhysicalParams, canonical_params
-from polariton_lab.quadrature import integrate_panels
+from polariton_lab.quadrature import PanelRule, integrate_panels
 
 
 GRID = Grid(96, 96)
@@ -106,6 +108,25 @@ def test_time_space_kernel_symmetry():
     spin = output_spin(params, GRID, FieldRecord.zeros(GRID.n_time), SpinRecord(f, g))
     np.testing.assert_allclose(field.xi1, spin.jz, rtol=1e-14)
     np.testing.assert_allclose(field.xi2, spin.jy, rtol=1e-14)
+
+
+@pytest.mark.parametrize("n", [3, 4, 64])
+@pytest.mark.parametrize("kappa_c", [0.5, -2.0, 200.0])
+@pytest.mark.parametrize("offsets", ["centers", "gauss"])
+def test_self_convolution_matches_per_point_quadrature(n, kappa_c, offsets):
+    # reference: Int_0^tau K(tau - x) f(x) dx one output at a time, panels
+    # cut at the bin edges, f the same interpolant of the samples (n = 3
+    # takes its linear fallback)
+    rule = PanelRule()
+    offs = np.array([0.5]) if offsets == "centers" else 0.5 * (1.0 + rule.x)
+    samples = np.random.default_rng(n).normal(size=n)
+    f = lambda x: _interp_uniform_centers(samples, x)
+    got = _causal_self_convolution(kappa_c, f, n, offs, rule)
+    edges = np.arange(n + 1) / n
+    ref = np.array([[integrate_panels(lambda x: kernel_self_scaled(kappa_c, tau - x) * f(x),
+                                      0.0, tau, edges, rule)
+                     for tau in (b + offs) / n] for b in range(n)])
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_kernel_small_lag_limit_and_integral():

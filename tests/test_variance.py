@@ -225,3 +225,12 @@ def test_error_conditions():
     params = canonical_params(1.0, 2.0)
     with pytest.raises(ValueError, match="shapes"):
         general_variances(params, Grid(64, 64), np.ones(64), np.ones(63))
+
+
+@pytest.mark.parametrize("route", [readout_variances, memory_variances])
+def test_blue_wing_variance_overflow_raises(route):
+    # kappa_c = -1e5 keeps the I0/I1 argument (632) below the kernels'
+    # threshold, but the squared filters leave the double range: a named
+    # error, not inf with a RuntimeWarning
+    with pytest.raises(OverflowError, match=r"kappa_c = -100000\b"):
+        route(groups(-1e5, q_L=0.5), Grid(64, 64))

@@ -84,7 +84,6 @@ class RunConfig:
     mode: str
     grid: Grid
     groups: DimensionlessGroups | None = None
-    params: PhysicalParams | None = None
     scan_range: tuple[float, float, int] | None = None
     eps_conversion: float = 0.5
     dispersion_abs_ALT: float | None = None
@@ -247,6 +246,8 @@ def parse_config(text: str) -> RunConfig:
         if raw is None:
             raise _err("$.dispersion.omega_T", "missing required key")
         values = raw if isinstance(raw, list) else [raw]
+        if not values:
+            raise _err("$.dispersion.omega_T", "expected a non-empty list")
         disp_omegas = tuple(_finite(v, f"$.dispersion.omega_T[{i}]")
                             for i, v in enumerate(values))
         if 0.0 in disp_omegas:
@@ -271,6 +272,9 @@ def parse_config(text: str) -> RunConfig:
                                 for i, v in enumerate(raw))
         compare_profiles = _count(cobj, "$.oracle_compare", "profiles", default=20)
         compare_seed = _integer(cobj, "$.oracle_compare", "seed", default=2024)
+        if compare_seed < 0:
+            raise _err("$.oracle_compare.seed",
+                       f"expected a non-negative integer, got {compare_seed}")
 
     packet_q0 = None
     packet_bw = 0.1
@@ -298,7 +302,6 @@ def parse_config(text: str) -> RunConfig:
         mode=mode,
         grid=grid,
         groups=groups,
-        params=params,
         scan_range=scan_range,
         eps_conversion=eps_conversion,
         dispersion_abs_ALT=disp_alt,

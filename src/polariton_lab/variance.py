@@ -36,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _apply_kernel, kernel_cross_scaled, kernel_self_scaled
-from .lattice import transfer_adjoint_apply
+from .kernels import _apply_kernel, _causal_self_convolution, kernel_cross_scaled
+from .lattice import _bin_layout, _unpack, transfer_adjoint_apply
 from .model import DimensionlessGroups, Grid, canonical_params
-from .quadrature import PanelRule, panel_nodes, prefix_integrals
+from .quadrature import PanelRule, panel_nodes
 
 __all__ = [
     "VarianceBreakdown",
@@ -90,32 +90,19 @@ def _filter_self_sq_integral(kappa_c: float, w: float, n: int,
                              rule: PanelRule) -> tuple[float, float]:
     """(Int f^2, Int cos^2) over [0,1] with the same panel rule.
 
-    f(t') = cos(w t')(1 - C(1-t')) + sin(w t') S(1-t') where C, S are the
-    cumulative cosine/sine transforms of the self-kernel; both are carried
-    on the grid prefix plus one partial panel per evaluation point.
+    f(t') = cos(w t') - (K * c)(1 - t') with c(v) = cos(w (1 - v)).  The
+    outer Gauss node (b, k) at t' maps to 1 - t' = node (n-1-b, order-1-k),
+    because the rule is symmetric, so the convolution at the Gauss offsets
+    is read reversed on both axes.
     """
-    edges = np.arange(n + 1) / n
-    cos_k = lambda u: np.cos(w * u) * kernel_self_scaled(kappa_c, u)
-    sin_k = lambda u: np.sin(w * u) * kernel_self_scaled(kappa_c, u)
-    pref_c = prefix_integrals(cos_k, edges, rule)
-    pref_s = prefix_integrals(sin_k, edges, rule)
-
-    x, wt = panel_nodes(edges, rule)   # outer nodes t'
+    x, wt = panel_nodes(np.arange(n + 1) / n, rule)   # outer nodes t'
+    conv = _causal_self_convolution(kappa_c, lambda v: np.cos(w * (1.0 - v)), n,
+                                    0.5 * (1.0 + rule.x), rule)
     x = x.ravel()
     wt = wt.ravel()
-    v = 1.0 - x                        # upper limits of the C/S integrals
-    bins = np.minimum((v * n).astype(int), n - 1)
-    lo = edges[bins]
-    # partial panel [lo, v] for each point
-    mid = 0.5 * (lo + v)
-    half = 0.5 * (v - lo)
-    px = mid[:, None] + half[:, None] * rule.x[None, :]
-    pw = half[:, None] * rule.w[None, :]
-    c_v = pref_c[bins] + np.sum(pw * cos_k(px), axis=1)
-    s_v = pref_s[bins] + np.sum(pw * sin_k(px), axis=1)
-    f = np.cos(w * x) * (1.0 - c_v) + np.sin(w * x) * s_v
-    int_f2 = float(np.sum(wt * f * f))
     cosx = np.cos(w * x)
+    f = cosx - conv[::-1, ::-1].ravel()
+    int_f2 = float(np.sum(wt * f * f))
     int_cos2 = float(np.sum(wt * cosx * cosx))
     return int_f2, int_cos2
 
@@ -185,40 +172,45 @@ def memory_variances(groups: DimensionlessGroups, grid: Grid) -> VarianceBreakdo
     return _matrix_breakdown(groups, grid, mode="memory")
 
 
+def _quadratic_form(params, grid: Grid, channel: str,
+                    weights: np.ndarray) -> tuple[float, float, float]:
+    """|M^T y|^2 over all, light and spin input bins, each divided by |w|^2,
+    for y holding ``weights`` on one output channel of the bin layout.
+
+    Every input bin and every bin of the unmodified channel carries variance
+    1/2, so these ratios are the SQL-normalized variance and its split.
+    """
+    nt, ns = grid.n_time, grid.n_space
+    y = np.zeros(2 * nt + 2 * ns)
+    y[_bin_layout(nt, ns)[channel]] = weights
+    mty = transfer_adjoint_apply(params, grid, y)
+    light, spin = (part.ravel() for part in _unpack(mty, nt, ns))
+    norm = float(weights @ weights)
+    return (float(mty @ mty) / norm, float(light @ light) / norm,
+            float(spin @ spin) / norm)
+
+
 def _matrix_breakdown(groups: DimensionlessGroups, grid: Grid,
                       mode: str) -> VarianceBreakdown:
     """Transfer-matrix covariance route, exact for kappa2, Omega != 0."""
     params = canonical_params(groups.kappa_c, groups.ratio_r,
                               groups.kappa2_L, groups.Omega_T)
-    nt, ns = grid.n_time, grid.n_space
-    dim = 2 * nt + 2 * ns
     if mode == "readout":
-        cw = _cos_bin_averages(groups.omega_T, nt)
-        blocks = {"beta": slice(0, nt), "eps": slice(nt, 2 * nt)}
-        self_slice = slice(0, 2 * nt)
+        n = grid.n_time
+        cw = _cos_bin_averages(groups.omega_T, n)
+        v1, f_self, _ = _quadratic_form(params, grid, "xi1", cw)
+        v2 = _quadratic_form(params, grid, "xi2", cw)[0]
     else:
-        cw = _cos_bin_averages(groups.q_L, ns)
+        n = grid.n_space
+        cw = _cos_bin_averages(groups.q_L, n)
         # Jy is the beta-coupled memory observable
-        blocks = {"beta": slice(2 * nt + ns, dim), "eps": slice(2 * nt, 2 * nt + ns)}
-        self_slice = slice(2 * nt, dim)
-    denom = float(cw @ cw)
-    out = {}
-    f_self = None
-    for name, block in blocks.items():
-        y = np.zeros(dim)
-        y[block] = cw
-        mty = transfer_adjoint_apply(params, grid, y)
-        out[name] = float(mty @ mty) / denom
-        if name == "beta":
-            f_self = float(mty[self_slice] @ mty[self_slice]) / denom
+        v1, _, f_self = _quadratic_form(params, grid, "jy", cw)
+        v2 = _quadratic_form(params, grid, "jz", cw)[0]
     coupling = 2.0 * groups.ratio_r * abs(groups.kappa_c)
-    gamma = (out["beta"] - f_self) / coupling if coupling else 0.0
-    mean = 1.0  # canonical embedding has unit means
-    int_cos2 = denom / (nt if mode == "readout" else ns)
-    return VarianceBreakdown(
-        f_self=f_self, gamma=gamma, v1=out["beta"], v2=out["eps"],
-        sql=0.5 * mean * int_cos2,
-    )
+    gamma = (v1 - f_self) / coupling if coupling else 0.0
+    # canonical embedding has unit means
+    return VarianceBreakdown(f_self=f_self, gamma=gamma, v1=v1, v2=v2,
+                             sql=0.5 * float(cw @ cw) / n)
 
 
 @dataclass(frozen=True)
@@ -253,45 +245,21 @@ def general_variances(params, grid: Grid, filter_time: np.ndarray,
     readout_variances / memory_variances.
     """
     nt, ns = grid.n_time, grid.n_space
-    dim = 2 * nt + 2 * ns
     ft = np.asarray(filter_time, float)
     fs = np.asarray(filter_space, float)
     if ft.shape != (nt,) or fs.shape != (ns,):
         raise ValueError(
             f"filters must have shapes ({nt},) and ({ns},), got {ft.shape}, {fs.shape}"
         )
-    # coherent (Poissonian) inputs: variance 1/2 in every normalized bin
-    diag = np.full(dim, 0.5)
-    slices = {
-        "xi1": (slice(0, nt), ft),
-        "xi2": (slice(nt, 2 * nt), ft),
-        "jz": (slice(2 * nt, 2 * nt + ns), fs),
-        "jy": (slice(2 * nt + ns, dim), fs),
-    }
-    light_slice = slice(0, 2 * nt)
-    spin_slice = slice(2 * nt, dim)
-    dt = grid.dt(params.time_T)
-    dz = grid.dz(params.length_L)
+    # absolute SQL of coherent (Poissonian) inputs under each filter
+    light_sql = 0.5 * params.xi3_bar * float(ft @ ft) * grid.dt(params.time_T)
+    spin_sql = 0.5 * params.jx_bar * float(fs @ fs) * grid.dz(params.length_L)
     channels = []
-    for name, (block, w) in slices.items():
-        y = np.zeros(dim)
-        y[block] = w
-        mty = transfer_adjoint_apply(params, grid, y)
-        var = float(mty @ (diag * mty))
-        sql_norm = float(w @ (diag[block] * w))
-        light = float(mty[light_slice] @ (diag[light_slice] * mty[light_slice]))
-        spin = float(mty[spin_slice] @ (diag[spin_slice] * mty[spin_slice]))
-        if name.startswith("xi"):
-            sql_abs = 0.5 * params.xi3_bar * float(w @ w) * dt
-        else:
-            sql_abs = 0.5 * params.jx_bar * float(w @ w) * dz
-        channels.append(ChannelVariance(
-            channel=name,
-            normalized=var / sql_norm,
-            light_part=light / sql_norm,
-            spin_part=spin / sql_norm,
-            sql=sql_abs,
-        ))
+    for name, w, sql in (("xi1", ft, light_sql), ("xi2", ft, light_sql),
+                         ("jz", fs, spin_sql), ("jy", fs, spin_sql)):
+        normalized, light, spin = _quadratic_form(params, grid, name, w)
+        channels.append(ChannelVariance(channel=name, normalized=normalized,
+                                        light_part=light, spin_part=spin, sql=sql))
     return GeneralVarianceResult(tuple(channels))
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -298,6 +299,21 @@ def test_oracle_profiles_must_be_positive(tmp_path, capsys, profiles):
     assert "config error: $.oracle_compare.profiles" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, key, message", [
+    ({"mode": "dispersion", "grid": {"n_time": 8, "n_space": 8},
+      "dispersion": {"abs_A_LT": 2, "omega_T": []}},
+     "$.dispersion.omega_T", "expected a non-empty list"),
+    (dict(ORACLE_DOC, oracle_compare={"seed": -1}),
+     "$.oracle_compare.seed", "expected a non-negative integer"),
+], ids=["dispersion-omega-empty", "oracle-seed-negative"])
+def test_empty_or_negative_entries_rejected(tmp_path, capsys, doc, key, message):
+    with pytest.raises(ConfigError, match=re.escape(f"{key}: {message}")):
+        parse_config(json.dumps(doc))
+    code, out = _run_cli(tmp_path, doc, doc["mode"])
+    assert code == 2 and not out.exists()
+    assert f"config error: {key}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("start, message", [
     # kappa_c = -1e5 keeps the I0/I1 argument below I_OVERFLOW_X, but the
     # squared variance filters leave the double range; the variance layer raises
@@ -321,14 +337,16 @@ def test_cli_blue_wing_overflow_writes_nothing(tmp_path, capsys, start, message)
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal alone costs most of the CLI start-up time
+    # scipy.signal alone costs most of the CLI start-up time, scipy.linalg
+    # another 60 ms; the package needs neither
     src = Path(polariton_lab.__file__).resolve().parents[1]
     code = ("import sys, polariton_lab.cli; "
             "print(polariton_lab.cli.__file__); "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.signal', 'scipy.linalg'))))")
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=120)
-    loaded_from, signal_modules = result.stdout.splitlines()
+    loaded_from, heavy_modules = result.stdout.splitlines()
     assert Path(loaded_from).resolve().parent == src / "polariton_lab"
-    assert signal_modules == "[]"
+    assert heavy_modules == "[]"

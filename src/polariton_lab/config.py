@@ -33,6 +33,16 @@ _REQUIRED_HINT = (
 )
 
 
+# top-level blocks that only some modes read
+_MODE_BLOCKS = {
+    "scan": ("readout", "memory"),
+    "abscissa": ("readout", "memory"),
+    "dispersion": ("dispersion",),
+    "oracle_compare": ("oracle-compare",),
+    "packet": ("packet-velocity",),
+}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -156,6 +166,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"$.mode: missing required key; {_REQUIRED_HINT}")
     if mode not in MODES:
         raise _err("$.mode", f"unknown mode {mode!r}, expected one of {MODES}")
+    for block, modes in _MODE_BLOCKS.items():
+        if block in doc and mode not in modes:
+            raise _err(f"$.{block}",
+                       f"block only valid for mode {' or '.join(map(repr, modes))}")
 
     if "grid" not in doc:
         raise _err("$.grid", "missing required key")
@@ -258,8 +272,6 @@ def parse_config(text: str) -> RunConfig:
     compare_profiles = 20
     compare_seed = 2024
     if "oracle_compare" in doc:
-        if mode != "oracle-compare":
-            raise _err("$.oracle_compare", "block only valid for mode 'oracle-compare'")
         cobj = doc["oracle_compare"]
         if not isinstance(cobj, dict):
             raise _err("$.oracle_compare", "expected an object")
@@ -289,8 +301,6 @@ def parse_config(text: str) -> RunConfig:
         packet_bw = _number(pobj, "$.packet", "bandwidth_frac", default=0.1)
         if not 0.0 < packet_bw <= 0.2:
             raise _err("$.packet.bandwidth_frac", "must lie in (0, 0.2]")
-    elif "packet" in doc:
-        raise _err("$.packet", "block only valid for mode 'packet-velocity'")
 
     output = None
     if "output" in doc:

@@ -8,9 +8,11 @@ The hyperbolic system (retardation dropped)
 is marched on the unit lattice cell: light bins advance in z along each time
 row, spin bins advance in t along each space column, coupled by the implicit
 midpoint (trapezoid/Cayley) rule solved exactly per cell.  The per-cell map
-is a constant 4x4 matrix, so one sweep costs O(n_space * n_time) with the
-time axis fully vectorized through an eigen-decomposition of the spin
-propagation block.
+is a constant 4x4 matrix.  Cell (i, j), at space step i and time bin j,
+needs only cells (i-1, j) and (i, j-1), so the cells of one anti-diagonal
+i + j = d are independent: one sweep applies the cell to each anti-diagonal
+as a single block, in O(n_space * n_time) work and n_space + n_time - 1
+steps.
 
 The Cayley cell map is exactly canonical: it preserves the weighted
 antisymmetric form pairing (Xi1, Xi2) bins with weight +1 and (Jz, Jy) bins
@@ -54,11 +56,6 @@ SPIN_BLOCK_SIGN = -1.0
 
 _STABILITY_LIMIT = 0.5
 
-# The eigen-vectorized sweep's error against the sequential loop grows about
-# linearly with cond(V) of the spin block's eigenbasis (1e-13 at 3e2, 1e-11
-# at 3e4 on a 64x64 grid); beyond this bound the sweep runs cell by cell.
-_MAX_EIGENBASIS_COND = 1e3
-
 
 class StabilityError(ValueError):
     """Grid too coarse for the requested couplings."""
@@ -97,95 +94,49 @@ def cell_matrix(params: PhysicalParams, dz: float, dt: float) -> np.ndarray:
     return np.linalg.solve(eye - 0.5 * gen, eye + 0.5 * gen)
 
 
-def _spin_propagators(S: np.ndarray, n_time: int):
-    """Eigen factorization of the 2x2 spin block plus ready-made powers.
+def _sweep(cell: np.ndarray, u: np.ndarray,
+           w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """March light u (2, n_time, ...) and spin w (2, n_space, ...) across the lattice.
 
-    Returns None if S is too close to defective, signalling the sequential
-    fallback.
+    Returns the light after the last space step and the spin after the last
+    time step.  Spin is held with space reversed, so the light and spin bins
+    of one anti-diagonal are two forward slices of equal length.
     """
-    lam, V = np.linalg.eig(S)
-    try:
-        cond = np.linalg.cond(V)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.isfinite(cond) or cond > _MAX_EIGENBASIS_COND:
-        return None
-    Vinv = np.linalg.inv(V)
-    j = np.arange(n_time) + 1.0
-    lam_pow = lam[:, None] ** j[None, :]       # lam^(j+1)
-    lam_inv = lam[:, None] ** (-j[None, :])    # lam^-(j+1)
-    if not (np.all(np.isfinite(lam_pow)) and np.all(np.isfinite(lam_inv))):
-        return None
-    return V, Vinv, lam_pow, lam_inv
-
-
-def _sweep(cell: np.ndarray, u: np.ndarray, w: np.ndarray,
-           probes: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray, dict]:
-    """March light u (2, n_time, ...) through all space steps.
-
-    w has shape (2, n_space, ...).  Returns the advanced copies plus probe
-    snapshots of the Xi1 row taken right after the requested space steps.
-    """
-    u = np.array(u, dtype=float, copy=True)
-    w = np.array(w, dtype=float, copy=True)
-    n_time = u.shape[1]
-    n_space = w.shape[1]
-    P, Q = cell[:2, :2], cell[:2, 2:]
-    R, S = cell[2:, :2], cell[2:, 2:]
-    captured = {}
-    fact = _spin_propagators(S, n_time)
-    if fact is None:
-        for i in range(n_space):
-            s = w[:, i].copy()
-            for j in range(n_time):
-                uj = u[:, j]
-                new_u = np.tensordot(P, uj, axes=1) + np.tensordot(Q, s, axes=1)
-                s = np.tensordot(R, uj, axes=1) + np.tensordot(S, s, axes=1)
-                u[:, j] = new_u
-            w[:, i] = s
-            if i in probes:
-                captured[i] = u[0].copy()
-        return u, w, captured
-    V, Vinv, lam_pow, lam_inv = fact
-    trail = u.shape[2:]
-    shape_bc = (2, n_time) + (1,) * len(trail)
-    lam_pow_b = lam_pow.reshape(shape_bc)
-    lam_inv_b = lam_inv.reshape(shape_bc)
-    for i in range(n_space):
-        f = np.einsum("ab,bj...->aj...", Vinv @ R, u)
-        w0 = np.einsum("ab,b...->a...", Vinv, w[:, i])
-        pref = np.cumsum(lam_inv_b * f, axis=1)
-        after = lam_pow_b * (w0[:, None] + pref)
-        enter = np.empty_like(after)
-        enter[:, 0] = w0
-        enter[:, 1:] = after[:, :-1]
-        u = (
-            np.einsum("ab,bj...->aj...", P, u)
-            + np.einsum("ab,bj...->aj...", Q @ V, enter).real
-        )
-        w[:, i] = np.einsum("ab,b...->a...", V, after[:, -1]).real
-        if i in probes:
-            captured[i] = u[0].copy()
-    return u, w, captured
+    u = np.array(u, dtype=float)
+    v = np.array(w[:, ::-1], dtype=float)
+    n_time, n_space = u.shape[1], v.shape[1]
+    for d in range(n_time + n_space - 1):
+        j0, j1 = max(0, d - n_space + 1), min(d, n_time - 1) + 1
+        k0 = j0 + n_space - 1 - d
+        k1 = k0 + j1 - j0
+        block = np.concatenate((u[:, j0:j1], v[:, k0:k1]))
+        out = (cell @ block.reshape(4, -1)).reshape(block.shape)
+        u[:, j0:j1] = out[:2]
+        v[:, k0:k1] = out[2:]
+    return u, v[:, ::-1]
 
 
 def integrate_stacked(params: PhysicalParams, grid: Grid,
-                      u: np.ndarray, w: np.ndarray,
-                      probes: tuple[int, ...] = ()):
+                      u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Raw-array integrate: u (2, n_time, ...) light, w (2, n_space, ...) spin."""
+    u, w = np.asarray(u), np.asarray(w)
+    if (u.shape[:2] != (2, grid.n_time) or w.shape[:2] != (2, grid.n_space)
+            or u.shape[2:] != w.shape[2:]):
+        raise ValueError(
+            f"light {u.shape} and spin {w.shape} do not match grid "
+            f"(2, {grid.n_time}, ...) and (2, {grid.n_space}, ...) with equal trailing shapes"
+        )
     check_stability(params, grid)
     cell = cell_matrix(params, grid.dz(params.length_L), grid.dt(params.time_T))
-    return _sweep(cell, u, w, probes)
+    return _sweep(cell, u, w)
 
 
 def integrate(params: PhysicalParams, grid: Grid, xi_in: FieldRecord,
               spin_in: SpinRecord) -> tuple[FieldRecord, SpinRecord]:
     """Second-order solution: light record at z=L and spin record at t=T."""
-    if xi_in.n != grid.n_time or spin_in.n != grid.n_space:
-        raise ValueError("input records do not match the grid")
     u = np.stack([xi_in.xi1, xi_in.xi2])
     w = np.stack([spin_in.jz, spin_in.jy])
-    u, w, _ = integrate_stacked(params, grid, u, w)
+    u, w = integrate_stacked(params, grid, u, w)
     return FieldRecord(u[0], u[1]), SpinRecord(w[0], w[1])
 
 
@@ -283,7 +234,7 @@ def build_transfer_matrix(params: PhysicalParams, grid: Grid) -> TransferMatrix:
     for lo in range(0, dim, _COLUMN_CHUNK):
         hi = min(lo + _COLUMN_CHUNK, dim)
         u, w = _unpack(np.eye(dim, hi - lo, -lo), nt, ns)
-        u, w, _ = _sweep(cell, u / nl, w / nsp)
+        u, w = _sweep(cell, u / nl, w / nsp)
         out[:, lo:hi] = _pack(u * nl, w * nsp)
     return TransferMatrix(out, nt, ns)
 
@@ -305,7 +256,7 @@ def transfer_adjoint_apply(params: PhysicalParams, grid: Grid,
     nl, nsp = _norms(params, grid)
     cell = cell_matrix(params, grid.dz(params.length_L), grid.dt(params.time_T))
     u, w = _unpack(y, nt, ns)
-    u, w, _ = _sweep(cell.T, u[:, ::-1] * nl, w[:, ::-1] * nsp)
+    u, w = _sweep(cell.T, u[:, ::-1] * nl, w[:, ::-1] * nsp)
     return _pack(u[:, ::-1] / nl, w[:, ::-1] / nsp)
 
 

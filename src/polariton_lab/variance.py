@@ -251,6 +251,9 @@ def general_variances(params, grid: Grid, filter_time: np.ndarray,
         raise ValueError(
             f"filters must have shapes ({nt},) and ({ns},), got {ft.shape}, {fs.shape}"
         )
+    for name, f in (("filter_time", ft), ("filter_space", fs)):
+        if not np.all(np.isfinite(f)):
+            raise ValueError(f"{name} has a non-finite sample")
     # absolute SQL of coherent (Poissonian) inputs under each filter
     light_sql = 0.5 * params.xi3_bar * float(ft @ ft) * grid.dt(params.time_T)
     spin_sql = 0.5 * params.jx_bar * float(fs @ fs) * grid.dz(params.length_L)

@@ -314,6 +314,32 @@ def test_empty_or_negative_entries_rejected(tmp_path, capsys, doc, key, message)
     assert f"config error: {key}" in capsys.readouterr().err
 
 
+SYMPLECTIC_DOC = {
+    "mode": "symplectic-check",
+    "groups": {"kappa_c": 1, "r": 10},
+    "grid": {"n_time": 8, "n_space": 8},
+}
+
+
+@pytest.mark.parametrize("doc, block, modes", [
+    (dict(SYMPLECTIC_DOC, scan={"from": 0, "to": 1, "points": 2}),
+     "scan", "'readout' or 'memory'"),
+    (dict(ORACLE_DOC, abscissa={"eps_jx_L": 0.5}), "abscissa", "'readout' or 'memory'"),
+    (dict(json.loads(SPEC_EXAMPLE), dispersion={"abs_A_LT": 2, "omega_T": [1]}),
+     "dispersion", "'dispersion'"),
+    (dict(SYMPLECTIC_DOC, oracle_compare={"profiles": 2}),
+     "oracle_compare", "'oracle-compare'"),
+    (dict(ORACLE_DOC, packet={"q0_L": 8}), "packet", "'packet-velocity'"),
+], ids=["scan", "abscissa", "dispersion", "oracle_compare", "packet"])
+def test_block_outside_its_modes_rejected(tmp_path, capsys, doc, block, modes):
+    message = f"$.{block}: block only valid for mode {modes}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(json.dumps(doc))
+    code, out = _run_cli(tmp_path, doc, doc["mode"])
+    assert code == 2 and not out.exists()
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("start, message", [
     # kappa_c = -1e5 keeps the I0/I1 argument below I_OVERFLOW_X, but the
     # squared variance filters leave the double range; the variance layer raises

@@ -141,6 +141,16 @@ def test_general_variances_identity_channel():
     assert math.isclose(res["xi1"].sql, expected, rel_tol=1e-14)
 
 
+@pytest.mark.parametrize("bad", ["filter_time", "filter_space"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_general_variances_rejects_non_finite_filters(bad, value):
+    grid = Grid(16, 12)
+    filters = {"filter_time": np.ones(grid.n_time), "filter_space": np.ones(grid.n_space)}
+    filters[bad][3] = value
+    with pytest.raises(ValueError, match=f"{bad} has a non-finite sample"):
+        general_variances(canonical_params(1.0, 3.0), grid, **filters)
+
+
 def test_general_variances_reduces_to_protocol_routes():
     grid = Grid(192, 192)
     g = groups(1.5, r=10.0, omega_T=0.5, q_L=0.5)

@@ -33,13 +33,13 @@ _REQUIRED_HINT = (
 )
 
 
-# top-level blocks that only some modes read
+# top-level blocks that only some modes read: block -> (modes, required there)
 _MODE_BLOCKS = {
-    "scan": ("readout", "memory"),
-    "abscissa": ("readout", "memory"),
-    "dispersion": ("dispersion",),
-    "oracle_compare": ("oracle-compare",),
-    "packet": ("packet-velocity",),
+    "scan": (("readout", "memory"), True),
+    "abscissa": (("readout", "memory"), False),
+    "dispersion": (("dispersion",), True),
+    "oracle_compare": (("oracle-compare",), False),
+    "packet": (("packet-velocity",), True),
 }
 
 
@@ -157,8 +157,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"top-level document must be an object; {_REQUIRED_HINT}")
     if not doc:
         raise ConfigError(f"empty configuration; {_REQUIRED_HINT}")
-    allowed = {"mode", "grid", "groups", "physical", "detection", "scan",
-               "abscissa", "dispersion", "oracle_compare", "packet", "output"}
+    allowed = {"mode", "grid", "groups", "physical", "detection", "output"} | set(_MODE_BLOCKS)
     _check_keys(doc, "$", allowed)
 
     mode = doc.get("mode")
@@ -166,10 +165,12 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"$.mode: missing required key; {_REQUIRED_HINT}")
     if mode not in MODES:
         raise _err("$.mode", f"unknown mode {mode!r}, expected one of {MODES}")
-    for block, modes in _MODE_BLOCKS.items():
+    for block, (modes, required) in _MODE_BLOCKS.items():
         if block in doc and mode not in modes:
             raise _err(f"$.{block}",
                        f"block only valid for mode {' or '.join(map(repr, modes))}")
+        if required and block not in doc and mode in modes:
+            raise _err(f"$.{block}", f"missing required key for mode {mode!r}")
 
     if "grid" not in doc:
         raise _err("$.grid", "missing required key")
@@ -228,8 +229,6 @@ def parse_config(text: str) -> RunConfig:
         hi = _number(sobj, "$.scan", "to", required=True)
         points = _count(sobj, "$.scan", "points", required=True)
         scan_range = (lo, hi, points)
-    elif mode in ("readout", "memory"):
-        raise _err("$.scan", f"missing required key for mode {mode!r}")
 
     eps_conversion = 0.5
     if "abscissa" in doc:
@@ -247,8 +246,6 @@ def parse_config(text: str) -> RunConfig:
     disp_alt = None
     disp_omegas: tuple[float, ...] = ()
     if mode == "dispersion":
-        if "dispersion" not in doc:
-            raise _err("$.dispersion", "missing required key for mode 'dispersion'")
         dobj = doc["dispersion"]
         if not isinstance(dobj, dict):
             raise _err("$.dispersion", "expected an object")
@@ -291,8 +288,6 @@ def parse_config(text: str) -> RunConfig:
     packet_q0 = None
     packet_bw = 0.1
     if mode == "packet-velocity":
-        if "packet" not in doc:
-            raise _err("$.packet", "missing required key for mode 'packet-velocity'")
         pobj = doc["packet"]
         if not isinstance(pobj, dict):
             raise _err("$.packet", "expected an object")

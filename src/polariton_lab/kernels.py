@@ -93,9 +93,9 @@ def kernel_self_scaled(kappa_c: float, u):
 def kernel_cross_scaled(kappa_c: float, x, t):
     """Scaled cross-kernel G(x, t) for x, t in [0, 1]; G = 1 at a = 0."""
     _check_kappa_c(kappa_c)
-    prod = np.clip(np.asarray(x, dtype=float) * np.asarray(t, dtype=float), 0.0, None)
     if kappa_c == 0.0:
-        return np.ones_like(prod)
+        return np.ones(np.broadcast_shapes(np.shape(x), np.shape(t)))
+    prod = np.clip(np.asarray(x, dtype=float) * np.asarray(t, dtype=float), 0.0, None)
     if kappa_c > 0.0:
         return _sp.j0(2.0 * np.sqrt(kappa_c * prod))
     arg = 2.0 * np.sqrt(-kappa_c * prod)

@@ -14,6 +14,12 @@ i + j = d are independent: one sweep applies the cell to each anti-diagonal
 as a single block, in O(n_space * n_time) work and n_space + n_time - 1
 steps.
 
+Because the cell is constant the lattice is translation-invariant, and its
+impulse responses are the lattice Green's (Riemann) function of the Goursat
+problem.  The transfer matrix is assembled from four of them, Xi1 and Xi2
+impulses at time bin 0 and Jz and Jy impulses at space column 0, swept once
+with the cross histories recorded; the adjoint is the same sweep reversed.
+
 The Cayley cell map is exactly canonical: it preserves the weighted
 antisymmetric form pairing (Xi1, Xi2) bins with weight +1 and (Jz, Jy) bins
 with weight SPIN_BLOCK_SIGN in the normalized bin convention below, so the
@@ -94,17 +100,28 @@ def cell_matrix(params: PhysicalParams, dz: float, dt: float) -> np.ndarray:
     return np.linalg.solve(eye - 0.5 * gen, eye + 0.5 * gen)
 
 
-def _sweep(cell: np.ndarray, u: np.ndarray,
-           w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sweep(cell: np.ndarray, u: np.ndarray, w: np.ndarray,
+           record: tuple[slice, slice] | None = None) -> tuple[np.ndarray, ...]:
     """March light u (2, n_time, ...) and spin w (2, n_space, ...) across the lattice.
 
     Returns the light after the last space step and the spin after the last
     time step.  Spin is held with space reversed, so the light and spin bins
     of one anti-diagonal are two forward slices of equal length.
+
+    ``record = (light_rhs, spin_rhs)``, two index slices of the first
+    trailing axis, also returns the light history of the right-hand sides
+    light_rhs and the spin history of spin_rhs: arrays (2, n_space, n_time,
+    ...) whose [:, k, j] is the output of cell (n_space - 1 - k, j), the light
+    after that space step or the spin after that time bin.  In this layout
+    every anti-diagonal is one strided run of the flattened (k, j) axis.
     """
     u = np.array(u, dtype=float)
     v = np.array(w[:, ::-1], dtype=float)
     n_time, n_space = u.shape[1], v.shape[1]
+    if record is not None:
+        light_rhs, spin_rhs = record
+        light_hist = np.zeros((2, n_space * n_time) + u[0, 0, light_rhs].shape)
+        spin_hist = np.zeros((2, n_space * n_time) + u[0, 0, spin_rhs].shape)
     for d in range(n_time + n_space - 1):
         j0, j1 = max(0, d - n_space + 1), min(d, n_time - 1) + 1
         k0 = j0 + n_space - 1 - d
@@ -113,7 +130,15 @@ def _sweep(cell: np.ndarray, u: np.ndarray,
         out = (cell @ block.reshape(4, -1)).reshape(block.shape)
         u[:, j0:j1] = out[:2]
         v[:, k0:k1] = out[2:]
-    return u, v[:, ::-1]
+        if record is not None:
+            run = slice(k0 * n_time + j0, k1 * n_time + j1, n_time + 1)
+            light_hist[:, run] = out[:2, :, light_rhs]
+            spin_hist[:, run] = out[2:, :, spin_rhs]
+    if record is None:
+        return u, v[:, ::-1]
+    shape = (2, n_space, n_time)
+    return (u, v[:, ::-1], light_hist.reshape(shape + light_hist.shape[2:]),
+            spin_hist.reshape(shape + spin_hist.shape[2:]))
 
 
 def integrate_stacked(params: PhysicalParams, grid: Grid,
@@ -177,11 +202,6 @@ def _norms(params: PhysicalParams, grid: Grid) -> tuple[float, float]:
     return nl, ns
 
 
-# impulse columns per stacked sweep in build_transfer_matrix; bounds the
-# sweep's working set whatever the grid
-_COLUMN_CHUNK = 512
-
-
 def _bin_layout(n_time: int, n_space: int) -> dict[str, slice]:
     """Row/column blocks of the normalized-bin layout [Xi1, Xi2, Jz, Jy]."""
     return {
@@ -219,23 +239,46 @@ class TransferMatrix:
         return 2 * self.n_time + 2 * self.n_space
 
 
-def build_transfer_matrix(params: PhysicalParams, grid: Grid) -> TransferMatrix:
-    """Columns are integrate() responses to unit normalized bin impulses.
+def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
+    """Read-only lower-triangular Toeplitz view: [j, j0] = col[j - j0], 0 above."""
+    n = col.size
+    padded = np.concatenate((col[::-1], np.zeros(n - 1)))
+    return np.lib.stride_tricks.sliding_window_view(padded, n)[::-1]
 
-    Column batches propagate through a single stacked sweep each, so the
-    assembly order (hence the matrix) is bit-reproducible.
+
+def build_transfer_matrix(params: PhysicalParams, grid: Grid) -> TransferMatrix:
+    """M from the lattice Green's function: four impulse responses, one sweep.
+
+    The cell is constant, so the lattice is translation-invariant and every
+    block of M is a slice of the responses to unit normalized Xi1 and Xi2
+    bins at time bin 0 and unit Jz and Jy bins at space column 0, swept
+    together as four right-hand sides.  Light->light and spin->spin blocks
+    are lower-triangular Toeplitz in the final light and spin.  Spin->light
+    blocks read the light history of the spin impulses: the light of an
+    impulse at column i0 leaves the lattice as the light after space step
+    n_space - 1 - i0 of the impulse at column 0.  Light->spin blocks read the
+    spin history of the light impulses the same way.  Each entry is the same
+    sequence of cell products as the response to its own unit impulse.
     """
     check_stability(params, grid)
     nt, ns = grid.n_time, grid.n_space
     dim = 2 * nt + 2 * ns
     nl, nsp = _norms(params, grid)
     cell = cell_matrix(params, grid.dz(params.length_L), grid.dt(params.time_T))
+    u = np.zeros((2, nt, 4))
+    w = np.zeros((2, ns, 4))
+    u[0, 0, 0] = u[1, 0, 1] = 1.0 / nl
+    w[0, 0, 2] = w[1, 0, 3] = 1.0 / nsp
+    u, w, light_hist, spin_hist = _sweep(cell, u, w, record=(slice(2, 4), slice(0, 2)))
+    b = _bin_layout(nt, ns)
+    light, spin = (b["xi1"], b["xi2"]), (b["jz"], b["jy"])
     out = np.empty((dim, dim))
-    for lo in range(0, dim, _COLUMN_CHUNK):
-        hi = min(lo + _COLUMN_CHUNK, dim)
-        u, w = _unpack(np.eye(dim, hi - lo, -lo), nt, ns)
-        u, w = _sweep(cell, u / nl, w / nsp)
-        out[:, lo:hi] = _pack(u * nl, w * nsp)
+    for o in range(2):
+        for i in range(2):
+            out[light[o], light[i]] = _lower_toeplitz(u[o, :, i] * nl)
+            out[spin[o], spin[i]] = _lower_toeplitz(w[o, :, 2 + i] * nsp)
+            out[light[o], spin[i]] = light_hist[o, :, :, i].T * nl
+            out[spin[o], light[i]] = spin_hist[o, ::-1, ::-1, i] * nsp
     return TransferMatrix(out, nt, ns)
 
 
@@ -277,7 +320,19 @@ def symplectic_form(n_time: int, n_space: int,
 
 def symplectic_residual(tm: TransferMatrix,
                         spin_sign: float = SPIN_BLOCK_SIGN) -> float:
-    """max |M Omega M^T - Omega| / max |Omega|."""
-    omega = symplectic_form(tm.n_time, tm.n_space, spin_sign)
-    delta = tm.matrix @ omega @ tm.matrix.T - omega
-    return float(np.max(np.abs(delta)) / np.max(np.abs(omega)))
+    """max |M Omega M^T - Omega| / max |Omega|, without building Omega.
+
+    Omega pairs each bin with its conjugate bin, so M Omega is M with the
+    columns of each pair swapped and signed (spin columns also scaled by
+    |spin_sign|), and Omega is subtracted on the diagonals of its four
+    nonzero blocks.  One dense product remains.
+    """
+    m = tm.matrix
+    b = _bin_layout(tm.n_time, tm.n_space)
+    delta = np.concatenate((-m[:, b["xi2"]], m[:, b["xi1"]],
+                            -spin_sign * m[:, b["jy"]], spin_sign * m[:, b["jz"]]), axis=1) @ m.T
+    for first, second, value in ((b["xi1"], b["xi2"], 1.0), (b["jz"], b["jy"], spin_sign)):
+        p, q = np.arange(first.start, first.stop), np.arange(second.start, second.stop)
+        delta[p, q] -= value
+        delta[q, p] += value
+    return float(np.max(np.abs(delta, out=delta)) / max(1.0, abs(spin_sign)))

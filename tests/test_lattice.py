@@ -4,12 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from polariton_lab import lattice
-from polariton_lab.kernels import FieldRecord, SpinRecord, output_field, output_spin
+from polariton_lab.kernels import (
+    FieldRecord,
+    SpinRecord,
+    kernel_cross_scaled,
+    kernel_self_scaled,
+    output_field,
+    output_spin,
+)
 from polariton_lab.lattice import (
     SPIN_BLOCK_SIGN,
     StabilityError,
+    TransferMatrix,
     build_transfer_matrix,
     integrate,
     integrate_stacked,
@@ -272,3 +281,65 @@ def test_integrate_stacked_rejects_arrays_off_the_grid(u_shape, w_shape):
     params = canonical_params(1.0, 3.0)
     with pytest.raises(ValueError, match=r"light \(2, .*\) and spin \(2, .*\) do not match"):
         integrate_stacked(params, Grid(8, 8), np.ones(u_shape), np.ones(w_shape))
+
+
+def _impulse_columns(params, grid):
+    """Reference transfer matrix: integrate_stacked on every unit normalized bin."""
+    nt, ns = grid.n_time, grid.n_space
+    nl, nsp = lattice._norms(params, grid)
+    u, w = lattice._unpack(np.eye(2 * nt + 2 * ns), nt, ns)
+    u, w = integrate_stacked(params, grid, u / nl, w / nsp)
+    return lattice._pack(u * nl, w * nsp)
+
+
+# grids of at least 6 x 6 keep every draw below inside the stability limit
+@given(kappa_c=st.floats(-4.0, 8.0), ratio_r=st.floats(0.2, 10.0),
+       kappa2_L=st.floats(-1.0, 1.0), Omega_T=st.floats(-1.0, 1.0),
+       n_time=st.integers(6, 16), n_space=st.integers(6, 16))
+def test_green_build_equals_impulse_columns(kappa_c, ratio_r, kappa2_L, Omega_T,
+                                            n_time, n_space):
+    assume(n_time != n_space)
+    params = canonical_params(kappa_c, ratio_r, kappa2_L, Omega_T)
+    grid = Grid(n_time, n_space)
+    tm = build_transfer_matrix(params, grid)
+    np.testing.assert_allclose(tm.matrix, _impulse_columns(params, grid), rtol=0, atol=1e-13)
+    assert symplectic_residual(tm) <= 1e-12
+
+
+@pytest.mark.parametrize("kappa_c", [0.5, 2.0, -2.0])
+def test_green_function_converges_to_closed_form_kernels(kappa_c):
+    # the impulse responses are the lattice Riemann function of the Goursat
+    # problem (Courant-Hilbert II, ch. V): with kappa2 = Omega = 0 the
+    # Xi1 -> Xi1 column is -h*K(lag*h) and the Jz -> Xi1 block is
+    # G(1 - z, t) times the output-map prefactor 2*beta*xi3*L, both to O(h^2)
+    params = canonical_params(kappa_c, 3.0)
+    self_err, cross_err = [], []
+    for n in (32, 64, 128, 256):
+        grid = Grid(n, n)
+        m = build_transfer_matrix(params, grid).matrix
+        b = lattice._bin_layout(n, n)
+        h = 1.0 / n
+        lags = np.array([n // 4, n // 2, 3 * n // 4])
+        self_err.append(np.max(np.abs(m[b["xi1"], b["xi1"]][lags, 0] / h
+                                      + kernel_self_scaled(kappa_c, lags * h))))
+        nl, nsp = lattice._norms(params, grid)
+        prefactor = 2.0 * params.beta * params.xi3_bar * params.length_L * h * nl / nsp
+        c = (np.arange(n) + 0.5) * h
+        cross = kernel_cross_scaled(kappa_c, 1.0 - c[None, :], c[:, None])
+        cross_err.append(np.max(np.abs(m[b["xi1"], b["jz"]] / prefactor - cross)))
+    for errs in (self_err, cross_err):
+        ratios = np.array(errs[:-1]) / np.array(errs[1:])
+        assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
+
+
+@pytest.mark.parametrize("spin_sign", [-1.0, 1.0, 0.5])
+def test_residual_equals_dense_form(spin_sign):
+    # near the identity (which preserves every form) the residual is small,
+    # so a slip in a column sign or in the subtracted form shows as O(1)
+    nt, ns = 6, 5
+    rng = np.random.default_rng(3)
+    dim = 2 * nt + 2 * ns
+    tm = TransferMatrix(np.eye(dim) + 0.1 * rng.normal(size=(dim, dim)), nt, ns)
+    omega = symplectic_form(nt, ns, spin_sign)
+    dense = np.max(np.abs(tm.matrix @ omega @ tm.matrix.T - omega)) / np.max(np.abs(omega))
+    assert symplectic_residual(tm, spin_sign) == pytest.approx(dense, rel=1e-12, abs=0)

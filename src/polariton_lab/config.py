@@ -67,26 +67,28 @@ def _number(obj: dict, path: str, key: str, default=None, required=False) -> flo
     return _finite(obj[key], f"{path}.{key}")
 
 
-def _integer(obj: dict, path: str, key: str, default=None, required=False) -> int | None:
-    value = _number(obj, path, key, default=default, required=required)
-    if value is None:
-        return None
+def _integer(obj: dict, path: str, key: str) -> int:
+    value = _number(obj, path, key, required=True)
     if value != int(value):
         raise _err(f"{path}.{key}", f"expected an integer, got {value!r}")
     return int(value)
 
 
-def _count(obj: dict, path: str, key: str, default=None, required=False) -> int:
-    value = _integer(obj, path, key, default=default, required=required)
+def _count(obj: dict, path: str, key: str) -> int:
+    value = _integer(obj, path, key)
     if value < 1:
         raise _err(f"{path}.{key}", f"need at least one, got {value}")
     return value
 
 
-def _check_keys(obj: dict, path: str, allowed: set[str]) -> None:
+def _block(obj: Any, path: str, allowed: set[str]) -> dict:
+    """``obj`` checked to be an object holding only ``allowed`` keys."""
+    if not isinstance(obj, dict):
+        raise _err(path, "expected an object")
     unknown = set(obj) - allowed
     if unknown:
         raise _err(path, f"unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -107,9 +109,7 @@ class RunConfig:
 
 
 def _parse_groups(obj: Any, path: str) -> DimensionlessGroups:
-    if not isinstance(obj, dict):
-        raise _err(path, "expected an object")
-    _check_keys(obj, path, {"kappa_c", "r", "omega_T", "q_L", "kappa2_L", "Omega_T"})
+    _block(obj, path, {"kappa_c", "r", "omega_T", "q_L", "kappa2_L", "Omega_T"})
     kappa_c = _number(obj, path, "kappa_c", required=True)
     r = _number(obj, path, "r", required=True)
     if r <= 0:
@@ -128,11 +128,10 @@ def _parse_groups(obj: Any, path: str) -> DimensionlessGroups:
 
 
 def _parse_physical(obj: Any, path: str) -> PhysicalParams:
-    if not isinstance(obj, dict):
-        raise _err(path, "expected an object")
-    allowed = {"beta", "epsilon", "kappa2", "omega0", "omega2",
-               "xi3_bar", "jx_bar", "length_L", "time_T"}
-    _check_keys(obj, path, allowed)
+    # a tuple, so the first bad key reported does not depend on string hashing
+    allowed = ("beta", "epsilon", "kappa2", "omega0", "omega2",
+               "xi3_bar", "jx_bar", "length_L", "time_T")
+    _block(obj, path, set(allowed))
     kwargs = {}
     for key in allowed:
         if key in ("beta", "epsilon"):
@@ -158,7 +157,7 @@ def parse_config(text: str) -> RunConfig:
     if not doc:
         raise ConfigError(f"empty configuration; {_REQUIRED_HINT}")
     allowed = {"mode", "grid", "groups", "physical", "detection", "output"} | set(_MODE_BLOCKS)
-    _check_keys(doc, "$", allowed)
+    _block(doc, "$", allowed)
 
     mode = doc.get("mode")
     if mode is None:
@@ -174,14 +173,11 @@ def parse_config(text: str) -> RunConfig:
 
     if "grid" not in doc:
         raise _err("$.grid", "missing required key")
-    gobj = doc["grid"]
-    if not isinstance(gobj, dict):
-        raise _err("$.grid", "expected an object")
-    _check_keys(gobj, "$.grid", {"n_time", "n_space"})
+    gobj = _block(doc["grid"], "$.grid", {"n_time", "n_space"})
     try:
         grid = Grid(
-            _integer(gobj, "$.grid", "n_time", required=True),
-            _integer(gobj, "$.grid", "n_space", required=True),
+            _integer(gobj, "$.grid", "n_time"),
+            _integer(gobj, "$.grid", "n_space"),
         )
     except ValueError as exc:
         raise _err("$.grid", str(exc)) from exc
@@ -205,10 +201,7 @@ def parse_config(text: str) -> RunConfig:
     if "detection" in doc and not has_physical:
         raise _err("$.detection", "block only valid with the 'physical' parameter block")
     if params is not None:
-        dobj = doc.get("detection", {})
-        if not isinstance(dobj, dict):
-            raise _err("$.detection", "expected an object")
-        _check_keys(dobj, "$.detection", {"omega_T", "q_L"})
+        dobj = _block(doc.get("detection", {}), "$.detection", {"omega_T", "q_L"})
         det_w = _number(dobj, "$.detection", "omega_T", default=0.0)
         det_q = _number(dobj, "$.detection", "q_L", default=0.0)
         if mode == "readout" and det_w == 0.0:
@@ -219,37 +212,26 @@ def parse_config(text: str) -> RunConfig:
                                           "needs the detection wavenumber")
         groups = derive_groups(params, omega_T=det_w, q_L=det_q)
 
-    scan_range = None
+    # settings a block may override; RunConfig holds each default
+    opts: dict[str, Any] = {}
     if "scan" in doc:
-        sobj = doc["scan"]
-        if not isinstance(sobj, dict):
-            raise _err("$.scan", "expected an object")
-        _check_keys(sobj, "$.scan", {"from", "to", "points"})
+        sobj = _block(doc["scan"], "$.scan", {"from", "to", "points"})
         lo = _number(sobj, "$.scan", "from", required=True)
         hi = _number(sobj, "$.scan", "to", required=True)
-        points = _count(sobj, "$.scan", "points", required=True)
-        scan_range = (lo, hi, points)
+        points = _count(sobj, "$.scan", "points")
+        opts["scan_range"] = (lo, hi, points)
 
-    eps_conversion = 0.5
     if "abscissa" in doc:
-        aobj = doc["abscissa"]
-        if not isinstance(aobj, dict):
-            raise _err("$.abscissa", "expected an object")
         key = "eps_xi3_T" if mode == "readout" else "eps_jx_L"
-        _check_keys(aobj, "$.abscissa", {key})
+        aobj = _block(doc["abscissa"], "$.abscissa", {key})
         val = _number(aobj, "$.abscissa", key)
         if val is not None:
             if val <= 0:
                 raise _err(f"$.abscissa.{key}", "conversion factor must be positive")
-            eps_conversion = val
+            opts["eps_conversion"] = val
 
-    disp_alt = None
-    disp_omegas: tuple[float, ...] = ()
     if mode == "dispersion":
-        dobj = doc["dispersion"]
-        if not isinstance(dobj, dict):
-            raise _err("$.dispersion", "expected an object")
-        _check_keys(dobj, "$.dispersion", {"abs_A_LT", "omega_T"})
+        dobj = _block(doc["dispersion"], "$.dispersion", {"abs_A_LT", "omega_T"})
         disp_alt = _number(dobj, "$.dispersion", "abs_A_LT", required=True)
         if disp_alt < 0:
             raise _err("$.dispersion.abs_A_LT", "magnitude must be nonnegative")
@@ -264,57 +246,40 @@ def parse_config(text: str) -> RunConfig:
         if 0.0 in disp_omegas:
             raise _err(f"$.dispersion.omega_T[{disp_omegas.index(0.0)}]",
                        "omega_T = 0 sits on the dispersion pole")
+        opts["dispersion_abs_ALT"] = disp_alt
+        opts["dispersion_omega_T"] = disp_omegas
 
-    compare_kcs = (0.5, 1.0, 2.0)
-    compare_profiles = 20
-    compare_seed = 2024
     if "oracle_compare" in doc:
-        cobj = doc["oracle_compare"]
-        if not isinstance(cobj, dict):
-            raise _err("$.oracle_compare", "expected an object")
-        _check_keys(cobj, "$.oracle_compare", {"kappa_c_values", "profiles", "seed"})
+        cobj = _block(doc["oracle_compare"], "$.oracle_compare",
+                      {"kappa_c_values", "profiles", "seed"})
         if "kappa_c_values" in cobj:
             raw = cobj["kappa_c_values"]
             if not isinstance(raw, list) or not raw:
                 raise _err("$.oracle_compare.kappa_c_values", "expected a non-empty list")
-            compare_kcs = tuple(_finite(v, f"$.oracle_compare.kappa_c_values[{i}]")
-                                for i, v in enumerate(raw))
-        compare_profiles = _count(cobj, "$.oracle_compare", "profiles", default=20)
-        compare_seed = _integer(cobj, "$.oracle_compare", "seed", default=2024)
-        if compare_seed < 0:
-            raise _err("$.oracle_compare.seed",
-                       f"expected a non-negative integer, got {compare_seed}")
+            opts["compare_kappa_c"] = tuple(
+                _finite(v, f"$.oracle_compare.kappa_c_values[{i}]")
+                for i, v in enumerate(raw))
+        if "profiles" in cobj:
+            opts["compare_profiles"] = _count(cobj, "$.oracle_compare", "profiles")
+        if "seed" in cobj:
+            seed = _integer(cobj, "$.oracle_compare", "seed")
+            if seed < 0:
+                raise _err("$.oracle_compare.seed",
+                           f"expected a non-negative integer, got {seed}")
+            opts["compare_seed"] = seed
 
-    packet_q0 = None
-    packet_bw = 0.1
     if mode == "packet-velocity":
-        pobj = doc["packet"]
-        if not isinstance(pobj, dict):
-            raise _err("$.packet", "expected an object")
-        _check_keys(pobj, "$.packet", {"q0_L", "bandwidth_frac"})
-        packet_q0 = _number(pobj, "$.packet", "q0_L", required=True)
-        packet_bw = _number(pobj, "$.packet", "bandwidth_frac", default=0.1)
-        if not 0.0 < packet_bw <= 0.2:
-            raise _err("$.packet.bandwidth_frac", "must lie in (0, 0.2]")
+        pobj = _block(doc["packet"], "$.packet", {"q0_L", "bandwidth_frac"})
+        opts["packet_q0_L"] = _number(pobj, "$.packet", "q0_L", required=True)
+        if "bandwidth_frac" in pobj:
+            bw = _number(pobj, "$.packet", "bandwidth_frac")
+            if not 0.0 < bw <= 0.2:
+                raise _err("$.packet.bandwidth_frac", "must lie in (0, 0.2]")
+            opts["packet_bandwidth_frac"] = bw
 
-    output = None
     if "output" in doc:
         if not isinstance(doc["output"], str):
             raise _err("$.output", "expected a string path")
-        output = doc["output"]
+        opts["output"] = doc["output"]
 
-    return RunConfig(
-        mode=mode,
-        grid=grid,
-        groups=groups,
-        scan_range=scan_range,
-        eps_conversion=eps_conversion,
-        dispersion_abs_ALT=disp_alt,
-        dispersion_omega_T=disp_omegas,
-        compare_kappa_c=compare_kcs,
-        compare_profiles=compare_profiles,
-        compare_seed=compare_seed,
-        packet_q0_L=packet_q0,
-        packet_bandwidth_frac=packet_bw,
-        output=output,
-    )
+    return RunConfig(mode=mode, grid=grid, groups=groups, **opts)

@@ -93,14 +93,20 @@ def kernel_self_scaled(kappa_c: float, u):
 def kernel_cross_scaled(kappa_c: float, x, t):
     """Scaled cross-kernel G(x, t) for x, t in [0, 1]; G = 1 at a = 0."""
     _check_kappa_c(kappa_c)
+    shape = np.broadcast_shapes(np.shape(x), np.shape(t))
     if kappa_c == 0.0:
-        return np.ones(np.broadcast_shapes(np.shape(x), np.shape(t)))
-    prod = np.clip(np.asarray(x, dtype=float) * np.asarray(t, dtype=float), 0.0, None)
+        return np.ones(shape)
+    # the dense applies pass 4 MiB blocks: one buffer, every step in place;
+    # [()] unwraps the 0-d result of scalar arguments
+    arg = np.multiply(x, t, dtype=float, out=np.empty(shape))
+    np.clip(arg, 0.0, None, out=arg)
+    arg *= abs(kappa_c)
+    np.sqrt(arg, out=arg)
+    arg *= 2.0
     if kappa_c > 0.0:
-        return _sp.j0(2.0 * np.sqrt(kappa_c * prod))
-    arg = 2.0 * np.sqrt(-kappa_c * prod)
+        return _sp.j0(arg, out=arg)[()]
     _check_blue_wing_argument(kappa_c, arg)
-    return _sp.i0(arg)
+    return _sp.i0(arg, out=arg)[()]
 
 
 def _centers(n: int) -> np.ndarray:
@@ -176,7 +182,8 @@ def _interp_uniform_centers(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     n = values.size
     if n < 4:
-        # quadrature grids this coarse are rejected upstream; linear fallback
+        # 2 or 3 bins (Grid allows them; the output maps take them) have no
+        # four-point stencil: linear interpolation, clamped at the ends
         idx = np.clip(x * n - 0.5, 0.0, n - 1.0)
         lo = np.clip(np.floor(idx).astype(int), 0, n - 2)
         frac = idx - lo
@@ -195,8 +202,7 @@ def _interp_uniform_centers(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     return w0 * v0 + w1 * v1 + w2 * v2 + w3 * v3
 
 
-def _causal_self_convolution(kappa_c: float, f, n: int, offsets,
-                             rule: PanelRule) -> np.ndarray:
+def _causal_self_convolution(kappa_c: float, f, n: int, offsets) -> np.ndarray:
     """(K * f)(tau) = Int_0^tau K(tau - x) f(x) dx at tau = (b + o)/n.
 
     ``f`` is a callable on scaled coordinates, ``offsets`` the positions o in
@@ -206,6 +212,7 @@ def _causal_self_convolution(kappa_c: float, f, n: int, offsets,
     (b - b' + o - (1 + x_k)/2)/n, a function of the bin distance alone, so
     the full bins are one causal discrete convolution per (node, offset).
     """
+    rule = PanelRule()
     h = 1.0 / n
     x, w = panel_nodes(np.arange(n + 1) * h, rule)       # (n, order)
     fw = w * f(x)
@@ -239,24 +246,31 @@ def _apply_kernel(kernel, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.nda
     return out
 
 
-def _self_convolution(kappa_c: float, samples: np.ndarray, rule: PanelRule) -> np.ndarray:
-    """(K * f)(tau_j) at every bin center tau_j, f the cubic interpolant of samples."""
-    f = lambda x: _interp_uniform_centers(samples, x)
-    return _causal_self_convolution(kappa_c, f, samples.size, (0.5,), rule)[:, 0]
+def _cross_integral(kappa_c: float, f, n_src: int, t: np.ndarray) -> np.ndarray:
+    """Int_0^1 G(1 - x, t_i) f(x) dx at every output t_i.
 
-
-def _cross_integral(kappa_c: float, source: np.ndarray, n_out: int,
-                    rule: PanelRule) -> np.ndarray:
-    """Int_0^1 G(1 - node, c_j) * source(node) d(node) at every output center c_j.
-
-    The source lives on its own unit interval (n_source bins); outputs are
-    the n_out bin centers of the conjugate axis.
+    ``f`` is a callable on the source's unit interval, integrated with
+    panels on its ``n_src`` bins.  G depends on (1 - x)*t only, so an output
+    may lie past 1 (the time continuation in spectral.py).
     """
-    x, w = panel_nodes(np.arange(source.size + 1) / source.size, rule)
+    x, w = panel_nodes(np.arange(n_src + 1) / n_src, PanelRule())
     x = x.ravel()
-    wf = w.ravel() * _interp_uniform_centers(source, x)
     return _apply_kernel(lambda t, r: kernel_cross_scaled(kappa_c, r, t),
-                         _centers(n_out), 1.0 - x, wf)
+                         t, 1.0 - x, w.ravel() * f(x))
+
+
+def _output_components(kappa_c: float, own, conj, coeffs) -> list[np.ndarray]:
+    """own - K*own + c * Int_0^1 G(1 - x, t) conj(x) dx at own's bin centers
+    t, one (own, conj, c) triple per component; the samples enter through
+    their cubic interpolant."""
+    out = []
+    for a, b, c in zip(own, conj, coeffs):
+        conv = _causal_self_convolution(
+            kappa_c, lambda x: _interp_uniform_centers(a, x), a.size, (0.5,))[:, 0]
+        cross = _cross_integral(
+            kappa_c, lambda x: _interp_uniform_centers(b, x), b.size, _centers(a.size))
+        out.append(a - conv + c * cross)
+    return out
 
 
 def output_field(params: PhysicalParams, grid: Grid, xi_in: FieldRecord,
@@ -264,35 +278,26 @@ def output_field(params: PhysicalParams, grid: Grid, xi_in: FieldRecord,
     """Light record at z = L from input light (z=0) and input spins (t=0)."""
     if xi_in.n != grid.n_time or spin_in.n != grid.n_space:
         raise ValueError("input records do not match the grid")
-    rule = PanelRule()
     kc = params.a_coupling * params.length_L * params.time_T
-    conv1 = _self_convolution(kc, xi_in.xi1, rule)
-    conv2 = _self_convolution(kc, xi_in.xi2, rule)
-    crossz = _cross_integral(kc, spin_in.jz, grid.n_time, rule)
-    crossy = _cross_integral(kc, spin_in.jy, grid.n_time, rule)
     cb = 2.0 * params.beta * params.xi3_bar * params.length_L
     ce = 2.0 * params.epsilon * params.xi3_bar * params.length_L
-    return FieldRecord(
-        xi1=xi_in.xi1 - conv1 + cb * crossz,
-        xi2=xi_in.xi2 - conv2 - ce * crossy,
-    )
+    xi1, xi2 = _output_components(kc, (xi_in.xi1, xi_in.xi2),
+                                  (spin_in.jz, spin_in.jy), (cb, -ce))
+    return FieldRecord(xi1=xi1, xi2=xi2)
 
 
 def output_spin(params: PhysicalParams, grid: Grid, xi_in: FieldRecord,
                 spin_in: SpinRecord) -> SpinRecord:
-    """Spin record at t = T from input light (z=0) and input spins (t=0)."""
+    """Spin record at t = T from input light (z=0) and input spins (t=0).
+
+    The light <-> spin mirror of output_field: G(z, T - t') has the
+    residual 1 - tau' in the time integral.
+    """
     if xi_in.n != grid.n_time or spin_in.n != grid.n_space:
         raise ValueError("input records do not match the grid")
-    rule = PanelRule()
     kc = params.a_coupling * params.length_L * params.time_T
-    conv_z = _self_convolution(kc, spin_in.jz, rule)
-    conv_y = _self_convolution(kc, spin_in.jy, rule)
-    # G(z, T - t'): residual in the time integral is 1 - tau'
-    cross1 = _cross_integral(kc, xi_in.xi1, grid.n_space, rule)
-    cross2 = _cross_integral(kc, xi_in.xi2, grid.n_space, rule)
     ce = params.epsilon * params.jx_bar * params.time_T
     cb = params.beta * params.jx_bar * params.time_T
-    return SpinRecord(
-        jz=spin_in.jz - conv_z - ce * cross1,
-        jy=spin_in.jy - conv_y + cb * cross2,
-    )
+    jz, jy = _output_components(kc, (spin_in.jz, spin_in.jy),
+                                (xi_in.xi1, xi_in.xi2), (-ce, cb))
+    return SpinRecord(jz=jz, jy=jy)

@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.fft import fft, ifft
 
 from .kernels import (FieldRecord, SpinRecord, _apply_kernel, _causal_self_convolution,
-                      kernel_cross_scaled, kernel_self_scaled)
+                      _cross_integral, kernel_self_scaled)
 from .lattice import cell_matrix, integrate, _sweep
 from .model import Grid, PhysicalParams
 from .quadrature import PanelRule, panel_nodes
@@ -57,10 +56,10 @@ def _bandpass(x: np.ndarray, dt: float, w_lo: float, w_hi: float) -> np.ndarray:
 def _analytic_signal(x: np.ndarray) -> np.ndarray:
     """x + i*H[x] for real 1-D x: positive frequencies doubled, negative ones zeroed."""
     n = x.size
-    spec = fft(x)
+    spec = np.fft.fft(x)
     spec[1:(n + 1) // 2] *= 2.0
     spec[n // 2 + 1:] = 0.0
-    return ifft(spec)
+    return np.fft.ifft(spec)
 
 
 def measure_packet_velocity(params: PhysicalParams, grid: Grid,
@@ -157,25 +156,24 @@ def measure_packet_velocity(params: PhysicalParams, grid: Grid,
 
 
 def _kernel_output_extended(kc: float, cb: float, xi_fn, jz_fn, n_grid: int,
-                            n_inside: int, tail: np.ndarray, rule: PanelRule) -> np.ndarray:
+                            n_inside: int, tail: np.ndarray) -> np.ndarray:
     """Xi1(zeta=1, tau) from the kernel solution, tau allowed beyond 1.
 
     The outputs are the Gauss nodes of the first ``n_inside`` grid bins, in
     panel order, followed by the points ``tail``, all >= 1.  Inputs are
     scaled callables compactly supported in (0, 1).
     """
+    rule = PanelRule()
     x, w = panel_nodes(np.arange(n_grid + 1) / n_grid, rule)
     inside = x[:n_inside].ravel()
-    taus = np.concatenate([inside, tail])
     x = x.ravel()
     w = w.ravel()
-    cross = _apply_kernel(lambda r, t: kernel_cross_scaled(kc, r, t),
-                          taus, 1.0 - x, w * jz_fn(x))
+    cross = _cross_integral(kc, jz_fn, n_grid, np.concatenate([inside, tail]))
     # inside the support the upper limit tau cuts a bin; beyond it the
     # whole input contributes
     offsets = 0.5 * (1.0 + rule.x)
     conv = np.concatenate([
-        _causal_self_convolution(kc, xi_fn, n_grid, offsets, rule)[:n_inside].ravel(),
+        _causal_self_convolution(kc, xi_fn, n_grid, offsets)[:n_inside].ravel(),
         _apply_kernel(lambda t, s: kernel_self_scaled(kc, t - s), tail, x, w * xi_fn(x)),
     ])
     direct = np.concatenate([xi_fn(inside), np.zeros(tail.size)])
@@ -218,7 +216,7 @@ def laplace_identity_residual(params: PhysicalParams, grid: Grid, s: float,
         edges = np.concatenate([edges, np.arange(1.0, t_max, 0.25)[1:], [t_max]])
     xo, wo = panel_nodes(edges, rule)
     field = _kernel_output_extended(kc, cb, xi_sc, jz_sc, n, n_inside,
-                                    xo[n_inside:].ravel(), rule)
+                                    xo[n_inside:].ravel())
     lhs = float(np.sum(wo.ravel() * np.exp(-s_sc * xo.ravel()) * field))
 
     edges_in = np.linspace(0.0, 1.0, n + 1)

@@ -11,14 +11,21 @@ cancels.
 
 Two independent routes compute the same quantities:
 
-* the kernel route (kappa2 = Omega = 0 only) evaluates the closed-form
-  filter functions by composite Gauss-Legendre quadrature,
+* the kernel route (kappa2 = Omega = 0 only) uses the closed-form filter
+  functions
 
       f(t') = cos(w t') - Int_{t'}^1 cos(w u) K(u - t') du
       g(z') = Int_0^1 cos(w u) G(1 - z', u) du
 
   giving v1 = F + 2 r |kappa_c| Gamma and v2 = F + (2/r) |kappa_c| Gamma
-  with F = Int f^2 / Int cos^2 and Gamma = Int g^2 / (2 Int cos^2);
+  with F = Int f^2 / Int cos^2 and Gamma = Int g^2 / (2 Int cos^2).
+  Both filters are the closed-form map of kernels.py applied to the
+  reversed cosine c(v) = cos(w (1 - v)): f(1 - x) = c(x) - (K * c)(x) is
+  its self part and g(1 - x) = Int_0^1 G(1 - v, x) c(v) dv its cross part.
+  So F and Gamma are squared norms of that map's output, as |M^T y|^2 is
+  on the matrix route.  The composite Gauss-Legendre rule on the n bins is
+  symmetric under x -> 1 - x, so the weighted sums of squares at its nodes
+  x are Int f^2 and Int g^2 with nothing reflected;
 
 * the transfer-matrix route propagates the diagonal input covariance
   through the lattice map (via the adjoint sweep, so no matrix is built)
@@ -36,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _apply_kernel, _causal_self_convolution, kernel_cross_scaled
+from .kernels import _causal_self_convolution, _cross_integral
 from .lattice import _bin_layout, _unpack, transfer_adjoint_apply
 from .model import DimensionlessGroups, Grid, canonical_params
 from .quadrature import PanelRule, panel_nodes
@@ -86,58 +93,34 @@ def _cos_bin_averages(w: float, n: int) -> np.ndarray:
     return (np.sin(w * edges[1:]) - np.sin(w * edges[:-1])) * n / w
 
 
-def _filter_self_sq_integral(kappa_c: float, w: float, n: int,
-                             rule: PanelRule) -> tuple[float, float]:
-    """(Int f^2, Int cos^2) over [0,1] with the same panel rule.
-
-    f(t') = cos(w t') - (K * c)(1 - t') with c(v) = cos(w (1 - v)).  The
-    outer Gauss node (b, k) at t' maps to 1 - t' = node (n-1-b, order-1-k),
-    because the rule is symmetric, so the convolution at the Gauss offsets
-    is read reversed on both axes.
-    """
-    x, wt = panel_nodes(np.arange(n + 1) / n, rule)   # outer nodes t'
-    conv = _causal_self_convolution(kappa_c, lambda v: np.cos(w * (1.0 - v)), n,
-                                    0.5 * (1.0 + rule.x), rule)
-    x = x.ravel()
-    wt = wt.ravel()
-    cosx = np.cos(w * x)
-    f = cosx - conv[::-1, ::-1].ravel()
-    int_f2 = float(np.sum(wt * f * f))
-    int_cos2 = float(np.sum(wt * cosx * cosx))
-    return int_f2, int_cos2
-
-
-def _filter_cross_sq_integral(kappa_c: float, w: float, n: int,
-                              rule: PanelRule) -> float:
-    """Int_0^1 g(z')^2 dz' with g(z') = Int_0^1 cos(w u) G(1-z', u) du."""
+def _kernel_breakdown(kappa_c: float, ratio_r: float, w: float, n: int) -> VarianceBreakdown:
+    """The closed-form map applied to c(v) = cos(w (1 - v)) at the Gauss
+    nodes x of the n bins gives f and g at the mirrored nodes 1 - x."""
+    rule = PanelRule()
     x, wt = panel_nodes(np.arange(n + 1) / n, rule)
     x = x.ravel()
     wt = wt.ravel()
-    g = _apply_kernel(lambda r, u: kernel_cross_scaled(kappa_c, r, u),
-                      1.0 - x, x, wt * np.cos(w * x))
-    return float(np.sum(wt * g * g))
-
-
-def _kernel_breakdown(kappa_c: float, ratio_r: float, w: float, n: int,
-                      mean_density: float = 1.0) -> VarianceBreakdown:
-    rule = PanelRule()
+    c = lambda v: np.cos(w * (1.0 - v))
+    cx = c(x)
     # the filters square I0/I1 values, so the blue wing can leave the double
     # range below the kernels' own argument threshold; that raises here
     with np.errstate(over="ignore", invalid="ignore"):
-        int_f2, int_cos2 = _filter_self_sq_integral(kappa_c, w, n, rule)
-        int_g2 = _filter_cross_sq_integral(kappa_c, w, n, rule)
+        f = cx - _causal_self_convolution(kappa_c, c, n, 0.5 * (1.0 + rule.x)).ravel()
+        g = _cross_integral(kappa_c, c, n, x)
+        int_f2 = float(np.sum(wt * f * f))
+        int_g2 = float(np.sum(wt * g * g))
     if not (math.isfinite(int_f2) and math.isfinite(int_g2)):
         raise OverflowError(
             f"closed-form variance integrals overflow at kappa_c = {kappa_c:.6g}: "
             f"Int f^2 = {int_f2!r}, Int g^2 = {int_g2!r}"
         )
+    int_cos2 = float(np.sum(wt * cx * cx))
     f_self = int_f2 / int_cos2
     gamma = int_g2 / (2.0 * int_cos2)
-    coupling = 2.0 * ratio_r * abs(kappa_c)
-    v1 = f_self + coupling * gamma
+    v1 = f_self + 2.0 * ratio_r * abs(kappa_c) * gamma
     v2 = f_self + (2.0 / ratio_r) * abs(kappa_c) * gamma
-    sql = 0.5 * mean_density * int_cos2
-    return VarianceBreakdown(f_self=f_self, gamma=gamma, v1=v1, v2=v2, sql=sql)
+    return VarianceBreakdown(f_self=f_self, gamma=gamma, v1=v1, v2=v2,
+                             sql=0.5 * int_cos2)
 
 
 def _validate_scan_args(groups: DimensionlessGroups, grid: Grid) -> None:

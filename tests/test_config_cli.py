@@ -69,6 +69,21 @@ def test_missing_keys_have_paths():
         parse_config(json.dumps(doc))
 
 
+def test_first_missing_physical_key_independent_of_string_hashing():
+    # with both required keys missing, beta is named under every hash seed
+    src = Path(polariton_lab.__file__).resolve().parents[1]
+    doc = {"mode": "symplectic-check", "grid": {"n_time": 8, "n_space": 8}, "physical": {}}
+    code = ("import sys; from polariton_lab.config import ConfigError, parse_config\n"
+            "try:\n    parse_config(sys.argv[1])\nexcept ConfigError as exc:\n    print(exc)")
+    messages = {
+        subprocess.run([sys.executable, "-c", code, json.dumps(doc)],
+                       env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=str(seed)),
+                       capture_output=True, text=True, check=True, timeout=120).stdout
+        for seed in (0, 1, 2)
+    }
+    assert messages == {"$.physical.beta: missing required key\n"}
+
+
 def test_non_finite_numbers_rejected():
     text = SPEC_EXAMPLE.replace('"kappa_c": 2', '"kappa_c": NaN')
     with pytest.raises(ConfigError, match="non-finite"):
@@ -364,12 +379,12 @@ def test_cli_blue_wing_overflow_writes_nothing(tmp_path, capsys, start, message)
 
 def test_cli_import_leaves_scipy_signal_unloaded():
     # scipy.signal alone costs most of the CLI start-up time, scipy.linalg
-    # another 60 ms; the package needs neither
+    # another 60 ms and scipy.fft about 40 ms; the package needs none of them
     src = Path(polariton_lab.__file__).resolve().parents[1]
     code = ("import sys, polariton_lab.cli; "
             "print(polariton_lab.cli.__file__); "
             "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.signal', 'scipy.linalg'))))")
+            "if m.startswith(('scipy.signal', 'scipy.linalg', 'scipy.fft'))))")
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=120)

@@ -10,7 +10,9 @@ from polariton_lab.kernels import (
     FieldRecord,
     SpinRecord,
     _causal_self_convolution,
+    _cross_integral,
     _interp_uniform_centers,
+    kernel_cross_scaled,
     kernel_self_scaled,
     output_field,
     output_spin,
@@ -121,11 +123,31 @@ def test_self_convolution_matches_per_point_quadrature(n, kappa_c, offsets):
     offs = np.array([0.5]) if offsets == "centers" else 0.5 * (1.0 + rule.x)
     samples = np.random.default_rng(n).normal(size=n)
     f = lambda x: _interp_uniform_centers(samples, x)
-    got = _causal_self_convolution(kappa_c, f, n, offs, rule)
+    got = _causal_self_convolution(kappa_c, f, n, offs)
     edges = np.arange(n + 1) / n
     ref = np.array([[integrate_panels(lambda x: kernel_self_scaled(kappa_c, tau - x) * f(x),
                                       0.0, tau, edges, rule)
                      for tau in (b + offs) / n] for b in range(n)])
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [3, 4, 64])
+@pytest.mark.parametrize("kappa_c", [0.5, -2.0, 200.0])
+@pytest.mark.parametrize("outputs", ["centers", "gauss", "tail"])
+def test_cross_integral_matches_per_point_quadrature(n, kappa_c, outputs):
+    # reference: Int_0^1 G(1 - x, t) f(x) dx one output at a time, panels on
+    # the source bins; outputs at the bin centers (output maps), the Gauss
+    # nodes (variance filters) and past 1 (spectral's time continuation)
+    rule = PanelRule()
+    edges = np.arange(n + 1) / n
+    t = {"centers": (np.arange(n) + 0.5) / n,
+         "gauss": (np.arange(n)[:, None] + 0.5 * (1.0 + rule.x)).ravel() / n,
+         "tail": np.linspace(1.0, 3.0, 9)[1:]}[outputs]
+    samples = np.random.default_rng(n).normal(size=n)
+    f = lambda x: _interp_uniform_centers(samples, x)
+    got = _cross_integral(kappa_c, f, n, t)
+    ref = np.array([integrate_panels(lambda x: kernel_cross_scaled(kappa_c, 1.0 - x, ti) * f(x),
+                                     0.0, 1.0, edges, rule) for ti in t])
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from polariton_lab.kernels import kernel_cross_scaled, kernel_self_scaled
 from polariton_lab.model import DimensionlessGroups, Grid, canonical_params
+from polariton_lab.quadrature import PanelRule, integrate_panels, panel_nodes
 from polariton_lab.variance import (
+    _kernel_breakdown,
     general_variances,
     memory_variances,
     readout_variances,
@@ -48,6 +51,28 @@ def test_frozen_regression_values():
         assert math.isclose(br.gamma, exp["Gamma"], rel_tol=1e-12)
         assert math.isclose(br.v1, exp["v1"], rel_tol=1e-12)
         assert math.isclose(br.v2, exp["v2"], rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("kappa_c", [0.5, -2.0, 200.0])
+@pytest.mark.parametrize("w", [0.5, 3.0])
+def test_kernel_breakdown_matches_filter_definitions(kappa_c, w):
+    # f(t') and g(z') straight from the module docstring at each outer Gauss
+    # node, panels cut at the bin edges: the reflected map must agree
+    n, r = 16, 10.0
+    edges = np.arange(n + 1) / n
+    rule = PanelRule()
+    x, wt = (a.ravel() for a in panel_nodes(edges, rule))
+    f = np.array([math.cos(w * tp) - integrate_panels(
+        lambda u: np.cos(w * u) * kernel_self_scaled(kappa_c, u - tp), tp, 1.0, edges, rule)
+        for tp in x])
+    g = np.array([integrate_panels(
+        lambda u: np.cos(w * u) * kernel_cross_scaled(kappa_c, 1.0 - zp, u), 0.0, 1.0, edges, rule)
+        for zp in x])
+    int_cos2 = float(np.sum(wt * np.cos(w * x) ** 2))
+    br = _kernel_breakdown(kappa_c, r, w, n)
+    assert math.isclose(br.f_self, float(np.sum(wt * f * f)) / int_cos2, rel_tol=1e-12)
+    assert math.isclose(br.gamma, float(np.sum(wt * g * g)) / (2.0 * int_cos2), rel_tol=1e-12)
+    assert math.isclose(br.sql, 0.5 * int_cos2, rel_tol=1e-12)
 
 
 def test_strong_coupling_squeezes_one_quadrature():

@@ -270,7 +270,10 @@ def parse_config(text: str) -> RunConfig:
 
     if mode == "packet-velocity":
         pobj = _block(doc["packet"], "$.packet", {"q0_L", "bandwidth_frac"})
-        opts["packet_q0_L"] = _number(pobj, "$.packet", "q0_L", required=True)
+        q0 = _number(pobj, "$.packet", "q0_L", required=True)
+        if q0 == 0.0:
+            raise _err("$.packet.q0_L", "q0_L = 0 sits on the group-velocity pole")
+        opts["packet_q0_L"] = q0
         if "bandwidth_frac" in pobj:
             bw = _number(pobj, "$.packet", "bandwidth_frac")
             if not 0.0 < bw <= 0.2:

@@ -21,6 +21,17 @@ smooth integrands.  The output maps are
 These forms are validated against the direct lattice integrator in the test
 suite before anything downstream relies on them.
 
+G depends on x*t only, so the G integrals are smooth in the output variable
+and of low numerical rank.  ``_apply_kernel`` sums the kernel against the
+source only at Chebyshev-Lobatto points of the output interval and
+interpolates those sums onto the outputs.  The degree is chosen at run time:
+it doubles from 16 until the Chebyshev coefficients of the sums reach their
+round-off plateau (chebfun's standardChop rule) and twice that degree
+confirms it.  Where degree 1024 does not resolve them (red-wing kappa_c from
+about 1.5e5 on; the blue wing overflows first) it raises UnresolvedError, a
+ValueError naming kappa_c, the output interval and the last two coefficient
+tails.
+
 The two kernel functions below are the only place Bessel values are
 computed, with scipy.special's Cephes routines.  Against a 40-digit oracle
 J0 and J1 hold an error below 1e-12 of the amplitude envelope
@@ -43,6 +54,7 @@ from .quadrature import PanelRule, panel_nodes
 
 __all__ = [
     "I_OVERFLOW_X",
+    "UnresolvedError",
     "FieldRecord",
     "SpinRecord",
     "kernel_self_scaled",
@@ -96,8 +108,9 @@ def kernel_cross_scaled(kappa_c: float, x, t):
     shape = np.broadcast_shapes(np.shape(x), np.shape(t))
     if kappa_c == 0.0:
         return np.ones(shape)
-    # the dense applies pass 4 MiB blocks: one buffer, every step in place;
-    # [()] unwraps the 0-d result of scalar arguments
+    # the low-rank apply passes blocks of up to 512 rows of source nodes:
+    # one buffer, every step in place; [()] unwraps the 0-d result of scalar
+    # arguments
     arg = np.multiply(x, t, dtype=float, out=np.empty(shape))
     np.clip(arg, 0.0, None, out=arg)
     arg *= abs(kappa_c)
@@ -231,19 +244,139 @@ def _causal_self_convolution(kappa_c: float, f, n: int, offsets) -> np.ndarray:
     return out
 
 
-# kernel values per dense block (4 MiB of float64), whatever the grid: at
-# grid 512 a block is 128 rows of 4096 quadrature nodes
-_BLOCK_ELEMENTS = 2 ** 19
+# Chebyshev degrees of the low-rank apply: doubled from the first on nested
+# Lobatto points; a kernel the cap does not resolve raises UnresolvedError
+_FIRST_DEGREE = 16
+_MAX_DEGREE = 1024
 
 
-def _apply_kernel(kernel, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """out[i] = sum_j kernel(a[i], b[j]) * w[j], built in row blocks of at most
-    ``_BLOCK_ELEMENTS`` kernel values; ``kernel`` takes broadcast 2-D arguments."""
-    rows = max(1, _BLOCK_ELEMENTS // max(b.size, 1))
-    out = np.empty(a.size)
-    for lo in range(0, a.size, rows):
-        out[lo:lo + rows] = kernel(a[lo:lo + rows, None], b[None, :]) @ w
-    return out
+class UnresolvedError(ValueError):
+    """A kernel apply whose output is not resolved at the largest Chebyshev degree."""
+
+
+def _lobatto(degree: int) -> np.ndarray:
+    """Chebyshev-Lobatto points cos(pi k/degree), k = 0..degree, on [-1, 1].
+
+    Written as sines of exact multiples so that the points of a degree are
+    bit for bit the even-indexed points of twice that degree."""
+    return np.sin(np.pi * np.arange(degree, -degree - 1, -2) / (2 * degree))
+
+
+def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
+    """Coefficients of the interpolant through values at ``_lobatto`` points,
+    relative to the largest value (blue-wing sums can sit near the double
+    range)."""
+    degree = values.size - 1
+    top = np.max(np.abs(values))
+    values = values / top if top else values
+    c = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / degree
+    c[0] *= 0.5
+    c[-1] *= 0.5
+    return c
+
+
+def _chop(coeffs: np.ndarray) -> int | None:
+    """Number of Chebyshev coefficients before their round-off plateau, or None
+    when there is no plateau yet: chebfun's standardChop at tol = eps
+    (Aurentz & Trefethen, ACM TOMS 43, 2017)."""
+    tol = np.finfo(float).eps
+    n = coeffs.size
+    if n < 17:
+        return None
+    env = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
+    if env[0] == 0.0:
+        return 1
+    env = env / env[0]
+    for j in range(2, n + 1):
+        j2 = math.floor(1.25 * j + 5.5)
+        if j2 > n:
+            return None
+        e1, e2 = env[j - 1], env[j2 - 1]
+        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
+            break
+    if e1 == 0.0:
+        return j - 1
+    floor = tol ** (7.0 / 6.0)
+    j3 = int(np.sum(env >= floor))
+    if j3 < j2:
+        j2 = j3 + 1
+        env[j2 - 1] = floor
+    with np.errstate(divide="ignore"):
+        biased = np.log10(env[:j2]) + np.linspace(0.0, -np.log10(tol) / 3.0, j2)
+    return max(int(np.argmin(biased)), 1)
+
+
+def _tail(coeffs: np.ndarray) -> float:
+    """Largest coefficient of the upper half relative to the largest one."""
+    top = np.max(np.abs(coeffs))
+    return float(np.max(np.abs(coeffs[coeffs.size // 2:])) / top) if top else 0.0
+
+
+def _barycentric(nodes: np.ndarray, values: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The interpolant through values at Lobatto ``nodes`` (descending,
+    any interval), evaluated at a; a point on a node takes its value."""
+    bary = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
+    bary[[0, -1]] *= 0.5
+    interp = np.subtract.outer(a, nodes)
+    rows, cols = np.nonzero(interp == 0.0)
+    interp[rows, cols] = 1.0
+    np.divide(bary, interp, out=interp)
+    # normalized before the product, so that it stays in range for sums near
+    # the double range; a row with every node on its point sums to 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        interp /= interp.sum(axis=1, keepdims=True)
+    rows, first = np.unique(rows, return_index=True)
+    interp[rows] = 0.0
+    interp[rows, cols[first]] = 1.0
+    return interp @ values
+
+
+def _apply_kernel(kernel, a: np.ndarray, b: np.ndarray, w: np.ndarray,
+                  kappa_c: float) -> np.ndarray:
+    """out[i] = sum_j kernel(a[i], b[j]) * w[j] for a kernel smooth in a.
+
+    The sums are taken only at Chebyshev-Lobatto points spanning
+    [min a, max a] and carried to every a[i] by barycentric interpolation,
+    so the kernel is evaluated on (degree + 1) x b.size points, not
+    a.size x b.size.  The ends of the interval are nodes, so the kernel
+    sees the extreme arguments of the outputs.  The degree doubles from
+    ``_FIRST_DEGREE`` until the coefficients of the sums reach their
+    round-off plateau (``_chop``) and the next degree confirms it, its own
+    plateau starting within the smaller degree; the larger degree's points
+    are used.  Unresolved at ``_MAX_DEGREE``, it raises UnresolvedError
+    naming kappa_c.  ``kernel`` takes broadcast 2-D arguments.
+    """
+    if a.size == 0:
+        return np.empty(0)
+    lo, hi = float(np.min(a)), float(np.max(a))
+
+    def points(x):
+        t = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
+        t[x == 1.0] = hi
+        t[x == -1.0] = lo
+        return t
+
+    degree = _FIRST_DEGREE
+    s = kernel(points(_lobatto(degree))[:, None], b[None, :]) @ w
+    coeffs = _chebyshev_coefficients(s)
+    cut, tail = _chop(coeffs), _tail(coeffs)
+    while degree < _MAX_DEGREE:
+        degree *= 2
+        finer = np.empty(degree + 1)
+        finer[0::2] = s
+        finer[1::2] = kernel(points(_lobatto(degree)[1::2])[:, None], b[None, :]) @ w
+        s = finer
+        coeffs = _chebyshev_coefficients(s)
+        resolved, cut = cut, _chop(coeffs)
+        last_tail, tail = tail, _tail(coeffs)
+        if resolved is not None and cut is not None and cut <= degree // 2 + 1:
+            return _barycentric(points(_lobatto(degree)), s, a)
+    raise UnresolvedError(
+        f"kernel apply at kappa_c = {kappa_c:.6g} is not resolved on outputs "
+        f"[{lo:.6g}, {hi:.6g}] by Chebyshev degree {_MAX_DEGREE}: relative "
+        f"coefficient tail {last_tail:.3g} at degree {degree // 2}, "
+        f"{tail:.3g} at degree {degree}"
+    )
 
 
 def _cross_integral(kappa_c: float, f, n_src: int, t: np.ndarray) -> np.ndarray:
@@ -256,7 +389,7 @@ def _cross_integral(kappa_c: float, f, n_src: int, t: np.ndarray) -> np.ndarray:
     x, w = panel_nodes(np.arange(n_src + 1) / n_src, PanelRule())
     x = x.ravel()
     return _apply_kernel(lambda t, r: kernel_cross_scaled(kappa_c, r, t),
-                         t, 1.0 - x, w.ravel() * f(x))
+                         t, 1.0 - x, w.ravel() * f(x), kappa_c)
 
 
 def _output_components(kappa_c: float, own, conj, coeffs) -> list[np.ndarray]:

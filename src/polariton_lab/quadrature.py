@@ -9,7 +9,6 @@ error at the reference grids, with fully deterministic node placement.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import roots_legendre
 
 __all__ = ["PanelRule", "panel_nodes", "integrate_panels", "prefix_integrals"]
 
@@ -25,7 +24,7 @@ class PanelRule:
         if order < 4:
             raise ValueError(f"panel order must be >= 4, got {order}")
         if order not in cls._cache:
-            cls._cache[order] = roots_legendre(order)
+            cls._cache[order] = np.polynomial.legendre.leggauss(order)
         rule = object.__new__(cls)
         rule.x, rule.w = cls._cache[order]
         rule.order = order

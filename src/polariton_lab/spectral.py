@@ -174,7 +174,8 @@ def _kernel_output_extended(kc: float, cb: float, xi_fn, jz_fn, n_grid: int,
     offsets = 0.5 * (1.0 + rule.x)
     conv = np.concatenate([
         _causal_self_convolution(kc, xi_fn, n_grid, offsets)[:n_inside].ravel(),
-        _apply_kernel(lambda t, s: kernel_self_scaled(kc, t - s), tail, x, w * xi_fn(x)),
+        _apply_kernel(lambda t, s: kernel_self_scaled(kc, t - s), tail, x, w * xi_fn(x),
+                      kc),
     ])
     direct = np.concatenate([xi_fn(inside), np.zeros(tail.size)])
     return direct - conv + cb * cross

@@ -320,7 +320,10 @@ def test_oracle_profiles_must_be_positive(tmp_path, capsys, profiles):
      "$.dispersion.omega_T", "expected a non-empty list"),
     (dict(ORACLE_DOC, oracle_compare={"seed": -1}),
      "$.oracle_compare.seed", "expected a non-negative integer"),
-], ids=["dispersion-omega-empty", "oracle-seed-negative"])
+    ({"mode": "packet-velocity", "groups": {"kappa_c": 2, "r": 10},
+      "grid": {"n_time": 64, "n_space": 64}, "packet": {"q0_L": 0}},
+     "$.packet.q0_L", "q0_L = 0 sits on the group-velocity pole"),
+], ids=["dispersion-omega-empty", "oracle-seed-negative", "packet-q0-zero"])
 def test_empty_or_negative_entries_rejected(tmp_path, capsys, doc, key, message):
     with pytest.raises(ConfigError, match=re.escape(f"{key}: {message}")):
         parse_config(json.dumps(doc))
@@ -377,6 +380,22 @@ def test_cli_blue_wing_overflow_writes_nothing(tmp_path, capsys, start, message)
     assert not (out.parent / (out.name + ".meta.json")).exists()
 
 
+def test_cli_unresolved_kernel_writes_nothing(tmp_path, capsys):
+    # kappa_c = 1e6 needs a Chebyshev degree past the low-rank apply's cap
+    doc = {
+        "mode": "readout",
+        "groups": {"kappa_c": 1e6, "r": 10, "omega_T": 0.5},
+        "grid": {"n_time": 64, "n_space": 64},
+        "scan": {"from": 1e6, "to": 1e6, "points": 1},
+    }
+    code, out = _run_cli(tmp_path, doc, "readout")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: kernel apply at kappa_c = 1e+06 is not resolved")
+    assert not out.exists()
+    assert not (out.parent / (out.name + ".meta.json")).exists()
+
+
 def test_cli_import_leaves_scipy_signal_unloaded():
     # scipy.signal alone costs most of the CLI start-up time, scipy.linalg
     # another 60 ms and scipy.fft about 40 ms; the package needs none of them
@@ -391,3 +410,24 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     loaded_from, heavy_modules = result.stdout.splitlines()
     assert Path(loaded_from).resolve().parent == src / "polariton_lab"
     assert heavy_modules == "[]"
+
+
+def test_cli_readout_point_leaves_scipy_linalg_unloaded(tmp_path):
+    # the Gauss-Legendre rule comes from numpy; scipy's roots_legendre
+    # imports scipy.linalg on the first point of a run
+    src = Path(polariton_lab.__file__).resolve().parents[1]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "mode": "readout",
+        "groups": {"kappa_c": 1, "r": 10, "omega_T": 0.5},
+        "grid": {"n_time": 64, "n_space": 64},
+        "scan": {"from": 1, "to": 1, "points": 1},
+    }))
+    code = ("import sys; from polariton_lab.cli import main; "
+            f"status = main(['readout', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'out.csv')!r}]); "
+            "print(status, sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.splitlines()[-1] == "0 []"

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from polariton_lab.kernels import (
+    I_OVERFLOW_X,
     FieldRecord,
     SpinRecord,
+    UnresolvedError,
+    _apply_kernel,
     _causal_self_convolution,
     _cross_integral,
     _interp_uniform_centers,
@@ -18,7 +22,7 @@ from polariton_lab.kernels import (
     output_spin,
 )
 from polariton_lab.model import Grid, PhysicalParams, canonical_params
-from polariton_lab.quadrature import PanelRule, integrate_panels
+from polariton_lab.quadrature import PanelRule, integrate_panels, panel_nodes
 
 
 GRID = Grid(96, 96)
@@ -149,6 +153,77 @@ def test_cross_integral_matches_per_point_quadrature(n, kappa_c, outputs):
     ref = np.array([integrate_panels(lambda x: kernel_cross_scaled(kappa_c, 1.0 - x, ti) * f(x),
                                      0.0, 1.0, edges, rule) for ti in t])
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _dense_apply(kernel, a, b, w):
+    """Reference apply: every kernel value at every output, one matmul."""
+    return kernel(a[:, None], b[None, :]) @ w
+
+
+def _source(n, seed):
+    """Gauss nodes and weights of n source bins and the cubic interpolant
+    of n random center samples."""
+    x, wt = panel_nodes(np.arange(n + 1) / n, PanelRule())
+    samples = np.random.default_rng(seed).normal(size=n)
+    return x.ravel(), wt.ravel(), lambda v: _interp_uniform_centers(samples, v)
+
+
+@given(kappa_c=st.floats(-1e4, 1e4),
+       n_src=st.integers(3, 256),
+       n_out=st.integers(1, 256),
+       outputs=st.sampled_from(["centers", "gauss", "tail"]),
+       tail_end=st.floats(1.0, 3.0, exclude_min=True),
+       seed=st.integers(0, 2**16))
+def test_apply_kernel_matches_dense_reference(kappa_c, n_src, n_out, outputs,
+                                              tail_end, seed):
+    # |kappa_c| <= 1e4 and t <= 3 keep blue-wing arguments below
+    # 2*sqrt(3e4) < I_OVERFLOW_X; K(t - s) is smooth only past the source, so
+    # it is drawn on the tail alone
+    x, wt, f = _source(n_src, seed)
+    t = {"centers": (np.arange(n_out) + 0.5) / n_out,
+         "gauss": (np.arange(n_out)[:, None] + 0.5 * (1.0 + PanelRule().x)).ravel() / n_out,
+         "tail": 1.0 + (tail_end - 1.0) * np.arange(1, n_out + 1) / n_out}[outputs]
+    cases = [(lambda a, r: kernel_cross_scaled(kappa_c, r, a), 1.0 - x)]
+    if outputs == "tail":
+        cases.append((lambda a, s: kernel_self_scaled(kappa_c, a - s), x))
+    for kernel, b in cases:
+        ref = _dense_apply(kernel, t, b, wt * f(x))
+        got = _apply_kernel(kernel, t, b, wt * f(x), kappa_c)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kappa_c", [1e4, -1e4])
+def test_cross_integral_resolves_largest_test_coupling(kappa_c):
+    n = 512
+    x, wt, _ = _source(n, 0)
+    c = lambda v: np.cos(1.3 * (1.0 - v))
+    t = (np.arange(n) + 0.5) / n
+    ref = _dense_apply(lambda a, r: kernel_cross_scaled(kappa_c, r, a), t, 1.0 - x, wt * c(x))
+    got = _cross_integral(kappa_c, c, n, t)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_cross_integral_past_the_degree_cap_raises():
+    # kappa_c = 1e6 needs degree ~2048 in t, past the cap
+    with pytest.raises(UnresolvedError, match=r"kappa_c = 1e\+06 .* outputs \[0\.0078125, "
+                       r"0\.992188\] .* tail \S+ at degree 512, \S+ at degree 1024"):
+        _cross_integral(1e6, np.ones_like, 64, (np.arange(64) + 0.5) / 64)
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_cross_integral_overflows_exactly_past_the_threshold(side):
+    # the interval ends are interpolation nodes, so the largest argument is
+    # 2*sqrt(|kappa_c| * max(1 - x) * max t), as in a dense apply
+    n = 8
+    x, _, _ = _source(n, 0)
+    t = (np.arange(n) + 0.5) / n
+    edge = (0.5 * I_OVERFLOW_X) ** 2 / (np.max(1.0 - x) * np.max(t))
+    kappa_c = -edge * (1.0 + side * 1e-12)
+    if side > 0:
+        with pytest.raises(OverflowError, match="exceeds overflow threshold"):
+            _cross_integral(kappa_c, np.ones_like, n, t)
+    else:
+        assert np.all(np.isfinite(_cross_integral(kappa_c, np.ones_like, n, t)))
 
 
 def test_kernel_small_lag_limit_and_integral():

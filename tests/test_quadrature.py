@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -42,3 +43,17 @@ def test_order_floor():
 def test_empty_interval():
     edges = np.linspace(0.0, 1.0, 5)
     assert integrate_panels(np.sin, 0.5, 0.5, edges) == 0.0
+
+
+def test_gauss_rule_symmetric_and_exact_to_rounding():
+    # nodes are the roots of P_8 and weights 2/((1 - x^2) P_8'(x)^2), in
+    # 40-digit arithmetic
+    rule = PanelRule()
+    np.testing.assert_array_equal(rule.x, -rule.x[::-1])
+    np.testing.assert_array_equal(rule.w, rule.w[::-1])
+    with mp.workdps(40):
+        for x, w in zip(rule.x, rule.w):
+            root = mp.findroot(lambda t: mp.legendre(rule.order, t), mp.mpf(x))
+            slope = mp.diff(lambda t: mp.legendre(rule.order, t), root)
+            assert abs(x - root) <= 1e-15
+            assert abs(w - 2 / ((1 - root ** 2) * slope ** 2)) <= 1e-15

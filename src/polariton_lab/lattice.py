@@ -12,7 +12,11 @@ is a constant 4x4 matrix.  Cell (i, j), at space step i and time bin j,
 needs only cells (i-1, j) and (i, j-1), so the cells of one anti-diagonal
 i + j = d are independent: one sweep applies the cell to each anti-diagonal
 as a single block, in O(n_space * n_time) work and n_space + n_time - 1
-steps.
+steps.  The same sweep marches a stack of cells, one per parameter point,
+with one matmul per anti-diagonal for the whole stack; a step moves only
+a few thousand doubles, so its cost is the per-call overhead, and a stack
+of P points costs far less than P sweeps.  The matrix-route variance scans
+apply the adjoint that way.
 
 Because the cell is constant the lattice is translation-invariant, and its
 impulse responses are the lattice Green's (Riemann) function of the Goursat
@@ -33,6 +37,8 @@ couplings vanish.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,45 +106,71 @@ def cell_matrix(params: PhysicalParams, dz: float, dt: float) -> np.ndarray:
     return np.linalg.solve(eye - 0.5 * gen, eye + 0.5 * gen)
 
 
-def _sweep(cell: np.ndarray, u: np.ndarray, w: np.ndarray,
+def _sweep(cells: np.ndarray, u: np.ndarray, w: np.ndarray,
            record: tuple[slice, slice] | None = None) -> tuple[np.ndarray, ...]:
-    """March light u (2, n_time, ...) and spin w (2, n_space, ...) across the lattice.
+    """March light u and spin w across the lattice by one cell or a stack of cells.
 
-    Returns the light after the last space step and the spin after the last
-    time step.  Spin is held with space reversed, so the light and spin bins
-    of one anti-diagonal are two forward slices of equal length.
+    ``cells`` is one (4, 4) cell, marching light u (2, n_time, ...) and spin
+    w (2, n_space, ...), or a stack (P, 4, 4) marching u (P, 2, n_time, ...)
+    and w (P, 2, n_space, ...), stack entry p by cell p.  The trailing axes
+    are right-hand sides.  Returns the light after the last space step and
+    the spin after the last time step, in the input shapes.
 
-    ``record = (light_rhs, spin_rhs)``, two index slices of the first
-    trailing axis, also returns the light history of the right-hand sides
-    light_rhs and the spin history of spin_rhs: arrays (2, n_space, n_time,
-    ...) whose [:, k, j] is the output of cell (n_space - 1 - k, j), the light
-    after that space step or the spin after that time bin.  In this layout
-    every anti-diagonal is one strided run of the flattened (k, j) axis.
+    The working arrays hold each stack entry's light and spin as (2, n*R),
+    R right-hand sides per bin, so an anti-diagonal is the slice
+    [..., j0*R:j1*R].  Spin is held with space reversed, so the light and
+    spin bins of one anti-diagonal are two forward slices of equal length.
+    Each step concatenates them into one preallocated block and applies
+    the cells with one matmul into a preallocated product.
+
+    ``record = (light_rhs, spin_rhs)``, two index slices of the right-hand
+    sides, also returns the light history of light_rhs and the spin history
+    of spin_rhs: arrays (2, n_space, n_time, ...) whose [:, k, j] is the
+    output of cell (n_space - 1 - k, j), the light after that space step or
+    the spin after that time step.  In this layout every anti-diagonal is
+    one strided run of the flattened (k, j) axis.
     """
-    u = np.array(u, dtype=float)
-    v = np.array(w[:, ::-1], dtype=float)
-    n_time, n_space = u.shape[1], v.shape[1]
+    cells = np.asarray(cells, dtype=float)
+    lead = cells.shape[:-2]
+    axis = len(lead) + 1
+    # rebinding u and w lets a caller's temporary inputs go before the march
+    u = np.array(u, dtype=float, order="C")
+    w = np.array(np.flip(w, axis), dtype=float, order="C")
+    shape_u, shape_w = u.shape, w.shape
+    n_time, n_space = shape_u[axis], shape_w[axis]
+    nrhs = math.prod(shape_u[axis + 1:])
+    if lead == (1,):
+        # a one-entry stack marches as a single cell: 2-D products every step
+        cells, u, w, lead = cells[0], u[0], w[0], ()
+    u = u.reshape(lead + (2, n_time * nrhs))
+    w = w.reshape(lead + (2, n_space * nrhs))
+    block = np.empty(lead + (4, min(n_time, n_space) * nrhs))
+    product = np.empty_like(block)
     if record is not None:
         light_rhs, spin_rhs = record
-        light_hist = np.zeros((2, n_space * n_time) + u[0, 0, light_rhs].shape)
-        spin_hist = np.zeros((2, n_space * n_time) + u[0, 0, spin_rhs].shape)
+        light_hist = np.zeros(lead + (2, n_space * n_time, len(range(nrhs)[light_rhs])))
+        spin_hist = np.zeros(lead + (2, n_space * n_time, len(range(nrhs)[spin_rhs])))
     for d in range(n_time + n_space - 1):
         j0, j1 = max(0, d - n_space + 1), min(d, n_time - 1) + 1
         k0 = j0 + n_space - 1 - d
         k1 = k0 + j1 - j0
-        block = np.concatenate((u[:, j0:j1], v[:, k0:k1]))
-        out = (cell @ block.reshape(4, -1)).reshape(block.shape)
-        u[:, j0:j1] = out[:2]
-        v[:, k0:k1] = out[2:]
+        width = (j1 - j0) * nrhs
+        out = block[..., :width]
+        np.concatenate((u[..., j0 * nrhs:j1 * nrhs], w[..., k0 * nrhs:k1 * nrhs]), axis=-2, out=out)
+        out = np.matmul(cells, out, out=product[..., :width])
+        u[..., j0 * nrhs:j1 * nrhs] = out[..., :2, :]
+        w[..., k0 * nrhs:k1 * nrhs] = out[..., 2:, :]
         if record is not None:
             run = slice(k0 * n_time + j0, k1 * n_time + j1, n_time + 1)
-            light_hist[:, run] = out[:2, :, light_rhs]
-            spin_hist[:, run] = out[2:, :, spin_rhs]
+            out = out.reshape(lead + (4, j1 - j0, nrhs))
+            light_hist[..., run, :] = out[..., :2, :, light_rhs]
+            spin_hist[..., run, :] = out[..., 2:, :, spin_rhs]
+    u, w = u.reshape(shape_u), np.flip(w.reshape(shape_w), axis)
     if record is None:
-        return u, v[:, ::-1]
-    shape = (2, n_space, n_time)
-    return (u, v[:, ::-1], light_hist.reshape(shape + light_hist.shape[2:]),
-            spin_hist.reshape(shape + spin_hist.shape[2:]))
+        return u, w
+    shape = lead + (2, n_space, n_time)
+    return (u, w, light_hist.reshape(shape + light_hist.shape[-1:]),
+            spin_hist.reshape(shape + spin_hist.shape[-1:]))
 
 
 def integrate_stacked(params: PhysicalParams, grid: Grid,
@@ -212,17 +244,6 @@ def _bin_layout(n_time: int, n_space: int) -> dict[str, slice]:
     }
 
 
-def _unpack(x: np.ndarray, n_time: int, n_space: int) -> tuple[np.ndarray, np.ndarray]:
-    """Layout rows (dim, ...) -> light (2, n_time, ...) and spin (2, n_space, ...)."""
-    b = _bin_layout(n_time, n_space)
-    return np.stack([x[b["xi1"]], x[b["xi2"]]]), np.stack([x[b["jz"]], x[b["jy"]]])
-
-
-def _pack(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Inverse of _unpack: light and spin stacks -> layout rows."""
-    return np.concatenate([u[0], u[1], w[0], w[1]])
-
-
 @dataclass(frozen=True)
 class TransferMatrix:
     """Discrete input-output map on normalized noise bins.
@@ -282,25 +303,55 @@ def build_transfer_matrix(params: PhysicalParams, grid: Grid) -> TransferMatrix:
     return TransferMatrix(out, nt, ns)
 
 
-def transfer_adjoint_apply(params: PhysicalParams, grid: Grid,
+def _reversed_halves(x: np.ndarray, n_time: int,
+                     n_space: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of layout rows x (dim, P, ...) as light (P, 2, n_time, ...) and
+    spin (P, 2, n_space, ...), both with their bins reversed."""
+    light = x[:2 * n_time].reshape((2, n_time) + x.shape[1:])
+    spin = x[2 * n_time:].reshape((2, n_space) + x.shape[1:])
+    return np.moveaxis(light, 2, 0)[:, :, ::-1], np.moveaxis(spin, 2, 0)[:, :, ::-1]
+
+
+def transfer_adjoint_apply(params: PhysicalParams | Sequence[PhysicalParams], grid: Grid,
                            y: np.ndarray) -> np.ndarray:
     """M^T y without building M, via the reversed sweep with transposed cells.
 
     The forward map is an ordered product of identical 4x4 cell maps; its
     transpose is the reversed product of transposed cells, which is the same
     sweep run with both lattice axes flipped.
+
+    ``params`` is one PhysicalParams, with y (dim, ...), or a sequence of P
+    of them, with y (dim, P, ...): column p is then applied with the map of
+    params[p], and all P ride one sweep as a stack of cells.
     """
-    check_stability(params, grid)
+    single = isinstance(params, PhysicalParams)
+    stack = [params] if single else list(params)
+    if not stack:
+        raise ValueError("no params to apply")
+    for p in stack:
+        check_stability(p, grid)
     nt, ns = grid.n_time, grid.n_space
     dim = 2 * nt + 2 * ns
     y = np.asarray(y, dtype=float)
     if y.shape[0] != dim:
         raise ValueError(f"vector length {y.shape[0]} does not match layout dim {dim}")
-    nl, nsp = _norms(params, grid)
-    cell = cell_matrix(params, grid.dz(params.length_L), grid.dt(params.time_T))
-    u, w = _unpack(y, nt, ns)
-    u, w = _sweep(cell.T, u[:, ::-1] * nl, w[:, ::-1] * nsp)
-    return _pack(u[:, ::-1] / nl, w[:, ::-1] / nsp)
+    if single:
+        y = y[:, None]
+    elif y.ndim < 2 or y.shape[1] != len(stack):
+        raise ValueError(f"y {y.shape} does not hold one column per params: "
+                         f"expected ({dim}, {len(stack)}, ...)")
+    # each (P, 1, ...): one scale per stack entry, broadcast over (2, n, ...)
+    nl, nsp = np.array([_norms(p, grid) for p in stack]).T.reshape(
+        (2, len(stack)) + (1,) * y.ndim)
+    cells = np.stack([cell_matrix(p, grid.dz(p.length_L), grid.dt(p.time_T))
+                      for p in stack])
+    light, spin = _reversed_halves(y, nt, ns)
+    u, w = _sweep(cells.transpose(0, 2, 1), light * nl, spin * nsp)
+    out = np.empty(y.shape)
+    light, spin = _reversed_halves(out, nt, ns)
+    np.divide(u, nl, out=light)
+    np.divide(w, nsp, out=spin)
+    return out[:, 0] if single else out
 
 
 def symplectic_form(n_time: int, n_space: int,

@@ -115,7 +115,8 @@ def _run_scan(config: RunConfig, out: Path, config_text: str) -> int:
     result = scan(kcs, config.mode, config.groups, config.grid,
                   eps_conversion=config.eps_conversion)
     write_csv(out, result.header, result.as_rows())
-    _write_metadata(out, config_text, config, {"rows": len(result.rows)})
+    _write_metadata(out, config_text, config,
+                    {"rows": len(result.rows), "route": result.route})
     print(f"{config.mode} scan: {points} rows -> {out}")
     return 0
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import _causal_self_convolution, _cross_integral
-from .lattice import _bin_layout, _unpack, transfer_adjoint_apply
+from .lattice import StabilityError, _bin_layout, check_stability, transfer_adjoint_apply
 from .model import DimensionlessGroups, Grid, canonical_params
 from .quadrature import PanelRule, panel_nodes
 
@@ -132,10 +132,15 @@ def _validate_scan_args(groups: DimensionlessGroups, grid: Grid) -> None:
         )
 
 
+def _kernel_route(groups: DimensionlessGroups) -> bool:
+    """The closed-form kernels cover kappa2 = Omega = 0 only."""
+    return groups.kappa2_L == 0.0 and groups.Omega_T == 0.0
+
+
 def readout_variances(groups: DimensionlessGroups, grid: Grid) -> VarianceBreakdown:
     """Variances of the cos(omega*t)-filtered output Stokes components."""
     _validate_scan_args(groups, grid)
-    if groups.kappa2_L == 0.0 and groups.Omega_T == 0.0:
+    if _kernel_route(groups):
         return _kernel_breakdown(groups.kappa_c, groups.ratio_r,
                                  groups.omega_T, grid.n_time)
     return _matrix_breakdown(groups, grid, mode="readout")
@@ -149,51 +154,91 @@ def memory_variances(groups: DimensionlessGroups, grid: Grid) -> VarianceBreakdo
     the eps-coupled Jz observable.
     """
     _validate_scan_args(groups, grid)
-    if groups.kappa2_L == 0.0 and groups.Omega_T == 0.0:
+    if _kernel_route(groups):
         return _kernel_breakdown(groups.kappa_c, groups.ratio_r,
                                  groups.q_L, grid.n_space)
     return _matrix_breakdown(groups, grid, mode="memory")
 
 
-def _quadratic_form(params, grid: Grid, channel: str,
-                    weights: np.ndarray) -> tuple[float, float, float]:
-    """|M^T y|^2 over all, light and spin input bins, each divided by |w|^2,
-    for y holding ``weights`` on one output channel of the bin layout.
+# Columns per adjoint sweep: as many as keep one sweep step's block
+# (columns x 4 rows x min(n_time, n_space) cells) within 0.5 MiB of doubles,
+# the measured knee of the sweep time per column; at grid 1024 that is 16
+# columns, the two channels of 8 scan points.
+_GROUP_STEP_DOUBLES = 1 << 16
+
+
+def _channel_ratios(grid: Grid, columns) -> list[tuple[float, float, float]]:
+    """For each column (params, channel, weights), |M^T y|^2 over all, light
+    and spin input bins, each divided by |w|^2, for y holding ``weights`` on
+    that output channel of the bin layout.
 
     Every input bin and every bin of the unmodified channel carries variance
     1/2, so these ratios are the SQL-normalized variance and its split.
+    The columns ride adjoint sweeps in groups of up to _GROUP_STEP_DOUBLES /
+    (4 min(n_time, n_space)).  Each column is its own stack entry of the
+    sweep, so it is marched at the width of a one-column sweep: BLAS rounds
+    a block product differently at other widths, and this keeps every
+    column bit-identical to sweeping it alone, in any group.
     """
     nt, ns = grid.n_time, grid.n_space
-    y = np.zeros(2 * nt + 2 * ns)
-    y[_bin_layout(nt, ns)[channel]] = weights
-    mty = transfer_adjoint_apply(params, grid, y)
-    light, spin = (part.ravel() for part in _unpack(mty, nt, ns))
-    norm = float(weights @ weights)
-    return (float(mty @ mty) / norm, float(light @ light) / norm,
-            float(spin @ spin) / norm)
+    layout = _bin_layout(nt, ns)
+    size = max(1, _GROUP_STEP_DOUBLES // (4 * min(nt, ns)))
+    ratios = []
+    for start in range(0, len(columns), size):
+        group = columns[start:start + size]
+        y = np.zeros((2 * nt + 2 * ns, len(group)))
+        for c, (_, channel, weights) in enumerate(group):
+            y[layout[channel], c] = weights
+        mty = transfer_adjoint_apply([params for params, _, _ in group], grid, y)
+        for c, (_, _, weights) in enumerate(group):
+            # a contiguous copy: BLAS sums a strided vector in another order
+            col = np.ascontiguousarray(mty[:, c])
+            light, spin = col[:2 * nt], col[2 * nt:]
+            norm = float(weights @ weights)
+            ratios.append((float(col @ col) / norm, float(light @ light) / norm,
+                           float(spin @ spin) / norm))
+    return ratios
+
+
+def _matrix_breakdowns(points, grid: Grid, mode: str) -> list[VarianceBreakdown]:
+    """Transfer-matrix covariance route, exact for kappa2, Omega != 0.
+
+    Every point is checked before any sweep.  Each point then gives two
+    columns: its cosine weights on (Xi1, Xi2) for readout or (Jy, Jz) for
+    memory, the beta-coupled observable first.
+    """
+    params = []
+    for g in points:
+        p = canonical_params(g.kappa_c, g.ratio_r, g.kappa2_L, g.Omega_T)
+        try:
+            check_stability(p, grid)
+        except StabilityError as exc:
+            raise StabilityError(f"kappa_c = {g.kappa_c:.6g}: {exc}") from None
+        params.append(p)
+    if mode == "readout":
+        n, channels = grid.n_time, ("xi1", "xi2")
+        weights = [_cos_bin_averages(g.omega_T, n) for g in points]
+    else:
+        n, channels = grid.n_space, ("jy", "jz")
+        weights = [_cos_bin_averages(g.q_L, n) for g in points]
+    ratios = _channel_ratios(grid, [(p, channel, cw) for p, cw in zip(params, weights)
+                                    for channel in channels])
+    out = []
+    for g, cw, (v1, light, spin), (v2, _, _) in zip(points, weights,
+                                                    ratios[::2], ratios[1::2]):
+        f_self = light if mode == "readout" else spin
+        coupling = 2.0 * g.ratio_r * abs(g.kappa_c)
+        gamma = (v1 - f_self) / coupling if coupling else 0.0
+        # canonical embedding has unit means
+        out.append(VarianceBreakdown(f_self=f_self, gamma=gamma, v1=v1, v2=v2,
+                                     sql=0.5 * float(cw @ cw) / n))
+    return out
 
 
 def _matrix_breakdown(groups: DimensionlessGroups, grid: Grid,
                       mode: str) -> VarianceBreakdown:
-    """Transfer-matrix covariance route, exact for kappa2, Omega != 0."""
-    params = canonical_params(groups.kappa_c, groups.ratio_r,
-                              groups.kappa2_L, groups.Omega_T)
-    if mode == "readout":
-        n = grid.n_time
-        cw = _cos_bin_averages(groups.omega_T, n)
-        v1, f_self, _ = _quadratic_form(params, grid, "xi1", cw)
-        v2 = _quadratic_form(params, grid, "xi2", cw)[0]
-    else:
-        n = grid.n_space
-        cw = _cos_bin_averages(groups.q_L, n)
-        # Jy is the beta-coupled memory observable
-        v1, _, f_self = _quadratic_form(params, grid, "jy", cw)
-        v2 = _quadratic_form(params, grid, "jz", cw)[0]
-    coupling = 2.0 * groups.ratio_r * abs(groups.kappa_c)
-    gamma = (v1 - f_self) / coupling if coupling else 0.0
-    # canonical embedding has unit means
-    return VarianceBreakdown(f_self=f_self, gamma=gamma, v1=v1, v2=v2,
-                             sql=0.5 * float(cw @ cw) / n)
+    """One point of the transfer-matrix route."""
+    return _matrix_breakdowns([groups], grid, mode)[0]
 
 
 @dataclass(frozen=True)
@@ -240,13 +285,14 @@ def general_variances(params, grid: Grid, filter_time: np.ndarray,
     # absolute SQL of coherent (Poissonian) inputs under each filter
     light_sql = 0.5 * params.xi3_bar * float(ft @ ft) * grid.dt(params.time_T)
     spin_sql = 0.5 * params.jx_bar * float(fs @ fs) * grid.dz(params.length_L)
-    channels = []
-    for name, w, sql in (("xi1", ft, light_sql), ("xi2", ft, light_sql),
-                         ("jz", fs, spin_sql), ("jy", fs, spin_sql)):
-        normalized, light, spin = _quadratic_form(params, grid, name, w)
-        channels.append(ChannelVariance(channel=name, normalized=normalized,
-                                        light_part=light, spin_part=spin, sql=sql))
-    return GeneralVarianceResult(tuple(channels))
+    filters = (("xi1", ft, light_sql), ("xi2", ft, light_sql),
+               ("jz", fs, spin_sql), ("jy", fs, spin_sql))
+    ratios = _channel_ratios(grid, [(params, name, w) for name, w, _ in filters])
+    return GeneralVarianceResult(tuple(
+        ChannelVariance(channel=name, normalized=normalized, light_part=light,
+                        spin_part=spin, sql=sql)
+        for (name, _, sql), (normalized, light, spin) in zip(filters, ratios)
+    ))
 
 
 @dataclass(frozen=True)
@@ -262,10 +308,15 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """One VarianceBreakdown row per abscissa value, deterministic order."""
+    """One VarianceBreakdown row per abscissa value, deterministic order.
+
+    ``route`` is "kernel" (closed form) or "matrix" (adjoint sweep); only
+    kappa_c varies along a scan, so one route serves every row.
+    """
 
     mode: str
     rows: tuple[ScanRow, ...]
+    route: str
 
     HEADERS = {
         "readout": ("kappa_c", "beta_J", "F_light", "Gamma", "v1", "v2", "sql"),
@@ -298,22 +349,25 @@ def scan(kappa_c_values, mode: str, groups: DimensionlessGroups, grid: Grid,
     kcs = [float(k) for k in kappa_c_values]
     if not kcs:
         raise ValueError("empty scan range")
-    rows = []
-    for kc in kcs:
-        g = DimensionlessGroups(
+    points = [
+        DimensionlessGroups(
             a_coupling=kc, kappa_c=kc, ratio_r=groups.ratio_r,
             omega_T=groups.omega_T, q_L=groups.q_L,
             kappa2_L=groups.kappa2_L, Omega_T=groups.Omega_T,
             beta_J=math.nan, beta_xi3_T=math.nan,
         )
-        br = readout_variances(g, grid) if mode == "readout" else memory_variances(g, grid)
-        rows.append(ScanRow(
-            kappa_c=kc,
-            abscissa=kc / (2.0 * eps_conversion),
-            f_self=br.f_self,
-            gamma=br.gamma,
-            v1=br.v1,
-            v2=br.v2,
-            sql=br.sql,
-        ))
-    return ScanResult(mode=mode, rows=tuple(rows))
+        for kc in kcs
+    ]
+    route = "kernel" if _kernel_route(groups) else "matrix"
+    if route == "kernel":
+        point = readout_variances if mode == "readout" else memory_variances
+        breakdowns = [point(g, grid) for g in points]
+    else:
+        _validate_scan_args(groups, grid)
+        breakdowns = _matrix_breakdowns(points, grid, mode)
+    rows = tuple(
+        ScanRow(kappa_c=kc, abscissa=kc / (2.0 * eps_conversion), f_self=br.f_self,
+                gamma=br.gamma, v1=br.v1, v2=br.v2, sql=br.sql)
+        for kc, br in zip(kcs, breakdowns)
+    )
+    return ScanResult(mode=mode, rows=rows, route=route)

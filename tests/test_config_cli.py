@@ -174,6 +174,41 @@ def test_cli_memory_headers(tmp_path):
     assert out.read_text().splitlines()[0] == "kappa_c,beta_xi3_T,F_spin,Gamma,v_y,v_z,sql"
 
 
+@pytest.mark.parametrize("mode, groups, route", [
+    ("readout", {"kappa_c": 1, "r": 10, "omega_T": 0.5}, "kernel"),
+    ("memory", {"kappa_c": 1, "r": 10, "q_L": 0.5, "kappa2_L": 0.3, "Omega_T": 0.3},
+     "matrix"),
+])
+def test_cli_scan_meta_records_route(tmp_path, mode, groups, route):
+    doc = {
+        "mode": mode,
+        "groups": groups,
+        "grid": {"n_time": 64, "n_space": 64},
+        "scan": {"from": 0.5, "to": 1.5, "points": 2},
+    }
+    code, out = _run_cli(tmp_path, doc, mode)
+    assert code == 0
+    meta = json.loads((out.parent / (out.name + ".meta.json")).read_text())
+    assert meta["route"] == route and meta["rows"] == 2
+
+
+def test_cli_scan_stability_names_point_and_writes_nothing(tmp_path, capsys):
+    # the last point is past the stability limit: nothing is swept or written
+    doc = {
+        "mode": "memory",
+        "groups": {"kappa_c": 100, "r": 10, "q_L": 0.5, "kappa2_L": 0.3, "Omega_T": 0.3},
+        "grid": {"n_time": 64, "n_space": 64},
+        "scan": {"from": 100, "to": 1100, "points": 3},
+    }
+    code, out = _run_cli(tmp_path, doc, "memory")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: kappa_c = 1100: stability precondition violated: "
+        "sqrt(|a|*dz*dt) = 0.518223 >= 0.5\n")
+    assert not out.exists()
+    assert not (out.parent / (out.name + ".meta.json")).exists()
+
+
 def test_cli_dispersion_anchor(tmp_path, capsys):
     doc = {
         "mode": "dispersion",

@@ -287,9 +287,10 @@ def _impulse_columns(params, grid):
     """Reference transfer matrix: integrate_stacked on every unit normalized bin."""
     nt, ns = grid.n_time, grid.n_space
     nl, nsp = lattice._norms(params, grid)
-    u, w = lattice._unpack(np.eye(2 * nt + 2 * ns), nt, ns)
+    eye = np.eye(2 * nt + 2 * ns)
+    u, w = eye[:2 * nt].reshape(2, nt, -1), eye[2 * nt:].reshape(2, ns, -1)
     u, w = integrate_stacked(params, grid, u / nl, w / nsp)
-    return lattice._pack(u * nl, w * nsp)
+    return np.concatenate([*(u * nl), *(w * nsp)])
 
 
 # grids of at least 6 x 6 keep every draw below inside the stability limit
@@ -304,6 +305,34 @@ def test_green_build_equals_impulse_columns(kappa_c, ratio_r, kappa2_L, Omega_T,
     tm = build_transfer_matrix(params, grid)
     np.testing.assert_allclose(tm.matrix, _impulse_columns(params, grid), rtol=0, atol=1e-13)
     assert symplectic_residual(tm) <= 1e-12
+
+
+# |kappa_c| < 9 keeps sqrt(|kappa_c|*dz*dt) below the limit on 6 x 6 and up
+@given(kappa_cs=st.lists(st.floats(-8.5, 8.5), min_size=1, max_size=5),
+       kappa2_L=st.floats(-1.0, 1.0), Omega_T=st.floats(-1.0, 1.0),
+       rhs=st.integers(1, 3), n_time=st.integers(6, 24), n_space=st.integers(6, 24))
+def test_batched_adjoint_equals_single_calls(kappa_cs, kappa2_L, Omega_T, rhs,
+                                             n_time, n_space):
+    # one sweep over a stack of cells: column p is marched by params[p] alone
+    assume(n_time != n_space)
+    params = [canonical_params(kc, 3.0, kappa2_L, Omega_T) for kc in kappa_cs]
+    grid = Grid(n_time, n_space)
+    y = np.random.default_rng(len(kappa_cs)).normal(
+        size=(2 * n_time + 2 * n_space, len(params), rhs))
+    batched = transfer_adjoint_apply(params, grid, y)
+    single = np.stack([transfer_adjoint_apply(p, grid, y[:, i])
+                       for i, p in enumerate(params)], axis=1)
+    np.testing.assert_allclose(batched, single, rtol=0,
+                               atol=1e-13 * np.max(np.abs(single)))
+
+
+def test_batched_adjoint_rejects_mismatched_columns():
+    params = [canonical_params(1.0, 3.0), canonical_params(2.0, 3.0)]
+    grid = Grid(8, 6)
+    with pytest.raises(ValueError, match=r"one column per params"):
+        transfer_adjoint_apply(params, grid, np.ones((28, 3)))
+    with pytest.raises(ValueError, match=r"no params"):
+        transfer_adjoint_apply([], grid, np.ones((28, 0)))
 
 
 @pytest.mark.parametrize("kappa_c", [0.5, 2.0, -2.0])

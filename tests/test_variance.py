@@ -208,6 +208,75 @@ def test_matrix_breakdown_equals_general_variances_channels():
         res["jy"].normalized, res["jy"].spin_part, res["jz"].normalized)
 
 
+def _counting_adjoint(monkeypatch):
+    """Count the adjoint sweeps the variance layer makes."""
+    from polariton_lab import variance
+    calls = []
+    real = variance.transfer_adjoint_apply
+
+    def counted(params, grid, y):
+        calls.append(np.shape(y))
+        return real(params, grid, y)
+
+    monkeypatch.setattr(variance, "transfer_adjoint_apply", counted)
+    return calls
+
+
+def test_general_variances_makes_one_sweep(monkeypatch):
+    calls = _counting_adjoint(monkeypatch)
+    grid = Grid(24, 20)
+    general_variances(canonical_params(1.5, 10.0, kappa2_L=0.3, Omega_T=0.3), grid,
+                      np.ones(grid.n_time), np.ones(grid.n_space))
+    assert calls == [(2 * 24 + 2 * 20, 4)]
+
+
+def _point_rows(kcs, mode, grid, **kw):
+    point = readout_variances if mode == "readout" else memory_variances
+    rows = []
+    for kc in kcs:
+        br = point(groups(kc, **kw), grid)
+        rows.append((kc, kc, br.f_self, br.gamma, br.v1, br.v2, br.sql))
+    return rows
+
+
+@pytest.mark.parametrize("mode", ["readout", "memory"])
+def test_matrix_scan_rows_equal_per_point_rows(mode, monkeypatch):
+    # the scan's grouped sweep and the one-point calls give the same bits;
+    # kappa_c on both wings and at 0, each point with its own cell
+    grid = Grid(80, 64)
+    kw = dict(omega_T=0.7, q_L=1.3, kappa2_L=0.3, Omega_T=0.3)
+    kcs = [-3.0, -0.5, 0.0, 0.7, 2.5]
+    expected = _point_rows(kcs, mode, grid, **kw)
+    calls = _counting_adjoint(monkeypatch)
+    result = scan(kcs, mode, groups(0.0, **kw), grid)
+    assert result.route == "matrix"
+    assert result.as_rows() == expected
+    assert calls == [(2 * 80 + 2 * 64, 2 * len(kcs))]
+
+
+def test_matrix_scan_spans_two_groups(monkeypatch):
+    # 128 points fill one group at grid 64, so 130 points take two sweeps
+    grid = Grid(64, 64)
+    kw = dict(q_L=0.9, kappa2_L=0.3, Omega_T=0.3)
+    kcs = list(np.linspace(-2.0, 4.0, 130))
+    expected = _point_rows(kcs, "memory", grid, **kw)
+    calls = _counting_adjoint(monkeypatch)
+    result = scan(kcs, "memory", groups(0.0, **kw), grid)
+    assert result.as_rows() == expected
+    assert [shape[1] for shape in calls] == [2 * 128, 2 * 2]
+
+
+def test_scan_checks_stability_before_any_sweep(monkeypatch):
+    from polariton_lab.lattice import StabilityError
+    calls = _counting_adjoint(monkeypatch)
+    with pytest.raises(StabilityError, match=(
+            r"^kappa_c = 1100: stability precondition violated: "
+            r"sqrt\(\|a\|\*dz\*dt\) = 0\.518223 >= 0\.5$")):
+        scan([100.0, 600.0, 1100.0], "memory",
+             groups(0.0, q_L=0.5, kappa2_L=0.3, Omega_T=0.3), Grid(64, 64))
+    assert calls == []
+
+
 def test_general_variances_continuity_in_precession():
     grid = Grid(128, 128)
     base = readout_variances(groups(1.0), grid)

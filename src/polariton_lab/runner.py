@@ -1,9 +1,10 @@
 """Run orchestration and deterministic data emission.
 
 Every run writes a CSV with a fixed header plus a sidecar JSON metadata
-file recording the config hash, grid, and library version.  Numbers are
-serialized with 17 significant digits so the emitted files round-trip to
-the exact binary doubles; identical configs produce byte-identical output.
+file recording the config hash, grid, package version and the Python and
+numpy versions.  Numbers are serialized with 17 significant digits so the
+emitted files round-trip to the exact binary doubles; identical configs
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import platform
 import sys
 from pathlib import Path
 
@@ -53,6 +55,7 @@ def _write_metadata(out_path: Path, config_text: str, config: RunConfig,
         "grid": {"n_time": config.grid.n_time, "n_space": config.grid.n_space},
         "mode": config.mode,
         "version": __version__,
+        "versions": {"python": platform.python_version(), "numpy": np.__version__},
     }
     meta.update(extra)
     out_path.with_suffix(out_path.suffix + ".meta.json").write_text(

@@ -15,8 +15,17 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy import special
 
-from polariton_lab.kernels import I_OVERFLOW_X, kernel_cross_scaled, kernel_self_scaled
+from polariton_lab.kernels import (
+    _BLOCK,
+    _HANKEL_MIN_X,
+    _SERIES_MAX_Y,
+    I_OVERFLOW_X,
+    kernel_cross_scaled,
+    kernel_self_scaled,
+)
 
 mp.mp.dps = 40
 
@@ -170,3 +179,89 @@ def test_overflow_distinct_from_domain_error():
             kernel_cross_scaled(bad, 1.0, 1.0)
         with pytest.raises(ValueError):
             kernel_self_scaled(bad, 1.0)
+
+
+# --- the kernels' Bessel values against scipy.special, an independent
+# implementation (Cephes); the package itself imports no scipy
+
+SERIES_EDGE_X = 2.0 * math.sqrt(_SERIES_MAX_Y)
+REGION_EDGES = (SERIES_EDGE_X, _HANKEL_MIN_X)
+
+
+def _kernel_bessel(kind: str, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order-0 values, order-1 values, arguments) of J or I at the arguments
+    x, read off one call of G and one of K on a kappa_c whose unit lag sits
+    at max(x, 2).  The arguments are the float64 2*sqrt(|kappa_c| u) the
+    kernels work at; the references are taken there."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    sign = 1.0 if kind == "J" else -1.0
+    mag = max((0.5 * np.max(x)) ** 2, 1.0)
+    u = np.minimum((0.5 * x) ** 2 / mag, 1.0)
+    arg = 2.0 * np.sqrt(mag * u)
+    order0 = kernel_cross_scaled(sign * mag, u, 1.0)
+    order1 = sign * kernel_self_scaled(sign * mag, u) * np.sqrt(u / mag)
+    return order0, order1, arg
+
+
+def _assert_matches_scipy(kind: str, x) -> None:
+    order0, order1, arg = _kernel_bessel(kind, x)
+    if kind == "J":
+        # 1e-12 of the envelope sqrt(2/(pi x)), and of 1 below x = 2/pi
+        with np.errstate(divide="ignore"):
+            tol = 1e-12 * np.minimum(1.0, np.sqrt(2.0 / (np.pi * arg)))
+        assert np.all(np.abs(order0 - special.j0(arg)) <= tol)
+        assert np.all(np.abs(order1 - special.j1(arg)) <= tol)
+    else:
+        assert np.all(np.abs(order0 - special.i0(arg)) <= 1e-12 * special.i0(arg))
+        assert np.all(np.abs(order1 - special.i1(arg)) <= 1e-12 * special.i1(arg))
+
+
+@pytest.mark.parametrize("kind, top", [("J", 1e4), ("I", 700.0)])
+def test_both_wings_match_scipy_in_one_call(kind, top):
+    # one call holds all three regions, from the series at 0 to the top
+    _assert_matches_scipy(kind, np.linspace(0.0, top, 20001))
+
+
+@pytest.mark.parametrize("edge", REGION_EDGES, ids=["series-trapezoid", "trapezoid-hankel"])
+@pytest.mark.parametrize("kind", ["J", "I"])
+def test_region_edges_match_scipy(kind, edge):
+    # densely on either side of the edge, the nearest doubles included; in one
+    # call and point by point (a call inside the series region takes its own path)
+    near = edge * (1.0 + np.linspace(-1e-2, 1e-2, 401))
+    x = np.concatenate([near, [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]])
+    _assert_matches_scipy(kind, x)
+    for xi in x[::20]:
+        _assert_matches_scipy(kind, xi)
+
+
+@pytest.mark.parametrize("kappa_c", [2.0, 1e4, -2.0, -1e4])
+def test_values_do_not_depend_on_blocks(kappa_c):
+    # a call over more than two blocks, forwards and backwards: each value
+    # comes from its own point and the call's largest argument alone
+    u = np.linspace(0.0, 1.0, 2 * _BLOCK + 3)
+    for kernel in (lambda v: kernel_cross_scaled(kappa_c, v, 1.0),
+                   lambda v: kernel_self_scaled(kappa_c, v)):
+        np.testing.assert_array_equal(kernel(u[::-1]), kernel(u)[::-1])
+
+
+@given(x=st.floats(0.0, 1e4))
+def test_j_matches_scipy_at_drawn_arguments(x):
+    _assert_matches_scipy("J", x)
+
+
+@given(x=st.floats(0.0, 700.0))
+def test_i_matches_scipy_at_drawn_arguments(x):
+    _assert_matches_scipy("I", x)
+
+
+@pytest.mark.parametrize("kind", ["J", "I"])
+def test_region_edges_are_seamless(kind):
+    # the constants put every region at double precision where it takes
+    # over: within 1e-14 of the 40-digit values on either side of each edge
+    x = np.concatenate([edge * (1.0 + np.linspace(-1e-2, 1e-2, 21)) for edge in REGION_EDGES])
+    order0, order1, arg = _kernel_bessel(kind, x)
+    f = mp.besselj if kind == "J" else mp.besseli
+    for order, values in ((0, order0), (1, order1)):
+        ref = np.array([float(f(order, mp.mpf(a))) for a in arg])
+        scale = np.minimum(1.0, np.sqrt(2.0 / (np.pi * arg))) if kind == "J" else ref
+        assert np.all(np.abs(values - ref) <= 1e-14 * scale)

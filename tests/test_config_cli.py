@@ -3,11 +3,13 @@
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polariton_lab
@@ -160,6 +162,20 @@ def test_cli_readout_deterministic(tmp_path):
     assert out2.read_bytes() == first
     meta = json.loads((out.parent / (out.name + ".meta.json")).read_text())
     assert meta["mode"] == "readout" and meta["rows"] == 3
+
+
+def test_cli_meta_records_library_versions(tmp_path):
+    doc = json.loads(SPEC_EXAMPLE)
+    doc["grid"] = {"n_time": 64, "n_space": 64}
+    doc["scan"]["points"] = 2
+    sidecars = []
+    for _ in range(2):
+        code, out = _run_cli(tmp_path, doc, "readout")
+        assert code == 0
+        sidecars.append((out.parent / (out.name + ".meta.json")).read_bytes())
+    assert json.loads(sidecars[0])["versions"] == {
+        "python": platform.python_version(), "numpy": np.__version__}
+    assert sidecars[1] == sidecars[0]
 
 
 def test_cli_memory_headers(tmp_path):
@@ -466,3 +482,28 @@ def test_cli_readout_point_leaves_scipy_linalg_unloaded(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=120)
     assert result.stdout.splitlines()[-1] == "0 []"
+
+
+def test_cli_runs_leave_scipy_unloaded(tmp_path):
+    # the kernels compute their Bessel values with numpy alone; importing
+    # scipy.special was most of the CLI start-up
+    src = Path(polariton_lab.__file__).resolve().parents[1]
+    runs = []
+    for mode, groups in (("readout", {"kappa_c": 1, "r": 10, "omega_T": 0.5}),
+                         ("memory", {"kappa_c": 1, "r": 10, "q_L": 0.5,
+                                     "kappa2_L": 0.3, "Omega_T": 0.3})):
+        cfg = tmp_path / f"{mode}.json"
+        cfg.write_text(json.dumps({
+            "mode": mode, "groups": groups,
+            "grid": {"n_time": 64, "n_space": 64},
+            "scan": {"from": 1, "to": 1, "points": 1},
+        }))
+        runs.append([mode, "--config", str(cfg), "--out", str(tmp_path / f"{mode}.csv")])
+    code = ("import sys; import polariton_lab.cli as cli; "
+            f"codes = [cli.main(args) for args in {runs!r}]; "
+            "print(codes, sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.splitlines()[-1] == "[0, 0] []"

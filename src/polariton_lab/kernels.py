@@ -82,8 +82,8 @@ __all__ = [
 
 # exp(x)/sqrt(2 pi x) crosses the double range just above 713; the margin
 # keeps I0/I1 themselves finite.  Products of them can still overflow: the
-# variance filters square them, and variance._kernel_breakdown then raises
-# OverflowError naming kappa_c.
+# closed-form variance squares its filters, and its tensor rule raises
+# OverflowError naming kappa_c at the first order whose integrals overflow.
 I_OVERFLOW_X = 709.0
 
 # Region edges, term and node counts of E_n, fixed by the accuracy tests
@@ -411,7 +411,9 @@ _MAX_DEGREE = 1024
 
 
 class UnresolvedError(ValueError):
-    """A kernel apply whose output is not resolved at the largest Chebyshev degree."""
+    """A closed-form result not resolved at its largest order: a kernel apply
+    at the largest Chebyshev degree, or a variance point at the largest Gauss
+    order of variance.py."""
 
 
 def _lobatto(degree: int) -> np.ndarray:

@@ -1,16 +1,18 @@
 """Composite Gauss-Legendre quadrature on grid-aligned panels.
 
-Panels coincide with the uniform grid bins; partial end panels are handled
-by rescaling the rule.  Eight nodes per panel keeps the smooth oscillatory
-Bessel-product integrands of the kernel module well below 1e-10 relative
-error at the reference grids, with fully deterministic node placement.
+Panels coincide with the uniform grid bins; a partial panel is one more
+pair of edges.  Eight nodes per panel keeps the smooth oscillatory
+Bessel-product integrands of the sampled output maps (kernels.py,
+spectral.py) well below 1e-10 relative error at the reference grids, with
+fully deterministic node placement.  The closed-form variance needs no grid
+and uses its own tensor rule (variance.py).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PanelRule", "panel_nodes", "integrate_panels", "prefix_integrals"]
+__all__ = ["PanelRule", "panel_nodes", "prefix_integrals"]
 
 DEFAULT_ORDER = 8
 
@@ -41,18 +43,6 @@ def panel_nodes(edges: np.ndarray, rule: PanelRule) -> tuple[np.ndarray, np.ndar
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     return mid + half * rule.x[None, :], half * rule.w[None, :]
-
-
-def integrate_panels(f, a: float, b: float, grid_edges: np.ndarray,
-                     rule: PanelRule | None = None) -> float:
-    """Integrate callable ``f`` over [a, b] with panels cut at grid edges."""
-    if b <= a:
-        return 0.0
-    rule = rule or PanelRule()
-    inner = grid_edges[(grid_edges > a) & (grid_edges < b)]
-    edges = np.concatenate([[a], inner, [b]])
-    x, w = panel_nodes(edges, rule)
-    return float(np.sum(w * f(x)))
 
 
 def prefix_integrals(f, edges: np.ndarray, rule: PanelRule | None = None) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Every run writes a CSV with a fixed header plus a sidecar JSON metadata
 file recording the config hash, grid, package version and the Python and
-numpy versions.  Numbers are serialized with 17 significant digits so the
-emitted files round-trip to the exact binary doubles; identical configs
-produce byte-identical output.
+numpy versions; a closed-form scan adds each row's resolution evidence.
+Numbers are serialized with 17 significant digits so the emitted files
+round-trip to the exact binary doubles; identical configs produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -118,8 +119,15 @@ def _run_scan(config: RunConfig, out: Path, config_text: str) -> int:
     result = scan(kcs, config.mode, config.groups, config.grid,
                   eps_conversion=config.eps_conversion)
     write_csv(out, result.header, result.as_rows())
-    _write_metadata(out, config_text, config,
-                    {"rows": len(result.rows), "route": result.route})
+    extra = {"rows": len(result.rows), "route": result.route}
+    if result.route == "kernel":
+        # per row: the tensor rule's final order and the relative change of
+        # F and Gamma from half that order
+        res = [r.resolution for r in result.rows]
+        extra["resolution"] = {"order": [r.order for r in res],
+                               "f_rel_change": [r.f_change for r in res],
+                               "gamma_rel_change": [r.gamma_change for r in res]}
+    _write_metadata(out, config_text, config, extra)
     print(f"{config.mode} scan: {points} rows -> {out}")
     return 0
 

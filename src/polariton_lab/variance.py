@@ -23,9 +23,14 @@ Two independent routes compute the same quantities:
   reversed cosine c(v) = cos(w (1 - v)): f(1 - x) = c(x) - (K * c)(x) is
   its self part and g(1 - x) = Int_0^1 G(1 - v, x) c(v) dv its cross part.
   So F and Gamma are squared norms of that map's output, as |M^T y|^2 is
-  on the matrix route.  The composite Gauss-Legendre rule on the n bins is
-  symmetric under x -> 1 - x, so the weighted sums of squares at its nodes
-  x are Int f^2 and Int g^2 with nothing reflected;
+  on the matrix route.  With s = x sigma the self part is
+  (K * c)(x) = x Int_0^1 K(x (1 - sigma)) c(x sigma) dsigma, and both
+  integrands are entire on [0, 1]^2, so one m-point Gauss-Legendre rule in
+  each variable gives Int f^2 and Int g^2 with exponential convergence and
+  no grid (the rule is symmetric under x -> 1 - x, so nothing is
+  reflected).  The order m doubles from 16 until F and Gamma at m and 2m
+  agree to a relative 1e-10, and the 2m values are returned; unresolved
+  at m = 1024 a point raises kernels.UnresolvedError;
 
 * the transfer-matrix route propagates the diagonal input covariance
   through the lattice map (via the adjoint sweep, so no matrix is built)
@@ -38,18 +43,20 @@ omega and (v_y, v_z) in place of (v1, v2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import _causal_self_convolution, _cross_integral
+from .kernels import UnresolvedError, kernel_cross_scaled, kernel_self_scaled
 from .lattice import StabilityError, _bin_layout, check_stability, transfer_adjoint_apply
 from .model import DimensionlessGroups, Grid, canonical_params
-from .quadrature import PanelRule, panel_nodes
 
 __all__ = [
     "VarianceBreakdown",
+    "Resolution",
     "GeneralVarianceResult",
     "ChannelVariance",
     "readout_variances",
@@ -61,6 +68,22 @@ __all__ = [
 ]
 
 _MIN_SCAN_GRID = 64
+
+# Orders m of the closed-form variance's tensor Gauss-Legendre rule: doubled
+# from the first until F and Gamma at m and 2m agree to a relative
+# _RESOLVED_RTOL; a point the largest order does not resolve raises
+_FIRST_ORDER = 16
+_MAX_ORDER = 1024
+_RESOLVED_RTOL = 1e-10
+
+
+class Resolution(NamedTuple):
+    """Evidence of a closed-form point: the final order m of the tensor rule
+    and the relative change of F and Gamma from order m/2."""
+
+    order: int
+    f_change: float
+    gamma_change: float
 
 
 @dataclass(frozen=True)
@@ -76,6 +99,7 @@ class VarianceBreakdown:
     v2     : total normalized variance of the eps-coupled observable
              (Xi2_out for readout, Jz_out for memory)
     sql    : absolute normalization (mean/2) * Int cos^2 in the run units
+    resolution : the closed-form route's Resolution; None on the matrix route
     """
 
     f_self: float
@@ -83,6 +107,7 @@ class VarianceBreakdown:
     v1: float
     v2: float
     sql: float
+    resolution: Resolution | None = None
 
 
 def _cos_bin_averages(w: float, n: int) -> np.ndarray:
@@ -93,20 +118,27 @@ def _cos_bin_averages(w: float, n: int) -> np.ndarray:
     return (np.sin(w * edges[1:]) - np.sin(w * edges[:-1])) * n / w
 
 
-def _kernel_breakdown(kappa_c: float, ratio_r: float, w: float, n: int) -> VarianceBreakdown:
-    """The closed-form map applied to c(v) = cos(w (1 - v)) at the Gauss
-    nodes x of the n bins gives f and g at the mirrored nodes 1 - x."""
-    rule = PanelRule()
-    x, wt = panel_nodes(np.arange(n + 1) / n, rule)
-    x = x.ravel()
-    wt = wt.ravel()
-    c = lambda v: np.cos(w * (1.0 - v))
-    cx = c(x)
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the m-point Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    return 0.5 * (1.0 + x), 0.5 * w
+
+
+def _filter_norms(kappa_c: float, w: float, m: int) -> tuple[float, float, float]:
+    """F, Gamma and Int cos^2 by the m x m tensor rule: f and g at the nodes
+    1 - x from the closed-form map applied to c(v) = cos(w (1 - v))."""
+    x, wt = _gauss_rule(m)
+    cx = np.cos(w * (1.0 - x))
     # the filters square I0/I1 values, so the blue wing can leave the double
     # range below the kernels' own argument threshold; that raises here
     with np.errstate(over="ignore", invalid="ignore"):
-        f = cx - _causal_self_convolution(kappa_c, c, n, 0.5 * (1.0 + rule.x)).ravel()
-        g = _cross_integral(kappa_c, c, n, x)
+        # (K * c)(x) = x Int_0^1 K(x (1 - s)) c(x s) ds
+        conv = kernel_self_scaled(kappa_c, np.multiply.outer(x, 1.0 - x))
+        conv *= np.cos(w * (1.0 - np.multiply.outer(x, x)))
+        f = cx - x * (conv @ wt)
+        # g(1 - x) = Int_0^1 G(1 - v, x) c(v) dv
+        g = kernel_cross_scaled(kappa_c, x[:, None], 1.0 - x[None, :]) @ (wt * cx)
         int_f2 = float(np.sum(wt * f * f))
         int_g2 = float(np.sum(wt * g * g))
     if not (math.isfinite(int_f2) and math.isfinite(int_g2)):
@@ -114,13 +146,34 @@ def _kernel_breakdown(kappa_c: float, ratio_r: float, w: float, n: int) -> Varia
             f"closed-form variance integrals overflow at kappa_c = {kappa_c:.6g}: "
             f"Int f^2 = {int_f2!r}, Int g^2 = {int_g2!r}"
         )
+    # the same weights as Int f^2, so that kappa_c = 0 gives F = 1 exactly
     int_cos2 = float(np.sum(wt * cx * cx))
-    f_self = int_f2 / int_cos2
-    gamma = int_g2 / (2.0 * int_cos2)
-    v1 = f_self + 2.0 * ratio_r * abs(kappa_c) * gamma
-    v2 = f_self + (2.0 / ratio_r) * abs(kappa_c) * gamma
-    return VarianceBreakdown(f_self=f_self, gamma=gamma, v1=v1, v2=v2,
-                             sql=0.5 * int_cos2)
+    return int_f2 / int_cos2, int_g2 / (2.0 * int_cos2), int_cos2
+
+
+def _kernel_breakdown(kappa_c: float, ratio_r: float, w: float) -> VarianceBreakdown:
+    """The closed-form point at the first order m whose F and Gamma agree with
+    those of m/2 to _RESOLVED_RTOL; UnresolvedError past _MAX_ORDER."""
+    m = _FIRST_ORDER
+    f_self, gamma, _ = _filter_norms(kappa_c, w, m)
+    while m < _MAX_ORDER:
+        m *= 2
+        coarse = f_self, gamma
+        f_self, gamma, int_cos2 = _filter_norms(kappa_c, w, m)
+        f_change = abs(f_self - coarse[0]) / f_self
+        gamma_change = abs(gamma - coarse[1]) / gamma
+        if max(f_change, gamma_change) <= _RESOLVED_RTOL:
+            v1 = f_self + 2.0 * ratio_r * abs(kappa_c) * gamma
+            v2 = f_self + (2.0 / ratio_r) * abs(kappa_c) * gamma
+            return VarianceBreakdown(f_self=f_self, gamma=gamma, v1=v1, v2=v2,
+                                     sql=0.5 * int_cos2,
+                                     resolution=Resolution(m, f_change, gamma_change))
+    raise UnresolvedError(
+        f"closed-form variance at kappa_c = {kappa_c:.6g} is not resolved by "
+        f"Gauss-Legendre order {_MAX_ORDER}: F = {coarse[0]!r} at order {m // 2}, "
+        f"{f_self!r} at order {m}; Gamma = {coarse[1]!r} at order {m // 2}, "
+        f"{gamma!r} at order {m}"
+    )
 
 
 def _validate_scan_args(groups: DimensionlessGroups, grid: Grid) -> None:
@@ -141,8 +194,7 @@ def readout_variances(groups: DimensionlessGroups, grid: Grid) -> VarianceBreakd
     """Variances of the cos(omega*t)-filtered output Stokes components."""
     _validate_scan_args(groups, grid)
     if _kernel_route(groups):
-        return _kernel_breakdown(groups.kappa_c, groups.ratio_r,
-                                 groups.omega_T, grid.n_time)
+        return _kernel_breakdown(groups.kappa_c, groups.ratio_r, groups.omega_T)
     return _matrix_breakdown(groups, grid, mode="readout")
 
 
@@ -155,8 +207,7 @@ def memory_variances(groups: DimensionlessGroups, grid: Grid) -> VarianceBreakdo
     """
     _validate_scan_args(groups, grid)
     if _kernel_route(groups):
-        return _kernel_breakdown(groups.kappa_c, groups.ratio_r,
-                                 groups.q_L, grid.n_space)
+        return _kernel_breakdown(groups.kappa_c, groups.ratio_r, groups.q_L)
     return _matrix_breakdown(groups, grid, mode="memory")
 
 
@@ -304,6 +355,7 @@ class ScanRow:
     v1: float
     v2: float
     sql: float
+    resolution: Resolution | None = None
 
 
 @dataclass(frozen=True)
@@ -367,7 +419,8 @@ def scan(kappa_c_values, mode: str, groups: DimensionlessGroups, grid: Grid,
         breakdowns = _matrix_breakdowns(points, grid, mode)
     rows = tuple(
         ScanRow(kappa_c=kc, abscissa=kc / (2.0 * eps_conversion), f_self=br.f_self,
-                gamma=br.gamma, v1=br.v1, v2=br.v2, sql=br.sql)
+                gamma=br.gamma, v1=br.v1, v2=br.v2, sql=br.sql,
+                resolution=br.resolution)
         for kc, br in zip(kcs, breakdowns)
     )
     return ScanResult(mode=mode, rows=rows, route=route)

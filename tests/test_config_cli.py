@@ -178,6 +178,31 @@ def test_cli_meta_records_library_versions(tmp_path):
     assert sidecars[1] == sidecars[0]
 
 
+def test_cli_kernel_scan_meta_records_resolution(tmp_path):
+    # per row: the tensor rule's final order and the relative change of F
+    # and Gamma from half that order; byte-identical across identical runs,
+    # and the CSV carries none of it
+    doc = {
+        "mode": "readout",
+        "groups": {"kappa_c": 1, "r": 10, "omega_T": 0.5},
+        "grid": {"n_time": 64, "n_space": 64},
+        "scan": {"from": 0, "to": 1e4, "points": 3},
+    }
+    runs = []
+    for _ in range(2):
+        code, out = _run_cli(tmp_path, doc, "readout")
+        assert code == 0
+        runs.append((out.read_bytes(),
+                     (out.parent / (out.name + ".meta.json")).read_bytes()))
+    assert runs[1] == runs[0]
+    csv, sidecar = runs[0]
+    assert csv.decode().splitlines()[0] == "kappa_c,beta_J,F_light,Gamma,v1,v2,sql"
+    res = json.loads(sidecar)["resolution"]
+    assert res["order"] == [32, 256, 256]
+    for key in ("f_rel_change", "gamma_rel_change"):
+        assert len(res[key]) == 3 and all(0.0 <= c <= 1e-10 for c in res[key])
+
+
 def test_cli_memory_headers(tmp_path):
     doc = {
         "mode": "memory",
@@ -432,7 +457,7 @@ def test_cli_blue_wing_overflow_writes_nothing(tmp_path, capsys, start, message)
 
 
 def test_cli_unresolved_kernel_writes_nothing(tmp_path, capsys):
-    # kappa_c = 1e6 needs a Chebyshev degree past the low-rank apply's cap
+    # kappa_c = 1e6 needs a Gauss-Legendre order past the variance rule's cap
     doc = {
         "mode": "readout",
         "groups": {"kappa_c": 1e6, "r": 10, "omega_T": 0.5},
@@ -442,7 +467,7 @@ def test_cli_unresolved_kernel_writes_nothing(tmp_path, capsys):
     code, out = _run_cli(tmp_path, doc, "readout")
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: kernel apply at kappa_c = 1e+06 is not resolved")
+    assert err.startswith("error: closed-form variance at kappa_c = 1e+06 is not resolved")
     assert not out.exists()
     assert not (out.parent / (out.name + ".meta.json")).exists()
 

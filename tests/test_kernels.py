@@ -22,7 +22,9 @@ from polariton_lab.kernels import (
     output_spin,
 )
 from polariton_lab.model import Grid, PhysicalParams, canonical_params
-from polariton_lab.quadrature import PanelRule, integrate_panels, panel_nodes
+from polariton_lab.quadrature import PanelRule, panel_nodes
+
+from panels import integrate_panels
 
 
 GRID = Grid(96, 96)
@@ -141,7 +143,7 @@ def test_self_convolution_matches_per_point_quadrature(n, kappa_c, offsets):
 def test_cross_integral_matches_per_point_quadrature(n, kappa_c, outputs):
     # reference: Int_0^1 G(1 - x, t) f(x) dx one output at a time, panels on
     # the source bins; outputs at the bin centers (output maps), the Gauss
-    # nodes (variance filters) and past 1 (spectral's time continuation)
+    # nodes and past 1 (spectral's Laplace check and time continuation)
     rule = PanelRule()
     edges = np.arange(n + 1) / n
     t = {"centers": (np.arange(n) + 0.5) / n,

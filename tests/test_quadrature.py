@@ -6,7 +6,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from polariton_lab.quadrature import PanelRule, integrate_panels, prefix_integrals
+from polariton_lab.quadrature import PanelRule, prefix_integrals
+
+from panels import integrate_panels
 
 
 def test_polynomial_exactness():

@@ -4,17 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from polariton_lab.kernels import kernel_cross_scaled, kernel_self_scaled
+from polariton_lab.kernels import UnresolvedError, kernel_cross_scaled, kernel_self_scaled
 from polariton_lab.model import DimensionlessGroups, Grid, canonical_params
-from polariton_lab.quadrature import PanelRule, integrate_panels, panel_nodes
+from polariton_lab.quadrature import PanelRule, panel_nodes
 from polariton_lab.variance import (
+    _RESOLVED_RTOL,
+    _filter_norms,
     _kernel_breakdown,
     general_variances,
     memory_variances,
     readout_variances,
     scan,
 )
+
+from panels import integrate_panels
 
 G256 = Grid(256, 256)
 
@@ -57,8 +62,9 @@ def test_frozen_regression_values():
 @pytest.mark.parametrize("w", [0.5, 3.0])
 def test_kernel_breakdown_matches_filter_definitions(kappa_c, w):
     # f(t') and g(z') straight from the module docstring at each outer Gauss
-    # node, panels cut at the bin edges: the reflected map must agree
-    n, r = 16, 10.0
+    # node, panels cut at the bin edges: the tensor rule must agree.  At
+    # kappa_c = 200 the reference itself needs 32 bins (16 leave 1e-10)
+    n, r = 32, 10.0
     edges = np.arange(n + 1) / n
     rule = PanelRule()
     x, wt = (a.ravel() for a in panel_nodes(edges, rule))
@@ -69,10 +75,41 @@ def test_kernel_breakdown_matches_filter_definitions(kappa_c, w):
         lambda u: np.cos(w * u) * kernel_cross_scaled(kappa_c, 1.0 - zp, u), 0.0, 1.0, edges, rule)
         for zp in x])
     int_cos2 = float(np.sum(wt * np.cos(w * x) ** 2))
-    br = _kernel_breakdown(kappa_c, r, w, n)
+    br = _kernel_breakdown(kappa_c, r, w)
     assert math.isclose(br.f_self, float(np.sum(wt * f * f)) / int_cos2, rel_tol=1e-12)
     assert math.isclose(br.gamma, float(np.sum(wt * g * g)) / (2.0 * int_cos2), rel_tol=1e-12)
     assert math.isclose(br.sql, 0.5 * int_cos2, rel_tol=1e-12)
+
+
+def test_large_coupling_resolved_at_the_coarsest_scan_grid():
+    # kappa_c = 1e4 needs order 256, whatever the grid; Gamma's converged
+    # value is 4.986669299e-5
+    br = readout_variances(groups(1e4, omega_T=0.5), Grid(64, 64))
+    f_256, gamma_256, _ = _filter_norms(1e4, 0.5, 256)
+    assert br.resolution.order == 256
+    assert math.isclose(br.gamma, 4.986669299e-5, rel_tol=_RESOLVED_RTOL)
+    assert math.isclose(br.f_self, f_256, rel_tol=_RESOLVED_RTOL)
+    assert math.isclose(br.gamma, gamma_256, rel_tol=_RESOLVED_RTOL)
+    assert max(br.resolution.f_change, br.resolution.gamma_change) <= _RESOLVED_RTOL
+
+
+def test_unresolved_point_raises_with_both_orders():
+    # kappa_c = 1e6 oscillates past what order 1024 resolves
+    with pytest.raises(UnresolvedError, match=(
+            r"^closed-form variance at kappa_c = 1e\+06 is not resolved by Gauss-Legendre "
+            r"order 1024: F = \S+ at order 512, \S+ at order 1024; "
+            r"Gamma = \S+ at order 512, \S+ at order 1024$")):
+        _kernel_breakdown(1e6, 10.0, 0.5)
+
+
+@given(kappa_c=st.floats(-2.0, 2.5), w=st.floats(0.2, 4.0),
+       mode=st.sampled_from(["readout", "memory"]))
+def test_kernel_route_rows_do_not_depend_on_the_grid(kappa_c, w, mode):
+    g = groups(0.0, omega_T=w, q_L=w)
+    coarse = scan([kappa_c], mode, g, Grid(64, 64))
+    fine = scan([kappa_c], mode, g, Grid(512, 512))
+    assert coarse.route == "kernel"
+    assert coarse.as_rows() == fine.as_rows()
 
 
 def test_strong_coupling_squeezes_one_quadrature():

@@ -78,6 +78,7 @@ __all__ = [
     "kernel_cross_scaled",
     "output_field",
     "output_spin",
+    "output_maps",
 ]
 
 # exp(x)/sqrt(2 pi x) crosses the double range just above 713; the margin
@@ -352,27 +353,30 @@ def _interp_uniform_centers(values: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     Center j sits at (j + 1/2)/n.  Four-point stencils are clamped at the
     edges, so points in the outer half-bins are extrapolated at O(h^4).
+    ``values`` (n, ...) may hold columns of samples; the result is then
+    (x.shape, ...), each column as if interpolated alone.
     """
-    n = values.size
+    n = values.shape[0]
+    # weights broadcast over the columns
+    cols = (1,) * (values.ndim - 1)
     if n < 4:
         # 2 or 3 bins (Grid allows them; the output maps take them) have no
         # four-point stencil: linear interpolation, clamped at the ends
         idx = np.clip(x * n - 0.5, 0.0, n - 1.0)
         lo = np.clip(np.floor(idx).astype(int), 0, n - 2)
-        frac = idx - lo
+        frac = (idx - lo).reshape(x.shape + cols)
         return values[lo] * (1 - frac) + values[lo + 1] * frac
     p = x * n - 0.5
     base = np.clip(np.floor(p).astype(int) - 1, 0, n - 4)
-    s = p - base
-    v0 = values[base]
-    v1 = values[base + 1]
-    v2 = values[base + 2]
-    v3 = values[base + 3]
-    w0 = -(s - 1) * (s - 2) * (s - 3) / 6.0
-    w1 = s * (s - 2) * (s - 3) / 2.0
-    w2 = -s * (s - 1) * (s - 3) / 2.0
-    w3 = s * (s - 1) * (s - 2) / 6.0
-    return w0 * v0 + w1 * v1 + w2 * v2 + w3 * v3
+    s = (p - base).reshape(x.shape + cols)
+    weights = (-(s - 1) * (s - 2) * (s - 3) / 6.0, s * (s - 2) * (s - 3) / 2.0,
+               -s * (s - 1) * (s - 3) / 2.0, s * (s - 1) * (s - 2) / 6.0)
+    # summed in place, in the order of w0*v0 + w1*v1 + w2*v2 + w3*v3, so
+    # that a block of columns holds one stencil value at a time
+    out = weights[0] * values[base]
+    for k in (1, 2, 3):
+        out += weights[k] * values[base + k]
+    return out
 
 
 def _causal_self_convolution(kappa_c: float, f, n: int, offsets) -> np.ndarray:
@@ -426,12 +430,12 @@ def _lobatto(degree: int) -> np.ndarray:
 
 def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     """Coefficients of the interpolant through values at ``_lobatto`` points,
-    relative to the largest value (blue-wing sums can sit near the double
-    range)."""
-    degree = values.size - 1
-    top = np.max(np.abs(values))
-    values = values / top if top else values
-    c = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / degree
+    along axis 0 for each column, relative to the column's largest value
+    (blue-wing sums can sit near the double range)."""
+    degree = values.shape[0] - 1
+    top = np.max(np.abs(values), axis=0)
+    values = values / np.where(top > 0.0, top, 1.0)
+    c = np.fft.rfft(np.concatenate([values, values[-2:0:-1]]), axis=0).real / degree
     c[0] *= 0.5
     c[-1] *= 0.5
     return c
@@ -474,6 +478,11 @@ def _tail(coeffs: np.ndarray) -> float:
     return float(np.max(np.abs(coeffs[coeffs.size // 2:])) / top) if top else 0.0
 
 
+def _columns(coeffs: np.ndarray) -> np.ndarray:
+    """Each column's coefficients as one row: (C, n) for (n, C), (1, n) for (n,)."""
+    return coeffs.reshape(coeffs.shape[0], -1).T
+
+
 def _barycentric(nodes: np.ndarray, values: np.ndarray, a: np.ndarray) -> np.ndarray:
     """The interpolant through values at Lobatto ``nodes`` (descending,
     any interval), evaluated at a; a point on a node takes its value."""
@@ -507,9 +516,14 @@ def _apply_kernel(kernel, a: np.ndarray, b: np.ndarray, w: np.ndarray,
     plateau starting within the smaller degree; the larger degree's points
     are used.  Unresolved at ``_MAX_DEGREE``, it raises UnresolvedError
     naming kappa_c.  ``kernel`` takes broadcast 2-D arguments.
+
+    ``w`` may be (b.size, C), C columns of weights, giving out (a.size, C):
+    the kernel is evaluated once per degree for all of them, each column is
+    resolved by its own plateau, and all are interpolated from the degree
+    that resolves the last one.
     """
     if a.size == 0:
-        return np.empty(0)
+        return np.empty((0,) + w.shape[1:])
     lo, hi = float(np.min(a)), float(np.max(a))
 
     def points(x):
@@ -520,18 +534,22 @@ def _apply_kernel(kernel, a: np.ndarray, b: np.ndarray, w: np.ndarray,
 
     degree = _FIRST_DEGREE
     s = kernel(points(_lobatto(degree))[:, None], b[None, :]) @ w
-    coeffs = _chebyshev_coefficients(s)
-    cut, tail = _chop(coeffs), _tail(coeffs)
+    coeffs = _columns(_chebyshev_coefficients(s))
+    cuts = [_chop(c) for c in coeffs]
+    resolved = [False] * len(cuts)
+    tail = max(_tail(c) for c in coeffs)
     while degree < _MAX_DEGREE:
         degree *= 2
-        finer = np.empty(degree + 1)
+        finer = np.empty((degree + 1,) + w.shape[1:])
         finer[0::2] = s
         finer[1::2] = kernel(points(_lobatto(degree)[1::2])[:, None], b[None, :]) @ w
         s = finer
-        coeffs = _chebyshev_coefficients(s)
-        resolved, cut = cut, _chop(coeffs)
-        last_tail, tail = tail, _tail(coeffs)
-        if resolved is not None and cut is not None and cut <= degree // 2 + 1:
+        coeffs = _columns(_chebyshev_coefficients(s))
+        last_cuts, cuts = cuts, [_chop(c) for c in coeffs]
+        resolved = [done or (last is not None and cut is not None and cut <= degree // 2 + 1)
+                    for done, last, cut in zip(resolved, last_cuts, cuts)]
+        last_tail, tail = tail, max(_tail(c) for c in coeffs)
+        if all(resolved):
             return _barycentric(points(_lobatto(degree)), s, a)
     raise UnresolvedError(
         f"kernel apply at kappa_c = {kappa_c:.6g} is not resolved on outputs "
@@ -545,40 +563,64 @@ def _cross_integral(kappa_c: float, f, n_src: int, t: np.ndarray) -> np.ndarray:
     """Int_0^1 G(1 - x, t_i) f(x) dx at every output t_i.
 
     ``f`` is a callable on the source's unit interval, integrated with
-    panels on its ``n_src`` bins.  G depends on (1 - x)*t only, so an output
+    panels on its ``n_src`` bins; f(x) may return (x.size, C) columns, one
+    apply giving (t.size, C).  G depends on (1 - x)*t only, so an output
     may lie past 1 (the time continuation in spectral.py).
     """
     x, w = panel_nodes(np.arange(n_src + 1) / n_src, PanelRule())
     x = x.ravel()
+    fx = f(x)
+    fx = w.reshape((-1,) + (1,) * (fx.ndim - 1)) * fx
     return _apply_kernel(lambda t, r: kernel_cross_scaled(kappa_c, r, t),
-                         t, 1.0 - x, w.ravel() * f(x), kappa_c)
+                         t, 1.0 - x, fx, kappa_c)
 
 
-def _output_components(kappa_c: float, own, conj, coeffs) -> list[np.ndarray]:
+def _output_components(kappa_c: float, components) -> list[np.ndarray]:
     """own - K*own + c * Int_0^1 G(1 - x, t) conj(x) dx at own's bin centers
-    t, one (own, conj, c) triple per component; the samples enter through
-    their cubic interpolant."""
+    t, one array per (own, conj, c) triple; the samples enter through their
+    cubic interpolant.  The cross integrals of the triples whose own and
+    conj sizes agree are the columns of one kernel apply."""
+    by_size = {}
+    for i, (a, b, _) in enumerate(components):
+        by_size.setdefault((a.size, b.size), []).append(i)
+    cross = [None] * len(components)
+    for (n_out, n_src), group in by_size.items():
+        conj = np.stack([components[i][1] for i in group], axis=1)
+        sums = _cross_integral(kappa_c, lambda x: _interp_uniform_centers(conj, x),
+                               n_src, _centers(n_out))
+        for k, i in enumerate(group):
+            cross[i] = sums[:, k]
     out = []
-    for a, b, c in zip(own, conj, coeffs):
+    for (a, _, c), cr in zip(components, cross):
         conv = _causal_self_convolution(
             kappa_c, lambda x: _interp_uniform_centers(a, x), a.size, (0.5,))[:, 0]
-        cross = _cross_integral(
-            kappa_c, lambda x: _interp_uniform_centers(b, x), b.size, _centers(a.size))
-        out.append(a - conv + c * cross)
+        out.append(a - conv + c * cr)
     return out
+
+
+def _components(params: PhysicalParams, grid: Grid, xi_in: FieldRecord,
+                spin_in: SpinRecord) -> tuple[list, list]:
+    """The (own, conj, c) triples of output_field (Xi1, Xi2) and of
+    output_spin (Jz, Jy)."""
+    if xi_in.n != grid.n_time or spin_in.n != grid.n_space:
+        raise ValueError("input records do not match the grid")
+    field_cb = 2.0 * params.beta * params.xi3_bar * params.length_L
+    field_ce = 2.0 * params.epsilon * params.xi3_bar * params.length_L
+    spin_ce = params.epsilon * params.jx_bar * params.time_T
+    spin_cb = params.beta * params.jx_bar * params.time_T
+    return ([(xi_in.xi1, spin_in.jz, field_cb), (xi_in.xi2, spin_in.jy, -field_ce)],
+            [(spin_in.jz, xi_in.xi1, -spin_ce), (spin_in.jy, xi_in.xi2, spin_cb)])
+
+
+def _kappa_c(params: PhysicalParams) -> float:
+    return params.a_coupling * params.length_L * params.time_T
 
 
 def output_field(params: PhysicalParams, grid: Grid, xi_in: FieldRecord,
                  spin_in: SpinRecord) -> FieldRecord:
     """Light record at z = L from input light (z=0) and input spins (t=0)."""
-    if xi_in.n != grid.n_time or spin_in.n != grid.n_space:
-        raise ValueError("input records do not match the grid")
-    kc = params.a_coupling * params.length_L * params.time_T
-    cb = 2.0 * params.beta * params.xi3_bar * params.length_L
-    ce = 2.0 * params.epsilon * params.xi3_bar * params.length_L
-    xi1, xi2 = _output_components(kc, (xi_in.xi1, xi_in.xi2),
-                                  (spin_in.jz, spin_in.jy), (cb, -ce))
-    return FieldRecord(xi1=xi1, xi2=xi2)
+    field, _ = _components(params, grid, xi_in, spin_in)
+    return FieldRecord(*_output_components(_kappa_c(params), field))
 
 
 def output_spin(params: PhysicalParams, grid: Grid, xi_in: FieldRecord,
@@ -588,11 +630,23 @@ def output_spin(params: PhysicalParams, grid: Grid, xi_in: FieldRecord,
     The light <-> spin mirror of output_field: G(z, T - t') has the
     residual 1 - tau' in the time integral.
     """
-    if xi_in.n != grid.n_time or spin_in.n != grid.n_space:
-        raise ValueError("input records do not match the grid")
-    kc = params.a_coupling * params.length_L * params.time_T
-    ce = params.epsilon * params.jx_bar * params.time_T
-    cb = params.beta * params.jx_bar * params.time_T
-    jz, jy = _output_components(kc, (spin_in.jz, spin_in.jy),
-                                (xi_in.xi1, xi_in.xi2), (-ce, cb))
-    return SpinRecord(jz=jz, jy=jy)
+    _, spin = _components(params, grid, xi_in, spin_in)
+    return SpinRecord(*_output_components(_kappa_c(params), spin))
+
+
+def output_maps(params: PhysicalParams, grid: Grid,
+                records) -> list[tuple[FieldRecord, SpinRecord]]:
+    """output_field and output_spin of every (xi_in, spin_in) pair of
+    ``records``, at one params.
+
+    The cross integrals of all pairs that share source and output sizes are
+    the columns of one kernel apply: with n_time = n_space, all four of
+    every pair.
+    """
+    components = []
+    for xi_in, spin_in in records:
+        field, spin = _components(params, grid, xi_in, spin_in)
+        components += field + spin
+    out = _output_components(_kappa_c(params), components)
+    return [(FieldRecord(*out[i:i + 2]), SpinRecord(*out[i + 2:i + 4]))
+            for i in range(0, len(out), 4)]

@@ -15,8 +15,11 @@ as a single block, in O(n_space * n_time) work and n_space + n_time - 1
 steps.  The same sweep marches a stack of cells, one per parameter point,
 with one matmul per anti-diagonal for the whole stack; a step moves only
 a few thousand doubles, so its cost is the per-call overhead, and a stack
-of P points costs far less than P sweeps.  The matrix-route variance scans
-apply the adjoint that way.
+of P points costs far less than P sweeps.  Two callers march stacks: the
+matrix-route variance scans apply the adjoint that way, and the
+oracle-compare batch integrates every (kappa_c, profile) pair forward as
+one stack entry at each of its two grid levels.  Both cap a sweep's stack
+at one block budget (``_group_size``).
 
 Because the cell is constant the lattice is translation-invariant, and its
 impulse responses are the lattice Green's (Riemann) function of the Goursat
@@ -68,6 +71,17 @@ SPIN_BLOCK_SIGN = -1.0
 
 _STABILITY_LIMIT = 0.5
 
+# Stack entries per sweep: as many as keep one sweep step's block (entries x
+# 4 rows x min(n_time, n_space) cells x right-hand sides) within 0.5 MiB of
+# doubles, the measured knee of the sweep time per entry; at grid 1024 with
+# one right-hand side that is 16 entries.
+_GROUP_STEP_DOUBLES = 1 << 16
+
+
+def _group_size(grid: Grid, nrhs: int = 1) -> int:
+    """Stack entries of ``nrhs`` right-hand sides each that one sweep marches."""
+    return max(1, _GROUP_STEP_DOUBLES // (4 * min(grid.n_time, grid.n_space) * nrhs))
+
 
 class StabilityError(ValueError):
     """Grid too coarse for the requested couplings."""
@@ -86,6 +100,26 @@ def check_stability(params: PhysicalParams, grid: Grid) -> None:
         raise StabilityError(
             f"stability precondition violated: {name} = {value:.6g} >= {_STABILITY_LIMIT}"
         )
+
+
+def _check_stability_of(kappa_c: float, params: PhysicalParams, grid: Grid) -> None:
+    """check_stability, its message led by the caller's ``kappa_c``."""
+    try:
+        check_stability(params, grid)
+    except StabilityError as exc:
+        raise StabilityError(f"kappa_c = {kappa_c:.6g}: {exc}") from None
+
+
+def _checked_stack(params: PhysicalParams | Sequence[PhysicalParams],
+                   grid: Grid) -> list[PhysicalParams]:
+    """One params or a sequence of them as a non-empty list, each checked
+    for stability."""
+    stack = [params] if isinstance(params, PhysicalParams) else list(params)
+    if not stack:
+        raise ValueError("no params given")
+    for p in stack:
+        check_stability(p, grid)
+    return stack
 
 
 def cell_matrix(params: PhysicalParams, dz: float, dt: float) -> np.ndarray:
@@ -173,9 +207,21 @@ def _sweep(cells: np.ndarray, u: np.ndarray, w: np.ndarray,
             spin_hist.reshape(shape + spin_hist.shape[-1:]))
 
 
-def integrate_stacked(params: PhysicalParams, grid: Grid,
+def integrate_stacked(params: PhysicalParams | Sequence[PhysicalParams], grid: Grid,
                       u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Raw-array integrate: u (2, n_time, ...) light, w (2, n_space, ...) spin."""
+    """Raw-array integrate: light u at z = L and spin w at t = T.
+
+    ``params`` is one PhysicalParams, with light u (2, n_time, ...) and spin
+    w (2, n_space, ...), or a sequence of P of them, with u (2, n_time, P,
+    ...) and w (2, n_space, P, ...): entry p is then marched by the cell of
+    params[p].  Trailing axes are right-hand sides.  Every params is checked
+    for stability before any sweep.  The entries ride stacked sweeps of up to
+    ``_group_size`` entries; each is its own stack entry, so it is marched
+    at the width of a sweep of it alone and its output is bit-identical to
+    that sweep's, in any group.
+    """
+    single = isinstance(params, PhysicalParams)
+    stack = _checked_stack(params, grid)
     u, w = np.asarray(u), np.asarray(w)
     if (u.shape[:2] != (2, grid.n_time) or w.shape[:2] != (2, grid.n_space)
             or u.shape[2:] != w.shape[2:]):
@@ -183,9 +229,20 @@ def integrate_stacked(params: PhysicalParams, grid: Grid,
             f"light {u.shape} and spin {w.shape} do not match grid "
             f"(2, {grid.n_time}, ...) and (2, {grid.n_space}, ...) with equal trailing shapes"
         )
-    check_stability(params, grid)
-    cell = cell_matrix(params, grid.dz(params.length_L), grid.dt(params.time_T))
-    return _sweep(cell, u, w)
+    if not single and (u.ndim < 3 or u.shape[2] != len(stack)):
+        raise ValueError(f"light {u.shape} does not hold one entry per params: "
+                         f"expected (2, {grid.n_time}, {len(stack)}, ...)")
+    cells = [cell_matrix(p, grid.dz(p.length_L), grid.dt(p.time_T)) for p in stack]
+    if single:
+        return _sweep(cells[0], u, w)
+    out_u, out_w = np.empty(u.shape), np.empty(w.shape)
+    # (P, 2, n, ...) views: the stack axis first, as _sweep takes it
+    u, w, entries_u, entries_w = (np.moveaxis(x, 2, 0) for x in (u, w, out_u, out_w))
+    size = _group_size(grid, math.prod(u.shape[3:]))
+    for start in range(0, len(stack), size):
+        group = slice(start, start + size)
+        entries_u[group], entries_w[group] = _sweep(np.stack(cells[group]), u[group], w[group])
+    return out_u, out_w
 
 
 def integrate(params: PhysicalParams, grid: Grid, xi_in: FieldRecord,
@@ -197,35 +254,43 @@ def integrate(params: PhysicalParams, grid: Grid, xi_in: FieldRecord,
     return FieldRecord(u[0], u[1]), SpinRecord(w[0], w[1])
 
 
-def integrate_extrapolated(params: PhysicalParams, grid: Grid, field_fns,
-                           spin_fns) -> tuple[FieldRecord, SpinRecord]:
-    """High-accuracy oracle reference: Richardson pair of integrate() runs.
+def integrate_extrapolated(
+    params: PhysicalParams | Sequence[PhysicalParams], grid: Grid, field_fns, spin_fns,
+) -> tuple[FieldRecord, SpinRecord] | list[tuple[FieldRecord, SpinRecord]]:
+    """High-accuracy oracle reference: Richardson pair of lattice integrates.
 
     Combines the second-order solution at the given grid with a 3x refined
     companion run (center sub-bins align exactly, so no resampling error)
     as (9*fine - coarse)/8, cancelling the leading h^2 term.  Inputs are
     callables of the physical coordinates.
+
+    ``params`` is one PhysicalParams, with field_fns = (xi1, xi2) and
+    spin_fns = (jz, jy), returning (FieldRecord, SpinRecord); or a sequence
+    of P of them, with field_fns and spin_fns sequences of P such pairs,
+    returning a list of P (FieldRecord, SpinRecord).  Each grid level is
+    then one ``integrate_stacked`` call with every entry its own stack
+    entry, so entry p is bit-identical to the single call on it.
     """
-    f1, f2 = field_fns
-    g1, g2 = spin_fns
-    fine = Grid(3 * grid.n_time, 3 * grid.n_space)
-    out = []
-    for g in (grid, fine):
-        xi = FieldRecord.from_functions(f1, f2, g.n_time, params.time_T)
-        sp = SpinRecord.from_functions(g1, g2, g.n_space, params.length_L)
-        out.append(integrate(params, g, xi, sp))
-    (fc, sc), (ff, sf) = out
-    pick_t = slice(1, None, 3)
-    pick_z = slice(1, None, 3)
-    field = FieldRecord(
-        (9.0 * ff.xi1[pick_t] - fc.xi1) / 8.0,
-        (9.0 * ff.xi2[pick_t] - fc.xi2) / 8.0,
-    )
-    spin = SpinRecord(
-        (9.0 * sf.jz[pick_z] - sc.jz) / 8.0,
-        (9.0 * sf.jy[pick_z] - sc.jy) / 8.0,
-    )
-    return field, spin
+    single = isinstance(params, PhysicalParams)
+    if single:
+        params, field_fns, spin_fns = [params], [field_fns], [spin_fns]
+    levels = []
+    for g in (grid, Grid(3 * grid.n_time, 3 * grid.n_space)):
+        u = np.empty((2, g.n_time, len(params)))
+        w = np.empty((2, g.n_space, len(params)))
+        for k, (p, f, s) in enumerate(zip(params, field_fns, spin_fns, strict=True)):
+            xi = FieldRecord.from_functions(*f, g.n_time, p.time_T)
+            sp = SpinRecord.from_functions(*s, g.n_space, p.length_L)
+            u[:, :, k] = xi.xi1, xi.xi2
+            w[:, :, k] = sp.jz, sp.jy
+        levels.append(integrate_stacked(params, g, u, w))
+    (uc, wc), (uf, wf) = levels
+    # the centre sub-bin of every coarse bin
+    u = (9.0 * uf[:, 1::3] - uc) / 8.0
+    w = (9.0 * wf[:, 1::3] - wc) / 8.0
+    out = [(FieldRecord(u[0, :, k], u[1, :, k]), SpinRecord(w[0, :, k], w[1, :, k]))
+           for k in range(len(params))]
+    return out[0] if single else out
 
 
 def _norms(params: PhysicalParams, grid: Grid) -> tuple[float, float]:
@@ -325,11 +390,7 @@ def transfer_adjoint_apply(params: PhysicalParams | Sequence[PhysicalParams], gr
     params[p], and all P ride one sweep as a stack of cells.
     """
     single = isinstance(params, PhysicalParams)
-    stack = [params] if single else list(params)
-    if not stack:
-        raise ValueError("no params to apply")
-    for p in stack:
-        check_stability(p, grid)
+    stack = _checked_stack(params, grid)
     nt, ns = grid.n_time, grid.n_space
     dim = 2 * nt + 2 * ns
     y = np.asarray(y, dtype=float)

@@ -21,8 +21,9 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig
-from .kernels import FieldRecord, SpinRecord, output_field, output_spin
-from .lattice import build_transfer_matrix, integrate_extrapolated, symplectic_residual
+from .kernels import FieldRecord, SpinRecord, output_maps
+from .lattice import (_check_stability_of, build_transfer_matrix, integrate_extrapolated,
+                      symplectic_residual)
 from .model import Grid, canonical_params
 from .spectral import dispersion_p_of_s, group_velocity, measure_packet_velocity
 from .variance import scan
@@ -90,27 +91,53 @@ def random_smooth_profiles(rng: np.random.Generator):
     return (xi1, xi2), (jz, jy)
 
 
-def oracle_kernel_deviation(kappa_c: float, ratio_r: float, grid: Grid,
-                            field_fns, spin_fns) -> tuple[float, float]:
-    """Sup-norm relative deviation (field, spin) of kernels vs lattice oracle.
+def _relative_deviation(kernel: tuple[np.ndarray, np.ndarray],
+                        oracle: tuple[np.ndarray, np.ndarray]) -> float:
+    """Sup-norm deviation of two components over the kernel side's sup norm."""
+    scale = max(np.max(np.abs(kernel[0])), np.max(np.abs(kernel[1])))
+    return float(max(np.max(np.abs(kernel[0] - oracle[0])),
+                     np.max(np.abs(kernel[1] - oracle[1]))) / scale)
+
+
+def oracle_kernel_deviations(cases, ratio_r: float, grid: Grid) -> list[tuple[float, float]]:
+    """Sup-norm relative deviation (field, spin) of kernels vs lattice oracle,
+    for each (kappa_c, field_fns, spin_fns) of ``cases``.
 
     The oracle side is the Richardson-extrapolated reference built from two
     second-order lattice runs; the kernel side is the closed-form map applied
-    to the same center-sampled records.
+    to the same center-sampled records.  Every kappa_c is checked for
+    stability at ``grid`` before any sweep or apply, and the error names
+    the first that fails.  All cases ride one stacked lattice integrate per
+    grid level, each its own stack entry, and the cases of one kappa_c one
+    ``output_maps`` call.
     """
-    params = canonical_params(kappa_c, ratio_r)
-    xi = FieldRecord.from_functions(*field_fns, grid.n_time, params.time_T)
-    sp = SpinRecord.from_functions(*spin_fns, grid.n_space, params.length_L)
-    k_field = output_field(params, grid, xi, sp)
-    k_spin = output_spin(params, grid, xi, sp)
-    o_field, o_spin = integrate_extrapolated(params, grid, field_fns, spin_fns)
-    f_scale = max(np.max(np.abs(k_field.xi1)), np.max(np.abs(k_field.xi2)))
-    s_scale = max(np.max(np.abs(k_spin.jz)), np.max(np.abs(k_spin.jy)))
-    f_dev = max(np.max(np.abs(k_field.xi1 - o_field.xi1)),
-                np.max(np.abs(k_field.xi2 - o_field.xi2))) / f_scale
-    s_dev = max(np.max(np.abs(k_spin.jz - o_spin.jz)),
-                np.max(np.abs(k_spin.jy - o_spin.jy))) / s_scale
-    return float(f_dev), float(s_dev)
+    params = []
+    for kc, _, _ in cases:
+        p = canonical_params(kc, ratio_r)
+        _check_stability_of(kc, p, grid)
+        params.append(p)
+    by_kappa_c = {}
+    for i, (kc, _, _) in enumerate(cases):
+        by_kappa_c.setdefault(kc, []).append(i)
+    kernel = [None] * len(cases)
+    for group in by_kappa_c.values():
+        p = params[group[0]]
+        records = [(FieldRecord.from_functions(*cases[i][1], grid.n_time, p.time_T),
+                    SpinRecord.from_functions(*cases[i][2], grid.n_space, p.length_L))
+                   for i in group]
+        for i, out in zip(group, output_maps(p, grid, records)):
+            kernel[i] = out
+    oracle = integrate_extrapolated(params, grid, [c[1] for c in cases],
+                                    [c[2] for c in cases])
+    return [(_relative_deviation((kf.xi1, kf.xi2), (of.xi1, of.xi2)),
+             _relative_deviation((ks.jz, ks.jy), (os_.jz, os_.jy)))
+            for (kf, ks), (of, os_) in zip(kernel, oracle)]
+
+
+def oracle_kernel_deviation(kappa_c: float, ratio_r: float, grid: Grid,
+                            field_fns, spin_fns) -> tuple[float, float]:
+    """``oracle_kernel_deviations`` of one profile."""
+    return oracle_kernel_deviations([(kappa_c, field_fns, spin_fns)], ratio_r, grid)[0]
 
 
 def _run_scan(config: RunConfig, out: Path, config_text: str) -> int:
@@ -145,15 +172,12 @@ def _run_dispersion(config: RunConfig, out: Path, config_text: str) -> int:
 
 def _run_oracle_compare(config: RunConfig, out: Path, config_text: str) -> int:
     rng = np.random.default_rng(config.compare_seed)
-    rows = []
-    worst = 0.0
-    for kc in config.compare_kappa_c:
-        for p in range(config.compare_profiles):
-            field_fns, spin_fns = random_smooth_profiles(rng)
-            f_dev, s_dev = oracle_kernel_deviation(
-                kc, config.groups.ratio_r, config.grid, field_fns, spin_fns)
-            worst = max(worst, f_dev, s_dev)
-            rows.append((kc, p, f_dev, s_dev))
+    labels = [(kc, p) for kc in config.compare_kappa_c
+              for p in range(config.compare_profiles)]
+    cases = [(kc, *random_smooth_profiles(rng)) for kc, _ in labels]
+    deviations = oracle_kernel_deviations(cases, config.groups.ratio_r, config.grid)
+    rows = [(kc, p, f_dev, s_dev) for (kc, p), (f_dev, s_dev) in zip(labels, deviations)]
+    worst = max(max(dev) for dev in deviations)
     write_csv(out, ("kappa_c", "profile", "field_rel_dev", "spin_rel_dev"), rows)
     _write_metadata(out, config_text, config, {"rows": len(rows)})
     status = "PASS" if worst <= ORACLE_TOLERANCE else "FAIL"

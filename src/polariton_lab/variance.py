@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernels import UnresolvedError, kernel_cross_scaled, kernel_self_scaled
-from .lattice import StabilityError, _bin_layout, check_stability, transfer_adjoint_apply
+from .lattice import _bin_layout, _check_stability_of, _group_size, transfer_adjoint_apply
 from .model import DimensionlessGroups, Grid, canonical_params
 
 __all__ = [
@@ -211,13 +211,6 @@ def memory_variances(groups: DimensionlessGroups, grid: Grid) -> VarianceBreakdo
     return _matrix_breakdown(groups, grid, mode="memory")
 
 
-# Columns per adjoint sweep: as many as keep one sweep step's block
-# (columns x 4 rows x min(n_time, n_space) cells) within 0.5 MiB of doubles,
-# the measured knee of the sweep time per column; at grid 1024 that is 16
-# columns, the two channels of 8 scan points.
-_GROUP_STEP_DOUBLES = 1 << 16
-
-
 def _channel_ratios(grid: Grid, columns) -> list[tuple[float, float, float]]:
     """For each column (params, channel, weights), |M^T y|^2 over all, light
     and spin input bins, each divided by |w|^2, for y holding ``weights`` on
@@ -225,15 +218,16 @@ def _channel_ratios(grid: Grid, columns) -> list[tuple[float, float, float]]:
 
     Every input bin and every bin of the unmodified channel carries variance
     1/2, so these ratios are the SQL-normalized variance and its split.
-    The columns ride adjoint sweeps in groups of up to _GROUP_STEP_DOUBLES /
-    (4 min(n_time, n_space)).  Each column is its own stack entry of the
-    sweep, so it is marched at the width of a one-column sweep: BLAS rounds
-    a block product differently at other widths, and this keeps every
-    column bit-identical to sweeping it alone, in any group.
+    The columns ride adjoint sweeps in groups of lattice._group_size (at
+    grid 1024, the two channels of 8 scan points).  Each column is its own
+    stack entry of the sweep, so it is marched at the width of a one-column
+    sweep: BLAS rounds a block product differently at other widths, and
+    this keeps every column bit-identical to sweeping it alone, in any
+    group.
     """
     nt, ns = grid.n_time, grid.n_space
     layout = _bin_layout(nt, ns)
-    size = max(1, _GROUP_STEP_DOUBLES // (4 * min(nt, ns)))
+    size = _group_size(grid)
     ratios = []
     for start in range(0, len(columns), size):
         group = columns[start:start + size]
@@ -261,10 +255,7 @@ def _matrix_breakdowns(points, grid: Grid, mode: str) -> list[VarianceBreakdown]
     params = []
     for g in points:
         p = canonical_params(g.kappa_c, g.ratio_r, g.kappa2_L, g.Omega_T)
-        try:
-            check_stability(p, grid)
-        except StabilityError as exc:
-            raise StabilityError(f"kappa_c = {g.kappa_c:.6g}: {exc}") from None
+        _check_stability_of(g.kappa_c, p, grid)
         params.append(p)
     if mode == "readout":
         n, channels = grid.n_time, ("xi1", "xi2")

@@ -293,6 +293,32 @@ def test_cli_oracle_compare_small(tmp_path, capsys):
     assert len(lines) == 5
 
 
+def test_cli_oracle_stability_names_kappa_c_and_writes_nothing(tmp_path, capsys,
+                                                               monkeypatch):
+    # 3000 and 5000 are past the stability limit at grid 16: the error names
+    # the first, and nothing is swept, applied or written
+    import polariton_lab.runner as runner
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("swept or applied before the stability check")
+
+    monkeypatch.setattr(runner, "integrate_extrapolated", unreachable)
+    monkeypatch.setattr(runner, "output_maps", unreachable)
+    doc = {
+        "mode": "oracle-compare",
+        "groups": {"kappa_c": 1, "r": 10},
+        "grid": {"n_time": 16, "n_space": 16},
+        "oracle_compare": {"kappa_c_values": [1, 3000, 5000], "profiles": 2, "seed": 0},
+    }
+    code, out = _run_cli(tmp_path, doc, "oracle-compare")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: kappa_c = 3000: stability precondition violated: "
+        "sqrt(|a|*dz*dt) = 3.42327 >= 0.5\n")
+    assert not out.exists()
+    assert not (out.parent / (out.name + ".meta.json")).exists()
+
+
 def test_cli_packet_velocity(tmp_path):
     doc = {
         "mode": "packet-velocity",

@@ -1,10 +1,11 @@
 """Lattice integrator: exact limits, convergence, and canonical structure."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polariton_lab import lattice
 from polariton_lab.kernels import (
@@ -281,6 +282,49 @@ def test_integrate_stacked_rejects_arrays_off_the_grid(u_shape, w_shape):
     params = canonical_params(1.0, 3.0)
     with pytest.raises(ValueError, match=r"light \(2, .*\) and spin \(2, .*\) do not match"):
         integrate_stacked(params, Grid(8, 8), np.ones(u_shape), np.ones(w_shape))
+
+
+# |kappa_c| < 9 keeps sqrt(|kappa_c|*dz*dt) below the limit on 6 x 6 and up
+@settings(max_examples=30)
+@given(points=st.lists(st.tuples(st.floats(-8.5, 8.5), st.floats(0.2, 10.0),
+                                 st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                       min_size=1, max_size=5),
+       rhs=st.sampled_from([(), (2,)]), group=st.integers(1, 5),
+       n_time=st.integers(6, 16), n_space=st.integers(6, 16))
+def test_stacked_integrate_equals_single_calls_and_is_linear(points, rhs, group,
+                                                             n_time, n_space):
+    # entry p rides a stack of `group` entries yet matches its own sweep bit
+    # for bit; the stacked map is linear in (u, w)
+    assume(n_time != n_space)
+    params = [canonical_params(*p) for p in points]
+    grid = Grid(n_time, n_space)
+    rng = np.random.default_rng(len(points))
+    shape = (len(params),) + rhs
+    u1, u2 = rng.normal(size=(2, 2, n_time) + shape)
+    w1, w2 = rng.normal(size=(2, 2, n_space) + shape)
+    budget = group * 4 * min(n_time, n_space) * math.prod(rhs)
+    with mock.patch.object(lattice, "_GROUP_STEP_DOUBLES", budget):
+        assert lattice._group_size(grid, math.prod(rhs)) == group
+        u, w = integrate_stacked(params, grid, u1, w1)
+        for k, p in enumerate(params):
+            single_u, single_w = integrate_stacked(p, grid, u1[:, :, k], w1[:, :, k])
+            np.testing.assert_array_equal(u[:, :, k], single_u)
+            np.testing.assert_array_equal(w[:, :, k], single_w)
+        al, be = 1.25, -0.75
+        combo = integrate_stacked(params, grid, al * u1 + be * u2, al * w1 + be * w2)
+        other = integrate_stacked(params, grid, u2, w2)
+    for got, a, b in zip(combo, (u, w), other):
+        want = al * a + be * b
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_stacked_integrate_rejects_mismatched_entries():
+    params = [canonical_params(1.0, 3.0), canonical_params(2.0, 3.0)]
+    grid = Grid(8, 6)
+    with pytest.raises(ValueError, match=r"one entry per params"):
+        integrate_stacked(params, grid, np.ones((2, 8, 3)), np.ones((2, 6, 3)))
+    with pytest.raises(ValueError, match=r"no params"):
+        integrate_stacked([], grid, np.ones((2, 8, 0)), np.ones((2, 6, 0)))
 
 
 def _impulse_columns(params, grid):

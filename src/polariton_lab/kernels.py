@@ -388,24 +388,32 @@ def _causal_self_convolution(kappa_c: float, f, n: int, offsets) -> np.ndarray:
     [b/n, tau].  The lag from node k of bin b' to the output is
     (b - b' + o - (1 + x_k)/2)/n, a function of the bin distance alone, so
     the full bins are one causal discrete convolution per (node, offset).
+    f(x) may return (x.shape, C) columns, giving (n, len(offsets), C): the
+    K values of each offset are evaluated once for all columns, and each
+    column is convolved as if alone.
     """
     rule = PanelRule()
     h = 1.0 / n
     x, w = panel_nodes(np.arange(n + 1) * h, rule)       # (n, order)
-    fw = w * f(x)
+    fx = f(x)
+    cols = fx.shape[2:]
+    fw = (w.reshape(w.shape + (1,) * len(cols)) * fx).reshape(n, rule.order, -1)
     frac = 0.5 * (1.0 + rule.x)                          # node positions in a bin
     bins = np.arange(n)
-    out = np.empty((n, len(offsets)))
+    out = np.empty((n, len(offsets), fw.shape[2]))
     for i, o in enumerate(offsets):
         # the partial panel [b/n, tau] has lags o*h*(1 - frac) in every bin
         px = (bins[:, None] + o * frac[None, :]) * h
-        pw = 0.5 * o * h * rule.w
-        acc = f(px) @ (pw * kernel_self_scaled(kappa_c, o * h * (1.0 - frac)))
+        partial = 0.5 * o * h * rule.w * kernel_self_scaled(kappa_c, o * h * (1.0 - frac))
         lags = kernel_self_scaled(kappa_c, (bins[None, 1:] + (o - frac[:, None])) * h)
-        for k in range(rule.order):
-            acc[1:] += np.convolve(fw[:-1, k], lags[k])[:n - 1]
-        out[:, i] = acc
-    return out
+        fpx = f(px).reshape(n, rule.order, -1)
+        for c in range(fw.shape[2]):
+            # a contiguous (n, order) block, multiplied as a lone f(px) is
+            acc = np.ascontiguousarray(fpx[:, :, c]) @ partial
+            for k in range(rule.order):
+                acc[1:] += np.convolve(fw[:-1, k, c], lags[k])[:n - 1]
+            out[:, i, c] = acc
+    return out.reshape((n, len(offsets)) + cols)
 
 
 # Chebyshev degrees of the low-rank apply: doubled from the first on nested
@@ -578,23 +586,21 @@ def _cross_integral(kappa_c: float, f, n_src: int, t: np.ndarray) -> np.ndarray:
 def _output_components(kappa_c: float, components) -> list[np.ndarray]:
     """own - K*own + c * Int_0^1 G(1 - x, t) conj(x) dx at own's bin centers
     t, one array per (own, conj, c) triple; the samples enter through their
-    cubic interpolant.  The cross integrals of the triples whose own and
-    conj sizes agree are the columns of one kernel apply."""
+    cubic interpolant.  The triples whose own and conj sizes agree share one
+    self-convolution, their owns its columns, and one kernel apply, their
+    conjs its columns."""
     by_size = {}
     for i, (a, b, _) in enumerate(components):
         by_size.setdefault((a.size, b.size), []).append(i)
-    cross = [None] * len(components)
+    out = [None] * len(components)
     for (n_out, n_src), group in by_size.items():
-        conj = np.stack([components[i][1] for i in group], axis=1)
-        sums = _cross_integral(kappa_c, lambda x: _interp_uniform_centers(conj, x),
-                               n_src, _centers(n_out))
-        for k, i in enumerate(group):
-            cross[i] = sums[:, k]
-    out = []
-    for (a, _, c), cr in zip(components, cross):
+        own, conj = (np.stack([components[i][part] for i in group], axis=1) for part in (0, 1))
         conv = _causal_self_convolution(
-            kappa_c, lambda x: _interp_uniform_centers(a, x), a.size, (0.5,))[:, 0]
-        out.append(a - conv + c * cr)
+            kappa_c, lambda x: _interp_uniform_centers(own, x), n_out, (0.5,))[:, 0]
+        cross = _cross_integral(kappa_c, lambda x: _interp_uniform_centers(conj, x),
+                                n_src, _centers(n_out))
+        for k, i in enumerate(group):
+            out[i] = own[:, k] - conv[:, k] + components[i][2] * cross[:, k]
     return out
 
 

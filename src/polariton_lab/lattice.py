@@ -13,13 +13,16 @@ needs only cells (i-1, j) and (i, j-1), so the cells of one anti-diagonal
 i + j = d are independent: one sweep applies the cell to each anti-diagonal
 as a single block, in O(n_space * n_time) work and n_space + n_time - 1
 steps.  The same sweep marches a stack of cells, one per parameter point,
-with one matmul per anti-diagonal for the whole stack; a step moves only
-a few thousand doubles, so its cost is the per-call overhead, and a stack
-of P points costs far less than P sweeps.  Two callers march stacks: the
+with two matmuls per anti-diagonal for the whole stack, one for the light
+rows of the cells and one for the spin rows.  They read the anti-diagonal
+in place from one of two state buffers and write straight into the other,
+so a step moves no data besides the products and one light bin in and one
+out, and a stack of P points costs far less than P sweeps: the Python cost
+of a step is paid once for the stack.  Two callers march stacks: the
 matrix-route variance scans apply the adjoint that way, and the
 oracle-compare batch integrates every (kappa_c, profile) pair forward as
 one stack entry at each of its two grid levels.  Both cap a sweep's stack
-at one block budget (``_group_size``).
+at one step budget (``_group_size``).
 
 Because the cell is constant the lattice is translation-invariant, and its
 impulse responses are the lattice Green's (Riemann) function of the Goursat
@@ -71,10 +74,11 @@ SPIN_BLOCK_SIGN = -1.0
 
 _STABILITY_LIMIT = 0.5
 
-# Stack entries per sweep: as many as keep one sweep step's block (entries x
-# 4 rows x min(n_time, n_space) cells x right-hand sides) within 0.5 MiB of
-# doubles, the measured knee of the sweep time per entry; at grid 1024 with
-# one right-hand side that is 16 entries.
+# Stack entries per sweep: as many as keep the longest anti-diagonal one sweep
+# step reads (entries x 4 rows x min(n_time, n_space) cells x right-hand
+# sides) within 0.5 MiB of doubles, the measured knee of the sweep time per
+# entry; the step writes as much again into the other state buffer.  At grid
+# 1024 with one right-hand side that is 16 entries.
 _GROUP_STEP_DOUBLES = 1 << 16
 
 
@@ -150,12 +154,17 @@ def _sweep(cells: np.ndarray, u: np.ndarray, w: np.ndarray,
     are right-hand sides.  Returns the light after the last space step and
     the spin after the last time step, in the input shapes.
 
-    The working arrays hold each stack entry's light and spin as (2, n*R),
-    R right-hand sides per bin, so an anti-diagonal is the slice
-    [..., j0*R:j1*R].  Spin is held with space reversed, so the light and
-    spin bins of one anti-diagonal are two forward slices of equal length.
-    Each step concatenates them into one preallocated block and applies
-    the cells with one matmul into a preallocated product.
+    Each stack entry's state lives in two (4, (n_space + 1)*R) buffers, R
+    right-hand sides per column, read and written in turn.  Column
+    c = n_space - i holds spin column i in rows 2:4 and, in rows 0:2, the
+    light bin that enters cell (i, j) next, so the cells of one
+    anti-diagonal read one column range [c0*R:c1*R].  A step applies the
+    light and spin rows of the cells to that range with two matmuls straight
+    into the other buffer: spin to the same columns, light one column left,
+    where its next cell's spin column is.  Besides them a step copies only
+    the light bin entering at column n_space from u and the one leaving at
+    column 0 back to u.  Spin column i ends in the buffer of parity
+    n_time + i, and is read back from there.
 
     ``record = (light_rhs, spin_rhs)``, two index slices of the right-hand
     sides, also returns the light history of light_rhs and the spin history
@@ -167,39 +176,43 @@ def _sweep(cells: np.ndarray, u: np.ndarray, w: np.ndarray,
     cells = np.asarray(cells, dtype=float)
     lead = cells.shape[:-2]
     axis = len(lead) + 1
-    # rebinding u and w lets a caller's temporary inputs go before the march
-    u = np.array(u, dtype=float, order="C")
-    w = np.array(np.flip(w, axis), dtype=float, order="C")
-    shape_u, shape_w = u.shape, w.shape
+    shape_u, shape_w = np.shape(u), np.shape(w)
     n_time, n_space = shape_u[axis], shape_w[axis]
     nrhs = math.prod(shape_u[axis + 1:])
-    if lead == (1,):
-        # a one-entry stack marches as a single cell: 2-D products every step
-        cells, u, w, lead = cells[0], u[0], w[0], ()
-    u = u.reshape(lead + (2, n_time * nrhs))
-    w = w.reshape(lead + (2, n_space * nrhs))
-    block = np.empty(lead + (4, min(n_time, n_space) * nrhs))
-    product = np.empty_like(block)
+    # light leaves into the copy it entered from; rebinding u and deleting w
+    # let a caller's temporary inputs go before the march
+    u = np.array(u, dtype=float, order="C").reshape(lead + (2, n_time * nrhs))
+    state = np.empty((2,) + lead + (4, n_space + 1, nrhs))
+    state[..., 2:, 1:, :] = np.reshape(w, lead + (2, n_space, nrhs))[..., ::-1, :]
+    del w
+    buffers = state.reshape((2,) + lead + (4, (n_space + 1) * nrhs))
+    light_cells, spin_cells = cells[..., :2, :], cells[..., 2:, :]
     if record is not None:
         light_rhs, spin_rhs = record
         light_hist = np.zeros(lead + (2, n_space * n_time, len(range(nrhs)[light_rhs])))
         spin_hist = np.zeros(lead + (2, n_space * n_time, len(range(nrhs)[spin_rhs])))
-    for d in range(n_time + n_space - 1):
+    # with no space column, column 0 would both take and give the light
+    for d in range(n_time + n_space - 1 if n_time and n_space else 0):
+        src, dst = buffers[d % 2], buffers[1 - d % 2]
         j0, j1 = max(0, d - n_space + 1), min(d, n_time - 1) + 1
-        k0 = j0 + n_space - 1 - d
-        k1 = k0 + j1 - j0
-        width = (j1 - j0) * nrhs
-        out = block[..., :width]
-        np.concatenate((u[..., j0 * nrhs:j1 * nrhs], w[..., k0 * nrhs:k1 * nrhs]), axis=-2, out=out)
-        out = np.matmul(cells, out, out=product[..., :width])
-        u[..., j0 * nrhs:j1 * nrhs] = out[..., :2, :]
-        w[..., k0 * nrhs:k1 * nrhs] = out[..., 2:, :]
+        c0 = n_space - d + j0
+        c1 = c0 + j1 - j0
+        if d < n_time:
+            src[..., :2, n_space * nrhs:] = u[..., d * nrhs:(d + 1) * nrhs]
+        diagonal = src[..., c0 * nrhs:c1 * nrhs]
+        light = np.matmul(light_cells, diagonal, out=dst[..., :2, (c0 - 1) * nrhs:(c1 - 1) * nrhs])
+        spin = np.matmul(spin_cells, diagonal, out=dst[..., 2:, c0 * nrhs:c1 * nrhs])
+        if c0 == 1:
+            u[..., j0 * nrhs:(j0 + 1) * nrhs] = dst[..., :2, :nrhs]
         if record is not None:
-            run = slice(k0 * n_time + j0, k1 * n_time + j1, n_time + 1)
-            out = out.reshape(lead + (4, j1 - j0, nrhs))
-            light_hist[..., run, :] = out[..., :2, :, light_rhs]
-            spin_hist[..., run, :] = out[..., 2:, :, spin_rhs]
-    u, w = u.reshape(shape_u), np.flip(w.reshape(shape_w), axis)
+            run = slice((c0 - 1) * n_time + j0, (c1 - 1) * n_time + j1, n_time + 1)
+            cut = lead + (2, j1 - j0, nrhs)
+            light_hist[..., run, :] = light.reshape(cut)[..., light_rhs]
+            spin_hist[..., run, :] = spin.reshape(cut)[..., spin_rhs]
+    w = np.empty(lead + (2, n_space, nrhs))
+    w[..., 0::2, :] = state[n_time % 2, ..., 2:, n_space:0:-2, :]
+    w[..., 1::2, :] = state[1 - n_time % 2, ..., 2:, n_space - 1:0:-2, :]
+    u, w = u.reshape(shape_u), w.reshape(shape_w)
     if record is None:
         return u, w
     shape = lead + (2, n_space, n_time)

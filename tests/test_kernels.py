@@ -137,6 +137,20 @@ def test_self_convolution_matches_per_point_quadrature(n, kappa_c, offsets):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("n", [3, 64])
+def test_self_convolution_columns_equal_lone_calls(n):
+    # the K values are shared across columns; each column keeps the bits of
+    # its own call
+    offs = (0.25, 0.5)
+    samples = np.random.default_rng(n).normal(size=(n, 3))
+    got = _causal_self_convolution(2.0, lambda x: _interp_uniform_centers(samples, x), n, offs)
+    assert got.shape == (n, len(offs), 3)
+    for c in range(3):
+        alone = _causal_self_convolution(
+            2.0, lambda x: _interp_uniform_centers(samples[:, c], x), n, offs)
+        np.testing.assert_array_equal(got[:, :, c], alone)
+
+
 @pytest.mark.parametrize("n", [3, 4, 64])
 @pytest.mark.parametrize("kappa_c", [0.5, -2.0, 200.0])
 @pytest.mark.parametrize("outputs", ["centers", "gauss", "tail"])

@@ -273,6 +273,74 @@ def test_split_sweep_equals_one_sweep(grid, split):
                                rtol=0, atol=1e-13)
 
 
+# (kappa_c, r, kappa2_L, Omega_T) as fractions of the stability limit, scaled
+# to the drawn grid by _stable_params, so that every drawn point is marched
+_STABLE_POINT = st.tuples(st.floats(-1.0, 1.0), st.floats(0.2, 10.0),
+                          st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+def _stable_params(point, n_time, n_space):
+    """canonical_params inside the stability limit 0.5 of an n_time x
+    n_space lattice: |kappa2|*dz and |Omega|*dt up to 0.45, and
+    sqrt(|kappa_c|*dz*dt) up to sqrt(0.2) = 0.447."""
+    qc, r, q2, qo = point
+    return canonical_params(0.2 * qc * n_time * n_space, r,
+                            kappa2_L=0.45 * q2 * n_space, Omega_T=0.45 * qo * n_time)
+
+
+@settings(max_examples=40)
+@given(n_time=st.integers(1, 12), n_space=st.integers(1, 12),
+       points=st.lists(_STABLE_POINT, min_size=1, max_size=4),
+       rhs=st.sampled_from([(), (3,)]), data=st.data())
+def test_sweep_matches_cell_by_cell_split_and_alone(n_time, n_space, points, rhs, data):
+    # 1-bin axes included: the chained packet sweeps pass narrow spin chunks
+    # Grid takes 2 bins per axis and up, so the cells are built from dz, dt
+    cells = np.stack([lattice.cell_matrix(_stable_params(q, n_time, n_space), 1.0 / n_space,
+                                          1.0 / n_time) for q in points])
+    rng = np.random.default_rng(n_time * 16 + n_space)
+    u = rng.normal(size=(len(cells), 2, n_time) + rhs)
+    w = rng.normal(size=(len(cells), 2, n_space) + rhs)
+    whole_u, whole_w = lattice._sweep(cells, u, w)
+    split = data.draw(st.integers(0, n_space), label="split")
+    head_u, head_w = lattice._sweep(cells, u, w[:, :, :split])
+    tail_u, tail_w = lattice._sweep(cells, head_u, w[:, :, split:])
+    np.testing.assert_allclose(tail_u, whole_u, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(np.concatenate((head_w, tail_w), axis=2), whole_w,
+                               rtol=0, atol=1e-13)
+    for p, cell in enumerate(cells):
+        alone_u, alone_w = lattice._sweep(cell, u[p], w[p])
+        np.testing.assert_array_equal(whole_u[p], alone_u)
+        np.testing.assert_array_equal(whole_w[p], alone_w)
+        slow_u, slow_w = _cell_by_cell(cell, u[p], w[p])
+        np.testing.assert_allclose(whole_u[p], slow_u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(whole_w[p], slow_w, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lead, n_time, n_space", [
+    ((), 5, 0), ((), 0, 5), ((2,), 4, 0), ((2,), 0, 3),
+])
+def test_sweep_over_an_empty_axis_returns_its_inputs(lead, n_time, n_space):
+    rng = np.random.default_rng(3)
+    cells = np.broadcast_to(2.0 * np.eye(4), lead + (4, 4))
+    u = rng.normal(size=lead + (2, n_time, 3))
+    w = rng.normal(size=lead + (2, n_space, 3))
+    out_u, out_w = lattice._sweep(cells, u, w)
+    np.testing.assert_array_equal(out_u, u)
+    np.testing.assert_array_equal(out_w, w)
+
+
+@settings(max_examples=25)
+@given(n_time=st.integers(2, 12), n_space=st.integers(2, 12), point=_STABLE_POINT)
+def test_built_matrix_is_symplectic_at_drawn_points(n_time, n_space, point):
+    # the build reads the recorded histories of the sweep.  The residual is
+    # the rounding of products of two entries of M, so past |M| = 1 (the
+    # blue wing grows) its bound grows as max|M|^2
+    assume(n_time != n_space)
+    grid = Grid(n_time, n_space)
+    tm = build_transfer_matrix(_stable_params(point, n_time, n_space), grid)
+    assert symplectic_residual(tm) <= 1e-12 * max(1.0, np.max(np.abs(tm.matrix)) ** 2)
+
+
 @pytest.mark.parametrize("u_shape, w_shape", [
     ((2, 9), (2, 8)),
     ((2, 8), (2, 9)),

@@ -618,15 +618,11 @@ def _components(params: PhysicalParams, grid: Grid, xi_in: FieldRecord,
             [(spin_in.jz, xi_in.xi1, -spin_ce), (spin_in.jy, xi_in.xi2, spin_cb)])
 
 
-def _kappa_c(params: PhysicalParams) -> float:
-    return params.a_coupling * params.length_L * params.time_T
-
-
 def output_field(params: PhysicalParams, grid: Grid, xi_in: FieldRecord,
                  spin_in: SpinRecord) -> FieldRecord:
     """Light record at z = L from input light (z=0) and input spins (t=0)."""
     field, _ = _components(params, grid, xi_in, spin_in)
-    return FieldRecord(*_output_components(_kappa_c(params), field))
+    return FieldRecord(*_output_components(params.kappa_c, field))
 
 
 def output_spin(params: PhysicalParams, grid: Grid, xi_in: FieldRecord,
@@ -637,7 +633,7 @@ def output_spin(params: PhysicalParams, grid: Grid, xi_in: FieldRecord,
     residual 1 - tau' in the time integral.
     """
     _, spin = _components(params, grid, xi_in, spin_in)
-    return SpinRecord(*_output_components(_kappa_c(params), spin))
+    return SpinRecord(*_output_components(params.kappa_c, spin))
 
 
 def output_maps(params: PhysicalParams, grid: Grid,
@@ -653,6 +649,6 @@ def output_maps(params: PhysicalParams, grid: Grid,
     for xi_in, spin_in in records:
         field, spin = _components(params, grid, xi_in, spin_in)
         components += field + spin
-    out = _output_components(_kappa_c(params), components)
+    out = _output_components(params.kappa_c, components)
     return [(FieldRecord(*out[i:i + 2]), SpinRecord(*out[i + 2:i + 4]))
             for i in range(0, len(out), 4)]

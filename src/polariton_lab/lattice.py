@@ -21,8 +21,10 @@ out, and a stack of P points costs far less than P sweeps: the Python cost
 of a step is paid once for the stack.  Two callers march stacks: the
 matrix-route variance scans apply the adjoint that way, and the
 oracle-compare batch integrates every (kappa_c, profile) pair forward as
-one stack entry at each of its two grid levels.  Both cap a sweep's stack
-at one step budget (``_group_size``).
+one stack entry at each of its two grid levels.  Both hand over the whole
+stack: ``integrate_stacked`` and ``transfer_adjoint_apply`` check every
+point's stability before any sweep, and march the stack in sweeps of at
+most one step budget (``_group_size``) each.
 
 Because the cell is constant the lattice is translation-invariant, and its
 impulse responses are the lattice Green's (Riemann) function of the Goursat
@@ -92,6 +94,7 @@ class StabilityError(ValueError):
 
 
 def check_stability(params: PhysicalParams, grid: Grid) -> None:
+    """Raise StabilityError, led by the params' kappa_c, for a grid too coarse."""
     dz = grid.dz(params.length_L)
     dt = grid.dt(params.time_T)
     terms = {
@@ -102,28 +105,9 @@ def check_stability(params: PhysicalParams, grid: Grid) -> None:
     name, value = max(terms.items(), key=lambda kv: kv[1])
     if value >= _STABILITY_LIMIT:
         raise StabilityError(
-            f"stability precondition violated: {name} = {value:.6g} >= {_STABILITY_LIMIT}"
+            f"kappa_c = {params.kappa_c:.6g}: stability precondition violated: "
+            f"{name} = {value:.6g} >= {_STABILITY_LIMIT}"
         )
-
-
-def _check_stability_of(kappa_c: float, params: PhysicalParams, grid: Grid) -> None:
-    """check_stability, its message led by the caller's ``kappa_c``."""
-    try:
-        check_stability(params, grid)
-    except StabilityError as exc:
-        raise StabilityError(f"kappa_c = {kappa_c:.6g}: {exc}") from None
-
-
-def _checked_stack(params: PhysicalParams | Sequence[PhysicalParams],
-                   grid: Grid) -> list[PhysicalParams]:
-    """One params or a sequence of them as a non-empty list, each checked
-    for stability."""
-    stack = [params] if isinstance(params, PhysicalParams) else list(params)
-    if not stack:
-        raise ValueError("no params given")
-    for p in stack:
-        check_stability(p, grid)
-    return stack
 
 
 def cell_matrix(params: PhysicalParams, dz: float, dt: float) -> np.ndarray:
@@ -142,6 +126,20 @@ def cell_matrix(params: PhysicalParams, dz: float, dt: float) -> np.ndarray:
     ])
     eye = np.eye(4)
     return np.linalg.solve(eye - 0.5 * gen, eye + 0.5 * gen)
+
+
+def _stack_cells(params: PhysicalParams | Sequence[PhysicalParams],
+                 grid: Grid) -> tuple[list[PhysicalParams], np.ndarray]:
+    """One params or a sequence of them as a non-empty list and its (P, 4, 4)
+    stack of cells; every params is checked for stability before any cell
+    is built."""
+    stack = [params] if isinstance(params, PhysicalParams) else list(params)
+    if not stack:
+        raise ValueError("no params given")
+    for p in stack:
+        check_stability(p, grid)
+    return stack, np.stack([cell_matrix(p, grid.dz(p.length_L), grid.dt(p.time_T))
+                            for p in stack])
 
 
 def _sweep(cells: np.ndarray, u: np.ndarray, w: np.ndarray,
@@ -220,6 +218,24 @@ def _sweep(cells: np.ndarray, u: np.ndarray, w: np.ndarray,
             spin_hist.reshape(shape + spin_hist.shape[-1:]))
 
 
+def _march(cells: np.ndarray, grid: Grid, u: np.ndarray, w: np.ndarray,
+           out_u: np.ndarray, out_w: np.ndarray) -> None:
+    """Sweep light u (P, 2, n_time, ...) and spin w (P, 2, n_space, ...),
+    entry p by cells[p], into out_u and out_w of the same shapes, which may
+    be u and w themselves: a sweep copies its group's input before the
+    group's output is written.
+
+    The entries ride stacked sweeps of up to ``_group_size`` entries.  Each
+    is its own stack entry, so it is marched at the width of a sweep of it
+    alone: BLAS rounds a block product differently at other widths, and this
+    keeps every entry bit-identical to sweeping it alone, in any group.
+    """
+    size = _group_size(grid, math.prod(u.shape[3:]))
+    for start in range(0, len(cells), size):
+        group = slice(start, start + size)
+        out_u[group], out_w[group] = _sweep(cells[group], u[group], w[group])
+
+
 def integrate_stacked(params: PhysicalParams | Sequence[PhysicalParams], grid: Grid,
                       u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Raw-array integrate: light u at z = L and spin w at t = T.
@@ -228,13 +244,11 @@ def integrate_stacked(params: PhysicalParams | Sequence[PhysicalParams], grid: G
     w (2, n_space, ...), or a sequence of P of them, with u (2, n_time, P,
     ...) and w (2, n_space, P, ...): entry p is then marched by the cell of
     params[p].  Trailing axes are right-hand sides.  Every params is checked
-    for stability before any sweep.  The entries ride stacked sweeps of up to
-    ``_group_size`` entries; each is its own stack entry, so it is marched
-    at the width of a sweep of it alone and its output is bit-identical to
-    that sweep's, in any group.
+    for stability before any sweep, and the stack is marched by ``_march``;
+    one params is a one-entry stack.
     """
     single = isinstance(params, PhysicalParams)
-    stack = _checked_stack(params, grid)
+    stack, cells = _stack_cells(params, grid)
     u, w = np.asarray(u), np.asarray(w)
     if (u.shape[:2] != (2, grid.n_time) or w.shape[:2] != (2, grid.n_space)
             or u.shape[2:] != w.shape[2:]):
@@ -242,20 +256,15 @@ def integrate_stacked(params: PhysicalParams | Sequence[PhysicalParams], grid: G
             f"light {u.shape} and spin {w.shape} do not match grid "
             f"(2, {grid.n_time}, ...) and (2, {grid.n_space}, ...) with equal trailing shapes"
         )
-    if not single and (u.ndim < 3 or u.shape[2] != len(stack)):
+    if single:
+        u, w = u[:, :, None], w[:, :, None]
+    elif u.ndim < 3 or u.shape[2] != len(stack):
         raise ValueError(f"light {u.shape} does not hold one entry per params: "
                          f"expected (2, {grid.n_time}, {len(stack)}, ...)")
-    cells = [cell_matrix(p, grid.dz(p.length_L), grid.dt(p.time_T)) for p in stack]
-    if single:
-        return _sweep(cells[0], u, w)
     out_u, out_w = np.empty(u.shape), np.empty(w.shape)
     # (P, 2, n, ...) views: the stack axis first, as _sweep takes it
-    u, w, entries_u, entries_w = (np.moveaxis(x, 2, 0) for x in (u, w, out_u, out_w))
-    size = _group_size(grid, math.prod(u.shape[3:]))
-    for start in range(0, len(stack), size):
-        group = slice(start, start + size)
-        entries_u[group], entries_w[group] = _sweep(np.stack(cells[group]), u[group], w[group])
-    return out_u, out_w
+    _march(cells, grid, *(np.moveaxis(x, 2, 0) for x in (u, w, out_u, out_w)))
+    return (out_u[:, :, 0], out_w[:, :, 0]) if single else (out_u, out_w)
 
 
 def integrate(params: PhysicalParams, grid: Grid, xi_in: FieldRecord,
@@ -400,10 +409,11 @@ def transfer_adjoint_apply(params: PhysicalParams | Sequence[PhysicalParams], gr
 
     ``params`` is one PhysicalParams, with y (dim, ...), or a sequence of P
     of them, with y (dim, P, ...): column p is then applied with the map of
-    params[p], and all P ride one sweep as a stack of cells.
+    params[p].  Every params is checked for stability before any sweep, and
+    the columns are marched as a stack of cells by ``_march``.
     """
     single = isinstance(params, PhysicalParams)
-    stack = _checked_stack(params, grid)
+    stack, cells = _stack_cells(params, grid)
     nt, ns = grid.n_time, grid.n_space
     dim = 2 * nt + 2 * ns
     y = np.asarray(y, dtype=float)
@@ -417,14 +427,14 @@ def transfer_adjoint_apply(params: PhysicalParams | Sequence[PhysicalParams], gr
     # each (P, 1, ...): one scale per stack entry, broadcast over (2, n, ...)
     nl, nsp = np.array([_norms(p, grid) for p in stack]).T.reshape(
         (2, len(stack)) + (1,) * y.ndim)
-    cells = np.stack([cell_matrix(p, grid.dz(p.length_L), grid.dt(p.time_T))
-                      for p in stack])
-    light, spin = _reversed_halves(y, nt, ns)
-    u, w = _sweep(cells.transpose(0, 2, 1), light * nl, spin * nsp)
     out = np.empty(y.shape)
     light, spin = _reversed_halves(out, nt, ns)
-    np.divide(u, nl, out=light)
-    np.divide(w, nsp, out=spin)
+    y_light, y_spin = _reversed_halves(y, nt, ns)
+    np.multiply(y_light, nl, out=light)
+    np.multiply(y_spin, nsp, out=spin)
+    _march(cells.transpose(0, 2, 1), grid, light, spin, light, spin)
+    light /= nl
+    spin /= nsp
     return out[:, 0] if single else out
 
 

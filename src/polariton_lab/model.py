@@ -75,6 +75,11 @@ class PhysicalParams:
         """Coupling density a = 2*beta*eps*xi3_bar*jx_bar (= -A)."""
         return 2.0 * self.beta * self.epsilon * self.xi3_bar * self.jx_bar
 
+    @property
+    def kappa_c(self) -> float:
+        """Composition parameter kappa_c = a*L*T."""
+        return self.a_coupling * self.length_L * self.time_T
+
 
 @dataclass(frozen=True)
 class DimensionlessGroups:
@@ -125,7 +130,7 @@ def derive_groups(params: PhysicalParams, omega_T: float, q_L: float) -> Dimensi
     ratio_r = params.beta / params.epsilon if params.epsilon != 0.0 else math.inf
     return DimensionlessGroups(
         a_coupling=a,
-        kappa_c=a * params.length_L * params.time_T,
+        kappa_c=params.kappa_c,
         ratio_r=ratio_r,
         omega_T=omega_T,
         q_L=q_L,

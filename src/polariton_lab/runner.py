@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig
 from .kernels import FieldRecord, SpinRecord, output_maps
-from .lattice import (_check_stability_of, build_transfer_matrix, integrate_extrapolated,
+from .lattice import (build_transfer_matrix, check_stability, integrate_extrapolated,
                       symplectic_residual)
 from .model import Grid, canonical_params
 from .spectral import dispersion_p_of_s, group_velocity, measure_packet_velocity
@@ -111,11 +111,9 @@ def oracle_kernel_deviations(cases, ratio_r: float, grid: Grid) -> list[tuple[fl
     grid level, each its own stack entry, and the cases of one kappa_c one
     ``output_maps`` call.
     """
-    params = []
-    for kc, _, _ in cases:
-        p = canonical_params(kc, ratio_r)
-        _check_stability_of(kc, p, grid)
-        params.append(p)
+    params = [canonical_params(kc, ratio_r) for kc, _, _ in cases]
+    for p in params:
+        check_stability(p, grid)
     by_kappa_c = {}
     for i, (kc, _, _) in enumerate(cases):
         by_kappa_c.setdefault(kc, []).append(i)
@@ -132,12 +130,6 @@ def oracle_kernel_deviations(cases, ratio_r: float, grid: Grid) -> list[tuple[fl
     return [(_relative_deviation((kf.xi1, kf.xi2), (of.xi1, of.xi2)),
              _relative_deviation((ks.jz, ks.jy), (os_.jz, os_.jy)))
             for (kf, ks), (of, os_) in zip(kernel, oracle)]
-
-
-def oracle_kernel_deviation(kappa_c: float, ratio_r: float, grid: Grid,
-                            field_fns, spin_fns) -> tuple[float, float]:
-    """``oracle_kernel_deviations`` of one profile."""
-    return oracle_kernel_deviations([(kappa_c, field_fns, spin_fns)], ratio_r, grid)[0]
 
 
 def _run_scan(config: RunConfig, out: Path, config_text: str) -> int:

@@ -43,7 +43,6 @@ omega and (v_y, v_z) in place of (v1, v2).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -51,8 +50,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernels import UnresolvedError, kernel_cross_scaled, kernel_self_scaled
-from .lattice import _bin_layout, _check_stability_of, _group_size, transfer_adjoint_apply
+from .lattice import _bin_layout, transfer_adjoint_apply
 from .model import DimensionlessGroups, Grid, canonical_params
+from .quadrature import PanelRule
 
 __all__ = [
     "VarianceBreakdown",
@@ -118,17 +118,12 @@ def _cos_bin_averages(w: float, n: int) -> np.ndarray:
     return (np.sin(w * edges[1:]) - np.sin(w * edges[:-1])) * n / w
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the m-point Gauss-Legendre rule on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(m)
-    return 0.5 * (1.0 + x), 0.5 * w
-
-
 def _filter_norms(kappa_c: float, w: float, m: int) -> tuple[float, float, float]:
     """F, Gamma and Int cos^2 by the m x m tensor rule: f and g at the nodes
     1 - x from the closed-form map applied to c(v) = cos(w (1 - v))."""
-    x, wt = _gauss_rule(m)
+    rule = PanelRule(m)
+    # the m-point Gauss-Legendre rule mapped to [0, 1]
+    x, wt = 0.5 * (1.0 + rule.x), 0.5 * rule.w
     cx = np.cos(w * (1.0 - x))
     # the filters square I0/I1 values, so the blue wing can leave the double
     # range below the kernels' own argument threshold; that raises here
@@ -218,45 +213,42 @@ def _channel_ratios(grid: Grid, columns) -> list[tuple[float, float, float]]:
 
     Every input bin and every bin of the unmodified channel carries variance
     1/2, so these ratios are the SQL-normalized variance and its split.
-    The columns ride adjoint sweeps in groups of lattice._group_size (at
-    grid 1024, the two channels of 8 scan points).  Each column is its own
-    stack entry of the sweep, so it is marched at the width of a one-column
-    sweep: BLAS rounds a block product differently at other widths, and
-    this keeps every column bit-identical to sweeping it alone, in any
-    group.
+    All columns are one ``transfer_adjoint_apply`` call, which checks every
+    params before any sweep and keeps each column bit-identical to applying
+    it alone.  A column whose ratios leave the double range (the blue wing
+    can, inside the stability limit) raises OverflowError naming its kappa_c.
     """
     nt, ns = grid.n_time, grid.n_space
     layout = _bin_layout(nt, ns)
-    size = _group_size(grid)
+    y = np.zeros((2 * nt + 2 * ns, len(columns)))
+    for c, (_, channel, weights) in enumerate(columns):
+        y[layout[channel], c] = weights
     ratios = []
-    for start in range(0, len(columns), size):
-        group = columns[start:start + size]
-        y = np.zeros((2 * nt + 2 * ns, len(group)))
-        for c, (_, channel, weights) in enumerate(group):
-            y[layout[channel], c] = weights
-        mty = transfer_adjoint_apply([params for params, _, _ in group], grid, y)
-        for c, (_, _, weights) in enumerate(group):
+    with np.errstate(over="ignore", invalid="ignore"):
+        mty = transfer_adjoint_apply([params for params, _, _ in columns], grid, y)
+        for c, (params, channel, weights) in enumerate(columns):
             # a contiguous copy: BLAS sums a strided vector in another order
             col = np.ascontiguousarray(mty[:, c])
             light, spin = col[:2 * nt], col[2 * nt:]
             norm = float(weights @ weights)
-            ratios.append((float(col @ col) / norm, float(light @ light) / norm,
-                           float(spin @ spin) / norm))
+            ratio = (float(col @ col) / norm, float(light @ light) / norm,
+                     float(spin @ spin) / norm)
+            if not all(map(math.isfinite, ratio)):
+                raise OverflowError(
+                    f"transfer-matrix variance overflows at kappa_c = {params.kappa_c:.6g}: "
+                    f"{channel} ratios (all, light, spin) = {ratio!r}"
+                )
+            ratios.append(ratio)
     return ratios
 
 
 def _matrix_breakdowns(points, grid: Grid, mode: str) -> list[VarianceBreakdown]:
     """Transfer-matrix covariance route, exact for kappa2, Omega != 0.
 
-    Every point is checked before any sweep.  Each point then gives two
-    columns: its cosine weights on (Xi1, Xi2) for readout or (Jy, Jz) for
-    memory, the beta-coupled observable first.
+    Each point gives two columns: its cosine weights on (Xi1, Xi2) for
+    readout or (Jy, Jz) for memory, the beta-coupled observable first.
     """
-    params = []
-    for g in points:
-        p = canonical_params(g.kappa_c, g.ratio_r, g.kappa2_L, g.Omega_T)
-        _check_stability_of(g.kappa_c, p, grid)
-        params.append(p)
+    params = [canonical_params(g.kappa_c, g.ratio_r, g.kappa2_L, g.Omega_T) for g in points]
     if mode == "readout":
         n, channels = grid.n_time, ("xi1", "xi2")
         weights = [_cos_bin_averages(g.omega_T, n) for g in points]

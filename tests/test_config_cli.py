@@ -460,21 +460,26 @@ def test_block_outside_its_modes_rejected(tmp_path, capsys, doc, block, modes):
     assert f"config error: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("start, message", [
+@pytest.mark.parametrize("mode, couplings, n, start, message", [
     # kappa_c = -1e5 keeps the I0/I1 argument below I_OVERFLOW_X, but the
     # squared variance filters leave the double range; the variance layer raises
-    (-1e5, "variance integrals overflow at kappa_c = -100000:"),
+    ("readout", {}, 64, -1e5, "variance integrals overflow at kappa_c = -100000:"),
     # kappa_c = -1.5e5 and beyond overflow the kernel argument itself
-    (-1.5e5, "exceeds overflow threshold"),
-], ids=["variance-overflow", "kernel-threshold"])
-def test_cli_blue_wing_overflow_writes_nothing(tmp_path, capsys, start, message):
+    ("readout", {}, 64, -1.5e5, "exceeds overflow threshold"),
+    # on the matrix route kappa_c = -2e5 is inside the stability limit at
+    # grid 1024, but the adjoint sweep leaves the double range
+    ("memory", {"q_L": 0.5, "kappa2_L": 0.3, "Omega_T": 0.3}, 1024, -2e5,
+     "transfer-matrix variance overflows at kappa_c = -200000:"),
+], ids=["variance-overflow", "kernel-threshold", "matrix-route"])
+def test_cli_blue_wing_overflow_writes_nothing(tmp_path, capsys, mode, couplings, n,
+                                               start, message):
     doc = {
-        "mode": "readout",
-        "groups": {"kappa_c": -1e5, "r": 10, "omega_T": 0.5},
-        "grid": {"n_time": 64, "n_space": 64},
+        "mode": mode,
+        "groups": {"kappa_c": -1e5, "r": 10, "omega_T": 0.5, **couplings},
+        "grid": {"n_time": n, "n_space": n},
         "scan": {"from": start, "to": -2e5, "points": 3},
     }
-    code, out = _run_cli(tmp_path, doc, "readout")
+    code, out = _run_cli(tmp_path, doc, mode)
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

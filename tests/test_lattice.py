@@ -362,7 +362,7 @@ def test_integrate_stacked_rejects_arrays_off_the_grid(u_shape, w_shape):
 def test_stacked_integrate_equals_single_calls_and_is_linear(points, rhs, group,
                                                              n_time, n_space):
     # entry p rides a stack of `group` entries yet matches its own sweep bit
-    # for bit; the stacked map is linear in (u, w)
+    # for bit, forward and adjoint; the stacked map is linear in (u, w)
     assume(n_time != n_space)
     params = [canonical_params(*p) for p in points]
     grid = Grid(n_time, n_space)
@@ -381,6 +381,10 @@ def test_stacked_integrate_equals_single_calls_and_is_linear(points, rhs, group,
         al, be = 1.25, -0.75
         combo = integrate_stacked(params, grid, al * u1 + be * u2, al * w1 + be * w2)
         other = integrate_stacked(params, grid, u2, w2)
+        y = rng.normal(size=(2 * n_time + 2 * n_space,) + shape)
+        mty = transfer_adjoint_apply(params, grid, y)
+        for k, p in enumerate(params):
+            np.testing.assert_array_equal(mty[:, k], transfer_adjoint_apply(p, grid, y[:, k]))
     for got, a, b in zip(combo, (u, w), other):
         want = al * a + be * b
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))

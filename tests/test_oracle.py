@@ -11,8 +11,7 @@ from polariton_lab.kernels import _apply_kernel, _interp_uniform_centers, kernel
 from polariton_lab.lattice import integrate_extrapolated
 from polariton_lab.model import Grid, canonical_params
 from polariton_lab.quadrature import PanelRule, panel_nodes
-from polariton_lab.runner import (oracle_kernel_deviation, oracle_kernel_deviations,
-                                  random_smooth_profiles)
+from polariton_lab.runner import oracle_kernel_deviations, random_smooth_profiles
 
 # n_time != n_space: the field's and the spin's cross integrals have other
 # source and output sizes, so each kappa_c takes two applies
@@ -44,7 +43,7 @@ def test_batch_deviations_match_one_profile_calls():
     batch = oracle_kernel_deviations(cases, RATIO_R, GRID)
     assert len(batch) == len(cases)
     for (kc, field_fns, spin_fns), devs in zip(cases, batch):
-        one = oracle_kernel_deviation(kc, RATIO_R, GRID, field_fns, spin_fns)
+        (one,) = oracle_kernel_deviations([(kc, field_fns, spin_fns)], RATIO_R, GRID)
         np.testing.assert_allclose(devs, one, rtol=0, atol=1e-14)
 
 

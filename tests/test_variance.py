@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polariton_lab.kernels import UnresolvedError, kernel_cross_scaled, kernel_self_scaled
 from polariton_lab.model import DimensionlessGroups, Grid, canonical_params
@@ -46,6 +46,56 @@ def test_sql_limit_exact():
     assert br.v1 == 1.0 and br.v2 == 1.0 and br.f_self == 1.0
     bm = memory_variances(groups(0.0, q_L=0.5), G256)
     assert bm.v1 == 1.0 and bm.v2 == 1.0
+
+
+# kappa2_L = Omega_T = 0 is the kernel route, any other pair the matrix route
+@pytest.mark.parametrize("route", ["kernel", "matrix"])
+@settings(max_examples=5)
+@given(r=st.floats(0.2, 10.0), x=st.floats(0.1, 5.0), kappa2_L=st.floats(-1.0, 1.0),
+       Omega_T=st.floats(-1.0, 1.0), n_time=st.integers(64, 96), n_space=st.integers(64, 96))
+def test_sql_limit_on_both_routes(route, r, x, kappa2_L, Omega_T, n_time, n_space):
+    # at kappa_c = 0 light and spin decouple, and the Stokes rotation and the
+    # precession keep every filtered variance at the SQL
+    assume(n_time != n_space)
+    if route == "kernel":
+        kappa2_L = Omega_T = 0.0
+    else:
+        assume((kappa2_L, Omega_T) != (0.0, 0.0))
+    grid = Grid(n_time, n_space)
+    for mode in ("readout", "memory"):
+        result = scan([0.0], mode, groups(0.0, r=r, omega_T=x, q_L=x, kappa2_L=kappa2_L,
+                                          Omega_T=Omega_T), grid)
+        assert result.route == route
+        (row,) = result.rows
+        for value in (row.f_self, row.v1, row.v2):
+            assert abs(value - 1.0) <= 1e-12
+
+
+@settings(max_examples=5)
+@given(kappa_c=st.floats(-200.0, 200.0), r=st.floats(0.2, 10.0), x=st.floats(0.1, 5.0))
+def test_readout_memory_exchange_kernel_route(kappa_c, r, x):
+    # both modes integrate the same closed-form filters at w = omega_T or q_L
+    assert (readout_variances(groups(kappa_c, r=r, omega_T=x), G256)
+            == memory_variances(groups(kappa_c, r=r, q_L=x), G256))
+
+
+@settings(max_examples=5)
+@given(kappa_c=st.floats(-200.0, 200.0), r=st.floats(0.2, 10.0), x=st.floats(0.1, 5.0),
+       a=st.floats(-1.0, 1.0), b=st.floats(-1.0, 1.0))
+def test_readout_memory_exchange_matrix_route(kappa_c, r, x, a, b):
+    # on a square grid, exchanging light and spin maps readout at
+    # (kappa2_L, Omega_T, omega_T) = (a, b, x) onto memory at (b, a, x)
+    assume((a, b) != (0.0, 0.0))
+    grid = Grid(64, 64)
+    ro = readout_variances(groups(kappa_c, r=r, omega_T=x, kappa2_L=a, Omega_T=b), grid)
+    mem = memory_variances(groups(kappa_c, r=r, q_L=x, kappa2_L=b, Omega_T=a), grid)
+    for got, want in ((mem.f_self, ro.f_self), (mem.v1, ro.v1), (mem.v2, ro.v2)):
+        assert abs(got - want) <= 1e-12 * abs(want)
+    # Gamma is (v1 - F) / (2 r |kappa_c|) on the matrix route, so its rounding
+    # is v1's over that coupling (= Gamma + F / coupling), which small
+    # |kappa_c| magnifies
+    coupling = 2.0 * r * abs(kappa_c)
+    assert abs(mem.gamma - ro.gamma) <= (1e-12 * ro.v1 / coupling if coupling else 0.0)
 
 
 def test_frozen_regression_values():
@@ -259,6 +309,20 @@ def _counting_adjoint(monkeypatch):
     return calls
 
 
+def _counting_sweeps(monkeypatch):
+    """Record the stack size of every lattice sweep."""
+    from polariton_lab import lattice
+    sizes = []
+    real = lattice._sweep
+
+    def counted(cells, u, w, record=None):
+        sizes.append(len(cells))
+        return real(cells, u, w, record)
+
+    monkeypatch.setattr(lattice, "_sweep", counted)
+    return sizes
+
+
 def test_general_variances_makes_one_sweep(monkeypatch):
     calls = _counting_adjoint(monkeypatch)
     grid = Grid(24, 20)
@@ -297,21 +361,21 @@ def test_matrix_scan_spans_two_groups(monkeypatch):
     kw = dict(q_L=0.9, kappa2_L=0.3, Omega_T=0.3)
     kcs = list(np.linspace(-2.0, 4.0, 130))
     expected = _point_rows(kcs, "memory", grid, **kw)
-    calls = _counting_adjoint(monkeypatch)
+    sweeps = _counting_sweeps(monkeypatch)
     result = scan(kcs, "memory", groups(0.0, **kw), grid)
     assert result.as_rows() == expected
-    assert [shape[1] for shape in calls] == [2 * 128, 2 * 2]
+    assert sweeps == [2 * 128, 2 * 2]
 
 
 def test_scan_checks_stability_before_any_sweep(monkeypatch):
     from polariton_lab.lattice import StabilityError
-    calls = _counting_adjoint(monkeypatch)
+    sweeps = _counting_sweeps(monkeypatch)
     with pytest.raises(StabilityError, match=(
             r"^kappa_c = 1100: stability precondition violated: "
             r"sqrt\(\|a\|\*dz\*dt\) = 0\.518223 >= 0\.5$")):
         scan([100.0, 600.0, 1100.0], "memory",
              groups(0.0, q_L=0.5, kappa2_L=0.3, Omega_T=0.3), Grid(64, 64))
-    assert calls == []
+    assert sweeps == []
 
 
 def test_general_variances_continuity_in_precession():
@@ -384,10 +448,19 @@ def test_error_conditions():
         general_variances(params, Grid(64, 64), np.ones(64), np.ones(63))
 
 
-@pytest.mark.parametrize("route", [readout_variances, memory_variances])
-def test_blue_wing_variance_overflow_raises(route):
+@pytest.mark.parametrize("route, kappa_c, couplings, grid", [
     # kappa_c = -1e5 keeps the I0/I1 argument (632) below the kernels'
-    # threshold, but the squared filters leave the double range: a named
-    # error, not inf with a RuntimeWarning
-    with pytest.raises(OverflowError, match=r"kappa_c = -100000\b"):
-        route(groups(-1e5, q_L=0.5), Grid(64, 64))
+    # threshold, but the squared filters leave the double range
+    pytest.param(readout_variances, -1e5, {}, Grid(64, 64), id="readout_variances"),
+    pytest.param(memory_variances, -1e5, {}, Grid(64, 64), id="memory_variances"),
+    # kappa_c = -4e4 is inside the stability limit at grid 512 (0.39 < 0.5),
+    # but the adjoint sweep leaves the double range
+    pytest.param(readout_variances, -4e4, dict(kappa2_L=0.3, Omega_T=0.3), Grid(512, 512),
+                 id="readout-matrix"),
+    pytest.param(memory_variances, -4e4, dict(kappa2_L=0.3, Omega_T=0.3), Grid(512, 512),
+                 id="memory-matrix"),
+])
+def test_blue_wing_variance_overflow_raises(route, kappa_c, couplings, grid):
+    # a named error, not inf or NaN with a RuntimeWarning
+    with pytest.raises(OverflowError, match=rf"kappa_c = {kappa_c:.6g}:"):
+        route(groups(kappa_c, q_L=0.5, **couplings), grid)

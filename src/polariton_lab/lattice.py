@@ -8,29 +8,40 @@ The hyperbolic system (retardation dropped)
 is marched on the unit lattice cell: light bins advance in z along each time
 row, spin bins advance in t along each space column, coupled by the implicit
 midpoint (trapezoid/Cayley) rule solved exactly per cell.  The per-cell map
-is a constant 4x4 matrix.  Cell (i, j), at space step i and time bin j,
-needs only cells (i-1, j) and (i, j-1), so the cells of one anti-diagonal
-i + j = d are independent: one sweep applies the cell to each anti-diagonal
-as a single block, in O(n_space * n_time) work and n_space + n_time - 1
-steps.  The same sweep marches a stack of cells, one per parameter point,
-with two matmuls per anti-diagonal for the whole stack, one for the light
-rows of the cells and one for the spin rows.  They read the anti-diagonal
-in place from one of two state buffers and write straight into the other,
-so a step moves no data besides the products and one light bin in and one
-out, and a stack of P points costs far less than P sweeps: the Python cost
-of a step is paid once for the stack.  Two callers march stacks: the
-matrix-route variance scans apply the adjoint that way, and the
-oracle-compare batch integrates every (kappa_c, profile) pair forward as
-one stack entry at each of its two grid levels.  Both hand over the whole
-stack: ``integrate_stacked`` and ``transfer_adjoint_apply`` check every
-point's stability before any sweep, and march the stack in sweeps of at
-most one step budget (``_group_size``) each.
+is a constant 4x4 matrix.
 
 Because the cell is constant the lattice is translation-invariant, and its
 impulse responses are the lattice Green's (Riemann) function of the Goursat
 problem.  The transfer matrix is assembled from four of them, Xi1 and Xi2
 impulses at time bin 0 and Jz and Jy impulses at space column 0, swept once
 with the cross histories recorded; the adjoint is the same sweep reversed.
+The same assembly gives the map of any b_t x b_s block of cells, a tile of
+2*b_t + 2*b_s rows and columns, and every block has the same tile.
+
+The sweep marches tiles.  Tile (i, j), at tile column i and tile row j,
+needs only tiles (i-1, j) and (i, j-1), so the tiles of one anti-diagonal
+i + j = d are independent: one sweep applies the tile to each anti-diagonal
+as a single block, in O(n_space * n_time) work and n_space/b_s +
+n_time/b_t - 1 steps.  A square tile costs 16*b^2 multiply-adds per
+right-hand side, as many as its cells, but in dense products of 4*b rows in
+place of 4, which cuts the steps and the per-step cost; a b_t x b_s tile
+costs (b_t + b_s)^2 / (4*b_t*b_s) times its cells.  The
+tile sides come from the grid alone (``_tile_sides``): per axis the largest
+power of two up to 16 that divides it, so a prime axis marches cell by cell
+and the 1x1 tile is the cell itself.  The same sweep marches a stack of
+tiles, one per parameter point, with two matmuls per anti-diagonal for the
+whole stack, one for the light rows of the tiles and one for the spin rows.
+They read the anti-diagonal in place from one of two state buffers and write
+straight into the other, so a step moves no data besides the products and
+one tile of light in and one out, and a stack of P points costs far less
+than P sweeps: the Python cost of a step is paid once for the stack.  Two
+callers march stacks: the matrix-route variance scans apply the adjoint that
+way, and the oracle-compare batch integrates every (kappa_c, profile) pair
+forward as one stack entry at each of its two grid levels.  Both hand over
+the whole stack: ``integrate_stacked`` and ``transfer_adjoint_apply`` check
+every point's stability before any sweep, and march the stack in sweeps of
+at most one step budget (``_group_size``) each, building each sweep's tiles
+first.  The transfer matrix's recorded sweep marches 1x1 tiles.
 
 The Cayley cell map is exactly canonical: it preserves the weighted
 antisymmetric form pairing (Xi1, Xi2) bins with weight +1 and (Jz, Jy) bins
@@ -76,17 +87,33 @@ SPIN_BLOCK_SIGN = -1.0
 
 _STABILITY_LIMIT = 0.5
 
-# Stack entries per sweep: as many as keep the longest anti-diagonal one sweep
-# step reads (entries x 4 rows x min(n_time, n_space) cells x right-hand
-# sides) within 0.5 MiB of doubles, the measured knee of the sweep time per
-# entry; the step writes as much again into the other state buffer.  At grid
-# 1024 with one right-hand side that is 16 entries.
+# Largest tile side: each axis is marched in tiles of the largest power of two
+# up to this that divides its bin count (``_tile_sides``), so a prime axis
+# gets 1-wide tiles.
+_TILE_SIDE = 16
+
+# Stack entries per sweep: as many as keep both the longest anti-diagonal one
+# sweep step reads (entries x D rows x min(m_t, m_s) tiles x right-hand sides,
+# D = 2*b_t + 2*b_s) and the entries' tile matrices (entries x D^2) within
+# 0.5 MiB of doubles, the measured knee of the sweep time per entry; the step
+# writes as much again into the other state buffer.  Counting the tiles keeps
+# a big stack on a small grid bounded.  At grid 1024 with one right-hand side
+# that is 16 entries.
 _GROUP_STEP_DOUBLES = 1 << 16
+
+
+def _tile_sides(grid: Grid) -> tuple[int, int]:
+    """Tile sides (b_t, b_s): per axis, the largest power of two up to
+    ``_TILE_SIDE`` that divides the axis's bin count."""
+    return math.gcd(grid.n_time, _TILE_SIDE), math.gcd(grid.n_space, _TILE_SIDE)
 
 
 def _group_size(grid: Grid, nrhs: int = 1) -> int:
     """Stack entries of ``nrhs`` right-hand sides each that one sweep marches."""
-    return max(1, _GROUP_STEP_DOUBLES // (4 * min(grid.n_time, grid.n_space) * nrhs))
+    b_t, b_s = _tile_sides(grid)
+    rows = 2 * b_t + 2 * b_s
+    step = rows * min(grid.n_time // b_t, grid.n_space // b_s) * nrhs
+    return max(1, _GROUP_STEP_DOUBLES // max(step, rows * rows))
 
 
 class StabilityError(ValueError):
@@ -142,78 +169,98 @@ def _stack_cells(params: PhysicalParams | Sequence[PhysicalParams],
                             for p in stack])
 
 
-def _sweep(cells: np.ndarray, u: np.ndarray, w: np.ndarray,
+def _sweep(tiles: np.ndarray, u: np.ndarray, w: np.ndarray, sides: tuple[int, int] = (1, 1),
            record: tuple[slice, slice] | None = None) -> tuple[np.ndarray, ...]:
-    """March light u and spin w across the lattice by one cell or a stack of cells.
+    """March light u and spin w across the lattice by one tile or a stack of tiles.
 
-    ``cells`` is one (4, 4) cell, marching light u (2, n_time, ...) and spin
-    w (2, n_space, ...), or a stack (P, 4, 4) marching u (P, 2, n_time, ...)
-    and w (P, 2, n_space, ...), stack entry p by cell p.  The trailing axes
-    are right-hand sides.  Returns the light after the last space step and
-    the spin after the last time step, in the input shapes.
+    A tile is the map of a b_t x b_s block of cells, ``sides = (b_t, b_s)``:
+    a square matrix of D = 2*b_t + 2*b_s rows whose rows and columns are the
+    bins of a b_t x b_s grid in the ``_bin_layout`` order, Xi1 and Xi2 over
+    b_t time bins, then Jz and Jy over b_s space bins.  The 1x1 tile is the
+    (4, 4) cell.  ``tiles`` is one (D, D) tile, marching light u
+    (2, n_time, ...) and spin w (2, n_space, ...), or a stack (P, D, D)
+    marching u (P, 2, n_time, ...) and w (P, 2, n_space, ...), stack entry p
+    by tile p.  b_t divides n_time and b_s divides n_space.  The trailing
+    axes are right-hand sides.  Returns the light after the last space step
+    and the spin after the last time step, in the input shapes.
 
-    Each stack entry's state lives in two (4, (n_space + 1)*R) buffers, R
-    right-hand sides per column, read and written in turn.  Column
-    c = n_space - i holds spin column i in rows 2:4 and, in rows 0:2, the
-    light bin that enters cell (i, j) next, so the cells of one
-    anti-diagonal read one column range [c0*R:c1*R].  A step applies the
-    light and spin rows of the cells to that range with two matmuls straight
-    into the other buffer: spin to the same columns, light one column left,
-    where its next cell's spin column is.  Besides them a step copies only
-    the light bin entering at column n_space from u and the one leaving at
-    column 0 back to u.  Spin column i ends in the buffer of parity
-    n_time + i, and is read back from there.
+    The tiles form an m_t x m_s lattice, m_t = n_time / b_t and
+    m_s = n_space / b_s, swept like the cells of a 1x1 lattice in
+    m_t + m_s - 1 anti-diagonal steps.  Each stack entry's state lives in
+    two (D, (m_s + 1)*R) buffers, R right-hand sides per column, read and
+    written in turn.  Column c = m_s - i holds the spin of tile column i in
+    rows 2*b_t:D and, in rows 0:2*b_t, the light that enters tile (i, j)
+    next, so the tiles of one anti-diagonal read one column range
+    [c0*R:c1*R].  A step applies the light and spin rows of the tiles to
+    that range with two matmuls straight into the other buffer: spin to the
+    same columns, light one column left, where its next tile's spin column
+    is.  Besides them a step copies only the light entering at column m_s
+    from u and the light leaving at column 0 back to u.  Tile column i's
+    spin ends in the buffer of parity m_t + i, and is read back from there.
 
     ``record = (light_rhs, spin_rhs)``, two index slices of the right-hand
-    sides, also returns the light history of light_rhs and the spin history
-    of spin_rhs: arrays (2, n_space, n_time, ...) whose [:, k, j] is the
-    output of cell (n_space - 1 - k, j), the light after that space step or
-    the spin after that time step.  In this layout every anti-diagonal is
-    one strided run of the flattened (k, j) axis.
+    sides, needs 1x1 tiles and also returns the light history of light_rhs
+    and the spin history of spin_rhs: arrays (2, n_space, n_time, ...) whose
+    [:, k, j] is the output of cell (n_space - 1 - k, j), the light after
+    that space step or the spin after that time step.  In this layout every
+    anti-diagonal is one strided run of the flattened (k, j) axis.
     """
-    cells = np.asarray(cells, dtype=float)
-    lead = cells.shape[:-2]
+    tiles = np.asarray(tiles, dtype=float)
+    lead = tiles.shape[:-2]
     axis = len(lead) + 1
     shape_u, shape_w = np.shape(u), np.shape(w)
-    n_time, n_space = shape_u[axis], shape_w[axis]
+    b_t, b_s = sides
+    m_t, m_s = shape_u[axis] // b_t, shape_w[axis] // b_s
     nrhs = math.prod(shape_u[axis + 1:])
-    # light leaves into the copy it entered from; rebinding u and deleting w
-    # let a caller's temporary inputs go before the march
-    u = np.array(u, dtype=float, order="C").reshape(lead + (2, n_time * nrhs))
-    state = np.empty((2,) + lead + (4, n_space + 1, nrhs))
-    state[..., 2:, 1:, :] = np.reshape(w, lead + (2, n_space, nrhs))[..., ::-1, :]
+    light_rows = 2 * b_t
+    # light leaves into the copy it entered from, kept in the input's bin
+    # order: tile row j's light is u_tiles[..., :, j, :, :].  Rebinding u and
+    # deleting w let a caller's temporary inputs go before the march
+    u = np.array(u, dtype=float, order="C")
+    u_tiles = u.reshape(lead + (2, m_t, b_t, nrhs))
+    state = np.empty((2,) + lead + (light_rows + 2 * b_s, m_s + 1, nrhs))
+    # views of the rows of a column as (2, b_t) light and (2, b_s) spin bins:
+    # splitting an axis never copies.  The light enters at column m_s
+    # and leaves at column 0
+    light_in = state[..., :light_rows, m_s, :].reshape((2,) + lead + (2, b_t, nrhs))
+    light_out = state[..., :light_rows, 0, :].reshape((2,) + lead + (2, b_t, nrhs))
+    spin_state = state[..., light_rows:, :, :].reshape(
+        (2,) + lead + (2, b_s, m_s + 1, nrhs))
+    spin_state[..., 1:, :] = np.reshape(
+        w, lead + (2, m_s, b_s, nrhs))[..., ::-1, :, :].swapaxes(-3, -2)
     del w
-    buffers = state.reshape((2,) + lead + (4, (n_space + 1) * nrhs))
-    light_cells, spin_cells = cells[..., :2, :], cells[..., 2:, :]
+    buffers = state.reshape((2,) + lead + (light_rows + 2 * b_s, (m_s + 1) * nrhs))
+    light_tiles, spin_tiles = tiles[..., :light_rows, :], tiles[..., light_rows:, :]
     if record is not None:
         light_rhs, spin_rhs = record
-        light_hist = np.zeros(lead + (2, n_space * n_time, len(range(nrhs)[light_rhs])))
-        spin_hist = np.zeros(lead + (2, n_space * n_time, len(range(nrhs)[spin_rhs])))
+        light_hist = np.zeros(lead + (2, m_s * m_t, len(range(nrhs)[light_rhs])))
+        spin_hist = np.zeros(lead + (2, m_s * m_t, len(range(nrhs)[spin_rhs])))
     # with no space column, column 0 would both take and give the light
-    for d in range(n_time + n_space - 1 if n_time and n_space else 0):
+    for d in range(m_t + m_s - 1 if m_t and m_s else 0):
         src, dst = buffers[d % 2], buffers[1 - d % 2]
-        j0, j1 = max(0, d - n_space + 1), min(d, n_time - 1) + 1
-        c0 = n_space - d + j0
+        j0, j1 = max(0, d - m_s + 1), min(d, m_t - 1) + 1
+        c0 = m_s - d + j0
         c1 = c0 + j1 - j0
-        if d < n_time:
-            src[..., :2, n_space * nrhs:] = u[..., d * nrhs:(d + 1) * nrhs]
+        if d < m_t:
+            light_in[d % 2] = u_tiles[..., :, d, :, :]
         diagonal = src[..., c0 * nrhs:c1 * nrhs]
-        light = np.matmul(light_cells, diagonal, out=dst[..., :2, (c0 - 1) * nrhs:(c1 - 1) * nrhs])
-        spin = np.matmul(spin_cells, diagonal, out=dst[..., 2:, c0 * nrhs:c1 * nrhs])
+        light = np.matmul(light_tiles, diagonal,
+                          out=dst[..., :light_rows, (c0 - 1) * nrhs:(c1 - 1) * nrhs])
+        spin = np.matmul(spin_tiles, diagonal, out=dst[..., light_rows:, c0 * nrhs:c1 * nrhs])
         if c0 == 1:
-            u[..., j0 * nrhs:(j0 + 1) * nrhs] = dst[..., :2, :nrhs]
+            u_tiles[..., :, j0, :, :] = light_out[1 - d % 2]
         if record is not None:
-            run = slice((c0 - 1) * n_time + j0, (c1 - 1) * n_time + j1, n_time + 1)
+            run = slice((c0 - 1) * m_t + j0, (c1 - 1) * m_t + j1, m_t + 1)
             cut = lead + (2, j1 - j0, nrhs)
             light_hist[..., run, :] = light.reshape(cut)[..., light_rhs]
             spin_hist[..., run, :] = spin.reshape(cut)[..., spin_rhs]
-    w = np.empty(lead + (2, n_space, nrhs))
-    w[..., 0::2, :] = state[n_time % 2, ..., 2:, n_space:0:-2, :]
-    w[..., 1::2, :] = state[1 - n_time % 2, ..., 2:, n_space - 1:0:-2, :]
+    w = np.empty(lead + (2, m_s, b_s, nrhs))
+    w[..., 0::2, :, :] = spin_state[m_t % 2, ..., m_s:0:-2, :].swapaxes(-3, -2)
+    w[..., 1::2, :, :] = spin_state[1 - m_t % 2, ..., m_s - 1:0:-2, :].swapaxes(-3, -2)
     u, w = u.reshape(shape_u), w.reshape(shape_w)
     if record is None:
         return u, w
-    shape = lead + (2, n_space, n_time)
+    shape = lead + (2, m_s, m_t)
     return (u, w, light_hist.reshape(shape + light_hist.shape[-1:]),
             spin_hist.reshape(shape + spin_hist.shape[-1:]))
 
@@ -225,15 +272,19 @@ def _march(cells: np.ndarray, grid: Grid, u: np.ndarray, w: np.ndarray,
     be u and w themselves: a sweep copies its group's input before the
     group's output is written.
 
-    The entries ride stacked sweeps of up to ``_group_size`` entries.  Each
-    is its own stack entry, so it is marched at the width of a sweep of it
-    alone: BLAS rounds a block product differently at other widths, and this
-    keeps every entry bit-identical to sweeping it alone, in any group.
+    The entries ride stacked sweeps of up to ``_group_size`` entries, in
+    tiles of ``_tile_sides(grid)``: each sweep first builds its entries'
+    tiles from their cells by ``_green_matrix``.  Each is its own stack
+    entry, so it is marched at the width of a sweep of it alone: BLAS rounds
+    a block product differently at other widths, and this keeps every entry
+    bit-identical to sweeping it alone, in any group.
     """
+    sides = _tile_sides(grid)
     size = _group_size(grid, math.prod(u.shape[3:]))
     for start in range(0, len(cells), size):
         group = slice(start, start + size)
-        out_u[group], out_w[group] = _sweep(cells[group], u[group], w[group])
+        tiles = _green_matrix(cells[group], *sides)
+        out_u[group], out_w[group] = _sweep(tiles, u[group], w[group], sides)
 
 
 def integrate_stacked(params: PhysicalParams | Sequence[PhysicalParams], grid: Grid,
@@ -348,46 +399,57 @@ class TransferMatrix:
 
 
 def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
-    """Read-only lower-triangular Toeplitz view: [j, j0] = col[j - j0], 0 above."""
-    n = col.size
-    padded = np.concatenate((col[::-1], np.zeros(n - 1)))
-    return np.lib.stride_tricks.sliding_window_view(padded, n)[::-1]
+    """Read-only lower-triangular Toeplitz views of the last axis:
+    [..., j, j0] = col[..., j - j0], 0 above."""
+    n = col.shape[-1]
+    padded = np.concatenate((col[..., ::-1], np.zeros(col.shape[:-1] + (n - 1,))), axis=-1)
+    return np.lib.stride_tricks.sliding_window_view(padded, n, axis=-1)[..., ::-1, :]
 
 
-def build_transfer_matrix(params: PhysicalParams, grid: Grid) -> TransferMatrix:
-    """M from the lattice Green's function: four impulse responses, one sweep.
+def _green_matrix(cells: np.ndarray, n_time: int, n_space: int,
+                  nl: float = 1.0, nsp: float = 1.0) -> np.ndarray:
+    """The n_time x n_space lattice's input-output matrix, in the
+    ``_bin_layout`` order, for one (4, 4) cell or each cell of a (P, 4, 4)
+    stack, on light bins scaled by nl and spin bins by nsp.
 
     The cell is constant, so the lattice is translation-invariant and every
-    block of M is a slice of the responses to unit normalized Xi1 and Xi2
-    bins at time bin 0 and unit Jz and Jy bins at space column 0, swept
-    together as four right-hand sides.  Light->light and spin->spin blocks
-    are lower-triangular Toeplitz in the final light and spin.  Spin->light
+    block is a slice of the responses to unit scaled Xi1 and Xi2 bins at
+    time bin 0 and unit Jz and Jy bins at space column 0, swept together as
+    four right-hand sides.  Light->light and spin->spin blocks are
+    lower-triangular Toeplitz in the final light and spin.  Spin->light
     blocks read the light history of the spin impulses: the light of an
     impulse at column i0 leaves the lattice as the light after space step
     n_space - 1 - i0 of the impulse at column 0.  Light->spin blocks read the
     spin history of the light impulses the same way.  Each entry is the same
-    sequence of cell products as the response to its own unit impulse.
+    sequence of cell products as the response to its own unit impulse.  With
+    unit scales this is the raw map of a block of cells, the tile of a sweep.
     """
-    check_stability(params, grid)
-    nt, ns = grid.n_time, grid.n_space
-    dim = 2 * nt + 2 * ns
-    nl, nsp = _norms(params, grid)
-    cell = cell_matrix(params, grid.dz(params.length_L), grid.dt(params.time_T))
-    u = np.zeros((2, nt, 4))
-    w = np.zeros((2, ns, 4))
-    u[0, 0, 0] = u[1, 0, 1] = 1.0 / nl
-    w[0, 0, 2] = w[1, 0, 3] = 1.0 / nsp
-    u, w, light_hist, spin_hist = _sweep(cell, u, w, record=(slice(2, 4), slice(0, 2)))
-    b = _bin_layout(nt, ns)
+    lead = cells.shape[:-2]
+    u = np.zeros(lead + (2, n_time, 4))
+    w = np.zeros(lead + (2, n_space, 4))
+    u[..., 0, 0, 0] = u[..., 1, 0, 1] = 1.0 / nl
+    w[..., 0, 0, 2] = w[..., 1, 0, 3] = 1.0 / nsp
+    u, w, light_hist, spin_hist = _sweep(cells, u, w, record=(slice(2, 4), slice(0, 2)))
+    b = _bin_layout(n_time, n_space)
     light, spin = (b["xi1"], b["xi2"]), (b["jz"], b["jy"])
-    out = np.empty((dim, dim))
+    dim = 2 * n_time + 2 * n_space
+    out = np.empty(lead + (dim, dim))
     for o in range(2):
         for i in range(2):
-            out[light[o], light[i]] = _lower_toeplitz(u[o, :, i] * nl)
-            out[spin[o], spin[i]] = _lower_toeplitz(w[o, :, 2 + i] * nsp)
-            out[light[o], spin[i]] = light_hist[o, :, :, i].T * nl
-            out[spin[o], light[i]] = spin_hist[o, ::-1, ::-1, i] * nsp
-    return TransferMatrix(out, nt, ns)
+            out[..., light[o], light[i]] = _lower_toeplitz(u[..., o, :, i] * nl)
+            out[..., spin[o], spin[i]] = _lower_toeplitz(w[..., o, :, 2 + i] * nsp)
+            out[..., light[o], spin[i]] = light_hist[..., o, :, :, i].swapaxes(-1, -2) * nl
+            out[..., spin[o], light[i]] = spin_hist[..., o, ::-1, ::-1, i] * nsp
+    return out
+
+
+def build_transfer_matrix(params: PhysicalParams, grid: Grid) -> TransferMatrix:
+    """M from the lattice Green's function: four impulse responses, one sweep
+    (``_green_matrix`` on the normalized bins)."""
+    check_stability(params, grid)
+    cell = cell_matrix(params, grid.dz(params.length_L), grid.dt(params.time_T))
+    return TransferMatrix(_green_matrix(cell, grid.n_time, grid.n_space, *_norms(params, grid)),
+                          grid.n_time, grid.n_space)
 
 
 def _reversed_halves(x: np.ndarray, n_time: int,
@@ -432,6 +494,8 @@ def transfer_adjoint_apply(params: PhysicalParams | Sequence[PhysicalParams], gr
     y_light, y_spin = _reversed_halves(y, nt, ns)
     np.multiply(y_light, nl, out=light)
     np.multiply(y_spin, nsp, out=spin)
+    # a caller's temporary y goes before the march
+    del y, y_light, y_spin
     _march(cells.transpose(0, 2, 1), grid, light, spin, light, spin)
     light /= nl
     spin /= nsp

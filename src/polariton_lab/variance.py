@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernels import UnresolvedError, kernel_cross_scaled, kernel_self_scaled
-from .lattice import _bin_layout, transfer_adjoint_apply
+from .lattice import _bin_layout, _group_size, check_stability, transfer_adjoint_apply
 from .model import DimensionlessGroups, Grid, canonical_params
 from .quadrature import PanelRule
 
@@ -213,33 +213,52 @@ def _channel_ratios(grid: Grid, columns) -> list[tuple[float, float, float]]:
 
     Every input bin and every bin of the unmodified channel carries variance
     1/2, so these ratios are the SQL-normalized variance and its split.
-    All columns are one ``transfer_adjoint_apply`` call, which checks every
-    params before any sweep and keeps each column bit-identical to applying
-    it alone.  A column whose ratios leave the double range (the blue wing
-    can, inside the stability limit) raises OverflowError naming its kappa_c.
+    Every params is checked for stability before any sweep.  The columns
+    then go to ``transfer_adjoint_apply`` one sweep group (``_group_size``)
+    at a time, each group reduced to its ratios before the next group's y is
+    built, so a long scan holds one group's y and M^T y; each column is
+    bit-identical to applying it alone.  A column whose ratios leave the
+    double range (the blue wing can, inside the stability limit) raises
+    OverflowError naming its kappa_c.
     """
-    nt, ns = grid.n_time, grid.n_space
-    layout = _bin_layout(nt, ns)
-    y = np.zeros((2 * nt + 2 * ns, len(columns)))
+    for params, _, _ in columns:
+        check_stability(params, grid)
+    size = _group_size(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [ratio for start in range(0, len(columns), size)
+                for ratio in _group_ratios(grid, columns[start:start + size])]
+
+
+def _group_ratios(grid: Grid, columns) -> list[tuple[float, float, float]]:
+    """``_channel_ratios`` of the columns of one adjoint sweep."""
+    nt = grid.n_time
+    # y goes straight into the call, which lets it go before the sweep
+    mty = transfer_adjoint_apply([params for params, _, _ in columns], grid,
+                                 _channel_weights(grid, columns))
+    ratios = []
+    for c, (params, channel, weights) in enumerate(columns):
+        # a contiguous copy: BLAS sums a strided vector in another order
+        col = np.ascontiguousarray(mty[:, c])
+        light, spin = col[:2 * nt], col[2 * nt:]
+        norm = float(weights @ weights)
+        ratio = (float(col @ col) / norm, float(light @ light) / norm,
+                 float(spin @ spin) / norm)
+        if not all(map(math.isfinite, ratio)):
+            raise OverflowError(
+                f"transfer-matrix variance overflows at kappa_c = {params.kappa_c:.6g}: "
+                f"{channel} ratios (all, light, spin) = {ratio!r}"
+            )
+        ratios.append(ratio)
+    return ratios
+
+
+def _channel_weights(grid: Grid, columns) -> np.ndarray:
+    """y (dim, columns): each column's weights on its channel of the bin layout."""
+    layout = _bin_layout(grid.n_time, grid.n_space)
+    y = np.zeros((2 * grid.n_time + 2 * grid.n_space, len(columns)))
     for c, (_, channel, weights) in enumerate(columns):
         y[layout[channel], c] = weights
-    ratios = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        mty = transfer_adjoint_apply([params for params, _, _ in columns], grid, y)
-        for c, (params, channel, weights) in enumerate(columns):
-            # a contiguous copy: BLAS sums a strided vector in another order
-            col = np.ascontiguousarray(mty[:, c])
-            light, spin = col[:2 * nt], col[2 * nt:]
-            norm = float(weights @ weights)
-            ratio = (float(col @ col) / norm, float(light @ light) / norm,
-                     float(spin @ spin) / norm)
-            if not all(map(math.isfinite, ratio)):
-                raise OverflowError(
-                    f"transfer-matrix variance overflows at kappa_c = {params.kappa_c:.6g}: "
-                    f"{channel} ratios (all, light, spin) = {ratio!r}"
-                )
-            ratios.append(ratio)
-    return ratios
+    return y
 
 
 def _matrix_breakdowns(points, grid: Grid, mode: str) -> list[VarianceBreakdown]:

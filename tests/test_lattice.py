@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polariton_lab import lattice
 from polariton_lab.kernels import (
@@ -316,6 +316,67 @@ def test_sweep_matches_cell_by_cell_split_and_alone(n_time, n_space, points, rhs
         np.testing.assert_allclose(whole_w[p], slow_w, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n_time, n_space, sides", [
+    (512, 512, (16, 16)),
+    (1536, 1536, (16, 16)),
+    (1000, 1000, (8, 8)),
+    (257, 257, (1, 1)),
+    (4096, 16, (16, 16)),
+])
+def test_tile_sides_follow_the_grid(n_time, n_space, sides):
+    # per axis the largest power of two up to 16 that divides it
+    assert lattice._tile_sides(Grid(n_time, n_space)) == sides
+
+
+# a prime axis, and axes of different power-of-two factors; the first two sit
+# on the blue wing at the stability limit
+@example(n_time=47, n_space=32, points=[(-1.0, 3.0, 1.0, -1.0)], rhs=(3,))
+@example(n_time=48, n_space=40, points=[(-1.0, 0.5, -1.0, 1.0), (0.5, 3.0, 0.3, 0.2)], rhs=())
+@example(n_time=13, n_space=2, points=[(0.7, 2.0, 0.5, 0.5)], rhs=())
+@example(n_time=24, n_space=36, points=[(0.2, 1.0, -0.4, 0.9)] * 3, rhs=(3,))
+@settings(max_examples=30)
+@given(n_time=st.integers(2, 48), n_space=st.integers(2, 48),
+       points=st.lists(_STABLE_POINT, min_size=1, max_size=4),
+       rhs=st.sampled_from([(), (3,)]))
+def test_tiled_march_matches_cell_sweep_and_alone(n_time, n_space, points, rhs):
+    # the tiles regroup the cell products, so the march differs from the
+    # cell sweep by rounding relative to its largest term; past |out| = 1
+    # (the blue wing grows) the bound grows as max|out|
+    assume(n_time != n_space)
+    grid = Grid(n_time, n_space)
+    cells = np.stack([lattice.cell_matrix(_stable_params(q, n_time, n_space), grid.dz(1.0),
+                                          grid.dt(1.0)) for q in points])
+    rng = np.random.default_rng(n_time * 64 + n_space)
+    u = rng.normal(size=(len(cells), 2, n_time) + rhs)
+    w = rng.normal(size=(len(cells), 2, n_space) + rhs)
+    out_u, out_w = np.empty(u.shape), np.empty(w.shape)
+    lattice._march(cells, grid, u, w, out_u, out_w)
+    cell_u, cell_w = lattice._sweep(cells, u, w)
+    atol = 1e-12 * max(1.0, np.max(np.abs(cell_u)), np.max(np.abs(cell_w)))
+    np.testing.assert_allclose(out_u, cell_u, rtol=0, atol=atol)
+    np.testing.assert_allclose(out_w, cell_w, rtol=0, atol=atol)
+    for p in range(len(cells)):
+        alone_u, alone_w = np.empty(u[p:p + 1].shape), np.empty(w[p:p + 1].shape)
+        lattice._march(cells[p:p + 1], grid, u[p:p + 1], w[p:p + 1], alone_u, alone_w)
+        np.testing.assert_array_equal(out_u[p], alone_u[0])
+        np.testing.assert_array_equal(out_w[p], alone_w[0])
+
+
+def test_tile_is_the_scaled_transfer_matrix_of_its_block():
+    # a (16, 8) grid is one tile; the tile maps raw bins, M normalized ones
+    grid = Grid(16, 8)
+    assert lattice._tile_sides(grid) == (16, 8)
+    params = [canonical_params(kc, 3.0, kappa2_L=0.3, Omega_T=0.3) for kc in (1.5, -20.0)]
+    cells = np.stack([lattice.cell_matrix(p, grid.dz(p.length_L), grid.dt(p.time_T))
+                      for p in params])
+    tiles = lattice._green_matrix(cells, *lattice._tile_sides(grid))
+    for tile, p in zip(tiles, params):
+        nl, nsp = lattice._norms(p, grid)
+        d = np.repeat([nl, nsp], [2 * grid.n_time, 2 * grid.n_space])
+        scaled = build_transfer_matrix(p, grid).matrix * d[None, :] / d[:, None]
+        np.testing.assert_allclose(tile, scaled, rtol=0, atol=1e-13 * np.max(np.abs(tile)))
+
+
 @pytest.mark.parametrize("lead, n_time, n_space", [
     ((), 5, 0), ((), 0, 5), ((2,), 4, 0), ((2,), 0, 3),
 ])
@@ -370,7 +431,12 @@ def test_stacked_integrate_equals_single_calls_and_is_linear(points, rhs, group,
     shape = (len(params),) + rhs
     u1, u2 = rng.normal(size=(2, 2, n_time) + shape)
     w1, w2 = rng.normal(size=(2, 2, n_space) + shape)
-    budget = group * 4 * min(n_time, n_space) * math.prod(rhs)
+    # one entry's share of the budget: the larger of its longest anti-diagonal
+    # and its tile matrix
+    b_t, b_s = lattice._tile_sides(grid)
+    rows = 2 * b_t + 2 * b_s
+    budget = group * max(rows * min(n_time // b_t, n_space // b_s) * math.prod(rhs),
+                         rows * rows)
     with mock.patch.object(lattice, "_GROUP_STEP_DOUBLES", budget):
         assert lattice._group_size(grid, math.prod(rhs)) == group
         u, w = integrate_stacked(params, grid, u1, w1)

@@ -315,9 +315,9 @@ def _counting_sweeps(monkeypatch):
     sizes = []
     real = lattice._sweep
 
-    def counted(cells, u, w, record=None):
-        sizes.append(len(cells))
-        return real(cells, u, w, record)
+    def counted(tiles, u, w, *args, **kwargs):
+        sizes.append(len(tiles))
+        return real(tiles, u, w, *args, **kwargs)
 
     monkeypatch.setattr(lattice, "_sweep", counted)
     return sizes
@@ -356,7 +356,8 @@ def test_matrix_scan_rows_equal_per_point_rows(mode, monkeypatch):
 
 
 def test_matrix_scan_spans_two_groups(monkeypatch):
-    # 128 points fill one group at grid 64, so 130 points take two sweeps
+    # 8 points (16 columns) fill one group at grid 64, so 130 points take 17
+    # groups; each group builds its tiles in one sweep and marches in another
     grid = Grid(64, 64)
     kw = dict(q_L=0.9, kappa2_L=0.3, Omega_T=0.3)
     kcs = list(np.linspace(-2.0, 4.0, 130))
@@ -364,7 +365,7 @@ def test_matrix_scan_spans_two_groups(monkeypatch):
     sweeps = _counting_sweeps(monkeypatch)
     result = scan(kcs, "memory", groups(0.0, **kw), grid)
     assert result.as_rows() == expected
-    assert sweeps == [2 * 128, 2 * 2]
+    assert sweeps == [16, 16] * 16 + [4, 4]
 
 
 def test_scan_checks_stability_before_any_sweep(monkeypatch):

@@ -190,7 +190,7 @@ def readout_variances(groups: DimensionlessGroups, grid: Grid) -> VarianceBreakd
     _validate_scan_args(groups, grid)
     if _kernel_route(groups):
         return _kernel_breakdown(groups.kappa_c, groups.ratio_r, groups.omega_T)
-    return _matrix_breakdown(groups, grid, mode="readout")
+    return _matrix_breakdowns([groups], grid, "readout")[0]
 
 
 def memory_variances(groups: DimensionlessGroups, grid: Grid) -> VarianceBreakdown:
@@ -203,7 +203,7 @@ def memory_variances(groups: DimensionlessGroups, grid: Grid) -> VarianceBreakdo
     _validate_scan_args(groups, grid)
     if _kernel_route(groups):
         return _kernel_breakdown(groups.kappa_c, groups.ratio_r, groups.q_L)
-    return _matrix_breakdown(groups, grid, mode="memory")
+    return _matrix_breakdowns([groups], grid, "memory")[0]
 
 
 def _channel_ratios(grid: Grid, columns) -> list[tuple[float, float, float]]:
@@ -286,12 +286,6 @@ def _matrix_breakdowns(points, grid: Grid, mode: str) -> list[VarianceBreakdown]
         out.append(VarianceBreakdown(f_self=f_self, gamma=gamma, v1=v1, v2=v2,
                                      sql=0.5 * float(cw @ cw) / n))
     return out
-
-
-def _matrix_breakdown(groups: DimensionlessGroups, grid: Grid,
-                      mode: str) -> VarianceBreakdown:
-    """One point of the transfer-matrix route."""
-    return _matrix_breakdowns([groups], grid, mode)[0]
 
 
 @dataclass(frozen=True)

@@ -54,12 +54,12 @@ def test_criterion_02_kernel_oracle_equivalence():
     cases = [(kc, *random_smooth_profiles(rng)) for kc in (0.5, 1.0, 2.0) for _ in range(20)]
     worst_dev = max(max(devs) for devs in oracle_kernel_deviations(cases, 10.0, G512))
     # dual-path variances: closed-form kernels vs lattice covariance route
-    from polariton_lab.variance import _matrix_breakdown
+    from polariton_lab.variance import _matrix_breakdowns
     worst_var = 0.0
     for kc in (0.5, 1.0, 2.0):
         g = _groups(kc)
         kern = readout_variances(g, G512)
-        matx = _matrix_breakdown(g, G512, "readout")
+        matx = _matrix_breakdowns([g], G512, "readout")[0]
         worst_var = max(
             worst_var,
             abs(matx.v1 - kern.v1) / kern.v1,

@@ -93,7 +93,7 @@ def test_rotation_exact_under_refinement():
 def test_identity_when_all_couplings_vanish():
     params = PhysicalParams(beta=0.0, epsilon=0.0)
     tm = build_transfer_matrix(params, Grid(24, 16))
-    np.testing.assert_allclose(tm.matrix, np.eye(tm.dim), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(tm.matrix, np.eye(tm.matrix.shape[0]), rtol=0, atol=1e-15)
 
 
 def test_matrix_reproduces_integrate_linearity():
@@ -118,7 +118,7 @@ def test_adjoint_is_transpose():
     grid = Grid(20, 28)
     tm = build_transfer_matrix(params, grid)
     rng = np.random.default_rng(7)
-    y = rng.normal(size=tm.dim)
+    y = rng.normal(size=tm.matrix.shape[0])
     np.testing.assert_allclose(transfer_adjoint_apply(params, grid, y),
                                tm.matrix.T @ y, rtol=0, atol=1e-12)
 
@@ -554,3 +554,48 @@ def test_residual_equals_dense_form(spin_sign):
     omega = symplectic_form(nt, ns, spin_sign)
     dense = np.max(np.abs(tm.matrix @ omega @ tm.matrix.T - omega)) / np.max(np.abs(omega))
     assert symplectic_residual(tm, spin_sign) == pytest.approx(dense, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("spin_sign", [-1.0, 1.0, 0.5])
+@pytest.mark.parametrize("nt, ns", [(70, 33), (64, 64)])
+def test_tiled_residual_equals_dense_form(nt, ns, spin_sign):
+    # dims 206 and 256 span several residual tiles, the first with a partial
+    # last tile
+    rng = np.random.default_rng(11)
+    dim = 2 * nt + 2 * ns
+    assert dim > lattice._RESIDUAL_TILE
+    tm = TransferMatrix(np.eye(dim) + 0.1 * rng.normal(size=(dim, dim)), nt, ns)
+    omega = symplectic_form(nt, ns, spin_sign)
+    dense = np.max(np.abs(tm.matrix @ omega @ tm.matrix.T - omega)) / np.max(np.abs(omega))
+    assert symplectic_residual(tm, spin_sign) == pytest.approx(dense, rel=1e-12, abs=0)
+
+
+# (p, q) of a planted violation: in the first diagonal tile, in the partial
+# tile beside it, and in the last (partial, diagonal) tile
+@pytest.mark.parametrize("p, q", [(5, 10), (5, 200), (150, 200)])
+def test_residual_reports_a_planted_violation(p, q):
+    nt, ns = 70, 33
+    tm = build_transfer_matrix(canonical_params(0.8, 3.0, kappa2_L=0.2, Omega_T=0.1),
+                               Grid(nt, ns))
+    omega = symplectic_form(nt, ns)
+    # row p += a * row r, with r the bin paired to q: beside M's own
+    # rounding, (I + a E_pr) M Omega M^T (I + a E_rp) - Omega is
+    # a * Omega[r, q] * (E_pq - E_qp)
+    r = int(np.flatnonzero(omega[:, q])[0])
+    a = 0.25
+    m = tm.matrix.copy()
+    m[p] += a * m[r]
+    residual = symplectic_residual(TransferMatrix(m, nt, ns))
+    assert residual == pytest.approx(a * abs(omega[r, q]), rel=1e-12)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("p, q", [(0, 0), (5, 200), (200, 5), (150, 180), (205, 205)])
+def test_residual_of_a_non_finite_matrix_is_non_finite(p, q, value):
+    # a NaN must survive the reduction of the tile maxima, whichever tile
+    # holds it (Python's max(0.0, nan) is 0.0)
+    nt, ns = 70, 33
+    tm = build_transfer_matrix(canonical_params(0.8, 3.0), Grid(nt, ns))
+    m = tm.matrix.copy()
+    m[p, q] = value
+    assert not math.isfinite(symplectic_residual(TransferMatrix(m, nt, ns)))

@@ -201,17 +201,17 @@ def test_memory_mirrors_readout():
 
 
 def test_dual_path_agreement():
-    from polariton_lab.variance import _matrix_breakdown
+    from polariton_lab.variance import _matrix_breakdowns
     for kc in (0.5, 2.0):
         g = groups(kc)
         kern = readout_variances(g, G256)
-        matx = _matrix_breakdown(g, G256, "readout")
+        matx = _matrix_breakdowns([g], G256, "readout")[0]
         assert abs(matx.v1 - kern.v1) / kern.v1 <= 5e-3
         assert abs(matx.v2 - kern.v2) / kern.v2 <= 5e-3
         assert abs(matx.f_self - kern.f_self) / kern.f_self <= 5e-3
         gm = groups(kc, q_L=0.5)
         kern_m = memory_variances(gm, G256)
-        matx_m = _matrix_breakdown(gm, G256, "memory")
+        matx_m = _matrix_breakdowns([gm], G256, "memory")[0]
         assert abs(matx_m.v1 - kern_m.v1) / kern_m.v1 <= 5e-3
         assert abs(matx_m.v2 - kern_m.v2) / kern_m.v2 <= 5e-3
 
@@ -281,16 +281,16 @@ def test_general_variances_reduces_to_protocol_routes():
 
 def test_matrix_breakdown_equals_general_variances_channels():
     # one quadratic form serves both: the 1/2 input variance cancels exactly
-    from polariton_lab.variance import _cos_bin_averages, _matrix_breakdown
+    from polariton_lab.variance import _cos_bin_averages, _matrix_breakdowns
     grid = Grid(64, 48)
     g = groups(1.5, r=10.0, omega_T=0.7, q_L=1.3, kappa2_L=0.3, Omega_T=0.3)
     params = canonical_params(1.5, 10.0, kappa2_L=0.3, Omega_T=0.3)
     res = general_variances(params, grid, _cos_bin_averages(0.7, grid.n_time),
                             _cos_bin_averages(1.3, grid.n_space))
-    ro = _matrix_breakdown(g, grid, "readout")
+    ro = _matrix_breakdowns([g], grid, "readout")[0]
     assert (ro.v1, ro.f_self, ro.v2) == (
         res["xi1"].normalized, res["xi1"].light_part, res["xi2"].normalized)
-    mem = _matrix_breakdown(g, grid, "memory")
+    mem = _matrix_breakdowns([g], grid, "memory")[0]
     assert (mem.v1, mem.f_self, mem.v2) == (
         res["jy"].normalized, res["jy"].spin_part, res["jz"].normalized)
 

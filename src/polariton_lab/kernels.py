@@ -387,7 +387,8 @@ def _causal_self_convolution(kappa_c: float, f, n: int, offsets) -> np.ndarray:
     (n, len(offsets)).  Panels are the bins left of b plus one partial panel
     [b/n, tau].  The lag from node k of bin b' to the output is
     (b - b' + o - (1 + x_k)/2)/n, a function of the bin distance alone, so
-    the full bins are one causal discrete convolution per (node, offset).
+    the full bins are one causal discrete convolution per (node, offset),
+    summed over the nodes as one product of real FFTs per (offset, column).
     f(x) may return (x.shape, C) columns, giving (n, len(offsets), C): the
     K values of each offset are evaluated once for all columns, and each
     column is convolved as if alone.
@@ -400,18 +401,22 @@ def _causal_self_convolution(kappa_c: float, f, n: int, offsets) -> np.ndarray:
     fw = (w.reshape(w.shape + (1,) * len(cols)) * fx).reshape(n, rule.order, -1)
     frac = 0.5 * (1.0 + rule.x)                          # node positions in a bin
     bins = np.arange(n)
+    # the linear convolutions of n - 1 terms have 2n - 3 terms, so a power of
+    # two past that keeps the circular wrap-around off the n - 1 we keep
+    size = 1 << (2 * n - 3).bit_length()
+    fw_spec = [np.fft.rfft(fw[:-1, :, c].T, size) for c in range(fw.shape[2])]
     out = np.empty((n, len(offsets), fw.shape[2]))
     for i, o in enumerate(offsets):
         # the partial panel [b/n, tau] has lags o*h*(1 - frac) in every bin
         px = (bins[:, None] + o * frac[None, :]) * h
         partial = 0.5 * o * h * rule.w * kernel_self_scaled(kappa_c, o * h * (1.0 - frac))
         lags = kernel_self_scaled(kappa_c, (bins[None, 1:] + (o - frac[:, None])) * h)
+        lag_spec = np.fft.rfft(lags, size)
         fpx = f(px).reshape(n, rule.order, -1)
         for c in range(fw.shape[2]):
             # a contiguous (n, order) block, multiplied as a lone f(px) is
             acc = np.ascontiguousarray(fpx[:, :, c]) @ partial
-            for k in range(rule.order):
-                acc[1:] += np.convolve(fw[:-1, k, c], lags[k])[:n - 1]
+            acc[1:] += np.fft.irfft((fw_spec[c] * lag_spec).sum(axis=0), size)[:n - 1]
             out[:, i, c] = acc
     return out.reshape((n, len(offsets)) + cols)
 

@@ -6,6 +6,13 @@ Bessel-product integrands of the sampled output maps (kernels.py,
 spectral.py) well below 1e-10 relative error at the reference grids, with
 fully deterministic node placement.  The closed-form variance needs no grid
 and uses its own tensor rule (variance.py).
+
+Every rule is built here by Newton's method on the three-term recurrence,
+started from Tricomi's asymptotic node estimates, with each weight from
+P_m' at its node (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013) A652).
+Against 40-digit arithmetic the nodes are within 1e-16 and the weights
+within 1.2e-14 relative up to order 32, 1e-13 at 64 and 2.2e-12 at 512 and
+1024, where numpy's eigenvalue-based leggauss is off by 1.1e-10 and 1.2e-9.
 """
 
 from __future__ import annotations
@@ -16,9 +23,49 @@ __all__ = ["PanelRule", "panel_nodes", "prefix_integrals"]
 
 DEFAULT_ORDER = 8
 
+# Tricomi's estimate is within 1e-4 of the nodes at order 8 and 1e-6 at 64;
+# three quadratically convergent steps take it below rounding at every order
+_NEWTON_STEPS = 3
+
+
+def _legendre(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_m(x) and P_m'(x), each by its own recurrence."""
+    p_prev, p = np.ones_like(x), x.copy()
+    dp_prev, dp = np.zeros_like(x), np.ones_like(x)
+    for j in range(2, m + 1):
+        # P_j' = P_{j-2}' + (2j - 1) P_{j-1}, not m P_{m-1}/(1 - x^2), which
+        # loses digits near the ends
+        dp_prev, dp = dp, dp_prev + (2 * j - 1) * p
+        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    return p, dp
+
+
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre nodes, ascending, and weights on [-1, 1].
+
+    One half is computed and mirrored, so x = -x[::-1] and w = w[::-1] hold
+    bit for bit, and for odd m the middle node is exactly 0.
+    """
+    # the nonnegative nodes, descending
+    theta = np.pi * (4 * np.arange(1, (m + 1) // 2 + 1) - 1) / (4 * m + 2)
+    x = (1.0 - (m - 1) / (8.0 * m ** 3)
+         - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * m ** 4)) * np.cos(theta)
+    if m % 2:
+        # P_m(0) = 0 exactly, so Newton keeps it
+        x[-1] = 0.0
+    for _ in range(_NEWTON_STEPS):
+        p, dp = _legendre(m, x)
+        x -= p / dp
+    _, dp = _legendre(m, x)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    # the negative half excludes the middle node of an odd order
+    return (np.concatenate((-x[:m // 2], x[::-1])),
+            np.concatenate((w[:m // 2], w[::-1])))
+
 
 class PanelRule:
-    """Cached Gauss-Legendre nodes/weights on [-1, 1] of a given order."""
+    """Cached Gauss-Legendre nodes ``x`` (ascending) and weights ``w`` on
+    [-1, 1] of a given order, built by _gauss_legendre."""
 
     _cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -26,7 +73,7 @@ class PanelRule:
         if order < 4:
             raise ValueError(f"panel order must be >= 4, got {order}")
         if order not in cls._cache:
-            cls._cache[order] = np.polynomial.legendre.leggauss(order)
+            cls._cache[order] = _gauss_legendre(order)
         rule = object.__new__(cls)
         rule.x, rule.w = cls._cache[order]
         rule.order = order

@@ -520,7 +520,7 @@ def test_cli_import_leaves_scipy_signal_unloaded():
 
 
 def test_cli_readout_point_leaves_scipy_linalg_unloaded(tmp_path):
-    # the Gauss-Legendre rule comes from numpy; scipy's roots_legendre
+    # the Gauss-Legendre rule is the package's own; scipy's roots_legendre
     # imports scipy.linalg on the first point of a run
     src = Path(polariton_lab.__file__).resolve().parents[1]
     cfg = tmp_path / "cfg.json"
@@ -538,6 +538,28 @@ def test_cli_readout_point_leaves_scipy_linalg_unloaded(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=120)
     assert result.stdout.splitlines()[-1] == "0 []"
+
+
+def test_cli_kernel_runs_leave_numpy_polynomial_unloaded(tmp_path):
+    # the Gauss-Legendre rules are built by Newton's method; numpy's leggauss
+    # imported numpy.polynomial (nine modules, 5-7 ms) on a run's first rule
+    src = Path(polariton_lab.__file__).resolve().parents[1]
+    runs = []
+    for mode, doc in (("readout", {"groups": {"kappa_c": 1, "r": 10, "omega_T": 0.5},
+                                   "scan": {"from": 1, "to": 1, "points": 1}}),
+                      ("oracle-compare", {"groups": {"kappa_c": 1, "r": 10},
+                                          "oracle_compare": {"kappa_c_values": [0.5],
+                                                             "profiles": 1, "seed": 7}})):
+        cfg = tmp_path / f"{mode}.json"
+        cfg.write_text(json.dumps({"mode": mode, "grid": {"n_time": 64, "n_space": 64}, **doc}))
+        runs.append([mode, "--config", str(cfg), "--out", str(tmp_path / f"{mode}.csv")])
+    code = ("import sys; import polariton_lab.cli as cli; "
+            f"codes = [cli.main(args) for args in {runs!r}]; "
+            "print(codes, sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 def test_cli_runs_leave_scipy_unloaded(tmp_path):

@@ -59,3 +59,54 @@ def test_gauss_rule_symmetric_and_exact_to_rounding():
             slope = mp.diff(lambda t: mp.legendre(rule.order, t), root)
             assert abs(x - root) <= 1e-15
             assert abs(w - 2 / ((1 - root ** 2) * slope ** 2)) <= 1e-15
+
+
+RULE_ORDERS = (8, 9, 16, 17, 32, 64, 128, 256, 512, 1024)
+
+
+def _mp_legendre(m, t):
+    """P_m(t) and P_m'(t) by their recurrences, in mpmath arithmetic."""
+    p_prev, p, dp_prev, dp = mp.mpf(1), t, mp.mpf(0), mp.mpf(1)
+    for j in range(2, m + 1):
+        dp_prev, dp = dp, dp_prev + (2 * j - 1) * p
+        p_prev, p = p, ((2 * j - 1) * t * p - (j - 1) * p_prev) / j
+    return p, dp
+
+
+@pytest.mark.parametrize("m", RULE_ORDERS)
+def test_gauss_rule_matches_40_digit_nodes_and_weights(m):
+    # both ends, the middle and between, each node polished by Newton in
+    # 40-digit arithmetic and its weight 2/((1 - x^2) P_m'(x)^2)
+    rule = PanelRule(m)
+    weight_rtol = 2e-14 if m <= 32 else 5e-12
+    with mp.workdps(40):
+        for i in sorted({0, 1, m // 4, m // 2 - 1, m // 2, m - 1 - m // 4, m - 2, m - 1}):
+            root = mp.mpf(rule.x[i])
+            for _ in range(3):
+                p, dp = _mp_legendre(m, root)
+                root -= p / dp
+            _, dp = _mp_legendre(m, root)
+            weight = 2 / ((1 - root ** 2) * dp ** 2)
+            assert abs(rule.x[i] - root) <= 2e-16
+            assert abs(rule.w[i] - weight) <= weight_rtol * weight
+
+
+@pytest.mark.parametrize("m", RULE_ORDERS)
+def test_gauss_rule_integrates_even_powers_below_2m(m):
+    # odd powers vanish by the bitwise symmetry below
+    rule = PanelRule(m)
+    j = np.arange(m)
+    moments = np.sum(rule.w * rule.x ** (2 * j[:, None]), axis=1)
+    assert abs(np.sum(rule.w) - 2.0) <= 1e-14
+    np.testing.assert_allclose(moments, 2.0 / (2 * j + 1), rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("m", RULE_ORDERS)
+def test_gauss_rule_ascending_and_mirror_symmetric(m):
+    rule = PanelRule(m)
+    assert rule.order == m and rule.x.shape == rule.w.shape == (m,)
+    assert np.all(np.diff(rule.x) > 0.0)
+    np.testing.assert_array_equal(rule.x, -rule.x[::-1])
+    np.testing.assert_array_equal(rule.w, rule.w[::-1])
+    if m % 2:
+        assert rule.x[m // 2] == 0.0

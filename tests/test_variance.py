@@ -143,6 +143,16 @@ def test_large_coupling_resolved_at_the_coarsest_scan_grid():
     assert max(br.resolution.f_change, br.resolution.gamma_change) <= _RESOLVED_RTOL
 
 
+def test_strong_coupling_resolved_at_the_largest_order():
+    # F and Gamma at orders 512 and 1024 agree to about 1e-12; with weights
+    # 1e-9 off at order 1024 they were 5e-11 and 1e-10 apart, and the point
+    # raised UnresolvedError
+    br = readout_variances(groups(6e4, omega_T=0.5), Grid(64, 64))
+    assert br.resolution.order == 1024
+    assert br.resolution.f_change <= 1e-11
+    assert br.resolution.gamma_change <= 1e-11
+
+
 def test_unresolved_point_raises_with_both_orders():
     # kappa_c = 1e6 oscillates past what order 1024 resolves
     with pytest.raises(UnresolvedError, match=(

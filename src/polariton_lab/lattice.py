@@ -12,11 +12,12 @@ is a constant 4x4 matrix.
 
 Because the cell is constant the lattice is translation-invariant, and its
 impulse responses are the lattice Green's (Riemann) function of the Goursat
-problem.  The transfer matrix is assembled from four of them, Xi1 and Xi2
-impulses at time bin 0 and Jz and Jy impulses at space column 0, swept once
-with the cross histories recorded; the adjoint is the same sweep reversed.
-The same assembly gives the map of any b_t x b_s block of cells, a tile of
-2*b_t + 2*b_s rows and columns, and every block has the same tile.
+problem.  The map of any b_t x b_s block of cells, a tile of
+2*b_t + 2*b_s rows and columns, is assembled from the responses to the unit
+impulses on one block's inputs, swept once cell by cell with the cross
+histories recorded, and every block has the same tile.  The transfer matrix
+is assembled the same way from one tiled sweep of the impulses on tile
+(0, 0)'s inputs; the adjoint is the forward sweep reversed.
 
 The sweep marches tiles.  Tile (i, j), at tile column i and tile row j,
 needs only tiles (i-1, j) and (i, j-1), so the tiles of one anti-diagonal
@@ -41,7 +42,7 @@ forward as one stack entry at each of its two grid levels.  Both hand over
 the whole stack: ``integrate_stacked`` and ``transfer_adjoint_apply`` check
 every point's stability before any sweep, and march the stack in sweeps of
 at most one step budget (``_group_size``) each, building each sweep's tiles
-first.  The transfer matrix's recorded sweep marches 1x1 tiles.
+first.  The transfer matrix's recorded sweep marches the same tiles.
 
 The Cayley cell map is exactly canonical: it preserves the weighted
 antisymmetric form pairing (Xi1, Xi2) bins with weight +1 and (Jz, Jy) bins
@@ -101,9 +102,9 @@ _TILE_SIDE = 16
 # that is 16 entries.
 _GROUP_STEP_DOUBLES = 1 << 16
 
-# Tile side of the symplectic residual's max |C - C^T| reduction: 128 x 128
-# tiles of C and C^T fit in cache together, where a whole-matrix C - C^T
-# reads C^T a column at a time, several times slower at dim 1024.
+# Panel height of the symplectic residual: each panel of this many rows of M
+# makes one product with M's rows from the panel on, so beside M the residual
+# holds two arrays of at most this many rows.
 _RESIDUAL_TILE = 128
 
 
@@ -204,11 +205,12 @@ def _sweep(tiles: np.ndarray, u: np.ndarray, w: np.ndarray, sides: tuple[int, in
     spin ends in the buffer of parity m_t + i, and is read back from there.
 
     ``record = (light_rhs, spin_rhs)``, two index slices of the right-hand
-    sides, needs 1x1 tiles and also returns the light history of light_rhs
-    and the spin history of spin_rhs: arrays (2, n_space, n_time, ...) whose
-    [:, k, j] is the output of cell (n_space - 1 - k, j), the light after
-    that space step or the spin after that time step.  In this layout every
-    anti-diagonal is one strided run of the flattened (k, j) axis.
+    sides, also returns the light history of light_rhs and the spin history
+    of spin_rhs: arrays (2, b_t, m_s, m_t, ...) and (2, b_s, m_s, m_t, ...)
+    whose [:, :, k, j] is the output of tile (m_s - 1 - k, j), the light
+    that leaves it in space or the spin that leaves it in time.  In this
+    layout every anti-diagonal is one strided run of the flattened (k, j)
+    axis.
     """
     tiles = np.asarray(tiles, dtype=float)
     lead = tiles.shape[:-2]
@@ -238,8 +240,8 @@ def _sweep(tiles: np.ndarray, u: np.ndarray, w: np.ndarray, sides: tuple[int, in
     light_tiles, spin_tiles = tiles[..., :light_rows, :], tiles[..., light_rows:, :]
     if record is not None:
         light_rhs, spin_rhs = record
-        light_hist = np.zeros(lead + (2, m_s * m_t, len(range(nrhs)[light_rhs])))
-        spin_hist = np.zeros(lead + (2, m_s * m_t, len(range(nrhs)[spin_rhs])))
+        light_hist = np.zeros(lead + (2, b_t, m_s * m_t, len(range(nrhs)[light_rhs])))
+        spin_hist = np.zeros(lead + (2, b_s, m_s * m_t, len(range(nrhs)[spin_rhs])))
     # with no space column, column 0 would both take and give the light
     for d in range(m_t + m_s - 1 if m_t and m_s else 0):
         src, dst = buffers[d % 2], buffers[1 - d % 2]
@@ -256,18 +258,16 @@ def _sweep(tiles: np.ndarray, u: np.ndarray, w: np.ndarray, sides: tuple[int, in
             u_tiles[..., :, j0, :, :] = light_out[1 - d % 2]
         if record is not None:
             run = slice((c0 - 1) * m_t + j0, (c1 - 1) * m_t + j1, m_t + 1)
-            cut = lead + (2, j1 - j0, nrhs)
-            light_hist[..., run, :] = light.reshape(cut)[..., light_rhs]
-            spin_hist[..., run, :] = spin.reshape(cut)[..., spin_rhs]
+            light_hist[..., run, :] = light.reshape(lead + (2, b_t, j1 - j0, nrhs))[..., light_rhs]
+            spin_hist[..., run, :] = spin.reshape(lead + (2, b_s, j1 - j0, nrhs))[..., spin_rhs]
     w = np.empty(lead + (2, m_s, b_s, nrhs))
     w[..., 0::2, :, :] = spin_state[m_t % 2, ..., m_s:0:-2, :].swapaxes(-3, -2)
     w[..., 1::2, :, :] = spin_state[1 - m_t % 2, ..., m_s - 1:0:-2, :].swapaxes(-3, -2)
     u, w = u.reshape(shape_u), w.reshape(shape_w)
     if record is None:
         return u, w
-    shape = lead + (2, m_s, m_t)
-    return (u, w, light_hist.reshape(shape + light_hist.shape[-1:]),
-            spin_hist.reshape(shape + spin_hist.shape[-1:]))
+    return (u, w, light_hist.reshape(lead + (2, b_t, m_s, m_t) + light_hist.shape[-1:]),
+            spin_hist.reshape(lead + (2, b_s, m_s, m_t) + spin_hist.shape[-1:]))
 
 
 def _march(cells: np.ndarray, grid: Grid, u: np.ndarray, w: np.ndarray,
@@ -391,12 +391,21 @@ def _bin_layout(n_time: int, n_space: int) -> dict[str, slice]:
 class TransferMatrix:
     """Discrete input-output map on normalized noise bins.
 
-    Rows and columns follow ``_bin_layout``.
+    Rows and columns follow ``_bin_layout``: ``matrix`` is square, of side
+    2*n_time + 2*n_space.
     """
 
     matrix: np.ndarray
     n_time: int
     n_space: int
+
+    def __post_init__(self):
+        dim = 2 * self.n_time + 2 * self.n_space
+        if np.shape(self.matrix) != (dim, dim):
+            raise ValueError(
+                f"matrix of shape {np.shape(self.matrix)} does not match the layout of "
+                f"n_time = {self.n_time}, n_space = {self.n_space}: expected ({dim}, {dim})"
+            )
 
 
 def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
@@ -414,39 +423,58 @@ def _green_matrix(cells: np.ndarray, n_time: int, n_space: int,
     stack, on light bins scaled by nl and spin bins by nsp.
 
     The cell is constant, so the lattice is translation-invariant and every
-    block is a slice of the responses to unit scaled Xi1 and Xi2 bins at
-    time bin 0 and unit Jz and Jy bins at space column 0, swept together as
-    four right-hand sides.  Light->light and spin->spin blocks are
-    lower-triangular Toeplitz in the final light and spin.  Spin->light
-    blocks read the light history of the spin impulses: the light of an
-    impulse at column i0 leaves the lattice as the light after space step
-    n_space - 1 - i0 of the impulse at column 0.  Light->spin blocks read the
-    spin history of the light impulses the same way.  Each entry is the same
-    sequence of cell products as the response to its own unit impulse.  With
-    unit scales this is the raw map of a block of cells, the tile of a sweep.
+    block is a slice of the responses to the D = 2*b_t + 2*b_s unit scaled
+    impulses on the input bins of tile (0, 0), swept together as D
+    right-hand sides.  The tile sides are those of ``_tile_sides``; the
+    tile is built by this function from the cell, and a grid of one tile is
+    marched cell by cell (b_t = b_s = 1, D = 4), so every tile of a march
+    is its own cell-by-cell build.  Light->light and spin->spin blocks are
+    lower-triangular Toeplitz in the final light and spin of the impulses at
+    time bin 0 and space column 0.  Spin->light blocks read the light
+    history of the spin impulses: the light of an impulse at column
+    i0 = I0*b_s + s leaves the lattice as the light that leaves tile column
+    m_s - 1 - I0 for the impulse at column s.  Light->spin blocks read the
+    spin history of the light impulses the same way.  With unit scales this
+    is the raw map of a block of cells, the tile of a sweep.
     """
     lead = cells.shape[:-2]
-    u = np.zeros(lead + (2, n_time, 4))
-    w = np.zeros(lead + (2, n_space, 4))
-    u[..., 0, 0, 0] = u[..., 1, 0, 1] = 1.0 / nl
-    w[..., 0, 0, 2] = w[..., 1, 0, 3] = 1.0 / nsp
-    u, w, light_hist, spin_hist = _sweep(cells, u, w, record=(slice(2, 4), slice(0, 2)))
+    # _tile_sides of this grid; a tile's own axis may be 1 bin, which no Grid holds
+    b_t, b_s = math.gcd(n_time, _TILE_SIDE), math.gcd(n_space, _TILE_SIDE)
+    if (b_t, b_s) == (n_time, n_space):
+        tiles, b_t, b_s = cells, 1, 1
+    else:
+        tiles = _green_matrix(cells, b_t, b_s)
+    m_t, m_s = n_time // b_t, n_space // b_s
+    light_rows, rows = 2 * b_t, 2 * b_t + 2 * b_s
+    # right-hand side q is the unit impulse on bin q of tile (0, 0)
+    u = np.zeros(lead + (2, n_time, rows))
+    w = np.zeros(lead + (2, n_space, rows))
+    u[..., :b_t, :light_rows] = np.eye(light_rows).reshape(2, b_t, light_rows) / nl
+    w[..., :b_s, light_rows:] = np.eye(2 * b_s).reshape(2, b_s, 2 * b_s) / nsp
+    u, w, light_hist, spin_hist = _sweep(tiles, u, w, (b_t, b_s),
+                                         record=(slice(light_rows, rows), slice(0, light_rows)))
+    light_hist = light_hist.reshape(lead + (2, b_t, m_s, m_t, 2, b_s))
+    spin_hist = spin_hist.reshape(lead + (2, b_s, m_s, m_t, 2, b_t))
     b = _bin_layout(n_time, n_space)
     light, spin = (b["xi1"], b["xi2"]), (b["jz"], b["jy"])
     dim = 2 * n_time + 2 * n_space
     out = np.empty(lead + (dim, dim))
     for o in range(2):
         for i in range(2):
-            out[..., light[o], light[i]] = _lower_toeplitz(u[..., o, :, i] * nl)
-            out[..., spin[o], spin[i]] = _lower_toeplitz(w[..., o, :, 2 + i] * nsp)
-            out[..., light[o], spin[i]] = light_hist[..., o, :, :, i].swapaxes(-1, -2) * nl
-            out[..., spin[o], light[i]] = spin_hist[..., o, ::-1, ::-1, i] * nsp
+            out[..., light[o], light[i]] = _lower_toeplitz(u[..., o, :, i * b_t] * nl)
+            out[..., spin[o], spin[i]] = _lower_toeplitz(w[..., o, :, light_rows + i * b_s] * nsp)
+            # history [r, k, j, s] of tile (m_s - 1 - k, j) is M's [(j, r), (k, s)]
+            np.multiply(np.moveaxis(light_hist[..., o, :, :, :, i, :], -2, -4), nl,
+                        out=out[..., light[o], spin[i]].reshape(lead + (m_t, b_t, m_s, b_s)))
+            # history [s, k, j, r] is M's [(m_s - 1 - k, s), (m_t - 1 - j, r)]
+            np.multiply(np.moveaxis(spin_hist[..., o, :, ::-1, ::-1, i, :], -4, -3), nsp,
+                        out=out[..., spin[o], light[i]].reshape(lead + (m_s, b_s, m_t, b_t)))
     return out
 
 
 def build_transfer_matrix(params: PhysicalParams, grid: Grid) -> TransferMatrix:
-    """M from the lattice Green's function: four impulse responses, one sweep
-    (``_green_matrix`` on the normalized bins)."""
+    """M from the lattice Green's function: the impulse responses of one
+    tile's inputs, one tiled sweep (``_green_matrix`` on the normalized bins)."""
     check_stability(params, grid)
     cell = cell_matrix(params, grid.dz(params.length_L), grid.dt(params.time_T))
     return TransferMatrix(_green_matrix(cell, grid.n_time, grid.n_space, *_norms(params, grid)),
@@ -522,30 +550,36 @@ def symplectic_residual(tm: TransferMatrix,
                         spin_sign: float = SPIN_BLOCK_SIGN) -> float:
     """max |M Omega M^T - Omega| / max |Omega|, without building Omega.
 
-    Omega pairs each bin with its conjugate bin, Omega = U - U^T with U
-    holding 1 at (Xi1 bin, Xi2 bin) and spin_sign at (Jz bin, Jy bin).  So
-    M Omega M^T = X Y^T - Y X^T with X = [M Xi1 columns, spin_sign * M Jz
-    columns] and Y = [M Xi2 columns, M Jy columns], each dim x dim/2, and
-    with C = X Y^T - U the residual is Delta = C - C^T: one product of inner
-    dimension dim/2, and Delta is antisymmetric exactly.  max |Delta| is
-    taken over pairs of ``_RESIDUAL_TILE``-sided tiles (i, j) and (j, i),
-    i <= j, which reads C^T in cache-sized pieces and makes no second
-    dim x dim array.  The tile maxima are reduced by numpy, which keeps NaN,
-    so a non-finite M gives a non-finite residual (and no warning).
+    Omega pairs each bin with its conjugate bin: row r holds its one entry,
+    +-1 or +-spin_sign, at the column of r's conjugate.  So a panel of M's
+    rows times Omega is the panel with its column blocks swapped and signed,
+    four slice copies.  Delta = M Omega M^T - Omega is antisymmetric, so its
+    upper block triangle holds its largest entry: each ``_RESIDUAL_TILE``-row
+    panel is multiplied by M's rows from the panel on, and Omega's entries
+    in that block are subtracted.  No array of M's size is made.  The panel
+    maxima are reduced by numpy, which keeps NaN, so a non-finite M gives a
+    non-finite residual (and no warning).
     """
     m = tm.matrix
-    b = _bin_layout(tm.n_time, tm.n_space)
-    x = np.concatenate((m[:, b["xi1"]], m[:, b["jz"]]), axis=1)
-    x[:, tm.n_time:] *= spin_sign
-    y = np.concatenate((m[:, b["xi2"]], m[:, b["jy"]]), axis=1)
-    side = _RESIDUAL_TILE
-    starts = range(0, len(m), side)
+    nt, ns = tm.n_time, tm.n_space
+    b = _bin_layout(nt, ns)
+    dim = len(m)
+    conj = np.r_[b["xi2"], b["xi1"], b["jy"], b["jz"]]
+    form = np.repeat([1.0, -1.0, spin_sign, -spin_sign], [nt, nt, ns, ns])
+    shuffled = np.empty((min(_RESIDUAL_TILE, dim), dim))
+    worst = []
     # an infinite entry of M makes inf * 0 and inf - inf: NaN, not a warning
     with np.errstate(invalid="ignore"):
-        c = x @ y.T
-        del x, y
-        for first, second, value in ((b["xi1"], b["xi2"], 1.0), (b["jz"], b["jy"], spin_sign)):
-            c[np.arange(first.start, first.stop), np.arange(second.start, second.stop)] -= value
-        worst = np.max([np.max(np.abs(c[i:i + side, j:j + side] - c[j:j + side, i:i + side].T))
-                        for i in starts for j in starts if i <= j])
-    return float(worst / max(1.0, abs(spin_sign)))
+        for i in range(0, dim, _RESIDUAL_TILE):
+            panel = m[i:i + _RESIDUAL_TILE]
+            w = shuffled[:len(panel)]
+            np.negative(panel[:, b["xi2"]], out=w[:, b["xi1"]])
+            w[:, b["xi2"]] = panel[:, b["xi1"]]
+            np.multiply(panel[:, b["jy"]], -spin_sign, out=w[:, b["jz"]])
+            np.multiply(panel[:, b["jz"]], spin_sign, out=w[:, b["jy"]])
+            delta = w @ m[i:].T
+            rows = np.arange(i, i + len(panel))
+            rows = rows[conj[rows] >= i]
+            delta[rows - i, conj[rows] - i] -= form[rows]
+            worst.append(np.max(np.abs(delta, out=delta)))
+    return float(np.max(worst) / max(1.0, abs(spin_sign)))

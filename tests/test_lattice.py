@@ -1,6 +1,7 @@
 """Lattice integrator: exact limits, convergence, and canonical structure."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -413,6 +414,28 @@ def test_integrate_stacked_rejects_arrays_off_the_grid(u_shape, w_shape):
         integrate_stacked(params, Grid(8, 8), np.ones(u_shape), np.ones(w_shape))
 
 
+@pytest.mark.parametrize("n_time, n_space", [(48, 40), (36, 20), (64, 17), (17, 64)],
+                         ids=["16x8", "4x4", "16x1", "1x16"])
+def test_tiled_green_build_equals_impulse_columns(n_time, n_space):
+    # grids of several tiles per axis, in tiles of unequal sides and of one
+    # bin on a prime axis: the cross blocks are read from the tiles' emitted
+    # light and spin, tile column by tile column
+    params = canonical_params(2.0, 3.0, kappa2_L=0.5, Omega_T=-0.7)
+    grid = Grid(n_time, n_space)
+    assert all(n // b > 1 for n, b in zip((n_time, n_space), lattice._tile_sides(grid)))
+    tm = build_transfer_matrix(params, grid)
+    np.testing.assert_allclose(tm.matrix, _impulse_columns(params, grid), rtol=0,
+                               atol=1e-13 * np.max(np.abs(tm.matrix)))
+    assert symplectic_residual(tm) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(14, 14), (12, 10), (10, 10)])
+def test_transfer_matrix_rejects_a_matrix_off_the_layout(shape):
+    # n_time = n_space = 3 lays out 12 bins
+    with pytest.raises(ValueError, match=rf"shape \({shape[0]}, {shape[1]}\).*\(12, 12\)"):
+        TransferMatrix(np.eye(*shape), 3, 3)
+
+
 # |kappa_c| < 9 keeps sqrt(|kappa_c|*dz*dt) below the limit on 6 x 6 and up
 @settings(max_examples=30)
 @given(points=st.lists(st.tuples(st.floats(-8.5, 8.5), st.floats(0.2, 10.0),
@@ -599,3 +622,16 @@ def test_residual_of_a_non_finite_matrix_is_non_finite(p, q, value):
     m = tm.matrix.copy()
     m[p, q] = value
     assert not math.isfinite(symplectic_residual(TransferMatrix(m, nt, ns)))
+
+
+def test_residual_holds_less_than_the_matrix():
+    # the residual works panel by panel and makes no array of M's size
+    tm = build_transfer_matrix(canonical_params(0.8, 3.0, kappa2_L=0.3, Omega_T=0.3),
+                               Grid(128, 128))
+    tracemalloc.start()
+    try:
+        symplectic_residual(tm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tm.matrix.nbytes

@@ -57,6 +57,11 @@ amplitude envelope sqrt(2/(pi*x)) for arguments up to 1e4, and I0 and I1 a
 relative error below 1e-12 up to 700.  Domain contract: a non-finite
 kappa_c raises ValueError, and a blue-wing argument above ``I_OVERFLOW_X``
 raises OverflowError.
+
+Both kernel functions also take kappa_c as an array of one sign (zeros
+join either) that broadcasts against the coordinates, one entry a point:
+each point gets the values of a lone call at its kappa_c, bit for bit, and
+a point outside the domain raises what a lone call at it raises.
 """
 
 from __future__ import annotations
@@ -131,8 +136,28 @@ def _check_kappa_c(kappa_c: float) -> None:
         raise ValueError(f"kappa_c must be finite, got {kappa_c!r}")
 
 
-def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] * z^k."""
+def _check_kappa_c_points(kappa_c) -> np.ndarray:
+    """kappa_c as a float array: finite, and of one sign (zeros join either)."""
+    kappa_c = np.asarray(kappa_c, dtype=float)
+    lo, hi = float(kappa_c.min()), float(kappa_c.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        _check_kappa_c(float(kappa_c[~np.isfinite(kappa_c)][0]))
+    if lo < 0.0 < hi:
+        raise ValueError("kappa_c entries of one call must share one sign")
+    return kappa_c
+
+
+def _check_blue_wing(kappa_c: float, y_max: float) -> None:
+    if kappa_c < 0.0 and 2.0 * math.sqrt(y_max) > I_OVERFLOW_X:
+        raise OverflowError(
+            f"modified Bessel argument {2.0 * math.sqrt(y_max):.6g} at kappa_c = "
+            f"{kappa_c:.6g} exceeds overflow threshold {I_OVERFLOW_X}"
+        )
+
+
+def _horner(coeffs, z: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] * z^k; a coefficient may be an array that broadcasts
+    against z."""
     acc = np.full_like(z, coeffs[-1])
     for c in coeffs[-2::-1]:
         acc *= z
@@ -225,11 +250,7 @@ def _reduced_bessel(order: int, kappa_c: float, s: np.ndarray) -> np.ndarray:
     blocks of ``_BLOCK``; the term count of the series comes from the whole
     call, so no value depends on the blocks."""
     y_max = abs(kappa_c) * float(np.max(s, initial=0.0))
-    if kappa_c < 0.0 and 2.0 * math.sqrt(y_max) > I_OVERFLOW_X:
-        raise OverflowError(
-            f"modified Bessel argument {2.0 * math.sqrt(y_max):.6g} at kappa_c = "
-            f"{kappa_c:.6g} exceeds overflow threshold {I_OVERFLOW_X}"
-        )
+    _check_blue_wing(kappa_c, y_max)
     y = np.multiply(s, kappa_c, out=s)
     flat = y.reshape(-1)
     for start in range(0, flat.size, _BLOCK):
@@ -238,6 +259,46 @@ def _reduced_bessel(order: int, kappa_c: float, s: np.ndarray) -> np.ndarray:
             block[...] = _series(order, block, y_max)
         else:
             _reduced_bessel_regions(order, kappa_c > 0.0, block)
+    return y
+
+
+def _reduced_bessel_points(order: int, kappa_c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """E_order(kappa_c * s) for an array kappa_c of one sign, s >= 0 of the
+    shape kappa_c broadcasts to; every entry of kappa_c (a point) gets the
+    values of a lone ``_reduced_bessel`` call.
+
+    A point whose own largest |y| is within ``_SERIES_MAX_Y`` takes the series
+    with its own term count: its Horner coefficients are padded with leading
+    zeros, and 0 * y + 0 = 0 exactly, so its sum starts where a lone call's
+    does.  The other points go through the elementwise regions.  The points
+    are not blocked, so callers keep them near ``_BLOCK`` values; one point
+    is the lone call itself."""
+    if kappa_c.size == 1:
+        return _reduced_bessel(order, float(kappa_c.flat[0]), s)
+    kc = kappa_c.reshape((1,) * (s.ndim - kappa_c.ndim) + kappa_c.shape)
+    axes = tuple(i for i, n in enumerate(kc.shape) if n == 1)
+    y_max = np.abs(kc) * np.max(s, axis=axes, keepdims=True, initial=0.0)
+    red = kc.max() > 0.0
+    if not red:
+        for k, top in zip(kc.flat, y_max.flat):
+            _check_blue_wing(float(k), float(top))
+    y = np.multiply(s, kc, out=s)
+    series = y_max <= _SERIES_MAX_Y
+    regions = None if series.all() else np.broadcast_to(~series, y.shape)
+    if regions is not None:
+        far = y[regions]
+        _reduced_bessel_regions(order, red, far)
+    if series.any():
+        coeffs, bounds = _SERIES[order]
+        # no terms for the points of the regions; the terms that every
+        # point takes are scalars, the others arrays with zeros (+0 or -0,
+        # either leaves the point's first true coefficient exact)
+        terms = (np.searchsorted(bounds, y_max) + 1) * series
+        common = int(terms.min())
+        k = np.arange(common, terms.max()).reshape((-1,) + (1,) * kc.ndim)
+        y = _horner([*coeffs[:common], *(coeffs[k] * (k < terms))], y)
+    if regions is not None:
+        y[regions] = far
     return y
 
 
@@ -260,18 +321,34 @@ def _reduced_bessel_regions(order: int, red: bool, y: np.ndarray) -> None:
             y[region] = b
 
 
-def kernel_self_scaled(kappa_c: float, u):
-    """Scaled self-kernel K(u) on u in [0, 1]; K(0+) = kappa_c exactly."""
-    _check_kappa_c(kappa_c)
+def kernel_self_scaled(kappa_c, u):
+    """Scaled self-kernel K(u) on u in [0, 1]; K(0+) = kappa_c exactly.
+
+    ``kappa_c`` may be an array of one sign that broadcasts against u; each
+    of its entries gets the values of a lone call at that kappa_c."""
     u = np.asarray(u, dtype=float)
+    if np.ndim(kappa_c):
+        kappa_c = _check_kappa_c_points(kappa_c)
+        s = np.clip(u, 0.0, None, out=np.empty(np.broadcast_shapes(u.shape, kappa_c.shape)))
+        k = _reduced_bessel_points(1, kappa_c, s)
+        return np.multiply(k, kappa_c, out=k)
+    _check_kappa_c(kappa_c)
     if kappa_c == 0.0:
         return np.zeros_like(u)
     k = _reduced_bessel(1, kappa_c, np.clip(u, 0.0, None, out=np.empty(u.shape)))
     return np.multiply(k, kappa_c, out=k)
 
 
-def kernel_cross_scaled(kappa_c: float, x, t):
-    """Scaled cross-kernel G(x, t) for x, t in [0, 1]; G = 1 at a = 0."""
+def kernel_cross_scaled(kappa_c, x, t):
+    """Scaled cross-kernel G(x, t) for x, t in [0, 1]; G = 1 at a = 0.
+
+    ``kappa_c`` may be an array of one sign that broadcasts against x and t;
+    each of its entries gets the values of a lone call at that kappa_c."""
+    if np.ndim(kappa_c):
+        kappa_c = _check_kappa_c_points(kappa_c)
+        shape = np.broadcast_shapes(np.shape(x), np.shape(t), kappa_c.shape)
+        s = np.multiply(x, t, dtype=float, out=np.empty(shape))
+        return _reduced_bessel_points(0, kappa_c, np.clip(s, 0.0, None, out=s))
     _check_kappa_c(kappa_c)
     shape = np.broadcast_shapes(np.shape(x), np.shape(t))
     if kappa_c == 0.0:

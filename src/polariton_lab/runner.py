@@ -140,12 +140,14 @@ def _run_scan(config: RunConfig, out: Path, config_text: str) -> int:
     write_csv(out, result.header, result.as_rows())
     extra = {"rows": len(result.rows), "route": result.route}
     if result.route == "kernel":
-        # per row: the tensor rule's final order and the relative change of
-        # F and Gamma from half that order
+        # per row: the tensor rule's final order, the relative change of F
+        # and Gamma from half that order, and the change of Gamma that its
+        # rounding alone allows
         res = [r.resolution for r in result.rows]
         extra["resolution"] = {"order": [r.order for r in res],
                                "f_rel_change": [r.f_change for r in res],
-                               "gamma_rel_change": [r.gamma_change for r in res]}
+                               "gamma_rel_change": [r.gamma_change for r in res],
+                               "gamma_rel_floor": [r.gamma_floor for r in res]}
     _write_metadata(out, config_text, config, extra)
     print(f"{config.mode} scan: {points} rows -> {out}")
     return 0

@@ -30,7 +30,15 @@ Two independent routes compute the same quantities:
   no grid (the rule is symmetric under x -> 1 - x, so nothing is
   reflected).  The order m doubles from 16 until F and Gamma at m and 2m
   agree to a relative 1e-10, and the 2m values are returned; unresolved
-  at m = 1024 a point raises kernels.UnresolvedError;
+  at m = 1024 a point raises kernels.UnresolvedError.  Gamma also counts
+  as resolved when its change is within what rounding alone makes of it
+  at the two orders, m eps times the sums of absolute terms of g: at
+  w = k pi, Int c vanishes and Gamma sits at round-off.  A scan
+  evaluates each order once for all its points still pending, in batches
+  of one kappa_c sign and at most max(1, _BLOCK // m^2) points (128 at
+  m = 16, 1 from m = 256 on), so a batch stays as large as one kernel
+  block; every row keeps the bits of its point alone, and a scan raises
+  what its first failing point raises alone;
 
 * the transfer-matrix route propagates the diagonal input covariance
   through the lattice map (via the adjoint sweep, so no matrix is built)
@@ -49,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import UnresolvedError, kernel_cross_scaled, kernel_self_scaled
+from .kernels import _BLOCK, UnresolvedError, kernel_cross_scaled, kernel_self_scaled
 from .lattice import _bin_layout, _group_size, check_stability, transfer_adjoint_apply
 from .model import DimensionlessGroups, Grid, canonical_params
 from .quadrature import PanelRule
@@ -78,12 +86,14 @@ _RESOLVED_RTOL = 1e-10
 
 
 class Resolution(NamedTuple):
-    """Evidence of a closed-form point: the final order m of the tensor rule
-    and the relative change of F and Gamma from order m/2."""
+    """Evidence of a closed-form point: the final order m of the tensor rule,
+    the relative change of F and Gamma from order m/2, and the relative
+    change of Gamma that rounding alone can make (its floor)."""
 
     order: int
     f_change: float
     gamma_change: float
+    gamma_floor: float
 
 
 @dataclass(frozen=True)
@@ -118,57 +128,146 @@ def _cos_bin_averages(w: float, n: int) -> np.ndarray:
     return (np.sin(w * edges[1:]) - np.sin(w * edges[:-1])) * n / w
 
 
-def _filter_norms(kappa_c: float, w: float, m: int) -> tuple[float, float, float]:
-    """F, Gamma and Int cos^2 by the m x m tensor rule: f and g at the nodes
-    1 - x from the closed-form map applied to c(v) = cos(w (1 - v))."""
+def _filter_norms(kappa_c: list[float], w: float, m: int) -> tuple[list, float]:
+    """F, Gamma and Gamma's rounding bound of each kappa_c by the m x m tensor
+    rule, and Int cos^2: f and g at the nodes 1 - x from the closed-form map
+    applied to c(v) = cos(w (1 - v)).
+
+    The nodes and the cosine window are built once per order, the points go
+    to the kernels in batches of one sign and at most max(1, _BLOCK // m^2)
+    points; every row is bit-identical to its point alone.  A point whose
+    kernels raise, or whose integrals overflow, gets the exception in place
+    of its triple."""
     rule = PanelRule(m)
     # the m-point Gauss-Legendre rule mapped to [0, 1]
     x, wt = 0.5 * (1.0 + rule.x), 0.5 * rule.w
     cx = np.cos(w * (1.0 - x))
-    # the filters square I0/I1 values, so the blue wing can leave the double
-    # range below the kernels' own argument threshold; that raises here
-    with np.errstate(over="ignore", invalid="ignore"):
-        # (K * c)(x) = x Int_0^1 K(x (1 - s)) c(x s) ds
-        conv = kernel_self_scaled(kappa_c, np.multiply.outer(x, 1.0 - x))
-        conv *= np.cos(w * (1.0 - np.multiply.outer(x, x)))
-        f = cx - x * (conv @ wt)
-        # g(1 - x) = Int_0^1 G(1 - v, x) c(v) dv
-        g = kernel_cross_scaled(kappa_c, x[:, None], 1.0 - x[None, :]) @ (wt * cx)
-        int_f2 = float(np.sum(wt * f * f))
-        int_g2 = float(np.sum(wt * g * g))
-    if not (math.isfinite(int_f2) and math.isfinite(int_g2)):
-        raise OverflowError(
-            f"closed-form variance integrals overflow at kappa_c = {kappa_c:.6g}: "
-            f"Int f^2 = {int_f2!r}, Int g^2 = {int_g2!r}"
-        )
-    # the same weights as Int f^2, so that kappa_c = 0 gives F = 1 exactly
+    wcx = wt * cx
+    window = np.cos(w * (1.0 - np.multiply.outer(x, x)))
+    # the same weights and reduction as Int f^2, so that kappa_c = 0 gives
+    # F = 1 exactly
     int_cos2 = float(np.sum(wt * cx * cx))
-    return int_f2 / int_cos2, int_g2 / (2.0 * int_cos2), int_cos2
+    # each g value is a sum of m products, so its rounding is within m eps
+    # times its sum of absolute terms, spread
+    gam = m * np.finfo(float).eps
+
+    def batch(kcs: list[float]) -> list:
+        p = len(kcs)
+        kc = np.array(kcs)[:, None, None]
+        # the filters square I0/I1 values, so the blue wing can leave the
+        # double range below the kernels' own argument threshold; that
+        # raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            # (K * c)(x) = x Int_0^1 K(x (1 - s)) c(x s) ds
+            lags = np.multiply.outer(x, 1.0 - x)
+            conv = kernel_self_scaled(kc, np.broadcast_to(lags, (p, m, m)))
+            conv *= window
+            f = cx - x * (conv @ wt)
+            # the lone point's peak: at most the window and two more m x m
+            # arrays at a time
+            del lags, conv
+            # g(1 - x) = Int_0^1 G(1 - v, x) c(v) dv
+            gk = kernel_cross_scaled(kc, np.broadcast_to(x[:, None], (p, m, 1)), 1.0 - x)
+            g = gk @ wcx
+            spread = np.abs(gk, out=gk) @ np.abs(wcx)
+            int_f2 = np.sum(wt * f * f, axis=-1).tolist()
+            int_g2 = np.sum(wt * g * g, axis=-1).tolist()
+            int_s2 = np.sum(wt * spread * spread, axis=-1).tolist()
+        out = []
+        for k, f2, g2, s2 in zip(kcs, int_f2, int_g2, int_s2):
+            if not (math.isfinite(f2) and math.isfinite(g2)):
+                out.append(OverflowError(
+                    f"closed-form variance integrals overflow at kappa_c = {k:.6g}: "
+                    f"Int f^2 = {f2!r}, Int g^2 = {g2!r}"))
+                continue
+            # |delta Int g^2| <= 2 gam |g| |spread| + (gam |spread|)^2
+            bound = (2.0 * gam * math.sqrt(s2) * math.sqrt(g2) + gam * gam * s2) / (2.0 * int_cos2)
+            out.append((f2 / int_cos2, g2 / (2.0 * int_cos2), bound))
+        return out
+
+    def alone(kc: float):
+        try:
+            return batch([kc])[0]
+        except (ValueError, OverflowError) as exc:
+            return exc
+
+    size = max(1, _BLOCK // (m * m))
+    norms = [None] * len(kappa_c)
+    # one wing a batch; zeros join the red one
+    red = [i for i, k in enumerate(kappa_c) if k >= 0.0]
+    blue = [i for i, k in enumerate(kappa_c) if not k >= 0.0]
+    for wing in (red, blue):
+        for start in range(0, len(wing), size):
+            idx = wing[start:start + size]
+            kcs = [kappa_c[i] for i in idx]
+            try:
+                out = batch(kcs)
+            except (ValueError, OverflowError):
+                # which point raised is not known: each one alone
+                out = [alone(kc) for kc in kcs]
+            for i, norm in zip(idx, out):
+                norms[i] = norm
+    return norms, int_cos2
 
 
-def _kernel_breakdown(kappa_c: float, ratio_r: float, w: float) -> VarianceBreakdown:
-    """The closed-form point at the first order m whose F and Gamma agree with
-    those of m/2 to _RESOLVED_RTOL; UnresolvedError past _MAX_ORDER."""
+def _relative(change: float, value: float) -> float:
+    """change / |value|; 0 when there is no change, inf when value = 0."""
+    if not change:
+        return 0.0
+    return change / abs(value) if value else math.inf
+
+
+def _kernel_breakdowns(kappa_c, ratio_r: float, w: float) -> list[VarianceBreakdown]:
+    """The closed-form point of each kappa_c at the first order m whose F and
+    Gamma agree with those of m/2: F to _RESOLVED_RTOL, Gamma to that or to
+    the change its rounding at both orders allows.
+
+    Each order is evaluated once for all points still pending.  Past
+    _MAX_ORDER a point is unresolved; the call raises what its first failing
+    point raises alone (UnresolvedError, or the OverflowError naming its
+    kappa_c), and a point after that one is not carried further."""
+    kcs = [float(k) for k in kappa_c]
+    done: list = [None] * len(kcs)
+    coarse = {}
+    pending = list(range(len(kcs)))
     m = _FIRST_ORDER
-    f_self, gamma, _ = _filter_norms(kappa_c, w, m)
-    while m < _MAX_ORDER:
+    while pending:
+        norms, int_cos2 = _filter_norms([kcs[i] for i in pending], w, m)
+        for i, norm in zip(pending, norms):
+            if isinstance(norm, Exception):
+                done[i] = norm
+            elif i in coarse:
+                done[i] = _resolved(kcs[i], ratio_r, m, coarse[i], norm, int_cos2)
+            if done[i] is None and m == _MAX_ORDER:
+                done[i] = UnresolvedError(
+                    f"closed-form variance at kappa_c = {kcs[i]:.6g} is not resolved by "
+                    f"Gauss-Legendre order {_MAX_ORDER}: F = {coarse[i][0]!r} at order "
+                    f"{m // 2}, {norm[0]!r} at order {m}; Gamma = {coarse[i][1]!r} at "
+                    f"order {m // 2}, {norm[1]!r} at order {m}")
+            coarse[i] = norm
+        first = next((i for i, d in enumerate(done) if isinstance(d, Exception)), len(kcs))
+        pending = [i for i in pending if done[i] is None and i < first]
         m *= 2
-        coarse = f_self, gamma
-        f_self, gamma, int_cos2 = _filter_norms(kappa_c, w, m)
-        f_change = abs(f_self - coarse[0]) / f_self
-        gamma_change = abs(gamma - coarse[1]) / gamma
-        if max(f_change, gamma_change) <= _RESOLVED_RTOL:
-            v1 = f_self + 2.0 * ratio_r * abs(kappa_c) * gamma
-            v2 = f_self + (2.0 / ratio_r) * abs(kappa_c) * gamma
-            return VarianceBreakdown(f_self=f_self, gamma=gamma, v1=v1, v2=v2,
-                                     sql=0.5 * int_cos2,
-                                     resolution=Resolution(m, f_change, gamma_change))
-    raise UnresolvedError(
-        f"closed-form variance at kappa_c = {kappa_c:.6g} is not resolved by "
-        f"Gauss-Legendre order {_MAX_ORDER}: F = {coarse[0]!r} at order {m // 2}, "
-        f"{f_self!r} at order {m}; Gamma = {coarse[1]!r} at order {m // 2}, "
-        f"{gamma!r} at order {m}"
-    )
+    for d in done:
+        if isinstance(d, Exception):
+            raise d
+    return done
+
+
+def _resolved(kappa_c: float, ratio_r: float, m: int, coarse, fine,
+              int_cos2: float) -> VarianceBreakdown | None:
+    """The point from its (F, Gamma, bound) at orders m/2 and m, or None when
+    they do not agree."""
+    f_self, gamma, bound = fine
+    f_change = _relative(abs(f_self - coarse[0]), f_self)
+    gamma_change = _relative(abs(gamma - coarse[1]), gamma)
+    gamma_floor = _relative(bound + coarse[2], gamma)
+    if f_change > _RESOLVED_RTOL or gamma_change > max(_RESOLVED_RTOL, gamma_floor):
+        return None
+    v1 = f_self + 2.0 * ratio_r * abs(kappa_c) * gamma
+    v2 = f_self + (2.0 / ratio_r) * abs(kappa_c) * gamma
+    return VarianceBreakdown(f_self=f_self, gamma=gamma, v1=v1, v2=v2, sql=0.5 * int_cos2,
+                             resolution=Resolution(m, f_change, gamma_change, gamma_floor))
 
 
 def _validate_scan_args(groups: DimensionlessGroups, grid: Grid) -> None:
@@ -189,7 +288,7 @@ def readout_variances(groups: DimensionlessGroups, grid: Grid) -> VarianceBreakd
     """Variances of the cos(omega*t)-filtered output Stokes components."""
     _validate_scan_args(groups, grid)
     if _kernel_route(groups):
-        return _kernel_breakdown(groups.kappa_c, groups.ratio_r, groups.omega_T)
+        return _kernel_breakdowns([groups.kappa_c], groups.ratio_r, groups.omega_T)[0]
     return _matrix_breakdowns([groups], grid, "readout")[0]
 
 
@@ -202,7 +301,7 @@ def memory_variances(groups: DimensionlessGroups, grid: Grid) -> VarianceBreakdo
     """
     _validate_scan_args(groups, grid)
     if _kernel_route(groups):
-        return _kernel_breakdown(groups.kappa_c, groups.ratio_r, groups.q_L)
+        return _kernel_breakdowns([groups.kappa_c], groups.ratio_r, groups.q_L)[0]
     return _matrix_breakdowns([groups], grid, "memory")[0]
 
 
@@ -397,21 +496,21 @@ def scan(kappa_c_values, mode: str, groups: DimensionlessGroups, grid: Grid,
     kcs = [float(k) for k in kappa_c_values]
     if not kcs:
         raise ValueError("empty scan range")
-    points = [
-        DimensionlessGroups(
-            a_coupling=kc, kappa_c=kc, ratio_r=groups.ratio_r,
-            omega_T=groups.omega_T, q_L=groups.q_L,
-            kappa2_L=groups.kappa2_L, Omega_T=groups.Omega_T,
-            beta_J=math.nan, beta_xi3_T=math.nan,
-        )
-        for kc in kcs
-    ]
     route = "kernel" if _kernel_route(groups) else "matrix"
+    _validate_scan_args(groups, grid)
     if route == "kernel":
-        point = readout_variances if mode == "readout" else memory_variances
-        breakdowns = [point(g, grid) for g in points]
+        w = groups.omega_T if mode == "readout" else groups.q_L
+        breakdowns = _kernel_breakdowns(kcs, groups.ratio_r, w)
     else:
-        _validate_scan_args(groups, grid)
+        points = [
+            DimensionlessGroups(
+                a_coupling=kc, kappa_c=kc, ratio_r=groups.ratio_r,
+                omega_T=groups.omega_T, q_L=groups.q_L,
+                kappa2_L=groups.kappa2_L, Omega_T=groups.Omega_T,
+                beta_J=math.nan, beta_xi3_T=math.nan,
+            )
+            for kc in kcs
+        ]
         breakdowns = _matrix_breakdowns(points, grid, mode)
     rows = tuple(
         ScanRow(kappa_c=kc, abscissa=kc / (2.0 * eps_conversion), f_self=br.f_self,

@@ -12,7 +12,7 @@ from polariton_lab.quadrature import PanelRule, panel_nodes
 from polariton_lab.variance import (
     _RESOLVED_RTOL,
     _filter_norms,
-    _kernel_breakdown,
+    _kernel_breakdowns,
     general_variances,
     memory_variances,
     readout_variances,
@@ -125,7 +125,7 @@ def test_kernel_breakdown_matches_filter_definitions(kappa_c, w):
         lambda u: np.cos(w * u) * kernel_cross_scaled(kappa_c, 1.0 - zp, u), 0.0, 1.0, edges, rule)
         for zp in x])
     int_cos2 = float(np.sum(wt * np.cos(w * x) ** 2))
-    br = _kernel_breakdown(kappa_c, r, w)
+    (br,) = _kernel_breakdowns([kappa_c], r, w)
     assert math.isclose(br.f_self, float(np.sum(wt * f * f)) / int_cos2, rel_tol=1e-12)
     assert math.isclose(br.gamma, float(np.sum(wt * g * g)) / (2.0 * int_cos2), rel_tol=1e-12)
     assert math.isclose(br.sql, 0.5 * int_cos2, rel_tol=1e-12)
@@ -135,7 +135,7 @@ def test_large_coupling_resolved_at_the_coarsest_scan_grid():
     # kappa_c = 1e4 needs order 256, whatever the grid; Gamma's converged
     # value is 4.986669299e-5
     br = readout_variances(groups(1e4, omega_T=0.5), Grid(64, 64))
-    f_256, gamma_256, _ = _filter_norms(1e4, 0.5, 256)
+    ((f_256, gamma_256, _),), _ = _filter_norms([1e4], 0.5, 256)
     assert br.resolution.order == 256
     assert math.isclose(br.gamma, 4.986669299e-5, rel_tol=_RESOLVED_RTOL)
     assert math.isclose(br.f_self, f_256, rel_tol=_RESOLVED_RTOL)
@@ -159,7 +159,7 @@ def test_unresolved_point_raises_with_both_orders():
             r"^closed-form variance at kappa_c = 1e\+06 is not resolved by Gauss-Legendre "
             r"order 1024: F = \S+ at order 512, \S+ at order 1024; "
             r"Gamma = \S+ at order 512, \S+ at order 1024$")):
-        _kernel_breakdown(1e6, 10.0, 0.5)
+        _kernel_breakdowns([1e6], 10.0, 0.5)
 
 
 @given(kappa_c=st.floats(-2.0, 2.5), w=st.floats(0.2, 4.0),
@@ -363,6 +363,106 @@ def test_matrix_scan_rows_equal_per_point_rows(mode, monkeypatch):
     assert result.route == "matrix"
     assert result.as_rows() == expected
     assert calls == [(2 * 80 + 2 * 64, 2 * len(kcs))]
+
+
+_KAPPA_C = st.one_of(st.just(0.0), st.floats(-2.0, 2.5), st.floats(-200.0, 200.0))
+
+
+@settings(max_examples=10, deadline=None)
+@given(kcs=st.lists(_KAPPA_C, min_size=1, max_size=6), w=st.floats(0.2, 4.0),
+       mode=st.sampled_from(["readout", "memory"]))
+def test_kernel_scan_rows_equal_per_point_rows(kcs, w, mode):
+    # the scan evaluates each Gauss order once for all pending points; each
+    # row must keep the bits of its point alone, whether the point takes the
+    # series (|kappa_c| up to about 16) or the Bessel regions, on either wing
+    kw = dict(omega_T=w, q_L=w)
+    result = scan(kcs, mode, groups(0.0, **kw), G256)
+    assert result.route == "kernel"
+    assert result.as_rows() == _point_rows(kcs, mode, G256, **kw)
+
+
+def _counting_kernels(monkeypatch):
+    """Record (kernel, order, points) of every kernel call of the variance layer."""
+    from polariton_lab import variance
+    calls = []
+    for name in ("kernel_self_scaled", "kernel_cross_scaled"):
+        real = getattr(variance, name)
+
+        def counted(kappa_c, *coords, real=real, name=name):
+            out = real(kappa_c, *coords)
+            calls.append((name, out.shape[-1], out.shape[0]))
+            return out
+
+        monkeypatch.setattr(variance, name, counted)
+    return calls
+
+
+def test_kernel_scan_evaluates_each_order_once(monkeypatch):
+    calls = _counting_kernels(monkeypatch)
+    result = scan(np.linspace(0.0, 2.5, 5), "readout", groups(0.0), G256)
+    assert [r.resolution.order for r in result.rows] == [32] * 5
+    assert sorted(calls) == sorted((name, m, 5) for m in (16, 32)
+                                   for name in ("kernel_self_scaled", "kernel_cross_scaled"))
+
+
+def test_kernel_scan_batches_stay_within_a_block(monkeypatch):
+    # at most _BLOCK // m^2 points a call: 8 at order 64, 2 at 128, 1 from 256
+    from polariton_lab.kernels import _BLOCK
+    calls = _counting_kernels(monkeypatch)
+    result = scan([8e3, 9e3, 1e4], "readout", groups(0.0), G256)
+    assert [r.resolution.order for r in result.rows] == [256] * 3
+    assert all(points <= max(1, _BLOCK // (m * m)) for _, m, points in calls)
+    assert [points for _, m, points in calls if m == 256] == [1] * 6
+
+
+def test_kernel_scan_peak_memory_is_that_of_one_point():
+    # each order-256 call holds one point, so a 3-point scan peaks where its
+    # largest point alone does; unbounded batches peaked about 3x higher
+    import tracemalloc
+
+    def peak(kcs):
+        tracemalloc.start()
+        try:
+            scan(kcs, "readout", groups(0.0), G256)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    kcs = [8e3, 9e3, 1e4]
+    alone = max(peak([kc]) for kc in kcs)
+    assert peak(kcs) <= 1.25 * alone
+
+
+@pytest.mark.parametrize("kcs, failing", [
+    # -1e5 overflows in the squared filters at order 16, -2e5 already in
+    # the kernels; the first of them in scan order is what the scan raises
+    ([-1e3, -1e5, -2e5], -1e5),
+    ([-1e3, -2e5, -1e5], -2e5),
+])
+def test_kernel_scan_raises_its_first_failing_point(kcs, failing):
+    with pytest.raises(OverflowError) as alone:
+        readout_variances(groups(failing), G256)
+    with pytest.raises(OverflowError) as scanned:
+        scan(kcs, "readout", groups(0.0), G256)
+    assert str(scanned.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("mode", ["readout", "memory"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_transparency_points_resolve(mode, k):
+    # at omega_T (or q_L) = k pi, Int c = sin(w)/w vanishes and Gamma sits at
+    # round-off, where its relative change never reaches _RESOLVED_RTOL; the
+    # change its rounding allows counts as resolved
+    kcs = [0.0, 1e-8, -1e-8, 1e-6, 1e-4, 1e-3]
+    w = k * math.pi
+    result = scan(kcs, mode, groups(0.0, omega_T=w, q_L=w), G256)
+    assert result.route == "kernel"
+    for row in result.rows:
+        assert all(map(math.isfinite, (row.f_self, row.gamma, row.v1, row.v2)))
+        res = row.resolution
+        assert res.f_change <= _RESOLVED_RTOL
+        assert res.gamma_change <= max(_RESOLVED_RTOL, res.gamma_floor)
+    assert (result.rows[0].f_self, result.rows[0].v1, result.rows[0].v2) == (1.0, 1.0, 1.0)
 
 
 def test_matrix_scan_spans_two_groups(monkeypatch):

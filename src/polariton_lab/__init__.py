@@ -13,7 +13,6 @@ from .kernels import FieldRecord, SpinRecord, output_field, output_spin
 from .lattice import (
     StabilityError,
     TransferMatrix,
-    integrate,
     build_transfer_matrix,
     symplectic_form,
     symplectic_residual,
@@ -38,7 +37,7 @@ __all__ = [
     "__version__",
     "PhysicalParams", "DimensionlessGroups", "Grid", "derive_groups", "canonical_params",
     "FieldRecord", "SpinRecord", "output_field", "output_spin",
-    "StabilityError", "TransferMatrix", "integrate", "build_transfer_matrix",
+    "StabilityError", "TransferMatrix", "build_transfer_matrix",
     "symplectic_form", "symplectic_residual",
     "dispersion_p_of_s", "group_velocity",
     "measure_packet_velocity", "laplace_identity_residual",

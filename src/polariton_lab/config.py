@@ -115,15 +115,12 @@ def _parse_groups(obj: Any, path: str) -> DimensionlessGroups:
     if r <= 0:
         raise _err(f"{path}.r", f"coupling ratio must be positive, got {r}")
     return DimensionlessGroups(
-        a_coupling=kappa_c,  # unit-box embedding: a = kappa_c
         kappa_c=kappa_c,
         ratio_r=r,
         omega_T=_number(obj, path, "omega_T", default=0.0),
         q_L=_number(obj, path, "q_L", default=0.0),
         kappa2_L=_number(obj, path, "kappa2_L", default=0.0),
         Omega_T=_number(obj, path, "Omega_T", default=0.0),
-        beta_J=math.sqrt(kappa_c * r / 2.0) if kappa_c >= 0 else math.nan,
-        beta_xi3_T=math.sqrt(kappa_c * r / 2.0) if kappa_c >= 0 else math.nan,
     )
 
 

@@ -58,10 +58,13 @@ relative error below 1e-12 up to 700.  Domain contract: a non-finite
 kappa_c raises ValueError, and a blue-wing argument above ``I_OVERFLOW_X``
 raises OverflowError.
 
-Both kernel functions also take kappa_c as an array of one sign (zeros
-join either) that broadcasts against the coordinates, one entry a point:
-each point gets the values of a lone call at its kappa_c, bit for bit, and
-a point outside the domain raises what a lone call at it raises.
+Both kernel functions take kappa_c as a number or as an array of one sign
+(zeros join either) that broadcasts against the coordinates, one entry a
+point: each point gets the values of a lone call at its kappa_c, bit for
+bit, and a point outside the domain raises what a lone call at it raises.
+A lone kappa_c goes through ``_reduced_bessel`` in blocks.  At kappa_c = 0
+the series gives E_0 = E_1 = 1 exactly, so K = 0 and G = 1 with no special
+case.
 """
 
 from __future__ import annotations
@@ -131,17 +134,13 @@ _HANKEL_BLUE = tuple(a * (-1.0) ** np.arange(a.size) for a in _HANKEL)
 _NODE_SINES = np.sin((np.arange(_TRAPEZOID_NODES) + 0.5) * (0.5 * np.pi / _TRAPEZOID_NODES))
 
 
-def _check_kappa_c(kappa_c: float) -> None:
-    if not math.isfinite(kappa_c):
-        raise ValueError(f"kappa_c must be finite, got {kappa_c!r}")
-
-
-def _check_kappa_c_points(kappa_c) -> np.ndarray:
+def _check_kappa_c(kappa_c) -> np.ndarray:
     """kappa_c as a float array: finite, and of one sign (zeros join either)."""
     kappa_c = np.asarray(kappa_c, dtype=float)
     lo, hi = float(kappa_c.min()), float(kappa_c.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        _check_kappa_c(float(kappa_c[~np.isfinite(kappa_c)][0]))
+        bad = float(kappa_c[~np.isfinite(kappa_c)][0])
+        raise ValueError(f"kappa_c must be finite, got {bad!r}")
     if lo < 0.0 < hi:
         raise ValueError("kappa_c entries of one call must share one sign")
     return kappa_c
@@ -324,40 +323,27 @@ def _reduced_bessel_regions(order: int, red: bool, y: np.ndarray) -> None:
 def kernel_self_scaled(kappa_c, u):
     """Scaled self-kernel K(u) on u in [0, 1]; K(0+) = kappa_c exactly.
 
-    ``kappa_c`` may be an array of one sign that broadcasts against u; each
-    of its entries gets the values of a lone call at that kappa_c."""
+    ``kappa_c`` is a number or an array of one sign that broadcasts against
+    u; each of its entries gets the values of a lone call at that kappa_c."""
+    kappa_c = _check_kappa_c(kappa_c)
     u = np.asarray(u, dtype=float)
-    if np.ndim(kappa_c):
-        kappa_c = _check_kappa_c_points(kappa_c)
-        s = np.clip(u, 0.0, None, out=np.empty(np.broadcast_shapes(u.shape, kappa_c.shape)))
-        k = _reduced_bessel_points(1, kappa_c, s)
-        return np.multiply(k, kappa_c, out=k)
-    _check_kappa_c(kappa_c)
-    if kappa_c == 0.0:
-        return np.zeros_like(u)
-    k = _reduced_bessel(1, kappa_c, np.clip(u, 0.0, None, out=np.empty(u.shape)))
+    s = np.clip(u, 0.0, None, out=np.empty(np.broadcast_shapes(u.shape, kappa_c.shape)))
+    k = _reduced_bessel_points(1, kappa_c, s)
     return np.multiply(k, kappa_c, out=k)
 
 
 def kernel_cross_scaled(kappa_c, x, t):
     """Scaled cross-kernel G(x, t) for x, t in [0, 1]; G = 1 at a = 0.
 
-    ``kappa_c`` may be an array of one sign that broadcasts against x and t;
-    each of its entries gets the values of a lone call at that kappa_c."""
-    if np.ndim(kappa_c):
-        kappa_c = _check_kappa_c_points(kappa_c)
-        shape = np.broadcast_shapes(np.shape(x), np.shape(t), kappa_c.shape)
-        s = np.multiply(x, t, dtype=float, out=np.empty(shape))
-        return _reduced_bessel_points(0, kappa_c, np.clip(s, 0.0, None, out=s))
-    _check_kappa_c(kappa_c)
-    shape = np.broadcast_shapes(np.shape(x), np.shape(t))
-    if kappa_c == 0.0:
-        return np.ones(shape)
+    ``kappa_c`` is a number or an array of one sign that broadcasts against
+    x and t; each of its entries gets the values of a lone call at that
+    kappa_c."""
+    kappa_c = _check_kappa_c(kappa_c)
+    shape = np.broadcast_shapes(np.shape(x), np.shape(t), kappa_c.shape)
     # one buffer for the product, overwritten with G; [()] unwraps the 0-d
     # result of scalar arguments
     s = np.multiply(x, t, dtype=float, out=np.empty(shape))
-    np.clip(s, 0.0, None, out=s)
-    return _reduced_bessel(0, kappa_c, s)[()]
+    return _reduced_bessel_points(0, kappa_c, np.clip(s, 0.0, None, out=s))[()]
 
 
 def _centers(n: int) -> np.ndarray:
@@ -394,10 +380,6 @@ class FieldRecord:
         t = _centers(n_time) * time_T
         return cls(np.asarray(f_xi1(t), float), np.asarray(f_xi2(t), float))
 
-    @classmethod
-    def zeros(cls, n_time: int) -> "FieldRecord":
-        return cls(np.zeros(n_time), np.zeros(n_time))
-
 
 @dataclass(frozen=True)
 class SpinRecord:
@@ -419,10 +401,6 @@ class SpinRecord:
     def from_functions(cls, f_jz, f_jy, n_space: int, length_L: float = 1.0) -> "SpinRecord":
         z = _centers(n_space) * length_L
         return cls(np.asarray(f_jz(z), float), np.asarray(f_jy(z), float))
-
-    @classmethod
-    def zeros(cls, n_space: int) -> "SpinRecord":
-        return cls(np.zeros(n_space), np.zeros(n_space))
 
 
 def _interp_uniform_centers(values: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -71,7 +71,6 @@ __all__ = [
     "SPIN_BLOCK_SIGN",
     "cell_matrix",
     "check_stability",
-    "integrate",
     "integrate_stacked",
     "integrate_extrapolated",
     "build_transfer_matrix",
@@ -175,7 +174,7 @@ def _stack_cells(params: PhysicalParams | Sequence[PhysicalParams],
                             for p in stack])
 
 
-def _sweep(tiles: np.ndarray, u: np.ndarray, w: np.ndarray, sides: tuple[int, int] = (1, 1),
+def _sweep(tiles: np.ndarray, u: np.ndarray, w: np.ndarray, sides: tuple[int, int],
            record: tuple[slice, slice] | None = None) -> tuple[np.ndarray, ...]:
     """March light u and spin w across the lattice by one tile or a stack of tiles.
 
@@ -323,18 +322,8 @@ def integrate_stacked(params: PhysicalParams | Sequence[PhysicalParams], grid: G
     return (out_u[:, :, 0], out_w[:, :, 0]) if single else (out_u, out_w)
 
 
-def integrate(params: PhysicalParams, grid: Grid, xi_in: FieldRecord,
-              spin_in: SpinRecord) -> tuple[FieldRecord, SpinRecord]:
-    """Second-order solution: light record at z=L and spin record at t=T."""
-    u = np.stack([xi_in.xi1, xi_in.xi2])
-    w = np.stack([spin_in.jz, spin_in.jy])
-    u, w = integrate_stacked(params, grid, u, w)
-    return FieldRecord(u[0], u[1]), SpinRecord(w[0], w[1])
-
-
-def integrate_extrapolated(
-    params: PhysicalParams | Sequence[PhysicalParams], grid: Grid, field_fns, spin_fns,
-) -> tuple[FieldRecord, SpinRecord] | list[tuple[FieldRecord, SpinRecord]]:
+def integrate_extrapolated(params: Sequence[PhysicalParams], grid: Grid, field_fns,
+                           spin_fns) -> list[tuple[FieldRecord, SpinRecord]]:
     """High-accuracy oracle reference: Richardson pair of lattice integrates.
 
     Combines the second-order solution at the given grid with a 3x refined
@@ -342,16 +331,12 @@ def integrate_extrapolated(
     as (9*fine - coarse)/8, cancelling the leading h^2 term.  Inputs are
     callables of the physical coordinates.
 
-    ``params`` is one PhysicalParams, with field_fns = (xi1, xi2) and
-    spin_fns = (jz, jy), returning (FieldRecord, SpinRecord); or a sequence
-    of P of them, with field_fns and spin_fns sequences of P such pairs,
-    returning a list of P (FieldRecord, SpinRecord).  Each grid level is
-    then one ``integrate_stacked`` call with every entry its own stack
-    entry, so entry p is bit-identical to the single call on it.
+    ``params`` is a sequence of P PhysicalParams, field_fns and spin_fns
+    sequences of P pairs (xi1, xi2) and (jz, jy); returns a list of P
+    (FieldRecord, SpinRecord).  Each grid level is one ``integrate_stacked``
+    call with every entry its own stack entry, so entry p is bit-identical
+    to a one-entry call on it.
     """
-    single = isinstance(params, PhysicalParams)
-    if single:
-        params, field_fns, spin_fns = [params], [field_fns], [spin_fns]
     levels = []
     for g in (grid, Grid(3 * grid.n_time, 3 * grid.n_space)):
         u = np.empty((2, g.n_time, len(params)))
@@ -366,9 +351,8 @@ def integrate_extrapolated(
     # the centre sub-bin of every coarse bin
     u = (9.0 * uf[:, 1::3] - uc) / 8.0
     w = (9.0 * wf[:, 1::3] - wc) / 8.0
-    out = [(FieldRecord(u[0, :, k], u[1, :, k]), SpinRecord(w[0, :, k], w[1, :, k]))
-           for k in range(len(params))]
-    return out[0] if single else out
+    return [(FieldRecord(u[0, :, k], u[1, :, k]), SpinRecord(w[0, :, k], w[1, :, k]))
+            for k in range(len(params))]
 
 
 def _norms(params: PhysicalParams, grid: Grid) -> tuple[float, float]:

@@ -85,15 +85,12 @@ class PhysicalParams:
 class DimensionlessGroups:
     """Reduced parameters that fully determine normalized outputs."""
 
-    a_coupling: float
     kappa_c: float
     ratio_r: float
     omega_T: float
     q_L: float
     kappa2_L: float
     Omega_T: float
-    beta_J: float
-    beta_xi3_T: float
 
 
 @dataclass(frozen=True)
@@ -126,18 +123,14 @@ def derive_groups(params: PhysicalParams, omega_T: float, q_L: float) -> Dimensi
     """
     omega_T = _require_finite("omega_T", omega_T)
     q_L = _require_finite("q_L", q_L)
-    a = params.a_coupling
     ratio_r = params.beta / params.epsilon if params.epsilon != 0.0 else math.inf
     return DimensionlessGroups(
-        a_coupling=a,
         kappa_c=params.kappa_c,
         ratio_r=ratio_r,
         omega_T=omega_T,
         q_L=q_L,
         kappa2_L=params.kappa2 * params.length_L,
         Omega_T=params.omega * params.time_T,
-        beta_J=params.beta * params.jx_bar * params.length_L,
-        beta_xi3_T=params.beta * params.xi3_bar * params.time_T,
     )
 
 

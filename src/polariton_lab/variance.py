@@ -270,26 +270,30 @@ def _resolved(kappa_c: float, ratio_r: float, m: int, coarse, fine,
                              resolution=Resolution(m, f_change, gamma_change, gamma_floor))
 
 
-def _validate_scan_args(groups: DimensionlessGroups, grid: Grid) -> None:
+def _breakdowns(kappa_c: list[float], mode: str, groups: DimensionlessGroups,
+                grid: Grid) -> tuple[list[VarianceBreakdown], str]:
+    """The breakdown of each kappa_c at the other groups of ``groups``, and
+    the route that computed them: "kernel" (the closed form, which covers
+    kappa2 = Omega = 0 only) or "matrix" (the adjoint sweep)."""
+    if mode not in ("readout", "memory"):
+        raise ValueError(f"unknown scan mode {mode!r}")
+    if not kappa_c:
+        raise ValueError("empty scan range")
     if not (math.isfinite(groups.ratio_r) and groups.ratio_r > 0.0):
         raise ValueError(f"ratio_r must be positive and finite, got {groups.ratio_r}")
     if min(grid.n_time, grid.n_space) < _MIN_SCAN_GRID:
         raise ValueError(
             f"grid coarser than {_MIN_SCAN_GRID} rejected for variance scans"
         )
-
-
-def _kernel_route(groups: DimensionlessGroups) -> bool:
-    """The closed-form kernels cover kappa2 = Omega = 0 only."""
-    return groups.kappa2_L == 0.0 and groups.Omega_T == 0.0
+    if groups.kappa2_L == 0.0 and groups.Omega_T == 0.0:
+        w = groups.omega_T if mode == "readout" else groups.q_L
+        return _kernel_breakdowns(kappa_c, groups.ratio_r, w), "kernel"
+    return _matrix_breakdowns(kappa_c, groups, grid, mode), "matrix"
 
 
 def readout_variances(groups: DimensionlessGroups, grid: Grid) -> VarianceBreakdown:
     """Variances of the cos(omega*t)-filtered output Stokes components."""
-    _validate_scan_args(groups, grid)
-    if _kernel_route(groups):
-        return _kernel_breakdowns([groups.kappa_c], groups.ratio_r, groups.omega_T)[0]
-    return _matrix_breakdowns([groups], grid, "readout")[0]
+    return _breakdowns([groups.kappa_c], "readout", groups, grid)[0][0]
 
 
 def memory_variances(groups: DimensionlessGroups, grid: Grid) -> VarianceBreakdown:
@@ -299,10 +303,7 @@ def memory_variances(groups: DimensionlessGroups, grid: Grid) -> VarianceBreakdo
     filter frequency is q_L, v1 holds the beta-coupled Jy observable and v2
     the eps-coupled Jz observable.
     """
-    _validate_scan_args(groups, grid)
-    if _kernel_route(groups):
-        return _kernel_breakdowns([groups.kappa_c], groups.ratio_r, groups.q_L)[0]
-    return _matrix_breakdowns([groups], grid, "memory")[0]
+    return _breakdowns([groups.kappa_c], "memory", groups, grid)[0][0]
 
 
 def _channel_ratios(grid: Grid, columns) -> list[tuple[float, float, float]]:
@@ -360,30 +361,31 @@ def _channel_weights(grid: Grid, columns) -> np.ndarray:
     return y
 
 
-def _matrix_breakdowns(points, grid: Grid, mode: str) -> list[VarianceBreakdown]:
-    """Transfer-matrix covariance route, exact for kappa2, Omega != 0.
+def _matrix_breakdowns(kappa_c: list[float], groups: DimensionlessGroups, grid: Grid,
+                       mode: str) -> list[VarianceBreakdown]:
+    """Transfer-matrix covariance route, exact for kappa2, Omega != 0: the
+    point of each kappa_c at the other groups of ``groups``.
 
-    Each point gives two columns: its cosine weights on (Xi1, Xi2) for
+    Each point gives two columns: the cosine weights on (Xi1, Xi2) for
     readout or (Jy, Jz) for memory, the beta-coupled observable first.
     """
-    params = [canonical_params(g.kappa_c, g.ratio_r, g.kappa2_L, g.Omega_T) for g in points]
     if mode == "readout":
-        n, channels = grid.n_time, ("xi1", "xi2")
-        weights = [_cos_bin_averages(g.omega_T, n) for g in points]
+        n, channels, w = grid.n_time, ("xi1", "xi2"), groups.omega_T
     else:
-        n, channels = grid.n_space, ("jy", "jz")
-        weights = [_cos_bin_averages(g.q_L, n) for g in points]
-    ratios = _channel_ratios(grid, [(p, channel, cw) for p, cw in zip(params, weights)
+        n, channels, w = grid.n_space, ("jy", "jz"), groups.q_L
+    weights = _cos_bin_averages(w, n)
+    # canonical embedding has unit means
+    sql = 0.5 * float(weights @ weights) / n
+    params = [canonical_params(kc, groups.ratio_r, groups.kappa2_L, groups.Omega_T)
+              for kc in kappa_c]
+    ratios = _channel_ratios(grid, [(p, channel, weights) for p in params
                                     for channel in channels])
     out = []
-    for g, cw, (v1, light, spin), (v2, _, _) in zip(points, weights,
-                                                    ratios[::2], ratios[1::2]):
+    for kc, (v1, light, spin), (v2, _, _) in zip(kappa_c, ratios[::2], ratios[1::2]):
         f_self = light if mode == "readout" else spin
-        coupling = 2.0 * g.ratio_r * abs(g.kappa_c)
+        coupling = 2.0 * groups.ratio_r * abs(kc)
         gamma = (v1 - f_self) / coupling if coupling else 0.0
-        # canonical embedding has unit means
-        out.append(VarianceBreakdown(f_self=f_self, gamma=gamma, v1=v1, v2=v2,
-                                     sql=0.5 * float(cw @ cw) / n))
+        out.append(VarianceBreakdown(f_self=f_self, gamma=gamma, v1=v1, v2=v2, sql=sql))
     return out
 
 
@@ -491,27 +493,8 @@ def scan(kappa_c_values, mode: str, groups: DimensionlessGroups, grid: Grid,
     caller's value of the bracketed product (the default 0.5 makes the
     abscissa coincide numerically with kappa_c).
     """
-    if mode not in ("readout", "memory"):
-        raise ValueError(f"unknown scan mode {mode!r}")
     kcs = [float(k) for k in kappa_c_values]
-    if not kcs:
-        raise ValueError("empty scan range")
-    route = "kernel" if _kernel_route(groups) else "matrix"
-    _validate_scan_args(groups, grid)
-    if route == "kernel":
-        w = groups.omega_T if mode == "readout" else groups.q_L
-        breakdowns = _kernel_breakdowns(kcs, groups.ratio_r, w)
-    else:
-        points = [
-            DimensionlessGroups(
-                a_coupling=kc, kappa_c=kc, ratio_r=groups.ratio_r,
-                omega_T=groups.omega_T, q_L=groups.q_L,
-                kappa2_L=groups.kappa2_L, Omega_T=groups.Omega_T,
-                beta_J=math.nan, beta_xi3_T=math.nan,
-            )
-            for kc in kcs
-        ]
-        breakdowns = _matrix_breakdowns(points, grid, mode)
+    breakdowns, route = _breakdowns(kcs, mode, groups, grid)
     rows = tuple(
         ScanRow(kappa_c=kc, abscissa=kc / (2.0 * eps_conversion), f_self=br.f_self,
                 gamma=br.gamma, v1=br.v1, v2=br.v2, sql=br.sql,

@@ -27,8 +27,7 @@ G256 = Grid(256, 256)
 
 
 def _groups(kappa_c, r=10.0, omega_T=0.5, q_L=0.0, kappa2_L=0.0, Omega_T=0.0):
-    return DimensionlessGroups(kappa_c, kappa_c, r, omega_T, q_L,
-                               kappa2_L, Omega_T, math.nan, math.nan)
+    return DimensionlessGroups(kappa_c, r, omega_T, q_L, kappa2_L, Omega_T)
 
 
 def _report(num, name, ok, detail):
@@ -59,7 +58,7 @@ def test_criterion_02_kernel_oracle_equivalence():
     for kc in (0.5, 1.0, 2.0):
         g = _groups(kc)
         kern = readout_variances(g, G512)
-        matx = _matrix_breakdowns([g], G512, "readout")[0]
+        matx = _matrix_breakdowns([kc], g, G512, "readout")[0]
         worst_var = max(
             worst_var,
             abs(matx.v1 - kern.v1) / kern.v1,

@@ -332,6 +332,7 @@ def test_cli_packet_velocity(tmp_path):
     assert header == "q0,v_measured,v_predicted"
     q0, v_meas, v_pred = (float(x) for x in row.split(","))
     assert 0.95 <= v_meas / v_pred <= 1.05
+    assert v_meas == pytest.approx(0.032113322367784761, rel=1e-12, abs=0.0)
 
 
 def test_cli_mode_mismatch(tmp_path):

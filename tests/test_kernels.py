@@ -44,7 +44,8 @@ def test_decoupled_limit_identity():
     np.testing.assert_array_equal(out.xi1, xi.xi1)
     np.testing.assert_array_equal(out.xi2, xi.xi2)
     sp_in = SpinRecord.from_functions(lambda z: z, lambda z: 1 - z, GRID.n_space)
-    out_sp = output_spin(params, GRID, FieldRecord.zeros(GRID.n_time), sp_in)
+    out_sp = output_spin(params, GRID, FieldRecord(np.zeros(GRID.n_time), np.zeros(GRID.n_time)),
+                         sp_in)
     np.testing.assert_array_equal(out_sp.jz, sp_in.jz)
     np.testing.assert_array_equal(out_sp.jy, sp_in.jy)
 
@@ -53,7 +54,7 @@ def test_constant_spin_against_adaptive_quadrature():
     # xi_in = 0, Jz = const: Xi1(L,t) = 2*beta*xi3*const*Int_0^L J0(2 sqrt(a(L-z')t)) dz'
     params = canonical_params(1.5, 4.0)
     const = 0.8
-    xi = FieldRecord.zeros(GRID.n_time)
+    xi = FieldRecord(np.zeros(GRID.n_time), np.zeros(GRID.n_time))
     sp = SpinRecord(np.full(GRID.n_space, const), np.zeros(GRID.n_space))
     out = output_field(params, GRID, xi, sp)
     a = params.a_coupling
@@ -112,8 +113,9 @@ def test_time_space_kernel_symmetry():
     rng = np.random.default_rng(4)
     f = rng.normal(size=GRID.n_time)
     g = rng.normal(size=GRID.n_time)
-    field = output_field(params, GRID, FieldRecord(f, g), SpinRecord.zeros(GRID.n_space))
-    spin = output_spin(params, GRID, FieldRecord.zeros(GRID.n_time), SpinRecord(f, g))
+    zeros = np.zeros(GRID.n_time)
+    field = output_field(params, GRID, FieldRecord(f, g), SpinRecord(zeros, zeros))
+    spin = output_spin(params, GRID, FieldRecord(zeros, zeros), SpinRecord(f, g))
     np.testing.assert_allclose(field.xi1, spin.jz, rtol=1e-14)
     np.testing.assert_allclose(field.xi2, spin.jy, rtol=1e-14)
 
@@ -282,4 +284,5 @@ def test_record_validation():
         SpinRecord(np.ones(4), np.ones(5))
     params = canonical_params(1.0, 2.0)
     with pytest.raises(ValueError):
-        output_field(params, Grid(8, 8), FieldRecord.zeros(9), SpinRecord.zeros(8))
+        output_field(params, Grid(8, 8), FieldRecord(np.zeros(9), np.zeros(9)),
+                     SpinRecord(np.zeros(8), np.zeros(8)))

@@ -36,12 +36,15 @@ def test_groups_kappa_identities_machine_precision():
     p = PhysicalParams(beta=0.7, epsilon=0.05, xi3_bar=3.1, jx_bar=2.4,
                       length_L=1.7, time_T=0.9)
     g = derive_groups(p, omega_T=0.5, q_L=4.0)
-    assert g.a_coupling == -(-2.0 * p.beta * p.epsilon * p.xi3_bar * p.jx_bar)
-    eps_xi3_T = p.epsilon * p.xi3_bar * p.time_T
-    eps_jx_L = p.epsilon * p.jx_bar * p.length_L
-    assert math.isclose(g.kappa_c, 2.0 * g.beta_J * eps_xi3_T, rel_tol=1e-15)
-    assert math.isclose(g.kappa_c, 2.0 * g.beta_xi3_T * eps_jx_L, rel_tol=1e-15)
-    assert math.copysign(1.0, g.a_coupling) == math.copysign(1.0, p.beta * p.epsilon)
+    assert g.kappa_c == (2.0 * p.beta * p.epsilon * p.xi3_bar * p.jx_bar) * p.length_L * p.time_T
+    # the scan abscissae: kappa_c = 2*beta_J*(eps*xi3*T) = 2*beta_xi3_T*(eps*jx*L)
+    beta_J = p.beta * p.jx_bar * p.length_L
+    beta_xi3_T = p.beta * p.xi3_bar * p.time_T
+    assert math.isclose(g.kappa_c, 2.0 * beta_J * (p.epsilon * p.xi3_bar * p.time_T),
+                        rel_tol=1e-15)
+    assert math.isclose(g.kappa_c, 2.0 * beta_xi3_T * (p.epsilon * p.jx_bar * p.length_L),
+                        rel_tol=1e-15)
+    assert math.copysign(1.0, g.kappa_c) == math.copysign(1.0, p.beta * p.epsilon)
 
 
 def test_groups_scan_edge_kappa_c_two():
@@ -49,17 +52,18 @@ def test_groups_scan_edge_kappa_c_two():
     p = PhysicalParams(beta=1.0, epsilon=1.0, xi3_bar=1.0, jx_bar=1.0)
     g = derive_groups(p, omega_T=0.5, q_L=4.0)
     assert g.kappa_c == 2.0
-    assert math.isclose(g.kappa_c, 2.0 * g.beta_J * (p.epsilon * p.xi3_bar * p.time_T),
+    beta_J = p.beta * p.jx_bar * p.length_L
+    assert math.isclose(g.kappa_c, 2.0 * beta_J * (p.epsilon * p.xi3_bar * p.time_T),
                         rel_tol=1e-15)
 
 
 def test_groups_decoupled_and_sign_cases():
     p0 = PhysicalParams(beta=0.0, epsilon=0.3)
     g0 = derive_groups(p0, 0.5, 0.0)
-    assert g0.a_coupling == 0.0 and g0.kappa_c == 0.0
+    assert g0.kappa_c == 0.0
     p_blue = PhysicalParams(beta=-0.2, epsilon=0.2)
     g_blue = derive_groups(p_blue, 0.5, 0.0)
-    assert g_blue.a_coupling < 0.0
+    assert g_blue.kappa_c < 0.0
 
 
 def test_derive_groups_pure():
@@ -79,7 +83,7 @@ def test_scaling_invariance_exact_for_power_of_two():
     g0 = derive_groups(p, 0.5, 4.0)
     g1 = derive_groups(scaled, 0.5, 4.0)
     assert g1.kappa_c == g0.kappa_c
-    assert g1.beta_J == g0.beta_J
+    assert g1 == g0
 
 
 def test_rejects_non_finite_mode_choices():

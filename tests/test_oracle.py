@@ -32,7 +32,7 @@ def test_batch_lattice_outputs_equal_per_profile_path():
                                    [c[2] for c in cases])
     assert len(batch) == len(cases)
     for p, (_, field_fns, spin_fns), (field, spin) in zip(params, cases, batch):
-        one_field, one_spin = integrate_extrapolated(p, GRID, field_fns, spin_fns)
+        [(one_field, one_spin)] = integrate_extrapolated([p], GRID, [field_fns], [spin_fns])
         for got, want in ((field.xi1, one_field.xi1), (field.xi2, one_field.xi2),
                           (spin.jz, one_spin.jz), (spin.jy, one_spin.jy)):
             np.testing.assert_array_equal(got, want)

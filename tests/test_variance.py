@@ -25,11 +25,8 @@ G256 = Grid(256, 256)
 
 
 def groups(kappa_c, r=10.0, omega_T=0.5, q_L=0.0, kappa2_L=0.0, Omega_T=0.0):
-    return DimensionlessGroups(
-        a_coupling=kappa_c, kappa_c=kappa_c, ratio_r=r, omega_T=omega_T,
-        q_L=q_L, kappa2_L=kappa2_L, Omega_T=Omega_T,
-        beta_J=math.nan, beta_xi3_T=math.nan,
-    )
+    return DimensionlessGroups(kappa_c=kappa_c, ratio_r=r, omega_T=omega_T,
+                               q_L=q_L, kappa2_L=kappa2_L, Omega_T=Omega_T)
 
 
 # regression constants frozen from the dual-path engine at grid 512
@@ -215,13 +212,13 @@ def test_dual_path_agreement():
     for kc in (0.5, 2.0):
         g = groups(kc)
         kern = readout_variances(g, G256)
-        matx = _matrix_breakdowns([g], G256, "readout")[0]
+        matx = _matrix_breakdowns([kc], g, G256, "readout")[0]
         assert abs(matx.v1 - kern.v1) / kern.v1 <= 5e-3
         assert abs(matx.v2 - kern.v2) / kern.v2 <= 5e-3
         assert abs(matx.f_self - kern.f_self) / kern.f_self <= 5e-3
         gm = groups(kc, q_L=0.5)
         kern_m = memory_variances(gm, G256)
-        matx_m = _matrix_breakdowns([gm], G256, "memory")[0]
+        matx_m = _matrix_breakdowns([kc], gm, G256, "memory")[0]
         assert abs(matx_m.v1 - kern_m.v1) / kern_m.v1 <= 5e-3
         assert abs(matx_m.v2 - kern_m.v2) / kern_m.v2 <= 5e-3
 
@@ -297,10 +294,10 @@ def test_matrix_breakdown_equals_general_variances_channels():
     params = canonical_params(1.5, 10.0, kappa2_L=0.3, Omega_T=0.3)
     res = general_variances(params, grid, _cos_bin_averages(0.7, grid.n_time),
                             _cos_bin_averages(1.3, grid.n_space))
-    ro = _matrix_breakdowns([g], grid, "readout")[0]
+    ro = _matrix_breakdowns([1.5], g, grid, "readout")[0]
     assert (ro.v1, ro.f_self, ro.v2) == (
         res["xi1"].normalized, res["xi1"].light_part, res["xi2"].normalized)
-    mem = _matrix_breakdowns([g], grid, "memory")[0]
+    mem = _matrix_breakdowns([1.5], g, grid, "memory")[0]
     assert (mem.v1, mem.f_self, mem.v2) == (
         res["jy"].normalized, res["jy"].spin_part, res["jz"].normalized)
 

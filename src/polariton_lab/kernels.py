@@ -63,8 +63,7 @@ Both kernel functions take kappa_c as a number or as an array of one sign
 point: each point gets the values of a lone call at its kappa_c, bit for
 bit, and a point outside the domain raises what a lone call at it raises.
 A lone kappa_c goes through ``_reduced_bessel`` in blocks.  At kappa_c = 0
-the series gives E_0 = E_1 = 1 exactly, so K = 0 and G = 1 with no special
-case.
+the series gives E_0 = E_1 = 1 exactly, so K = 0 and G = 1.
 """
 
 from __future__ import annotations

@@ -73,13 +73,8 @@ def test_packet_velocity_contract():
     v = measure_packet_velocity(params, Grid(512, 512), q0, 0.1 * q0)
     v_pred = group_velocity(-params.a_coupling, q0)
     assert 0.95 <= v / v_pred <= 1.05
-
-
-def test_packet_velocity_pinned():
-    # the two chained integrates march tiles, not cells, so the value sits
-    # within rounding of the cell-by-cell sweeps' 0.032113322367784761; an
-    # off-by-one probe plane or chunk length moves it far more
-    v = measure_packet_velocity(canonical_params(2.0, 1.0), Grid(512, 512), 8.0, 0.8)
+    # an off-by-one probe plane or chunk length moves the value far more
+    # than rounding does
     assert v == pytest.approx(0.032113322367784761, rel=1e-12, abs=0.0)
 
 

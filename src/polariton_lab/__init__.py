@@ -17,12 +17,6 @@ from .lattice import (
     symplectic_form,
     symplectic_residual,
 )
-from .spectral import (
-    dispersion_p_of_s,
-    group_velocity,
-    measure_packet_velocity,
-    laplace_identity_residual,
-)
 from .variance import (
     VarianceBreakdown,
     readout_variances,
@@ -45,3 +39,19 @@ __all__ = [
     "memory_variances", "general_variances", "scan",
     "RunConfig", "ConfigError", "parse_config", "run",
 ]
+
+# spectral loads on first use of one of its names (PEP 562): of the CLI modes,
+# only dispersion and packet-velocity need it
+_SPECTRAL = ("dispersion_p_of_s", "group_velocity",
+             "measure_packet_velocity", "laplace_identity_residual")
+
+
+def __getattr__(name):
+    if name in _SPECTRAL:
+        from . import spectral
+        return getattr(spectral, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SPECTRAL))

@@ -42,10 +42,9 @@ def main(argv=None) -> int:
               f"subcommand {args.command!r}", file=sys.stderr)
         return 2
     if args.grid_override is not None:
-        from dataclasses import replace
         from .model import Grid
         try:
-            config = replace(config, grid=Grid(args.grid_override, args.grid_override))
+            config = config._replace(grid=Grid(args.grid_override, args.grid_override))
         except ValueError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2

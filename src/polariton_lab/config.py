@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .model import DimensionlessGroups, Grid, PhysicalParams, derive_groups
 
@@ -91,8 +90,7 @@ def _block(obj: Any, path: str, allowed: set[str]) -> dict:
     return obj
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     mode: str
     grid: Grid
     groups: DimensionlessGroups | None = None

@@ -69,11 +69,10 @@ the series gives E_0 = E_1 = 1 exactly, so K = 0 and G = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Grid, PhysicalParams
+from .model import Grid, PhysicalParams, _Record
 from .quadrature import PanelRule, panel_nodes
 
 __all__ = [
@@ -358,17 +357,15 @@ def _validate_samples(name: str, arr, n: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class FieldRecord:
+class FieldRecord(_Record):
     """Stokes component samples Xi1(t), Xi2(t) at bin centers, fixed z."""
 
-    xi1: np.ndarray
-    xi2: np.ndarray
+    __slots__ = ("xi1", "xi2")
 
-    def __post_init__(self):
-        n = len(self.xi1)
-        object.__setattr__(self, "xi1", _validate_samples("xi1", self.xi1, n))
-        object.__setattr__(self, "xi2", _validate_samples("xi2", self.xi2, n))
+    def __init__(self, xi1: np.ndarray, xi2: np.ndarray):
+        n = len(xi1)
+        object.__setattr__(self, "xi1", _validate_samples("xi1", xi1, n))
+        object.__setattr__(self, "xi2", _validate_samples("xi2", xi2, n))
 
     @property
     def n(self) -> int:
@@ -380,17 +377,15 @@ class FieldRecord:
         return cls(np.asarray(f_xi1(t), float), np.asarray(f_xi2(t), float))
 
 
-@dataclass(frozen=True)
-class SpinRecord:
+class SpinRecord(_Record):
     """Transverse spin samples Jz(z), Jy(z) at bin centers, fixed t."""
 
-    jz: np.ndarray
-    jy: np.ndarray
+    __slots__ = ("jz", "jy")
 
-    def __post_init__(self):
-        n = len(self.jz)
-        object.__setattr__(self, "jz", _validate_samples("jz", self.jz, n))
-        object.__setattr__(self, "jy", _validate_samples("jy", self.jy, n))
+    def __init__(self, jz: np.ndarray, jy: np.ndarray):
+        n = len(jz)
+        object.__setattr__(self, "jz", _validate_samples("jz", jz, n))
+        object.__setattr__(self, "jy", _validate_samples("jy", jy, n))
 
     @property
     def n(self) -> int:

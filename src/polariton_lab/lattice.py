@@ -59,12 +59,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import FieldRecord, SpinRecord
-from .model import Grid, PhysicalParams
+from .model import Grid, PhysicalParams, _Record
 
 __all__ = [
     "StabilityError",
@@ -371,25 +370,25 @@ def _bin_layout(n_time: int, n_space: int) -> dict[str, slice]:
     }
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
+class TransferMatrix(_Record):
     """Discrete input-output map on normalized noise bins.
 
     Rows and columns follow ``_bin_layout``: ``matrix`` is square, of side
     2*n_time + 2*n_space.
     """
 
-    matrix: np.ndarray
-    n_time: int
-    n_space: int
+    __slots__ = ("matrix", "n_time", "n_space")
 
-    def __post_init__(self):
-        dim = 2 * self.n_time + 2 * self.n_space
-        if np.shape(self.matrix) != (dim, dim):
+    def __init__(self, matrix: np.ndarray, n_time: int, n_space: int):
+        dim = 2 * n_time + 2 * n_space
+        if np.shape(matrix) != (dim, dim):
             raise ValueError(
-                f"matrix of shape {np.shape(self.matrix)} does not match the layout of "
-                f"n_time = {self.n_time}, n_space = {self.n_space}: expected ({dim}, {dim})"
+                f"matrix of shape {np.shape(matrix)} does not match the layout of "
+                f"n_time = {n_time}, n_space = {n_space}: expected ({dim}, {dim})"
             )
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "n_time", n_time)
+        object.__setattr__(self, "n_space", n_space)
 
 
 def _lower_toeplitz(col: np.ndarray) -> np.ndarray:

@@ -14,7 +14,8 @@ fluctuations).  ``kappa_c = a*L*T`` carries the same sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from typing import NamedTuple
 
 __all__ = [
     "PhysicalParams",
@@ -32,8 +33,54 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class _Record:
+    """Base of the records that are not NamedTuples: an immutable
+    ``__slots__`` class.
+
+    A subclass lists its fields in ``__slots__``, in constructor order, and
+    its ``__init__`` checks them and sets each once with
+    ``object.__setattr__``.  As with a frozen dataclass, assignment raises
+    ``AttributeError`` and equality, hash and repr go by the fields.
+    ``_fields`` and ``_replace`` are those of a NamedTuple, but ``_replace``
+    builds the new record through the constructor, so it validates again.
+    No code is generated when a subclass is created.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__slots__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+    def _replace(self, **changes):
+        return type(self)(**{**{name: getattr(self, name) for name in self._fields},
+                             **changes})
+
+
+class PhysicalParams(_Record):
     """Coupling constants, mean polarizations, and pulse/sample extents.
 
     beta     : Faraday rotation angle per spin flip along z (rad)
@@ -47,20 +94,15 @@ class PhysicalParams:
     time_T   : pulse duration, > 0
     """
 
-    beta: float
-    epsilon: float
-    kappa2: float = 0.0
-    omega0: float = 0.0
-    omega2: float = 0.0
-    xi3_bar: float = 1.0
-    jx_bar: float = 1.0
-    length_L: float = 1.0
-    time_T: float = 1.0
+    __slots__ = ("beta", "epsilon", "kappa2", "omega0", "omega2",
+                 "xi3_bar", "jx_bar", "length_L", "time_T")
 
-    def __post_init__(self):
-        for name in ("beta", "epsilon", "kappa2", "omega0", "omega2",
-                     "xi3_bar", "jx_bar", "length_L", "time_T"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+    def __init__(self, beta: float, epsilon: float, kappa2: float = 0.0,
+                 omega0: float = 0.0, omega2: float = 0.0, xi3_bar: float = 1.0,
+                 jx_bar: float = 1.0, length_L: float = 1.0, time_T: float = 1.0):
+        for name, value in zip(self._fields, (beta, epsilon, kappa2, omega0, omega2,
+                                              xi3_bar, jx_bar, length_L, time_T)):
+            object.__setattr__(self, name, _require_finite(name, value))
         for name in ("xi3_bar", "jx_bar", "length_L", "time_T"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -81,8 +123,7 @@ class PhysicalParams:
         return self.a_coupling * self.length_L * self.time_T
 
 
-@dataclass(frozen=True)
-class DimensionlessGroups:
+class DimensionlessGroups(NamedTuple):
     """Reduced parameters that fully determine normalized outputs."""
 
     kappa_c: float
@@ -93,14 +134,24 @@ class DimensionlessGroups:
     Omega_T: float
 
 
-@dataclass(frozen=True)
-class Grid:
+def _bin_count(name: str, value) -> int:
+    """``value`` as an ``int``; a bool or a non-integer raises ValueError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer bin count, got {value!r}")
+
+
+class Grid(_Record):
     """Uniform bin counts over [0, T] (time) and [0, L] (space)."""
 
-    n_time: int
-    n_space: int
+    __slots__ = ("n_time", "n_space")
 
-    def __post_init__(self):
+    def __init__(self, n_time: int, n_space: int):
+        object.__setattr__(self, "n_time", _bin_count("n_time", n_time))
+        object.__setattr__(self, "n_space", _bin_count("n_space", n_space))
         if self.n_time < 2 or self.n_space < 2:
             raise ValueError(
                 f"grid must have at least 2 bins per axis, got "

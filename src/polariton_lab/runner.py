@@ -10,7 +10,6 @@ byte-identical output.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import platform
@@ -19,13 +18,22 @@ from pathlib import Path
 
 import numpy as np
 
+# the builtin SHA-256: hashlib would load OpenSSL (about 3.5 MB of RSS) for
+# the sidecar's one digest
+try:
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
 from . import __version__
 from .config import RunConfig
 from .kernels import FieldRecord, SpinRecord, output_maps
 from .lattice import (build_transfer_matrix, check_stability, integrate_extrapolated,
                       symplectic_residual)
 from .model import Grid, canonical_params
-from .spectral import dispersion_p_of_s, group_velocity, measure_packet_velocity
 from .variance import scan
 
 __all__ = ["run", "write_csv", "format_number", "random_smooth_profiles"]
@@ -53,7 +61,7 @@ def write_csv(path: str | Path, header, rows) -> None:
 def _write_metadata(out_path: Path, config_text: str, config: RunConfig,
                     extra: dict) -> None:
     meta = {
-        "config_sha256": hashlib.sha256(config_text.encode("utf-8")).hexdigest(),
+        "config_sha256": sha256(config_text.encode("utf-8")).hexdigest(),
         "grid": {"n_time": config.grid.n_time, "n_space": config.grid.n_space},
         "mode": config.mode,
         "version": __version__,
@@ -154,6 +162,9 @@ def _run_scan(config: RunConfig, out: Path, config_text: str) -> int:
 
 
 def _run_dispersion(config: RunConfig, out: Path, config_text: str) -> int:
+    # spectral is imported by the two modes that use it only
+    from .spectral import dispersion_p_of_s
+
     rows = []
     for w in config.dispersion_omega_T:
         q = abs(dispersion_p_of_s(config.dispersion_abs_ALT, w))
@@ -195,6 +206,8 @@ def _run_symplectic(config: RunConfig, out: Path, config_text: str) -> int:
 
 
 def _run_packet(config: RunConfig, out: Path, config_text: str) -> int:
+    from .spectral import group_velocity, measure_packet_velocity
+
     g = config.groups
     params = canonical_params(g.kappa_c, g.ratio_r)
     q0 = config.packet_q0_L / params.length_L

@@ -10,7 +10,6 @@ the group velocity v_g = d omega/d q = -A/q^2, positive on the red wing.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -136,7 +135,7 @@ def measure_packet_velocity(params: PhysicalParams, grid: Grid,
     signals = []
     for cols in (slice(0, p0 + 1), slice(p0 + 1, p1 + 1)):
         n = cols.stop - cols.start
-        u, _ = integrate_stacked(replace(run_params, length_L=n * dz), Grid(nt, n), u, w[:, cols])
+        u, _ = integrate_stacked(run_params._replace(length_L=n * dz), Grid(nt, n), u, w[:, cols])
         signals.append(u[0])
     s1, s2 = signals
     if max(np.max(np.abs(s1)), np.max(np.abs(s2))) < 1e-12:

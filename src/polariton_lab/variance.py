@@ -52,14 +52,13 @@ omega and (v_y, v_z) in place of (v1, v2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .kernels import _BLOCK, UnresolvedError, kernel_cross_scaled, kernel_self_scaled
 from .lattice import _bin_layout, _group_size, check_stability, transfer_adjoint_apply
-from .model import DimensionlessGroups, Grid, canonical_params
+from .model import DimensionlessGroups, Grid, _Record, canonical_params
 from .quadrature import PanelRule
 
 __all__ = [
@@ -96,8 +95,7 @@ class Resolution(NamedTuple):
     gamma_floor: float
 
 
-@dataclass(frozen=True)
-class VarianceBreakdown:
+class VarianceBreakdown(NamedTuple):
     """SQL-normalized variance split for one protocol point.
 
     f_self : contribution of the observed subsystem's own input fluctuations
@@ -389,8 +387,7 @@ def _matrix_breakdowns(kappa_c: list[float], groups: DimensionlessGroups, grid: 
     return out
 
 
-@dataclass(frozen=True)
-class ChannelVariance:
+class ChannelVariance(NamedTuple):
     """One observable's absolute and SQL-normalized variance split."""
 
     channel: str
@@ -400,9 +397,14 @@ class ChannelVariance:
     sql: float
 
 
-@dataclass(frozen=True)
-class GeneralVarianceResult:
-    channels: tuple[ChannelVariance, ...]
+class GeneralVarianceResult(_Record):
+    """The ChannelVariance of every observable, looked up by channel name.
+    Not a NamedTuple: indexing is by name, not by position."""
+
+    __slots__ = ("channels",)
+
+    def __init__(self, channels: tuple[ChannelVariance, ...]):
+        object.__setattr__(self, "channels", channels)
 
     def __getitem__(self, name: str) -> ChannelVariance:
         for ch in self.channels:
@@ -443,8 +445,7 @@ def general_variances(params, grid: Grid, filter_time: np.ndarray,
     ))
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     kappa_c: float
     abscissa: float
     f_self: float
@@ -455,8 +456,7 @@ class ScanRow:
     resolution: Resolution | None = None
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """One VarianceBreakdown row per abscissa value, deterministic order.
 
     ``route`` is "kernel" (closed form) or "matrix" (adjoint sweep); only

@@ -586,3 +586,48 @@ def test_cli_runs_leave_scipy_unloaded(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=120)
     assert result.stdout.splitlines()[-1] == "[0, 0] []"
+
+
+def test_cli_import_leaves_openssl_and_spectral_unloaded():
+    # the sidecar's digest comes from the builtin SHA-256 (hashlib loads
+    # OpenSSL), and spectral loads only when one of its names is used
+    src = Path(polariton_lab.__file__).resolve().parents[1]
+    code = ("import sys, polariton_lab.cli; "
+            "print(sorted(m for m in ('_hashlib', 'polariton_lab.spectral') "
+            "if m in sys.modules)); "
+            "import polariton_lab as p; "
+            "names = ('dispersion_p_of_s', 'group_velocity', 'measure_packet_velocity', "
+            "'laplace_identity_residual'); "
+            "print(all(n in dir(p) for n in names)); "
+            "from polariton_lab import spectral; "
+            "print(all(getattr(p, n) is getattr(spectral, n) for n in names))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.splitlines() == ["[]", "True", "True"]
+
+
+def test_sidecar_digest_is_the_config_sha256_with_or_without_the_builtin_module(tmp_path):
+    import hashlib
+
+    doc = {"mode": "symplectic-check", "groups": {"kappa_c": 1, "r": 10},
+           "grid": {"n_time": 8, "n_space": 8}}
+    code, out = _run_cli(tmp_path, doc, "symplectic-check")
+    assert code == 0
+    sidecar = (tmp_path / "out.csv.meta.json").read_bytes()
+    config_bytes = (tmp_path / "cfg.json").read_bytes()
+    assert json.loads(sidecar)["config_sha256"] == hashlib.sha256(config_bytes).hexdigest()
+    # the same bytes through the hashlib fallback
+    src = Path(polariton_lab.__file__).resolve().parents[1]
+    fallback_out = tmp_path / "fallback.csv"
+    code = ("import sys; sys.modules['_sha256'] = sys.modules['_sha2'] = None; "
+            "from polariton_lab.cli import main; "
+            f"status = main(['symplectic-check', '--config', {str(tmp_path / 'cfg.json')!r}, "
+            f"'--out', {str(fallback_out)!r}]); "
+            "from polariton_lab import runner; "
+            "print(status, runner.sha256.__module__)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.splitlines()[-1] == "0 _hashlib"
+    assert (tmp_path / "fallback.csv.meta.json").read_bytes() == sidecar

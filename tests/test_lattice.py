@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -284,9 +283,9 @@ def test_chained_integrates_equal_one_integrate(n_time, n_space, data):
     u = rng.normal(size=(2, n_time, 2))
     w = rng.normal(size=(2, n_space, 2))
     whole_u, whole_w = integrate_stacked(params, Grid(n_time, n_space), u, w)
-    head_u, head_w = integrate_stacked(replace(params, length_L=split * dz),
+    head_u, head_w = integrate_stacked(params._replace(length_L=split * dz),
                                        Grid(n_time, split), u, w[:, :split])
-    tail_u, tail_w = integrate_stacked(replace(params, length_L=(n_space - split) * dz),
+    tail_u, tail_w = integrate_stacked(params._replace(length_L=(n_space - split) * dz),
                                        Grid(n_time, n_space - split), head_u, w[:, split:])
     np.testing.assert_allclose(tail_u, whole_u, rtol=0, atol=1e-13)
     np.testing.assert_allclose(np.concatenate((head_w, tail_w), axis=1), whole_w,

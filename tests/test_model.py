@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from polariton_lab.model import (
@@ -30,6 +31,24 @@ def test_grid_validation():
     g = Grid(100, 50)
     assert g.dt(2.0) == 0.02
     assert g.dz(5.0) == 0.1
+
+
+@pytest.mark.parametrize("value", [4.5, 4.0, True, False, "8", None, np.float64(8.0)],
+                         ids=repr)
+@pytest.mark.parametrize("field", ["n_time", "n_space"])
+def test_grid_rejects_non_integer_bin_counts(field, value):
+    # a fractional count once built a Grid whose dt was no bin width, and the
+    # lattice then failed on range(); a bool is not a count
+    with pytest.raises(ValueError) as err:
+        Grid(**{"n_time": 8, "n_space": 8, field: value})
+    assert str(err.value) == f"{field} must be an integer bin count, got {value!r}"
+
+
+def test_grid_stores_numpy_integers_as_int():
+    g = Grid(np.int64(16), np.array(8, dtype=np.int32))
+    assert (g.n_time, g.n_space) == (16, 8)
+    assert type(g.n_time) is int and type(g.n_space) is int
+    assert g == Grid(16, 8)
 
 
 def test_groups_kappa_identities_machine_precision():

@@ -169,11 +169,11 @@ def parse_config(text: str) -> RunConfig:
     if "grid" not in doc:
         raise _err("$.grid", "missing required key")
     gobj = _block(doc["grid"], "$.grid", {"n_time", "n_space"})
+    # read outside the try, whose wrapping is for Grid's own errors
+    n_time = _integer(gobj, "$.grid", "n_time")
+    n_space = _integer(gobj, "$.grid", "n_space")
     try:
-        grid = Grid(
-            _integer(gobj, "$.grid", "n_time"),
-            _integer(gobj, "$.grid", "n_space"),
-        )
+        grid = Grid(n_time, n_space)
     except ValueError as exc:
         raise _err("$.grid", str(exc)) from exc
 

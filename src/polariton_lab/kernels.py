@@ -62,8 +62,9 @@ Both kernel functions take kappa_c as a number or as an array of one sign
 (zeros join either) that broadcasts against the coordinates, one entry a
 point: each point gets the values of a lone call at its kappa_c, bit for
 bit, and a point outside the domain raises what a lone call at it raises.
-A lone kappa_c goes through ``_reduced_bessel`` in blocks.  At kappa_c = 0
-the series gives E_0 = E_1 = 1 exactly, so K = 0 and G = 1.
+``_reduced_bessel`` is the one evaluation: a lone kappa_c is a batch of one
+point, walked in cache-sized blocks.  At kappa_c = 0 the series gives
+E_0 = E_1 = 1 exactly, so K = 0 and G = 1.
 """
 
 from __future__ import annotations
@@ -162,12 +163,6 @@ def _horner(coeffs, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _series(order: int, y: np.ndarray, y_max: float) -> np.ndarray:
-    """E_order(y) by as many terms as |y| <= y_max needs."""
-    coeffs, bounds = _SERIES[order]
-    return _horner(coeffs[:np.searchsorted(bounds, y_max) + 1], y)
-
-
 def _trapezoid(order: int, x: np.ndarray, red: bool) -> np.ndarray:
     """J_order(x) (red) or I_order(x): the mean over the nodes s of
     cos(x s), s sin(x s), cosh(x s) or s sinh(x s).
@@ -239,39 +234,19 @@ def _hankel(order: int, x: np.ndarray, red: bool) -> np.ndarray:
     return out
 
 
-def _reduced_bessel(order: int, kappa_c: float, s: np.ndarray) -> np.ndarray:
-    """E_order(kappa_c * s) for s >= 0, in place in the C-contiguous s.
+def _reduced_bessel(order: int, kappa_c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """E_order(kappa_c * s) for an array kappa_c of one sign, s >= 0 C-contiguous
+    of the shape kappa_c broadcasts to, in place in s; every entry of kappa_c
+    (a point) gets the values of a lone call at it.
 
-    The blue wing raises OverflowError when its largest argument
-    2*sqrt(|kappa_c| s) passes ``I_OVERFLOW_X``.  The points go through in
-    blocks of ``_BLOCK``; the term count of the series comes from the whole
-    call, so no value depends on the blocks."""
-    y_max = abs(kappa_c) * float(np.max(s, initial=0.0))
-    _check_blue_wing(kappa_c, y_max)
-    y = np.multiply(s, kappa_c, out=s)
-    flat = y.reshape(-1)
-    for start in range(0, flat.size, _BLOCK):
-        block = flat[start:start + _BLOCK]
-        if y_max <= _SERIES_MAX_Y:
-            block[...] = _series(order, block, y_max)
-        else:
-            _reduced_bessel_regions(order, kappa_c > 0.0, block)
-    return y
-
-
-def _reduced_bessel_points(order: int, kappa_c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """E_order(kappa_c * s) for an array kappa_c of one sign, s >= 0 of the
-    shape kappa_c broadcasts to; every entry of kappa_c (a point) gets the
-    values of a lone ``_reduced_bessel`` call.
-
-    A point whose own largest |y| is within ``_SERIES_MAX_Y`` takes the series
-    with its own term count: its Horner coefficients are padded with leading
-    zeros, and 0 * y + 0 = 0 exactly, so its sum starts where a lone call's
-    does.  The other points go through the elementwise regions.  The points
-    are not blocked, so callers keep them near ``_BLOCK`` values; one point
-    is the lone call itself."""
-    if kappa_c.size == 1:
-        return _reduced_bessel(order, float(kappa_c.flat[0]), s)
+    Each point's largest |y| sets what it takes: the series with as many
+    terms as that needs, or the elementwise regions; on the blue wing it
+    raises OverflowError when its largest argument passes ``I_OVERFLOW_X``.
+    The series terms are padded with leading zeros per point, and 0 * y + 0
+    = 0 exactly, so each point's sum starts where its own would (no terms
+    for the points of the regions).  A lone kappa_c goes through in
+    ``_BLOCK``-value slices of the flat array, a batch as one block, so
+    callers keep batches near ``_BLOCK`` values."""
     kc = kappa_c.reshape((1,) * (s.ndim - kappa_c.ndim) + kappa_c.shape)
     axes = tuple(i for i, n in enumerate(kc.shape) if n == 1)
     y_max = np.abs(kc) * np.max(s, axis=axes, keepdims=True, initial=0.0)
@@ -279,30 +254,36 @@ def _reduced_bessel_points(order: int, kappa_c: np.ndarray, s: np.ndarray) -> np
     if not red:
         for k, top in zip(kc.flat, y_max.flat):
             _check_blue_wing(float(k), float(top))
-    y = np.multiply(s, kc, out=s)
     series = y_max <= _SERIES_MAX_Y
-    regions = None if series.all() else np.broadcast_to(~series, y.shape)
-    if regions is not None:
-        far = y[regions]
-        _reduced_bessel_regions(order, red, far)
-    if series.any():
-        coeffs, bounds = _SERIES[order]
-        # no terms for the points of the regions; the terms that every
-        # point takes are scalars, the others arrays with zeros (+0 or -0,
-        # either leaves the point's first true coefficient exact)
-        terms = (np.searchsorted(bounds, y_max) + 1) * series
-        common = int(terms.min())
-        k = np.arange(common, terms.max()).reshape((-1,) + (1,) * kc.ndim)
-        y = _horner([*coeffs[:common], *(coeffs[k] * (k < terms))], y)
-    if regions is not None:
-        y[regions] = far
+    coeffs, bounds = _SERIES[order]
+    # the terms that every point takes are scalars, the others arrays with
+    # zeros (+0 or -0, either leaves the point's first true coefficient exact)
+    terms = (np.searchsorted(bounds, y_max) + 1) * series
+    common = int(terms.min())
+    k = np.arange(common, terms.max()).reshape((-1,) + (1,) * kc.ndim)
+    padded = [*coeffs[:common], *(coeffs[k] * (k < terms))]
+    y = np.multiply(s, kc, out=s)
+    flat = y.reshape(-1)
+    blocks = [y] if kc.size > 1 else (flat[i:i + _BLOCK] for i in range(0, flat.size, _BLOCK))
+    for block in blocks:
+        if not series.any():
+            _reduced_bessel_regions(order, red, block)
+            continue
+        mixed = not series.all()
+        if mixed:
+            regions = np.broadcast_to(~series, block.shape)
+            far = block[regions]
+            _reduced_bessel_regions(order, red, far)
+        block[...] = _horner(padded, block)
+        if mixed:
+            block[regions] = far
     return y
 
 
 def _reduced_bessel_regions(order: int, red: bool, y: np.ndarray) -> None:
     """E_order(y) in place, each point by the method of its region."""
     near = y <= _SERIES_MAX_Y if red else y >= -_SERIES_MAX_Y
-    series = _series(order, y[near], _SERIES_MAX_Y)
+    series = _horner(_SERIES[order][0], y[near])
     x = np.sqrt(np.abs(y, out=y), out=y)
     x *= 2.0
     far = x >= _HANKEL_MIN_X
@@ -326,7 +307,7 @@ def kernel_self_scaled(kappa_c, u):
     kappa_c = _check_kappa_c(kappa_c)
     u = np.asarray(u, dtype=float)
     s = np.clip(u, 0.0, None, out=np.empty(np.broadcast_shapes(u.shape, kappa_c.shape)))
-    k = _reduced_bessel_points(1, kappa_c, s)
+    k = _reduced_bessel(1, kappa_c, s)
     return np.multiply(k, kappa_c, out=k)
 
 
@@ -341,7 +322,7 @@ def kernel_cross_scaled(kappa_c, x, t):
     # one buffer for the product, overwritten with G; [()] unwraps the 0-d
     # result of scalar arguments
     s = np.multiply(x, t, dtype=float, out=np.empty(shape))
-    return _reduced_bessel_points(0, kappa_c, np.clip(s, 0.0, None, out=s))[()]
+    return _reduced_bessel(0, kappa_c, np.clip(s, 0.0, None, out=s))[()]
 
 
 def _centers(n: int) -> np.ndarray:

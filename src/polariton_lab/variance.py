@@ -432,6 +432,8 @@ def general_variances(params, grid: Grid, filter_time: np.ndarray,
     for name, f in (("filter_time", ft), ("filter_space", fs)):
         if not np.all(np.isfinite(f)):
             raise ValueError(f"{name} has a non-finite sample")
+        if not np.any(f):
+            raise ValueError(f"{name} is all zero: the variances are normalized by its norm")
     # absolute SQL of coherent (Poissonian) inputs under each filter
     light_sql = 0.5 * params.xi3_bar * float(ft @ ft) * grid.dt(params.time_T)
     spin_sql = 0.5 * params.jx_bar * float(fs @ fs) * grid.dz(params.length_L)

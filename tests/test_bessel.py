@@ -244,6 +244,43 @@ def test_values_do_not_depend_on_blocks(kappa_c):
         np.testing.assert_array_equal(kernel(u[::-1]), kernel(u)[::-1])
 
 
+# |kappa_c| whose largest argument on [0, 1] sits in the series, the
+# trapezoid or the Hankel region, below the blue wing's overflow threshold
+KAPPA_C_MAGNITUDES = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, _SERIES_MAX_Y),
+    st.floats(_SERIES_MAX_Y, (_HANKEL_MIN_X / 2.0) ** 2),
+    st.floats((_HANKEL_MIN_X / 2.0) ** 2, 1e5),
+)
+
+
+@given(sign=st.sampled_from([1.0, -1.0]),
+       magnitudes=st.lists(KAPPA_C_MAGNITUDES, min_size=1, max_size=6),
+       top=st.floats(0.05, 1.0))
+def test_batch_points_equal_lone_calls(sign, magnitudes, top):
+    # a kappa_c array (p, 1, 1) of one sign: each point's values are those of
+    # a lone call at it, whichever regions the other points take
+    kappa_c = sign * np.array(magnitudes)[:, None, None]
+    u = top * np.linspace(0.0, 1.0, 24).reshape(4, 6)
+    x, t = u[:, :1], top * np.linspace(0.0, 1.0, 5)
+    self_k = kernel_self_scaled(kappa_c, u)
+    cross_k = kernel_cross_scaled(kappa_c, x, t)
+    assert self_k.shape == (len(magnitudes), 4, 6)
+    assert cross_k.shape == (len(magnitudes), 4, 5)
+    for i, kc in enumerate(kappa_c[:, 0, 0]):
+        np.testing.assert_array_equal(self_k[i], kernel_self_scaled(kc, u))
+        np.testing.assert_array_equal(cross_k[i], kernel_cross_scaled(kc, x, t))
+
+
+@pytest.mark.parametrize("kernel", [lambda kc: kernel_self_scaled(kc, 0.5),
+                                    lambda kc: kernel_cross_scaled(kc, 0.5, 1.0)],
+                         ids=["self", "cross"])
+def test_mixed_sign_kappa_c_rejected(kernel):
+    kappa_c = np.array([0.0, 2.0, -2.0])[:, None]
+    with pytest.raises(ValueError, match="share one sign"):
+        kernel(kappa_c)
+
+
 @given(x=st.floats(0.0, 1e4))
 def test_j_matches_scipy_at_drawn_arguments(x):
     _assert_matches_scipy("J", x)

@@ -426,13 +426,63 @@ def test_oracle_profiles_must_be_positive(tmp_path, capsys, profiles):
     ({"mode": "packet-velocity", "groups": {"kappa_c": 2, "r": 10},
       "grid": {"n_time": 64, "n_space": 64}, "packet": {"q0_L": 0}},
      "$.packet.q0_L", "q0_L = 0 sits on the group-velocity pole"),
-], ids=["dispersion-omega-empty", "oracle-seed-negative", "packet-q0-zero"])
+    (dict(ORACLE_DOC, groups={"kappa_c": 1, "r": 0}),
+     "$.groups.r", "coupling ratio must be positive, got 0.0"),
+    ({"mode": "dispersion", "grid": {"n_time": 8, "n_space": 8},
+      "dispersion": {"abs_A_LT": -2, "omega_T": [0.5]}},
+     "$.dispersion.abs_A_LT", "magnitude must be nonnegative"),
+    ({"mode": "dispersion", "grid": {"n_time": 8, "n_space": 8},
+      "dispersion": {"abs_A_LT": 2, "omega_T": [0.5, 0]}},
+     "$.dispersion.omega_T[1]", "omega_T = 0 sits on the dispersion pole"),
+    ({"mode": "packet-velocity", "groups": {"kappa_c": 2, "r": 10},
+      "grid": {"n_time": 64, "n_space": 64}, "packet": {"q0_L": 8, "bandwidth_frac": 0.5}},
+     "$.packet.bandwidth_frac", "must lie in (0, 0.2]"),
+    (dict(json.loads(SPEC_EXAMPLE), abscissa={"eps_xi3_T": 0}),
+     "$.abscissa.eps_xi3_T", "conversion factor must be positive"),
+    (dict(ORACLE_DOC, output=3), "$.output", "expected a string path"),
+    (dict(ORACLE_DOC, detection={"q_L": 0.5}),
+     "$.detection", "block only valid with the 'physical' parameter block"),
+    ({"mode": "memory", "physical": {"beta": 0.5, "epsilon": 0.05},
+      "grid": {"n_time": 64, "n_space": 64}, "detection": {"omega_T": 0.5},
+      "scan": {"from": 0, "to": 1, "points": 2}},
+     "$.detection.q_L", "memory with physical parameters needs the detection wavenumber"),
+], ids=["dispersion-omega-empty", "oracle-seed-negative", "packet-q0-zero", "groups-r-zero",
+        "dispersion-abs-negative", "dispersion-omega-zero", "packet-bandwidth-wide",
+        "abscissa-zero", "output-not-string", "detection-without-physical",
+        "memory-physical-without-q"])
 def test_empty_or_negative_entries_rejected(tmp_path, capsys, doc, key, message):
     with pytest.raises(ConfigError, match=re.escape(f"{key}: {message}")):
         parse_config(json.dumps(doc))
     code, out = _run_cli(tmp_path, doc, doc["mode"])
     assert code == 2 and not out.exists()
     assert f"config error: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"n_time": 4.5, "n_space": 8}, "$.grid.n_time: expected an integer, got 4.5"),
+    ({"n_time": "8", "n_space": 8}, "$.grid.n_time: expected a number, got '8'"),
+    ({"n_time": 8}, "$.grid.n_space: missing required key"),
+], ids=["fractional", "string", "missing"])
+def test_grid_count_errors_name_their_path_once(tmp_path, capsys, grid, message):
+    doc = dict(json.loads(SPEC_EXAMPLE), grid=grid)
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(doc))
+    assert str(info.value) == message
+    code, out = _run_cli(tmp_path, doc, "readout")
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_abscissa_block_sets_the_readout_conversion(tmp_path):
+    # beta_J = kappa_c / (2 eps_xi3_T), so 0.25 doubles kappa_c
+    doc = dict(json.loads(SPEC_EXAMPLE), grid={"n_time": 64, "n_space": 64},
+               scan={"from": 0, "to": 2, "points": 3}, abscissa={"eps_xi3_T": 0.25})
+    code, out = _run_cli(tmp_path, doc, "readout")
+    assert code == 0
+    header, *rows = out.read_text().splitlines()
+    assert header.split(",")[:2] == ["kappa_c", "beta_J"]
+    columns = [[float(v) for v in row.split(",")[:2]] for row in rows]
+    assert columns == [[kc, 2.0 * kc] for kc in (0.0, 1.0, 2.0)]
 
 
 SYMPLECTIC_DOC = {

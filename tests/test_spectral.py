@@ -130,7 +130,8 @@ def test_laplace_identity_random_compact_inputs():
     params = canonical_params(1.0, 1.0)
     for seed in (1, 2, 3):
         xi, jz = _compact_inputs(seed)
-        for sT in (2.0, 5.0, 10.0):
+        # from 40 on t_max <= 1, and the kernel apply has no outputs
+        for sT in (2.0, 5.0, 10.0, 40.0, 80.0, 200.0):
             res = laplace_identity_residual(params, Grid(128, 128), sT, xi, jz)
             assert res <= 1e-5
 

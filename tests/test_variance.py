@@ -270,6 +270,16 @@ def test_general_variances_rejects_non_finite_filters(bad, value):
         general_variances(canonical_params(1.0, 3.0), grid, **filters)
 
 
+@pytest.mark.parametrize("bad", ["filter_time", "filter_space"])
+def test_general_variances_rejects_all_zero_filters(bad):
+    # the channel variances are normalized by the filter's own SQL
+    grid = Grid(16, 12)
+    filters = {"filter_time": np.ones(grid.n_time), "filter_space": np.ones(grid.n_space)}
+    filters[bad] = np.zeros_like(filters[bad])
+    with pytest.raises(ValueError, match=f"{bad} is all zero"):
+        general_variances(canonical_params(1.0, 3.0), grid, **filters)
+
+
 def test_general_variances_reduces_to_protocol_routes():
     grid = Grid(192, 192)
     g = groups(1.5, r=10.0, omega_T=0.5, q_L=0.5)

@@ -14,10 +14,12 @@ Because the cell is constant the lattice is translation-invariant, and its
 impulse responses are the lattice Green's (Riemann) function of the Goursat
 problem.  The map of any b_t x b_s block of cells, a tile of
 2*b_t + 2*b_s rows and columns, is assembled from the responses to the unit
-impulses on one block's inputs, swept once cell by cell with the cross
-histories recorded, and every block has the same tile.  The transfer matrix
-is assembled the same way from one tiled sweep of the impulses on tile
-(0, 0)'s inputs; the adjoint is the forward sweep reversed.
+impulses on one block's inputs, swept once cell by cell, and every block has
+the same tile.  The transfer matrix is assembled the same way from one tiled
+sweep of the impulses on tile (0, 0)'s inputs; the adjoint is the forward
+sweep reversed.  The light and spin that each sweep step emits are written
+straight into the matrix's cross blocks, so beside the matrix a build holds
+only the sweep's state.
 
 The sweep marches tiles.  Tile (i, j), at tile column i and tile row j,
 needs only tiles (i-1, j) and (i, j-1), so the tiles of one anti-diagonal
@@ -42,7 +44,7 @@ forward as one stack entry at each of its two grid levels.  Both hand over
 the whole stack: ``integrate_stacked`` and ``transfer_adjoint_apply`` check
 every point's stability before any sweep, and march the stack in sweeps of
 at most one step budget (``_group_size``) each, building each sweep's tiles
-first.  The transfer matrix's recorded sweep marches the same tiles.
+first.  The transfer matrix's sweep marches the same tiles.
 
 The Cayley cell map is exactly canonical: it preserves the weighted
 antisymmetric form pairing (Xi1, Xi2) bins with weight +1 and (Jz, Jy) bins
@@ -58,7 +60,7 @@ couplings vanish.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -101,8 +103,9 @@ _TILE_SIDE = 16
 _GROUP_STEP_DOUBLES = 1 << 16
 
 # Panel height of the symplectic residual: each panel of this many rows of M
-# makes one product with M's rows from the panel on, so beside M the residual
-# holds two arrays of at most this many rows.
+# makes one product with M's rows from the panel on.  The shuffled panel and
+# its product each reuse one buffer of this many rows, so beside M the
+# residual holds those two.
 _RESIDUAL_TILE = 128
 
 
@@ -174,7 +177,8 @@ def _stack_cells(params: PhysicalParams | Sequence[PhysicalParams],
 
 
 def _sweep(tiles: np.ndarray, u: np.ndarray, w: np.ndarray, sides: tuple[int, int],
-           record: tuple[slice, slice] | None = None) -> tuple[np.ndarray, ...]:
+           record: Callable[[int, int, np.ndarray, np.ndarray], None] | None = None
+           ) -> tuple[np.ndarray, np.ndarray]:
     """March light u and spin w across the lattice by one tile or a stack of tiles.
 
     A tile is the map of a b_t x b_s block of cells, ``sides = (b_t, b_s)``:
@@ -202,13 +206,12 @@ def _sweep(tiles: np.ndarray, u: np.ndarray, w: np.ndarray, sides: tuple[int, in
     from u and the light leaving at column 0 back to u.  Tile column i's
     spin ends in the buffer of parity m_t + i, and is read back from there.
 
-    ``record = (light_rhs, spin_rhs)``, two index slices of the right-hand
-    sides, also returns the light history of light_rhs and the spin history
-    of spin_rhs: arrays (2, b_t, m_s, m_t, ...) and (2, b_s, m_s, m_t, ...)
-    whose [:, :, k, j] is the output of tile (m_s - 1 - k, j), the light
-    that leaves it in space or the spin that leaves it in time.  In this
-    layout every anti-diagonal is one strided run of the flattened (k, j)
-    axis.
+    ``record``, if given, is called after every step as
+    ``record(k0, j0, light, spin)``.  The step's n tiles are
+    (m_s - 1 - k0 - t, j0 + t), t < n; ``light`` (..., 2, b_t, n, R) is the
+    light that leaves them in space and ``spin`` (..., 2, b_s, n, R) the
+    spin that leaves them in time, with the stack axes first.  Both are
+    views of the state that the next step overwrites.
     """
     tiles = np.asarray(tiles, dtype=float)
     lead = tiles.shape[:-2]
@@ -236,10 +239,6 @@ def _sweep(tiles: np.ndarray, u: np.ndarray, w: np.ndarray, sides: tuple[int, in
     del w
     buffers = state.reshape((2,) + lead + (light_rows + 2 * b_s, (m_s + 1) * nrhs))
     light_tiles, spin_tiles = tiles[..., :light_rows, :], tiles[..., light_rows:, :]
-    if record is not None:
-        light_rhs, spin_rhs = record
-        light_hist = np.zeros(lead + (2, b_t, m_s * m_t, len(range(nrhs)[light_rhs])))
-        spin_hist = np.zeros(lead + (2, b_s, m_s * m_t, len(range(nrhs)[spin_rhs])))
     # with no space column, column 0 would both take and give the light
     for d in range(m_t + m_s - 1 if m_t and m_s else 0):
         src, dst = buffers[d % 2], buffers[1 - d % 2]
@@ -255,17 +254,12 @@ def _sweep(tiles: np.ndarray, u: np.ndarray, w: np.ndarray, sides: tuple[int, in
         if c0 == 1:
             u_tiles[..., :, j0, :, :] = light_out[1 - d % 2]
         if record is not None:
-            run = slice((c0 - 1) * m_t + j0, (c1 - 1) * m_t + j1, m_t + 1)
-            light_hist[..., run, :] = light.reshape(lead + (2, b_t, j1 - j0, nrhs))[..., light_rhs]
-            spin_hist[..., run, :] = spin.reshape(lead + (2, b_s, j1 - j0, nrhs))[..., spin_rhs]
+            record(c0 - 1, j0, light.reshape(lead + (2, b_t, j1 - j0, nrhs)),
+                   spin.reshape(lead + (2, b_s, j1 - j0, nrhs)))
     w = np.empty(lead + (2, m_s, b_s, nrhs))
     w[..., 0::2, :, :] = spin_state[m_t % 2, ..., m_s:0:-2, :].swapaxes(-3, -2)
     w[..., 1::2, :, :] = spin_state[1 - m_t % 2, ..., m_s - 1:0:-2, :].swapaxes(-3, -2)
-    u, w = u.reshape(shape_u), w.reshape(shape_w)
-    if record is None:
-        return u, w
-    return (u, w, light_hist.reshape(lead + (2, b_t, m_s, m_t) + light_hist.shape[-1:]),
-            spin_hist.reshape(lead + (2, b_s, m_s, m_t) + spin_hist.shape[-1:]))
+    return u.reshape(shape_u), w.reshape(shape_w)
 
 
 def _march(cells: np.ndarray, grid: Grid, u: np.ndarray, w: np.ndarray,
@@ -413,12 +407,15 @@ def _green_matrix(cells: np.ndarray, n_time: int, n_space: int,
     marched cell by cell (b_t = b_s = 1, D = 4), so every tile of a march
     is its own cell-by-cell build.  Light->light and spin->spin blocks are
     lower-triangular Toeplitz in the final light and spin of the impulses at
-    time bin 0 and space column 0.  Spin->light blocks read the light
-    history of the spin impulses: the light of an impulse at column
-    i0 = I0*b_s + s leaves the lattice as the light that leaves tile column
-    m_s - 1 - I0 for the impulse at column s.  Light->spin blocks read the
-    spin history of the light impulses the same way.  With unit scales this
-    is the raw map of a block of cells, the tile of a sweep.
+    time bin 0 and space column 0.  Spin->light blocks are the light that
+    the spin impulses emit: the light of an impulse at column i0 = k*b_s + s
+    leaves the lattice as the light that leaves tile column m_s - 1 - k for
+    the impulse at column s.  Light->spin blocks are the spin that the light
+    impulses emit, the same way.  The sweep hands over each step's emitted
+    light and spin, which are written straight into M's cross blocks and
+    then scaled there, so beside M the build holds only the sweep's state.
+    With unit scales this is the raw map of a block of cells, the tile of a
+    sweep.
     """
     lead = cells.shape[:-2]
     # _tile_sides of this grid; a tile's own axis may be 1 bin, which no Grid holds
@@ -429,29 +426,49 @@ def _green_matrix(cells: np.ndarray, n_time: int, n_space: int,
         tiles = _green_matrix(cells, b_t, b_s)
     m_t, m_s = n_time // b_t, n_space // b_s
     light_rows, rows = 2 * b_t, 2 * b_t + 2 * b_s
+    dim = 2 * n_time + 2 * n_space
+    out = np.empty(lead + (dim, dim))
+    # views of M's spin->light block as [o, r, q, i, s], at row (o, j*b_t + r)
+    # and column (i, k*b_s + s) for q = j*b_t*dim + k*b_s, and of its
+    # light->spin block as [o, s, q, i, r], at row (o, (m_s - 1 - k)*b_s + s)
+    # and column (i, (m_t - 1 - j)*b_t + r) for q = k*b_s*dim + j*b_t.  The q
+    # axes step one element, overlapping the others, so the tiles
+    # (m_s - 1 - k0 - t, j0 + t) of a sweep step are one strided run of q.
+    # np.ndarray checks that every index lies in out
+    item, lead_strides = out.itemsize, out.strides[:-2]
+    to_light = np.ndarray(
+        lead + (2, b_t, (m_t - 1) * b_t * dim + (m_s - 1) * b_s + 1, 2, b_s), float, out,
+        2 * n_time * item,
+        lead_strides + (n_time * dim * item, dim * item, item, n_space * item, item))
+    to_spin = np.ndarray(
+        lead + (2, b_s, (m_s - 1) * b_s * dim + (m_t - 1) * b_t + 1, 2, b_t), float, out,
+        ((dim - n_space - b_s) * dim + n_time - b_t) * item,
+        lead_strides + (n_space * dim * item, dim * item, -item, n_time * item, item))
+    light_step, spin_step = b_t * dim + b_s, b_s * dim + b_t
+
+    def record(k0, j0, light, spin):
+        n = light.shape[-2]
+        q = j0 * b_t * dim + k0 * b_s
+        to_light[..., q:q + n * light_step:light_step, :, :] = light[..., light_rows:].reshape(
+            lead + (2, b_t, n, 2, b_s))
+        q = k0 * b_s * dim + j0 * b_t
+        to_spin[..., q:q + n * spin_step:spin_step, :, :] = spin[..., :light_rows].reshape(
+            lead + (2, b_s, n, 2, b_t))
+
     # right-hand side q is the unit impulse on bin q of tile (0, 0)
     u = np.zeros(lead + (2, n_time, rows))
     w = np.zeros(lead + (2, n_space, rows))
     u[..., :b_t, :light_rows] = np.eye(light_rows).reshape(2, b_t, light_rows) / nl
     w[..., :b_s, light_rows:] = np.eye(2 * b_s).reshape(2, b_s, 2 * b_s) / nsp
-    u, w, light_hist, spin_hist = _sweep(tiles, u, w, (b_t, b_s),
-                                         record=(slice(light_rows, rows), slice(0, light_rows)))
-    light_hist = light_hist.reshape(lead + (2, b_t, m_s, m_t, 2, b_s))
-    spin_hist = spin_hist.reshape(lead + (2, b_s, m_s, m_t, 2, b_t))
+    u, w = _sweep(tiles, u, w, (b_t, b_s), record)
+    out[..., :2 * n_time, 2 * n_time:] *= nl
+    out[..., 2 * n_time:, :2 * n_time] *= nsp
     b = _bin_layout(n_time, n_space)
     light, spin = (b["xi1"], b["xi2"]), (b["jz"], b["jy"])
-    dim = 2 * n_time + 2 * n_space
-    out = np.empty(lead + (dim, dim))
     for o in range(2):
         for i in range(2):
             out[..., light[o], light[i]] = _lower_toeplitz(u[..., o, :, i * b_t] * nl)
             out[..., spin[o], spin[i]] = _lower_toeplitz(w[..., o, :, light_rows + i * b_s] * nsp)
-            # history [r, k, j, s] of tile (m_s - 1 - k, j) is M's [(j, r), (k, s)]
-            np.multiply(np.moveaxis(light_hist[..., o, :, :, :, i, :], -2, -4), nl,
-                        out=out[..., light[o], spin[i]].reshape(lead + (m_t, b_t, m_s, b_s)))
-            # history [s, k, j, r] is M's [(m_s - 1 - k, s), (m_t - 1 - j, r)]
-            np.multiply(np.moveaxis(spin_hist[..., o, :, ::-1, ::-1, i, :], -4, -3), nsp,
-                        out=out[..., spin[o], light[i]].reshape(lead + (m_s, b_s, m_t, b_t)))
     return out
 
 
@@ -550,19 +567,29 @@ def symplectic_residual(tm: TransferMatrix,
     conj = np.r_[b["xi2"], b["xi1"], b["jy"], b["jz"]]
     form = np.repeat([1.0, -1.0, spin_sign, -spin_sign], [nt, nt, ns, ns])
     shuffled = np.empty((min(_RESIDUAL_TILE, dim), dim))
+    # each panel's product is a contiguous prefix of one buffer
+    products = np.empty(shuffled.size)
     worst = []
-    # an infinite entry of M makes inf * 0 and inf - inf: NaN, not a warning
+    # an infinite entry of M makes inf * 0 and inf - inf: NaN, not a warning.
+    # For the strided signed copies a ufunc allocates two buffers of the ufunc
+    # buffer size, 64 KiB each by default, which operands of one dtype never
+    # use; the smallest size all but drops them
     with np.errstate(invalid="ignore"):
-        for i in range(0, dim, _RESIDUAL_TILE):
-            panel = m[i:i + _RESIDUAL_TILE]
-            w = shuffled[:len(panel)]
-            np.negative(panel[:, b["xi2"]], out=w[:, b["xi1"]])
-            w[:, b["xi2"]] = panel[:, b["xi1"]]
-            np.multiply(panel[:, b["jy"]], -spin_sign, out=w[:, b["jz"]])
-            np.multiply(panel[:, b["jz"]], spin_sign, out=w[:, b["jy"]])
-            delta = w @ m[i:].T
-            rows = np.arange(i, i + len(panel))
-            rows = rows[conj[rows] >= i]
-            delta[rows - i, conj[rows] - i] -= form[rows]
-            worst.append(np.max(np.abs(delta, out=delta)))
+        bufsize = np.setbufsize(16)
+        try:
+            for i in range(0, dim, _RESIDUAL_TILE):
+                panel = m[i:i + _RESIDUAL_TILE]
+                n = len(panel)
+                w = shuffled[:n]
+                np.negative(panel[:, b["xi2"]], out=w[:, b["xi1"]])
+                w[:, b["xi2"]] = panel[:, b["xi1"]]
+                np.multiply(panel[:, b["jy"]], -spin_sign, out=w[:, b["jz"]])
+                np.multiply(panel[:, b["jz"]], spin_sign, out=w[:, b["jy"]])
+                delta = np.matmul(w, m[i:].T, out=products[:n * (dim - i)].reshape(n, dim - i))
+                rows = np.arange(i, i + n)
+                rows = rows[conj[rows] >= i]
+                delta[rows - i, conj[rows] - i] -= form[rows]
+                worst.append(np.max(np.abs(delta, out=delta)))
+        finally:
+            np.setbufsize(bufsize)
     return float(np.max(worst) / max(1.0, abs(spin_sign)))

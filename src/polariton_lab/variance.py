@@ -429,14 +429,18 @@ def general_variances(params, grid: Grid, filter_time: np.ndarray,
         raise ValueError(
             f"filters must have shapes ({nt},) and ({ns},), got {ft.shape}, {fs.shape}"
         )
+    norms = []
     for name, f in (("filter_time", ft), ("filter_space", fs)):
         if not np.all(np.isfinite(f)):
             raise ValueError(f"{name} has a non-finite sample")
-        if not np.any(f):
-            raise ValueError(f"{name} is all zero: the variances are normalized by its norm")
+        # the squared norm that the channel ratios divide by
+        norms.append(float(f @ f))
+        if norms[-1] == 0.0:
+            raise ValueError(f"{name} is all zero or its squared norm underflows: "
+                             "the variances are normalized by its norm")
     # absolute SQL of coherent (Poissonian) inputs under each filter
-    light_sql = 0.5 * params.xi3_bar * float(ft @ ft) * grid.dt(params.time_T)
-    spin_sql = 0.5 * params.jx_bar * float(fs @ fs) * grid.dz(params.length_L)
+    light_sql = 0.5 * params.xi3_bar * norms[0] * grid.dt(params.time_T)
+    spin_sql = 0.5 * params.jx_bar * norms[1] * grid.dz(params.length_L)
     filters = (("xi1", ft, light_sql), ("xi2", ft, light_sql),
                ("jz", fs, spin_sql), ("jy", fs, spin_sql))
     ratios = _channel_ratios(grid, [(params, name, w) for name, w, _ in filters])

@@ -236,7 +236,7 @@ _BLUE_WING_KAPPA_C = -0.2 * 64**2
     (20.0, 0.3, _DEFECTIVE_OMEGA_T, Grid(64, 64)),
     (_BLUE_WING_KAPPA_C, 0.3, 0.3, Grid(64, 64)),
 ])
-def test_sequential_fallback_matches_vectorized_sweep(kappa_c, kappa2_L, Omega_T, grid):
+def test_tiled_sweep_matches_cell_by_cell_reference(kappa_c, kappa2_L, Omega_T, grid):
     # _cell_by_cell is the reference for integrate_stacked, for any cell matrix
     params = canonical_params(kappa_c, 3.0, kappa2_L=kappa2_L, Omega_T=Omega_T)
     rng = np.random.default_rng(13)
@@ -450,6 +450,21 @@ def test_tiled_green_build_equals_impulse_columns(n_time, n_space):
     assert symplectic_residual(tm) <= 1e-12
 
 
+@pytest.mark.parametrize("n_time, n_space", [(48, 40), (36, 20), (64, 17), (17, 64)],
+                         ids=["16x8", "4x4", "16x1", "1x16"])
+def test_stacked_green_build_equals_lone_builds(n_time, n_space):
+    # the cross blocks of every stack entry are written through M's leading
+    # axis, and scaled there as build_transfer_matrix scales them
+    grid = Grid(n_time, n_space)
+    params = [canonical_params(kc, 3.0, kappa2_L=0.5, Omega_T=-0.7) for kc in (2.0, -1.5, 0.5)]
+    cells = np.stack([lattice.cell_matrix(p, grid.dz(p.length_L), grid.dt(p.time_T))
+                      for p in params])
+    stacked = lattice._green_matrix(cells, n_time, n_space, 0.7, 1.3)
+    assert stacked.shape == (3,) + 2 * (2 * n_time + 2 * n_space,)
+    for cell, m in zip(cells, stacked):
+        np.testing.assert_array_equal(m, lattice._green_matrix(cell, n_time, n_space, 0.7, 1.3))
+
+
 @pytest.mark.parametrize("shape", [(14, 14), (12, 10), (10, 10)])
 def test_transfer_matrix_rejects_a_matrix_off_the_layout(shape):
     # n_time = n_space = 3 lays out 12 bins
@@ -655,4 +670,18 @@ def test_residual_holds_less_than_the_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < tm.matrix.nbytes
+    # two panels: the shuffled rows and their products
+    assert peak < 2 * lattice._RESIDUAL_TILE * tm.matrix.strides[0] + 64 * 1024
+
+
+def test_build_holds_little_beside_the_matrix():
+    # the sweep writes the cross blocks straight into M, so beside M the
+    # build holds the sweep's state and the impulses, both O(n * tile)
+    params = canonical_params(0.8, 3.0, kappa2_L=0.3, Omega_T=0.3)
+    tracemalloc.start()
+    try:
+        tm = build_transfer_matrix(params, Grid(256, 256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.4 * tm.matrix.nbytes

@@ -280,6 +280,16 @@ def test_general_variances_rejects_all_zero_filters(bad):
         general_variances(canonical_params(1.0, 3.0), grid, **filters)
 
 
+@pytest.mark.parametrize("bad", ["filter_time", "filter_space"])
+def test_general_variances_rejects_filters_whose_norm_underflows(bad):
+    # not all zero, but the squared norm the ratios divide by is 0
+    grid = Grid(16, 12)
+    filters = {"filter_time": np.ones(grid.n_time), "filter_space": np.ones(grid.n_space)}
+    filters[bad] = np.full_like(filters[bad], 1e-170)
+    with pytest.raises(ValueError, match=f"{bad} .*squared norm underflows"):
+        general_variances(canonical_params(1.0, 3.0), grid, **filters)
+
+
 def test_general_variances_reduces_to_protocol_routes():
     grid = Grid(192, 192)
     g = groups(1.5, r=10.0, omega_T=0.5, q_L=0.5)

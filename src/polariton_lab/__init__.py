@@ -8,8 +8,9 @@ output observables.
 
 __version__ = "0.1.0"
 
-from .model import PhysicalParams, DimensionlessGroups, Grid, derive_groups, canonical_params
-from .kernels import FieldRecord, SpinRecord, output_field, output_spin
+from .model import (PhysicalParams, DimensionlessGroups, Grid, derive_groups, canonical_params,
+                    FieldRecord, SpinRecord)
+from .kernels import output_field, output_spin
 from .lattice import (
     StabilityError,
     TransferMatrix,

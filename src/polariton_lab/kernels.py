@@ -19,7 +19,8 @@ smooth integrands.  The output maps are
     Jy(z,T)  = Jy_in(z) - (K*Jy_in)(z) + beta*jx * Int G(z,T-t') Xi2_in(t') dt'
 
 These forms are validated against the direct lattice integrator in the test
-suite before anything downstream relies on them.
+suite before anything downstream relies on them.  Their sample records,
+``FieldRecord`` and ``SpinRecord``, are defined in model.py.
 
 G depends on x*t only, so the G integrals are smooth in the output variable
 and of low numerical rank.  ``_apply_kernel`` sums the kernel against the
@@ -73,14 +74,12 @@ import math
 
 import numpy as np
 
-from .model import Grid, PhysicalParams, _Record
+from .model import FieldRecord, Grid, PhysicalParams, SpinRecord, _centers
 from .quadrature import PanelRule, panel_nodes
 
 __all__ = [
     "I_OVERFLOW_X",
     "UnresolvedError",
-    "FieldRecord",
-    "SpinRecord",
     "kernel_self_scaled",
     "kernel_cross_scaled",
     "output_field",
@@ -323,59 +322,6 @@ def kernel_cross_scaled(kappa_c, x, t):
     # result of scalar arguments
     s = np.multiply(x, t, dtype=float, out=np.empty(shape))
     return _reduced_bessel(0, kappa_c, np.clip(s, 0.0, None, out=s))[()]
-
-
-def _centers(n: int) -> np.ndarray:
-    return (np.arange(n) + 0.5) / n
-
-
-def _validate_samples(name: str, arr, n: int) -> np.ndarray:
-    arr = np.asarray(arr, dtype=float)
-    if arr.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite samples")
-    return arr
-
-
-class FieldRecord(_Record):
-    """Stokes component samples Xi1(t), Xi2(t) at bin centers, fixed z."""
-
-    __slots__ = ("xi1", "xi2")
-
-    def __init__(self, xi1: np.ndarray, xi2: np.ndarray):
-        n = len(xi1)
-        object.__setattr__(self, "xi1", _validate_samples("xi1", xi1, n))
-        object.__setattr__(self, "xi2", _validate_samples("xi2", xi2, n))
-
-    @property
-    def n(self) -> int:
-        return self.xi1.size
-
-    @classmethod
-    def from_functions(cls, f_xi1, f_xi2, n_time: int, time_T: float = 1.0) -> "FieldRecord":
-        t = _centers(n_time) * time_T
-        return cls(np.asarray(f_xi1(t), float), np.asarray(f_xi2(t), float))
-
-
-class SpinRecord(_Record):
-    """Transverse spin samples Jz(z), Jy(z) at bin centers, fixed t."""
-
-    __slots__ = ("jz", "jy")
-
-    def __init__(self, jz: np.ndarray, jy: np.ndarray):
-        n = len(jz)
-        object.__setattr__(self, "jz", _validate_samples("jz", jz, n))
-        object.__setattr__(self, "jy", _validate_samples("jy", jy, n))
-
-    @property
-    def n(self) -> int:
-        return self.jz.size
-
-    @classmethod
-    def from_functions(cls, f_jz, f_jy, n_space: int, length_L: float = 1.0) -> "SpinRecord":
-        z = _centers(n_space) * length_L
-        return cls(np.asarray(f_jz(z), float), np.asarray(f_jy(z), float))
 
 
 def _interp_uniform_centers(values: np.ndarray, x: np.ndarray) -> np.ndarray:

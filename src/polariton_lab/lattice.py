@@ -64,8 +64,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .kernels import FieldRecord, SpinRecord
-from .model import Grid, PhysicalParams, _Record
+from .model import FieldRecord, Grid, PhysicalParams, SpinRecord, _Record
 
 __all__ = [
     "StabilityError",
@@ -109,15 +108,15 @@ _GROUP_STEP_DOUBLES = 1 << 16
 _RESIDUAL_TILE = 128
 
 
-def _tile_sides(grid: Grid) -> tuple[int, int]:
-    """Tile sides (b_t, b_s): per axis, the largest power of two up to
-    ``_TILE_SIDE`` that divides the axis's bin count."""
-    return math.gcd(grid.n_time, _TILE_SIDE), math.gcd(grid.n_space, _TILE_SIDE)
+def _tile_sides(n_time: int, n_space: int) -> tuple[int, int]:
+    """Tile sides (b_t, b_s): per axis, the largest power of two up to ``_TILE_SIDE``
+    that divides the count; counts, not a Grid, as a tile's axis may be 1 bin."""
+    return math.gcd(n_time, _TILE_SIDE), math.gcd(n_space, _TILE_SIDE)
 
 
 def _group_size(grid: Grid, nrhs: int = 1) -> int:
     """Stack entries of ``nrhs`` right-hand sides each that one sweep marches."""
-    b_t, b_s = _tile_sides(grid)
+    b_t, b_s = _tile_sides(grid.n_time, grid.n_space)
     rows = 2 * b_t + 2 * b_s
     step = rows * min(grid.n_time // b_t, grid.n_space // b_s) * nrhs
     return max(1, _GROUP_STEP_DOUBLES // max(step, rows * rows))
@@ -270,13 +269,13 @@ def _march(cells: np.ndarray, grid: Grid, u: np.ndarray, w: np.ndarray,
     group's output is written.
 
     The entries ride stacked sweeps of up to ``_group_size`` entries, in
-    tiles of ``_tile_sides(grid)``: each sweep first builds its entries'
+    tiles of ``_tile_sides``: each sweep first builds its entries'
     tiles from their cells by ``_green_matrix``.  Each is its own stack
     entry, so it is marched at the width of a sweep of it alone: BLAS rounds
     a block product differently at other widths, and this keeps every entry
     bit-identical to sweeping it alone, in any group.
     """
-    sides = _tile_sides(grid)
+    sides = _tile_sides(grid.n_time, grid.n_space)
     size = _group_size(grid, math.prod(u.shape[3:]))
     for start in range(0, len(cells), size):
         group = slice(start, start + size)
@@ -402,7 +401,7 @@ def _green_matrix(cells: np.ndarray, n_time: int, n_space: int,
     The cell is constant, so the lattice is translation-invariant and every
     block is a slice of the responses to the D = 2*b_t + 2*b_s unit scaled
     impulses on the input bins of tile (0, 0), swept together as D
-    right-hand sides.  The tile sides are those of ``_tile_sides``; the
+    right-hand sides.  The tile sides are ``_tile_sides(n_time, n_space)``; the
     tile is built by this function from the cell, and a grid of one tile is
     marched cell by cell (b_t = b_s = 1, D = 4), so every tile of a march
     is its own cell-by-cell build.  Light->light and spin->spin blocks are
@@ -418,8 +417,7 @@ def _green_matrix(cells: np.ndarray, n_time: int, n_space: int,
     sweep.
     """
     lead = cells.shape[:-2]
-    # _tile_sides of this grid; a tile's own axis may be 1 bin, which no Grid holds
-    b_t, b_s = math.gcd(n_time, _TILE_SIDE), math.gcd(n_space, _TILE_SIDE)
+    b_t, b_s = _tile_sides(n_time, n_space)
     if (b_t, b_s) == (n_time, n_space):
         tiles, b_t, b_s = cells, 1, 1
     else:

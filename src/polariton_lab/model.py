@@ -1,4 +1,4 @@
-"""Physical parameters, dimensionless groups, and grids.
+"""Physical parameters, dimensionless groups, grids, and sample records.
 
 The engine works internally in scaled coordinates zeta = z/L, tau = t/T on
 the unit square, so every SQL-normalized output depends only on the
@@ -9,6 +9,9 @@ Sign conventions: the coupling density ``a = 2*beta*eps*xi3_bar*jx_bar``
 is positive on the red wing (beta*eps > 0, positive group velocity) and
 negative on the blue wing (beta*eps < 0, exponentially enhanced
 fluctuations).  ``kappa_c = a*L*T`` carries the same sign.
+
+The sample records (:class:`FieldRecord`, :class:`SpinRecord`) live here, so
+the lattice engine and the closed-form check need not import each other.
 """
 
 from __future__ import annotations
@@ -17,12 +20,16 @@ import math
 import operator
 from typing import NamedTuple
 
+import numpy as np
+
 __all__ = [
     "PhysicalParams",
     "DimensionlessGroups",
     "Grid",
     "derive_groups",
     "canonical_params",
+    "FieldRecord",
+    "SpinRecord",
 ]
 
 
@@ -211,3 +218,56 @@ def canonical_params(
         omega0=Omega_T,
         omega2=0.0,
     )
+
+
+def _centers(n: int) -> np.ndarray:
+    return (np.arange(n) + 0.5) / n
+
+
+def _validate_samples(name: str, arr, n: int) -> np.ndarray:
+    arr = np.asarray(arr, dtype=float)
+    if arr.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite samples")
+    return arr
+
+
+class FieldRecord(_Record):
+    """Stokes component samples Xi1(t), Xi2(t) at bin centers, fixed z."""
+
+    __slots__ = ("xi1", "xi2")
+
+    def __init__(self, xi1: np.ndarray, xi2: np.ndarray):
+        n = len(xi1)
+        object.__setattr__(self, "xi1", _validate_samples("xi1", xi1, n))
+        object.__setattr__(self, "xi2", _validate_samples("xi2", xi2, n))
+
+    @property
+    def n(self) -> int:
+        return self.xi1.size
+
+    @classmethod
+    def from_functions(cls, f_xi1, f_xi2, n_time: int, time_T: float = 1.0) -> "FieldRecord":
+        t = _centers(n_time) * time_T
+        return cls(np.asarray(f_xi1(t), float), np.asarray(f_xi2(t), float))
+
+
+class SpinRecord(_Record):
+    """Transverse spin samples Jz(z), Jy(z) at bin centers, fixed t."""
+
+    __slots__ = ("jz", "jy")
+
+    def __init__(self, jz: np.ndarray, jy: np.ndarray):
+        n = len(jz)
+        object.__setattr__(self, "jz", _validate_samples("jz", jz, n))
+        object.__setattr__(self, "jy", _validate_samples("jy", jy, n))
+
+    @property
+    def n(self) -> int:
+        return self.jz.size
+
+    @classmethod
+    def from_functions(cls, f_jz, f_jy, n_space: int, length_L: float = 1.0) -> "SpinRecord":
+        z = _centers(n_space) * length_L
+        return cls(np.asarray(f_jz(z), float), np.asarray(f_jy(z), float))

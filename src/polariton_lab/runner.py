@@ -30,10 +30,10 @@ except ImportError:
 
 from . import __version__
 from .config import RunConfig
-from .kernels import FieldRecord, SpinRecord, output_maps
+from .kernels import output_maps
 from .lattice import (build_transfer_matrix, check_stability, integrate_extrapolated,
                       symplectic_residual)
-from .model import Grid, canonical_params
+from .model import FieldRecord, Grid, SpinRecord, canonical_params
 from .variance import scan
 
 __all__ = ["run", "write_csv", "format_number", "random_smooth_profiles"]
@@ -58,17 +58,19 @@ def write_csv(path: str | Path, header, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_metadata(out_path: Path, config_text: str, config: RunConfig,
-                    extra: dict) -> None:
+def _emit(out: Path, config_text: str, config: RunConfig, header, rows, **extra) -> None:
+    """Write the CSV, then its sidecar, with the row count and ``extra``."""
+    write_csv(out, header, rows)
     meta = {
         "config_sha256": sha256(config_text.encode("utf-8")).hexdigest(),
         "grid": {"n_time": config.grid.n_time, "n_space": config.grid.n_space},
         "mode": config.mode,
+        "rows": len(rows),
         "version": __version__,
         "versions": {"python": platform.python_version(), "numpy": np.__version__},
+        **extra,
     }
-    meta.update(extra)
-    out_path.with_suffix(out_path.suffix + ".meta.json").write_text(
+    out.with_suffix(out.suffix + ".meta.json").write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
 
@@ -145,8 +147,7 @@ def _run_scan(config: RunConfig, out: Path, config_text: str) -> int:
     kcs = np.linspace(lo, hi, points)
     result = scan(kcs, config.mode, config.groups, config.grid,
                   eps_conversion=config.eps_conversion)
-    write_csv(out, result.header, result.as_rows())
-    extra = {"rows": len(result.rows), "route": result.route}
+    extra = {"route": result.route}
     if result.route == "kernel":
         # per row: the tensor rule's final order, the relative change of F
         # and Gamma from half that order, and the change of Gamma that its
@@ -156,7 +157,7 @@ def _run_scan(config: RunConfig, out: Path, config_text: str) -> int:
                                "f_rel_change": [r.f_change for r in res],
                                "gamma_rel_change": [r.gamma_change for r in res],
                                "gamma_rel_floor": [r.gamma_floor for r in res]}
-    _write_metadata(out, config_text, config, extra)
+    _emit(out, config_text, config, result.header, result.as_rows(), **extra)
     print(f"{config.mode} scan: {points} rows -> {out}")
     return 0
 
@@ -170,8 +171,7 @@ def _run_dispersion(config: RunConfig, out: Path, config_text: str) -> int:
         q = abs(dispersion_p_of_s(config.dispersion_abs_ALT, w))
         rows.append((w, q))
         print(f"omega_T = {format_number(w)}  ->  |q|L = {format_number(q)}")
-    write_csv(out, ("omega_T", "q_L_abs"), rows)
-    _write_metadata(out, config_text, config, {"rows": len(rows)})
+    _emit(out, config_text, config, ("omega_T", "q_L_abs"), rows)
     return 0
 
 
@@ -183,8 +183,7 @@ def _run_oracle_compare(config: RunConfig, out: Path, config_text: str) -> int:
     deviations = oracle_kernel_deviations(cases, config.groups.ratio_r, config.grid)
     rows = [(kc, p, f_dev, s_dev) for (kc, p), (f_dev, s_dev) in zip(labels, deviations)]
     worst = max(max(dev) for dev in deviations)
-    write_csv(out, ("kappa_c", "profile", "field_rel_dev", "spin_rel_dev"), rows)
-    _write_metadata(out, config_text, config, {"rows": len(rows)})
+    _emit(out, config_text, config, ("kappa_c", "profile", "field_rel_dev", "spin_rel_dev"), rows)
     status = "PASS" if worst <= ORACLE_TOLERANCE else "FAIL"
     print(f"oracle-compare: worst relative deviation {worst:.3e} "
           f"(tolerance {ORACLE_TOLERANCE:g}) {status}")
@@ -196,9 +195,8 @@ def _run_symplectic(config: RunConfig, out: Path, config_text: str) -> int:
     params = canonical_params(g.kappa_c, g.ratio_r, g.kappa2_L, g.Omega_T)
     tm = build_transfer_matrix(params, config.grid)
     res = symplectic_residual(tm)
-    write_csv(out, ("kappa_c", "kappa2_L", "Omega_T", "residual"),
-              [(g.kappa_c, g.kappa2_L, g.Omega_T, res)])
-    _write_metadata(out, config_text, config, {"rows": 1})
+    _emit(out, config_text, config, ("kappa_c", "kappa2_L", "Omega_T", "residual"),
+          [(g.kappa_c, g.kappa2_L, g.Omega_T, res)])
     status = "PASS" if res <= SYMPLECTIC_TOLERANCE else "FAIL"
     print(f"symplectic-check: max residual {res:.3e} "
           f"(tolerance {SYMPLECTIC_TOLERANCE:g}) {status}")
@@ -214,8 +212,7 @@ def _run_packet(config: RunConfig, out: Path, config_text: str) -> int:
     bandwidth = config.packet_bandwidth_frac * abs(q0)
     v_meas = measure_packet_velocity(params, config.grid, q0, bandwidth)
     v_pred = group_velocity(-params.a_coupling, q0)
-    write_csv(out, ("q0", "v_measured", "v_predicted"), [(q0, v_meas, v_pred)])
-    _write_metadata(out, config_text, config, {"rows": 1})
+    _emit(out, config_text, config, ("q0", "v_measured", "v_predicted"), [(q0, v_meas, v_pred)])
     print(f"packet-velocity: measured {format_number(v_meas)}, "
           f"predicted {format_number(v_pred)}")
     return 0

@@ -13,10 +13,9 @@ import math
 
 import numpy as np
 
-from .kernels import (FieldRecord, SpinRecord, _apply_kernel, _causal_self_convolution,
-                      _cross_integral, kernel_self_scaled)
+from .kernels import _apply_kernel, _causal_self_convolution, _cross_integral, kernel_self_scaled
 from .lattice import integrate_stacked
-from .model import Grid, PhysicalParams
+from .model import FieldRecord, Grid, PhysicalParams, SpinRecord
 from .quadrature import PanelRule, panel_nodes
 
 __all__ = [
@@ -109,10 +108,8 @@ def measure_packet_velocity(params: PhysicalParams, grid: Grid,
     w_carrier = a / q
 
     dz = lam / min(48.0, max(8.0, ppw_user))
+    # dz <= 2*pi/(8q) and dt <= 2*pi*q/(40a): a*dz*dt <= pi^2/80, a stable cell
     dt = min(2.0 * math.pi / w_carrier / 40.0, sig_tau / 200.0)
-    # stability of the lattice cell
-    while a * dz * dt >= 0.2:
-        dt *= 0.5
     nz = int(math.ceil(z_run / dz))
     nt = int(math.ceil(t_run / dt))
     dz = z_run / nz

@@ -14,7 +14,7 @@ import pytest
 
 import polariton_lab
 from polariton_lab.cli import main
-from polariton_lab.config import ConfigError, parse_config
+from polariton_lab.config import _REQUIRED_HINT, ConfigError, parse_config
 from polariton_lab.runner import format_number, run, write_csv
 
 SPEC_EXAMPLE = json.dumps({
@@ -40,6 +40,30 @@ def test_empty_document_lists_required_keys():
     msg = str(err.value)
     for needle in ("mode", "grid", "groups", "physical", "scan"):
         assert needle in msg
+
+
+def _json_error(text):
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{mode: readout}", f"invalid JSON: {_json_error('{mode: readout}')}"),
+    ("[1, 2]", f"top-level document must be an object; {_REQUIRED_HINT}"),
+    ('{"grid": {"n_time": 8, "n_space": 8}}', f"$.mode: missing required key; {_REQUIRED_HINT}"),
+], ids=["invalid-json", "top-level-list", "no-mode"])
+def test_malformed_documents_rejected(tmp_path, capsys, text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == message
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main(["readout", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_conflicting_parameter_blocks():
@@ -354,6 +378,17 @@ def test_cli_grid_override(tmp_path):
     assert meta["grid"] == {"n_time": 64, "n_space": 64}
 
 
+def test_cli_grid_override_below_two_bins_rejected(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(SPEC_EXAMPLE)
+    out_path = tmp_path / "o.csv"
+    code = main(["readout", "--config", str(cfg_path), "--out", str(out_path),
+                 "--grid-override", "1"])
+    assert code == 2 and not out_path.exists()
+    assert capsys.readouterr().err == (
+        "config error: grid must have at least 2 bins per axis, got n_time=1, n_space=1\n")
+
+
 def test_cli_missing_config_file(tmp_path):
     assert main(["readout", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -446,10 +481,20 @@ def test_oracle_profiles_must_be_positive(tmp_path, capsys, profiles):
       "grid": {"n_time": 64, "n_space": 64}, "detection": {"omega_T": 0.5},
       "scan": {"from": 0, "to": 1, "points": 2}},
      "$.detection.q_L", "memory with physical parameters needs the detection wavenumber"),
+    ({k: v for k, v in ORACLE_DOC.items() if k != "grid"}, "$.grid", "missing required key"),
+    ({"mode": "symplectic-check", "grid": {"n_time": 8, "n_space": 8},
+      "physical": {"beta": 0.5, "epsilon": 0.05, "xi3_bar": -1}},
+     "$.physical", "xi3_bar must be positive, got -1.0"),
+    ({"mode": "symplectic-check", "grid": {"n_time": 8, "n_space": 8}},
+     "$", "mode 'symplectic-check' needs exactly one of 'groups' or 'physical'"),
+    ({"mode": "dispersion", "grid": {"n_time": 8, "n_space": 8},
+      "dispersion": {"abs_A_LT": 2}},
+     "$.dispersion.omega_T", "missing required key"),
 ], ids=["dispersion-omega-empty", "oracle-seed-negative", "packet-q0-zero", "groups-r-zero",
         "dispersion-abs-negative", "dispersion-omega-zero", "packet-bandwidth-wide",
         "abscissa-zero", "output-not-string", "detection-without-physical",
-        "memory-physical-without-q"])
+        "memory-physical-without-q", "grid-missing", "physical-xi3-negative",
+        "no-parameter-block", "dispersion-omega-missing"])
 def test_empty_or_negative_entries_rejected(tmp_path, capsys, doc, key, message):
     with pytest.raises(ConfigError, match=re.escape(f"{key}: {message}")):
         parse_config(json.dumps(doc))
@@ -462,7 +507,10 @@ def test_empty_or_negative_entries_rejected(tmp_path, capsys, doc, key, message)
     ({"n_time": 4.5, "n_space": 8}, "$.grid.n_time: expected an integer, got 4.5"),
     ({"n_time": "8", "n_space": 8}, "$.grid.n_time: expected a number, got '8'"),
     ({"n_time": 8}, "$.grid.n_space: missing required key"),
-], ids=["fractional", "string", "missing"])
+    (5, "$.grid: expected an object"),
+    ({"n_time": 1, "n_space": 8},
+     "$.grid: grid must have at least 2 bins per axis, got n_time=1, n_space=8"),
+], ids=["fractional", "string", "missing", "not-an-object", "one-bin"])
 def test_grid_count_errors_name_their_path_once(tmp_path, capsys, grid, message):
     doc = dict(json.loads(SPEC_EXAMPLE), grid=grid)
     with pytest.raises(ConfigError) as info:

@@ -344,10 +344,12 @@ def test_sweep_matches_cell_by_cell_split_and_alone(n_time, n_space, points, rhs
     (1000, 1000, (8, 8)),
     (257, 257, (1, 1)),
     (4096, 16, (16, 16)),
+    (16, 1, (16, 1)),
 ])
 def test_tile_sides_follow_the_grid(n_time, n_space, sides):
-    # per axis the largest power of two up to 16 that divides it
-    assert lattice._tile_sides(Grid(n_time, n_space)) == sides
+    # per axis the largest power of two up to 16 that divides it; a tile's
+    # own axis may be 1 bin, which no Grid holds
+    assert lattice._tile_sides(n_time, n_space) == sides
 
 
 # a prime axis, and axes of different power-of-two factors; the first two sit
@@ -387,11 +389,11 @@ def test_tiled_march_matches_cell_sweep_and_alone(n_time, n_space, points, rhs):
 def test_tile_is_the_scaled_transfer_matrix_of_its_block():
     # a (16, 8) grid is one tile; the tile maps raw bins, M normalized ones
     grid = Grid(16, 8)
-    assert lattice._tile_sides(grid) == (16, 8)
+    assert lattice._tile_sides(16, 8) == (16, 8)
     params = [canonical_params(kc, 3.0, kappa2_L=0.3, Omega_T=0.3) for kc in (1.5, -20.0)]
     cells = np.stack([lattice.cell_matrix(p, grid.dz(p.length_L), grid.dt(p.time_T))
                       for p in params])
-    tiles = lattice._green_matrix(cells, *lattice._tile_sides(grid))
+    tiles = lattice._green_matrix(cells, *lattice._tile_sides(16, 8))
     for tile, p in zip(tiles, params):
         nl, nsp = lattice._norms(p, grid)
         d = np.repeat([nl, nsp], [2 * grid.n_time, 2 * grid.n_space])
@@ -443,7 +445,7 @@ def test_tiled_green_build_equals_impulse_columns(n_time, n_space):
     # light and spin, tile column by tile column
     params = canonical_params(2.0, 3.0, kappa2_L=0.5, Omega_T=-0.7)
     grid = Grid(n_time, n_space)
-    assert all(n // b > 1 for n, b in zip((n_time, n_space), lattice._tile_sides(grid)))
+    assert all(n // b > 1 for n, b in zip((n_time, n_space), lattice._tile_sides(n_time, n_space)))
     tm = build_transfer_matrix(params, grid)
     np.testing.assert_allclose(tm.matrix, _impulse_columns(params, grid), rtol=0,
                                atol=1e-13 * np.max(np.abs(tm.matrix)))
@@ -492,7 +494,7 @@ def test_stacked_integrate_equals_single_calls_and_is_linear(points, rhs, group,
     w1, w2 = rng.normal(size=(2, 2, n_space) + shape)
     # one entry's share of the budget: the larger of its longest anti-diagonal
     # and its tile matrix
-    b_t, b_s = lattice._tile_sides(grid)
+    b_t, b_s = lattice._tile_sides(n_time, n_space)
     rows = 2 * b_t + 2 * b_s
     budget = group * max(rows * min(n_time // b_t, n_space // b_s) * math.prod(rhs),
                          rows * rows)
@@ -574,6 +576,8 @@ def test_batched_adjoint_rejects_mismatched_columns():
         transfer_adjoint_apply(params, grid, np.ones((28, 3)))
     with pytest.raises(ValueError, match=r"no params"):
         transfer_adjoint_apply([], grid, np.ones((28, 0)))
+    with pytest.raises(ValueError, match=r"^vector length 27 does not match layout dim 28$"):
+        transfer_adjoint_apply(params[0], grid, np.ones(27))
 
 
 @pytest.mark.parametrize("kappa_c", [0.5, 2.0, -2.0])

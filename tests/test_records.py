@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from polariton_lab.config import RunConfig
-from polariton_lab.kernels import FieldRecord, SpinRecord
 from polariton_lab.lattice import TransferMatrix
-from polariton_lab.model import DimensionlessGroups, Grid, PhysicalParams
+from polariton_lab.model import DimensionlessGroups, FieldRecord, Grid, PhysicalParams, SpinRecord
 from polariton_lab.variance import (ChannelVariance, GeneralVarianceResult, ScanResult,
                                     ScanRow, VarianceBreakdown)
 

@@ -306,14 +306,16 @@ def test_general_variances_reduces_to_protocol_routes():
     assert abs(res["jz"].normalized - kern_m.v2) / kern_m.v2 <= 5e-3
 
 
-def test_matrix_breakdown_equals_general_variances_channels():
-    # one quadratic form serves both: the 1/2 input variance cancels exactly
+@pytest.mark.parametrize("omega_T, q_L", [(0.7, 1.3), (0.0, 0.0)])
+def test_matrix_breakdown_equals_general_variances_channels(omega_T, q_L):
+    # one quadratic form serves both: the 1/2 input variance cancels exactly;
+    # omega_T = q_L = 0, the config defaults, takes the all-ones filter
     from polariton_lab.variance import _cos_bin_averages, _matrix_breakdowns
     grid = Grid(64, 48)
-    g = groups(1.5, r=10.0, omega_T=0.7, q_L=1.3, kappa2_L=0.3, Omega_T=0.3)
+    g = groups(1.5, r=10.0, omega_T=omega_T, q_L=q_L, kappa2_L=0.3, Omega_T=0.3)
     params = canonical_params(1.5, 10.0, kappa2_L=0.3, Omega_T=0.3)
-    res = general_variances(params, grid, _cos_bin_averages(0.7, grid.n_time),
-                            _cos_bin_averages(1.3, grid.n_space))
+    res = general_variances(params, grid, _cos_bin_averages(omega_T, grid.n_time),
+                            _cos_bin_averages(q_L, grid.n_space))
     ro = _matrix_breakdowns([1.5], g, grid, "readout")[0]
     assert (ro.v1, ro.f_self, ro.v2) == (
         res["xi1"].normalized, res["xi1"].light_part, res["xi2"].normalized)

@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .model import (PhysicalParams, DimensionlessGroups, Grid, derive_groups, canonical_params,
                     FieldRecord, SpinRecord)
-from .kernels import output_field, output_spin
 from .lattice import (
     StabilityError,
     TransferMatrix,
@@ -31,7 +30,7 @@ from .runner import run
 __all__ = [
     "__version__",
     "PhysicalParams", "DimensionlessGroups", "Grid", "derive_groups", "canonical_params",
-    "FieldRecord", "SpinRecord", "output_field", "output_spin",
+    "FieldRecord", "SpinRecord",
     "StabilityError", "TransferMatrix", "build_transfer_matrix",
     "symplectic_form", "symplectic_residual",
     "dispersion_p_of_s", "group_velocity",

@@ -22,16 +22,15 @@ These forms are validated against the direct lattice integrator in the test
 suite before anything downstream relies on them.  Their sample records,
 ``FieldRecord`` and ``SpinRecord``, are defined in model.py.
 
-G depends on x*t only, so the G integrals are smooth in the output variable
-and of low numerical rank.  ``_apply_kernel`` sums the kernel against the
-source only at Chebyshev-Lobatto points of the output interval and
-interpolates those sums onto the outputs.  The degree is chosen at run time:
-it doubles from 16 until the Chebyshev coefficients of the sums reach their
-round-off plateau (chebfun's standardChop rule) and twice that degree
-confirms it.  Where degree 1024 does not resolve them (red-wing kappa_c from
-about 1.5e5 on; the blue wing overflows first) it raises UnresolvedError, a
-ValueError naming kappa_c, the output interval and the last two coefficient
-tails.
+``output_maps`` evaluates these from the input callables, with one
+quadrature: the m-point Gauss-Legendre rule on [0, 1] in s for the self
+part tau Int_0^1 K(t - tau s) own(tau s) ds, tau = min(t, 1), and in z' for
+the cross part.  Both integrands are smooth, so the order doubles from 16
+until two orders agree (the ladder of the closed-form variance, whose
+constants sit beside ``UnresolvedError``); where order 1024 does not
+resolve a component it raises UnresolvedError, a ValueError naming kappa_c
+and both orders.  Past t = 1 the same formula is the time continuation of
+spectral.py's Laplace check.
 
 The two kernel functions below are the only place Bessel values are
 computed, with numpy alone.  Both are the one entire function
@@ -75,15 +74,13 @@ import math
 import numpy as np
 
 from .model import FieldRecord, Grid, PhysicalParams, SpinRecord, _centers
-from .quadrature import PanelRule, panel_nodes
+from .quadrature import PanelRule
 
 __all__ = [
     "I_OVERFLOW_X",
     "UnresolvedError",
     "kernel_self_scaled",
     "kernel_cross_scaled",
-    "output_field",
-    "output_spin",
     "output_maps",
 ]
 
@@ -324,312 +321,109 @@ def kernel_cross_scaled(kappa_c, x, t):
     return _reduced_bessel(0, kappa_c, np.clip(s, 0.0, None, out=s))[()]
 
 
-def _interp_uniform_centers(values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cubic Lagrange interpolation of center samples onto scaled points x.
-
-    Center j sits at (j + 1/2)/n.  Four-point stencils are clamped at the
-    edges, so points in the outer half-bins are extrapolated at O(h^4).
-    ``values`` (n, ...) may hold columns of samples; the result is then
-    (x.shape, ...), each column as if interpolated alone.
-    """
-    n = values.shape[0]
-    # weights broadcast over the columns
-    cols = (1,) * (values.ndim - 1)
-    if n < 4:
-        # 2 or 3 bins (Grid allows them; the output maps take them) have no
-        # four-point stencil: linear interpolation, clamped at the ends
-        idx = np.clip(x * n - 0.5, 0.0, n - 1.0)
-        lo = np.clip(np.floor(idx).astype(int), 0, n - 2)
-        frac = (idx - lo).reshape(x.shape + cols)
-        return values[lo] * (1 - frac) + values[lo + 1] * frac
-    p = x * n - 0.5
-    base = np.clip(np.floor(p).astype(int) - 1, 0, n - 4)
-    s = (p - base).reshape(x.shape + cols)
-    weights = (-(s - 1) * (s - 2) * (s - 3) / 6.0, s * (s - 2) * (s - 3) / 2.0,
-               -s * (s - 1) * (s - 3) / 2.0, s * (s - 1) * (s - 2) / 6.0)
-    # summed in place, in the order of w0*v0 + w1*v1 + w2*v2 + w3*v3, so
-    # that a block of columns holds one stencil value at a time
-    out = weights[0] * values[base]
-    for k in (1, 2, 3):
-        out += weights[k] * values[base + k]
-    return out
 
 
-def _causal_self_convolution(kappa_c: float, f, n: int, offsets) -> np.ndarray:
-    """(K * f)(tau) = Int_0^tau K(tau - x) f(x) dx at tau = (b + o)/n.
-
-    ``f`` is a callable on scaled coordinates, ``offsets`` the positions o in
-    [0, 1) of the outputs inside each of the n bins b; returns shape
-    (n, len(offsets)).  Panels are the bins left of b plus one partial panel
-    [b/n, tau].  The lag from node k of bin b' to the output is
-    (b - b' + o - (1 + x_k)/2)/n, a function of the bin distance alone, so
-    the full bins are one causal discrete convolution per (node, offset),
-    summed over the nodes as one product of real FFTs per (offset, column).
-    f(x) may return (x.shape, C) columns, giving (n, len(offsets), C): the
-    K values of each offset are evaluated once for all columns, and each
-    column is convolved as if alone.
-    """
-    rule = PanelRule()
-    h = 1.0 / n
-    x, w = panel_nodes(np.arange(n + 1) * h, rule)       # (n, order)
-    fx = f(x)
-    cols = fx.shape[2:]
-    fw = (w.reshape(w.shape + (1,) * len(cols)) * fx).reshape(n, rule.order, -1)
-    frac = 0.5 * (1.0 + rule.x)                          # node positions in a bin
-    bins = np.arange(n)
-    # the linear convolutions of n - 1 terms have 2n - 3 terms, so a power of
-    # two past that keeps the circular wrap-around off the n - 1 we keep
-    size = 1 << (2 * n - 3).bit_length()
-    fw_spec = [np.fft.rfft(fw[:-1, :, c].T, size) for c in range(fw.shape[2])]
-    out = np.empty((n, len(offsets), fw.shape[2]))
-    for i, o in enumerate(offsets):
-        # the partial panel [b/n, tau] has lags o*h*(1 - frac) in every bin
-        px = (bins[:, None] + o * frac[None, :]) * h
-        partial = 0.5 * o * h * rule.w * kernel_self_scaled(kappa_c, o * h * (1.0 - frac))
-        lags = kernel_self_scaled(kappa_c, (bins[None, 1:] + (o - frac[:, None])) * h)
-        lag_spec = np.fft.rfft(lags, size)
-        fpx = f(px).reshape(n, rule.order, -1)
-        for c in range(fw.shape[2]):
-            # a contiguous (n, order) block, multiplied as a lone f(px) is
-            acc = np.ascontiguousarray(fpx[:, :, c]) @ partial
-            acc[1:] += np.fft.irfft((fw_spec[c] * lag_spec).sum(axis=0), size)[:n - 1]
-            out[:, i, c] = acc
-    return out.reshape((n, len(offsets)) + cols)
-
-
-# Chebyshev degrees of the low-rank apply: doubled from the first on nested
-# Lobatto points; a kernel the cap does not resolve raises UnresolvedError
-_FIRST_DEGREE = 16
-_MAX_DEGREE = 1024
+# Orders m of the closed-form Gauss-Legendre rules, here and in variance.py:
+# doubled from the first until the results at m and m/2 agree to a relative
+# _RESOLVED_RTOL; a result the largest order does not resolve raises
+_FIRST_ORDER = 16
+_MAX_ORDER = 1024
+_RESOLVED_RTOL = 1e-10
 
 
 class UnresolvedError(ValueError):
-    """A closed-form result not resolved at its largest order: a kernel apply
-    at the largest Chebyshev degree, or a variance point at the largest Gauss
-    order of variance.py."""
+    """A closed-form result not resolved at Gauss-Legendre order _MAX_ORDER:
+    a component of the output map, or a variance point of variance.py."""
 
 
-def _lobatto(degree: int) -> np.ndarray:
-    """Chebyshev-Lobatto points cos(pi k/degree), k = 0..degree, on [-1, 1].
+def _output_map(kappa_c: float, t: np.ndarray, components) -> tuple[list[np.ndarray], int]:
+    """own(t) - tau Int_0^1 K(t - tau s) own(tau s) ds + c Int_0^1 G(1 - x, t) conj(x) dx
+    at the points t, with tau = min(t, 1), for each (own, conj, c) of
+    ``components``, own and conj callables on the unit interval; and the
+    order at which the last component resolved.
 
-    Written as sines of exact multiples so that the points of a degree are
-    bit for bit the even-indexed points of twice that degree."""
-    return np.sin(np.pi * np.arange(degree, -degree - 1, -2) / (2 * degree))
-
-
-def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
-    """Coefficients of the interpolant through values at ``_lobatto`` points,
-    along axis 0 for each column, relative to the column's largest value
-    (blue-wing sums can sit near the double range)."""
-    degree = values.shape[0] - 1
-    top = np.max(np.abs(values), axis=0)
-    values = values / np.where(top > 0.0, top, 1.0)
-    c = np.fft.rfft(np.concatenate([values, values[-2:0:-1]]), axis=0).real / degree
-    c[0] *= 0.5
-    c[-1] *= 0.5
-    return c
-
-
-def _chop(coeffs: np.ndarray) -> int | None:
-    """Number of Chebyshev coefficients before their round-off plateau, or None
-    when there is no plateau yet: chebfun's standardChop at tol = eps
-    (Aurentz & Trefethen, ACM TOMS 43, 2017)."""
-    tol = np.finfo(float).eps
-    n = coeffs.size
-    if n < 17:
-        return None
-    env = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
-    if env[0] == 0.0:
-        return 1
-    env = env / env[0]
-    for j in range(2, n + 1):
-        j2 = math.floor(1.25 * j + 5.5)
-        if j2 > n:
-            return None
-        e1, e2 = env[j - 1], env[j2 - 1]
-        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
-            break
-    if e1 == 0.0:
-        return j - 1
-    floor = tol ** (7.0 / 6.0)
-    j3 = int(np.sum(env >= floor))
-    if j3 < j2:
-        j2 = j3 + 1
-        env[j2 - 1] = floor
-    with np.errstate(divide="ignore"):
-        biased = np.log10(env[:j2]) + np.linspace(0.0, -np.log10(tol) / 3.0, j2)
-    return max(int(np.argmin(biased)), 1)
-
-
-def _tail(coeffs: np.ndarray) -> float:
-    """Largest coefficient of the upper half relative to the largest one."""
-    top = np.max(np.abs(coeffs))
-    return float(np.max(np.abs(coeffs[coeffs.size // 2:])) / top) if top else 0.0
-
-
-def _columns(coeffs: np.ndarray) -> np.ndarray:
-    """Each column's coefficients as one row: (C, n) for (n, C), (1, n) for (n,)."""
-    return coeffs.reshape(coeffs.shape[0], -1).T
-
-
-def _barycentric(nodes: np.ndarray, values: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The interpolant through values at Lobatto ``nodes`` (descending,
-    any interval), evaluated at a; a point on a node takes its value."""
-    bary = np.where(np.arange(nodes.size) % 2, -1.0, 1.0)
-    bary[[0, -1]] *= 0.5
-    interp = np.subtract.outer(a, nodes)
-    rows, cols = np.nonzero(interp == 0.0)
-    interp[rows, cols] = 1.0
-    np.divide(bary, interp, out=interp)
-    # normalized before the product, so that it stays in range for sums near
-    # the double range; a row with every node on its point sums to 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        interp /= interp.sum(axis=1, keepdims=True)
-    rows, first = np.unique(rows, return_index=True)
-    interp[rows] = 0.0
-    interp[rows, cols[first]] = 1.0
-    return interp @ values
-
-
-def _apply_kernel(kernel, a: np.ndarray, b: np.ndarray, w: np.ndarray,
-                  kappa_c: float) -> np.ndarray:
-    """out[i] = sum_j kernel(a[i], b[j]) * w[j] for a kernel smooth in a.
-
-    The sums are taken only at Chebyshev-Lobatto points spanning
-    [min a, max a] and carried to every a[i] by barycentric interpolation,
-    so the kernel is evaluated on (degree + 1) x b.size points, not
-    a.size x b.size.  The ends of the interval are nodes, so the kernel
-    sees the extreme arguments of the outputs.  The degree doubles from
-    ``_FIRST_DEGREE`` until the coefficients of the sums reach their
-    round-off plateau (``_chop``) and the next degree confirms it, its own
-    plateau starting within the smaller degree; the larger degree's points
-    are used.  Unresolved at ``_MAX_DEGREE``, it raises UnresolvedError
-    naming kappa_c.  ``kernel`` takes broadcast 2-D arguments.
-
-    ``w`` may be (b.size, C), C columns of weights, giving out (a.size, C):
-    the kernel is evaluated once per degree for all of them, each column is
-    resolved by its own plateau, and all are interpolated from the degree
-    that resolves the last one.
+    For t <= 1 the self part is the causal convolution (K * own)(t); past 1
+    it is the time continuation of an input whose support ends at 1.  Both
+    integrals take the m-point Gauss-Legendre rule on [0, 1], m doubling from
+    _FIRST_ORDER.  A component is resolved when its values at m and m/2 agree
+    to _RESOLVED_RTOL times the largest magnitude of its three summands, and
+    keeps its values at m; the K and G values of an order are computed once
+    for all components still pending, so each component has the bits of a
+    lone call.  Unresolved at _MAX_ORDER it raises UnresolvedError, and a
+    non-finite value raises OverflowError, each naming kappa_c.
     """
-    if a.size == 0:
-        return np.empty((0,) + w.shape[1:])
-    lo, hi = float(np.min(a)), float(np.max(a))
-
-    def points(x):
-        t = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
-        t[x == 1.0] = hi
-        t[x == -1.0] = lo
-        return t
-
-    degree = _FIRST_DEGREE
-    s = kernel(points(_lobatto(degree))[:, None], b[None, :]) @ w
-    coeffs = _columns(_chebyshev_coefficients(s))
-    cuts = [_chop(c) for c in coeffs]
-    resolved = [False] * len(cuts)
-    tail = max(_tail(c) for c in coeffs)
-    while degree < _MAX_DEGREE:
-        degree *= 2
-        finer = np.empty((degree + 1,) + w.shape[1:])
-        finer[0::2] = s
-        finer[1::2] = kernel(points(_lobatto(degree)[1::2])[:, None], b[None, :]) @ w
-        s = finer
-        coeffs = _columns(_chebyshev_coefficients(s))
-        last_cuts, cuts = cuts, [_chop(c) for c in coeffs]
-        resolved = [done or (last is not None and cut is not None and cut <= degree // 2 + 1)
-                    for done, last, cut in zip(resolved, last_cuts, cuts)]
-        last_tail, tail = tail, max(_tail(c) for c in coeffs)
-        if all(resolved):
-            return _barycentric(points(_lobatto(degree)), s, a)
-    raise UnresolvedError(
-        f"kernel apply at kappa_c = {kappa_c:.6g} is not resolved on outputs "
-        f"[{lo:.6g}, {hi:.6g}] by Chebyshev degree {_MAX_DEGREE}: relative "
-        f"coefficient tail {last_tail:.3g} at degree {degree // 2}, "
-        f"{tail:.3g} at degree {degree}"
-    )
-
-
-def _cross_integral(kappa_c: float, f, n_src: int, t: np.ndarray) -> np.ndarray:
-    """Int_0^1 G(1 - x, t_i) f(x) dx at every output t_i.
-
-    ``f`` is a callable on the source's unit interval, integrated with
-    panels on its ``n_src`` bins; f(x) may return (x.size, C) columns, one
-    apply giving (t.size, C).  G depends on (1 - x)*t only, so an output
-    may lie past 1 (the time continuation in spectral.py).
-    """
-    x, w = panel_nodes(np.arange(n_src + 1) / n_src, PanelRule())
-    x = x.ravel()
-    fx = f(x)
-    fx = w.reshape((-1,) + (1,) * (fx.ndim - 1)) * fx
-    return _apply_kernel(lambda t, r: kernel_cross_scaled(kappa_c, r, t),
-                         t, 1.0 - x, fx, kappa_c)
-
-
-def _output_components(kappa_c: float, components) -> list[np.ndarray]:
-    """own - K*own + c * Int_0^1 G(1 - x, t) conj(x) dx at own's bin centers
-    t, one array per (own, conj, c) triple; the samples enter through their
-    cubic interpolant.  The triples whose own and conj sizes agree share one
-    self-convolution, their owns its columns, and one kernel apply, their
-    conjs its columns."""
-    by_size = {}
-    for i, (a, b, _) in enumerate(components):
-        by_size.setdefault((a.size, b.size), []).append(i)
-    out = [None] * len(components)
-    for (n_out, n_src), group in by_size.items():
-        own, conj = (np.stack([components[i][part] for i in group], axis=1) for part in (0, 1))
-        conv = _causal_self_convolution(
-            kappa_c, lambda x: _interp_uniform_centers(own, x), n_out, (0.5,))[:, 0]
-        cross = _cross_integral(kappa_c, lambda x: _interp_uniform_centers(conj, x),
-                                n_src, _centers(n_out))
-        for k, i in enumerate(group):
-            out[i] = own[:, k] - conv[:, k] + components[i][2] * cross[:, k]
-    return out
-
-
-def _components(params: PhysicalParams, grid: Grid, xi_in: FieldRecord,
-                spin_in: SpinRecord) -> tuple[list, list]:
-    """The (own, conj, c) triples of output_field (Xi1, Xi2) and of
-    output_spin (Jz, Jy)."""
-    if xi_in.n != grid.n_time or spin_in.n != grid.n_space:
-        raise ValueError("input records do not match the grid")
-    field_cb = 2.0 * params.beta * params.xi3_bar * params.length_L
-    field_ce = 2.0 * params.epsilon * params.xi3_bar * params.length_L
-    spin_ce = params.epsilon * params.jx_bar * params.time_T
-    spin_cb = params.beta * params.jx_bar * params.time_T
-    return ([(xi_in.xi1, spin_in.jz, field_cb), (xi_in.xi2, spin_in.jy, -field_ce)],
-            [(spin_in.jz, xi_in.xi1, -spin_ce), (spin_in.jy, xi_in.xi2, spin_cb)])
-
-
-def output_field(params: PhysicalParams, grid: Grid, xi_in: FieldRecord,
-                 spin_in: SpinRecord) -> FieldRecord:
-    """Light record at z = L from input light (z=0) and input spins (t=0)."""
-    field, _ = _components(params, grid, xi_in, spin_in)
-    return FieldRecord(*_output_components(params.kappa_c, field))
-
-
-def output_spin(params: PhysicalParams, grid: Grid, xi_in: FieldRecord,
-                spin_in: SpinRecord) -> SpinRecord:
-    """Spin record at t = T from input light (z=0) and input spins (t=0).
-
-    The light <-> spin mirror of output_field: G(z, T - t') has the
-    residual 1 - tau' in the time integral.
-    """
-    _, spin = _components(params, grid, xi_in, spin_in)
-    return SpinRecord(*_output_components(params.kappa_c, spin))
+    tau = np.minimum(t, 1.0)
+    direct = [own(t) for own, _, _ in components]
+    values = [None] * len(components)
+    pending = list(range(len(components)))
+    m = _FIRST_ORDER
+    while pending:
+        rule = PanelRule(m)
+        s, w = 0.5 * (1.0 + rule.x), 0.5 * rule.w
+        ts = np.multiply.outer(tau, s)
+        k = kernel_self_scaled(kappa_c, t[:, None] - ts)
+        g = kernel_cross_scaled(kappa_c, 1.0 - s, t[:, None])
+        still = []
+        for i in pending:
+            own, conj, c = components[i]
+            # blue-wing products can leave the double range below the
+            # kernels' own argument threshold; that raises below
+            with np.errstate(over="ignore", invalid="ignore"):
+                conv = tau * ((k * own(ts)) @ w)
+                cross = c * (g @ (w * conj(s)))
+                value = direct[i] - conv + cross
+            if not np.all(np.isfinite(value)):
+                raise OverflowError(f"output map overflows at kappa_c = {kappa_c:.6g}, "
+                                    f"Gauss-Legendre order {m}")
+            last, values[i] = values[i], value
+            if last is not None:
+                change = float(np.max(np.abs(value - last)))
+                scale = max(float(np.max(np.abs(part))) for part in (direct[i], conv, cross))
+                if change <= _RESOLVED_RTOL * scale:
+                    continue
+                if m == _MAX_ORDER:
+                    raise UnresolvedError(
+                        f"output map at kappa_c = {kappa_c:.6g} is not resolved by "
+                        f"Gauss-Legendre order {_MAX_ORDER}: change {change:.3g} from order "
+                        f"{m // 2} to {m}, against largest summand {scale:.3g}")
+            still.append(i)
+        pending = still
+        m *= 2
+    return values, m // 2
 
 
 def output_maps(params: PhysicalParams, grid: Grid,
-                records) -> list[tuple[FieldRecord, SpinRecord]]:
-    """output_field and output_spin of every (xi_in, spin_in) pair of
-    ``records``, at one params.
+                profiles) -> tuple[list[tuple[FieldRecord, SpinRecord]], int]:
+    """The light record at z = L and the spin record at t = T, at the bin
+    centers, of every ((xi1, xi2), (jz, jy)) input pair of ``profiles``,
+    callables of the physical coordinates (light at z = 0, spins at t = 0);
+    and the Gauss-Legendre order at which the map resolved params.kappa_c.
 
-    The cross integrals of all pairs that share source and output sizes are
-    the columns of one kernel apply: with n_time = n_space, all four of
-    every pair.
+    The light outputs take the time centers, the spin outputs the space
+    centers: with n_time = n_space all four components of every pair share
+    one set of K and G values per order.
     """
-    components = []
-    for xi_in, spin_in in records:
-        field, spin = _components(params, grid, xi_in, spin_in)
-        components += field + spin
-    out = _output_components(params.kappa_c, components)
-    return [(FieldRecord(*out[i:i + 2]), SpinRecord(*out[i + 2:i + 4]))
-            for i in range(0, len(out), 4)]
+    T, L = params.time_T, params.length_L
+    field_cb = 2.0 * params.beta * params.xi3_bar * L
+    field_ce = 2.0 * params.epsilon * params.xi3_bar * L
+    spin_ce = params.epsilon * params.jx_bar * T
+    spin_cb = params.beta * params.jx_bar * T
+    # one entry when n_time = n_space
+    components = {grid.n_time: [], grid.n_space: []}
+    for (xi1, xi2), (jz, jy) in profiles:
+        x1, x2 = _scaled(xi1, T), _scaled(xi2, T)
+        j1, j2 = _scaled(jz, L), _scaled(jy, L)
+        components[grid.n_time] += [(x1, j1, field_cb), (x2, j2, -field_ce)]
+        components[grid.n_space] += [(j1, x1, -spin_ce), (j2, x2, spin_cb)]
+    results = {n: _output_map(params.kappa_c, _centers(n), comps)
+               for n, comps in components.items()}
+    # one iterator per output grid, so one shared grid yields in append order
+    values = {n: iter(out) for n, (out, _) in results.items()}
+    light, spin = values[grid.n_time], values[grid.n_space]
+    return ([(FieldRecord(next(light), next(light)), SpinRecord(next(spin), next(spin)))
+             for _ in profiles], max(m for _, m in results.values()))
+
+
+def _scaled(f, unit: float):
+    """f of a physical coordinate as a callable on the unit interval."""
+    return lambda v: np.asarray(f(v * unit), dtype=float)

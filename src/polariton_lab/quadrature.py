@@ -1,11 +1,11 @@
 """Composite Gauss-Legendre quadrature on grid-aligned panels.
 
 Panels coincide with the uniform grid bins; a partial panel is one more
-pair of edges.  Eight nodes per panel keeps the smooth oscillatory
-Bessel-product integrands of the sampled output maps (kernels.py,
-spectral.py) well below 1e-10 relative error at the reference grids, with
-fully deterministic node placement.  The closed-form variance needs no grid
-and uses its own tensor rule (variance.py).
+pair of edges.  Eight nodes per panel carry the Laplace transforms of
+spectral.py's identity check, with fully deterministic node placement.  The
+closed-form output maps (kernels.py) and variance (variance.py) need no
+grid: each takes one m-point rule mapped to [0, 1], its order doubling from
+16 until two orders agree.
 
 Every rule is built here by Halley's method on the three-term recurrence,
 started from Tricomi's asymptotic node estimates, with each weight from

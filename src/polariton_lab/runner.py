@@ -2,7 +2,8 @@
 
 Every run writes a CSV with a fixed header plus a sidecar JSON metadata
 file recording the config hash, grid, package version and the Python and
-numpy versions; a closed-form scan adds each row's resolution evidence.
+numpy versions; a closed-form scan and oracle-compare add each row's
+resolution evidence.
 Numbers are serialized with 17 significant digits so the emitted files
 round-trip to the exact binary doubles; identical configs produce
 byte-identical output.
@@ -33,7 +34,7 @@ from .config import RunConfig
 from .kernels import output_maps
 from .lattice import (build_transfer_matrix, check_stability, integrate_extrapolated,
                       symplectic_residual)
-from .model import FieldRecord, Grid, SpinRecord, canonical_params
+from .model import Grid, canonical_params
 from .variance import scan
 
 __all__ = ["run", "write_csv", "format_number", "random_smooth_profiles"]
@@ -109,17 +110,20 @@ def _relative_deviation(kernel: tuple[np.ndarray, np.ndarray],
                      np.max(np.abs(kernel[1] - oracle[1]))) / scale)
 
 
-def oracle_kernel_deviations(cases, ratio_r: float, grid: Grid) -> list[tuple[float, float]]:
+def oracle_kernel_deviations(cases, ratio_r: float,
+                             grid: Grid) -> tuple[list[tuple[float, float]], list[int]]:
     """Sup-norm relative deviation (field, spin) of kernels vs lattice oracle,
-    for each (kappa_c, field_fns, spin_fns) of ``cases``.
+    for each (kappa_c, field_fns, spin_fns) of ``cases``, and the
+    Gauss-Legendre order at which the closed-form map resolved each case's
+    kappa_c.
 
     The oracle side is the Richardson-extrapolated reference built from two
-    second-order lattice runs; the kernel side is the closed-form map applied
-    to the same center-sampled records.  Every kappa_c is checked for
-    stability at ``grid`` before any sweep or apply, and the error names
-    the first that fails.  All cases ride one stacked lattice integrate per
-    grid level, each its own stack entry, and the cases of one kappa_c one
-    ``output_maps`` call.
+    second-order lattice runs; the kernel side is the closed-form map
+    evaluated from the same profile functions at the bin centers.  Every
+    kappa_c is checked for stability at ``grid`` before any sweep or map,
+    and the error names the first that fails.  All cases ride one stacked
+    lattice integrate per grid level, each its own stack entry, and the
+    cases of one kappa_c one ``output_maps`` call.
     """
     params = [canonical_params(kc, ratio_r) for kc, _, _ in cases]
     for p in params:
@@ -127,19 +131,17 @@ def oracle_kernel_deviations(cases, ratio_r: float, grid: Grid) -> list[tuple[fl
     by_kappa_c = {}
     for i, (kc, _, _) in enumerate(cases):
         by_kappa_c.setdefault(kc, []).append(i)
-    kernel = [None] * len(cases)
+    kernel, orders = [None] * len(cases), [None] * len(cases)
     for group in by_kappa_c.values():
-        p = params[group[0]]
-        records = [(FieldRecord.from_functions(*cases[i][1], grid.n_time, p.time_T),
-                    SpinRecord.from_functions(*cases[i][2], grid.n_space, p.length_L))
-                   for i in group]
-        for i, out in zip(group, output_maps(p, grid, records)):
-            kernel[i] = out
+        records, order = output_maps(params[group[0]], grid, [cases[i][1:] for i in group])
+        for i, out in zip(group, records):
+            kernel[i], orders[i] = out, order
     oracle = integrate_extrapolated(params, grid, [c[1] for c in cases],
                                     [c[2] for c in cases])
-    return [(_relative_deviation((kf.xi1, kf.xi2), (of.xi1, of.xi2)),
-             _relative_deviation((ks.jz, ks.jy), (os_.jz, os_.jy)))
-            for (kf, ks), (of, os_) in zip(kernel, oracle)]
+    deviations = [(_relative_deviation((kf.xi1, kf.xi2), (of.xi1, of.xi2)),
+                   _relative_deviation((ks.jz, ks.jy), (os_.jz, os_.jy)))
+                  for (kf, ks), (of, os_) in zip(kernel, oracle)]
+    return deviations, orders
 
 
 def _run_scan(config: RunConfig, out: Path, config_text: str) -> int:
@@ -180,10 +182,12 @@ def _run_oracle_compare(config: RunConfig, out: Path, config_text: str) -> int:
     labels = [(kc, p) for kc in config.compare_kappa_c
               for p in range(config.compare_profiles)]
     cases = [(kc, *random_smooth_profiles(rng)) for kc, _ in labels]
-    deviations = oracle_kernel_deviations(cases, config.groups.ratio_r, config.grid)
+    deviations, orders = oracle_kernel_deviations(cases, config.groups.ratio_r, config.grid)
     rows = [(kc, p, f_dev, s_dev) for (kc, p), (f_dev, s_dev) in zip(labels, deviations)]
     worst = max(max(dev) for dev in deviations)
-    _emit(out, config_text, config, ("kappa_c", "profile", "field_rel_dev", "spin_rel_dev"), rows)
+    # per row: the Gauss-Legendre order at which the map resolved its kappa_c
+    _emit(out, config_text, config, ("kappa_c", "profile", "field_rel_dev", "spin_rel_dev"), rows,
+          resolution={"order": orders})
     status = "PASS" if worst <= ORACLE_TOLERANCE else "FAIL"
     print(f"oracle-compare: worst relative deviation {worst:.3e} "
           f"(tolerance {ORACLE_TOLERANCE:g}) {status}")

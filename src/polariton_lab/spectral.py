@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .kernels import _apply_kernel, _causal_self_convolution, _cross_integral, kernel_self_scaled
+from .kernels import _output_map
 from .lattice import integrate_stacked
 from .model import FieldRecord, Grid, PhysicalParams, SpinRecord
 from .quadrature import PanelRule, panel_nodes
@@ -154,32 +154,6 @@ def measure_packet_velocity(params: PhysicalParams, grid: Grid,
     return v_scaled * L / T
 
 
-def _kernel_output_extended(kc: float, cb: float, xi_fn, jz_fn, n_grid: int,
-                            n_inside: int, tail: np.ndarray) -> np.ndarray:
-    """Xi1(zeta=1, tau) from the kernel solution, tau allowed beyond 1.
-
-    The outputs are the Gauss nodes of the first ``n_inside`` grid bins, in
-    panel order, followed by the points ``tail``, all >= 1.  Inputs are
-    scaled callables compactly supported in (0, 1).
-    """
-    rule = PanelRule()
-    x, w = panel_nodes(np.arange(n_grid + 1) / n_grid, rule)
-    inside = x[:n_inside].ravel()
-    x = x.ravel()
-    w = w.ravel()
-    cross = _cross_integral(kc, jz_fn, n_grid, np.concatenate([inside, tail]))
-    # inside the support the upper limit tau cuts a bin; beyond it the
-    # whole input contributes
-    offsets = 0.5 * (1.0 + rule.x)
-    conv = np.concatenate([
-        _causal_self_convolution(kc, xi_fn, n_grid, offsets)[:n_inside].ravel(),
-        _apply_kernel(lambda t, s: kernel_self_scaled(kc, t - s), tail, x, w * xi_fn(x),
-                      kc),
-    ])
-    direct = np.concatenate([xi_fn(inside), np.zeros(tail.size)])
-    return direct - conv + cb * cross
-
-
 def laplace_identity_residual(params: PhysicalParams, grid: Grid, s: float,
                               xi1_in, jz_in) -> float:
     """Relative residual of the finite-domain Laplace-transformed solution.
@@ -215,8 +189,8 @@ def laplace_identity_residual(params: PhysicalParams, grid: Grid, s: float,
     if t_max > 1.0:
         edges = np.concatenate([edges, np.arange(1.0, t_max, 0.25)[1:], [t_max]])
     xo, wo = panel_nodes(edges, rule)
-    field = _kernel_output_extended(kc, cb, xi_sc, jz_sc, n, n_inside,
-                                    xo[n_inside:].ravel())
+    # the kernel solution continued past t = 1, where the input's support ends
+    [field], _ = _output_map(kc, xo.ravel(), [(xi_sc, jz_sc, cb)])
     lhs = float(np.sum(wo.ravel() * np.exp(-s_sc * xo.ravel()) * field))
 
     edges_in = np.linspace(0.0, 1.0, n + 1)

@@ -56,7 +56,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import _BLOCK, UnresolvedError, kernel_cross_scaled, kernel_self_scaled
+from .kernels import (_BLOCK, _FIRST_ORDER, _MAX_ORDER, _RESOLVED_RTOL, UnresolvedError,
+                      kernel_cross_scaled, kernel_self_scaled)
 from .lattice import _bin_layout, _group_size, check_stability, transfer_adjoint_apply
 from .model import DimensionlessGroups, Grid, _Record, canonical_params
 from .quadrature import PanelRule
@@ -75,13 +76,6 @@ __all__ = [
 ]
 
 _MIN_SCAN_GRID = 64
-
-# Orders m of the closed-form variance's tensor Gauss-Legendre rule: doubled
-# from the first until F and Gamma at m and 2m agree to a relative
-# _RESOLVED_RTOL; a point the largest order does not resolve raises
-_FIRST_ORDER = 16
-_MAX_ORDER = 1024
-_RESOLVED_RTOL = 1e-10
 
 
 class Resolution(NamedTuple):
@@ -131,9 +125,10 @@ def _filter_norms(kappa_c: list[float], w: float, m: int) -> tuple[list, float]:
     rule, and Int cos^2: f and g at the nodes 1 - x from the closed-form map
     applied to c(v) = cos(w (1 - v)).
 
-    The nodes and the cosine window are built once per order, the points go
-    to the kernels in batches of one sign and at most max(1, _BLOCK // m^2)
-    points; every row is bit-identical to its point alone.  A point whose
+    The nodes are built once per order and the cosine window once per batch,
+    in the buffer of the kernel's lags; the points go to the kernels in
+    batches of one sign and at most max(1, _BLOCK // m^2) points; every row
+    is bit-identical to its point alone.  A point whose
     kernels raise, or whose integrals overflow, gets the exception in place
     of its triple."""
     rule = PanelRule(m)
@@ -141,7 +136,6 @@ def _filter_norms(kappa_c: list[float], w: float, m: int) -> tuple[list, float]:
     x, wt = 0.5 * (1.0 + rule.x), 0.5 * rule.w
     cx = np.cos(w * (1.0 - x))
     wcx = wt * cx
-    window = np.cos(w * (1.0 - np.multiply.outer(x, x)))
     # the same weights and reduction as Int f^2, so that kappa_c = 0 gives
     # F = 1 exactly
     int_cos2 = float(np.sum(wt * cx * cx))
@@ -159,11 +153,14 @@ def _filter_norms(kappa_c: list[float], w: float, m: int) -> tuple[list, float]:
             # (K * c)(x) = x Int_0^1 K(x (1 - s)) c(x s) ds
             lags = np.multiply.outer(x, 1.0 - x)
             conv = kernel_self_scaled(kc, np.broadcast_to(lags, (p, m, m)))
-            conv *= window
+            # the window cos(w (1 - x s)) in the lags' place: a lone point
+            # holds at most two m x m arrays at a time
+            window = np.multiply.outer(x, x, out=lags)
+            np.subtract(1.0, window, out=window)
+            window *= w
+            conv *= np.cos(window, out=window)
             f = cx - x * (conv @ wt)
-            # the lone point's peak: at most the window and two more m x m
-            # arrays at a time
-            del lags, conv
+            del lags, window, conv
             # g(1 - x) = Int_0^1 G(1 - v, x) c(v) dv
             gk = kernel_cross_scaled(kc, np.broadcast_to(x[:, None], (p, m, 1)), 1.0 - x)
             g = gk @ wcx

@@ -51,7 +51,8 @@ def test_criterion_02_kernel_oracle_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20240917)
     cases = [(kc, *random_smooth_profiles(rng)) for kc in (0.5, 1.0, 2.0) for _ in range(20)]
-    worst_dev = max(max(devs) for devs in oracle_kernel_deviations(cases, 10.0, G512))
+    deviations, _ = oracle_kernel_deviations(cases, 10.0, G512)
+    worst_dev = max(max(devs) for devs in deviations)
     # dual-path variances: closed-form kernels vs lattice covariance route
     from polariton_lab.variance import _matrix_breakdowns
     worst_var = 0.0

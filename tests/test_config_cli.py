@@ -309,12 +309,20 @@ def test_cli_oracle_compare_small(tmp_path, capsys):
         "grid": {"n_time": 96, "n_space": 96},
         "oracle_compare": {"kappa_c_values": [0.5, 2.0], "profiles": 2, "seed": 7},
     }
-    code, out = _run_cli(tmp_path, doc, "oracle-compare")
-    assert code == 0
-    assert "PASS" in capsys.readouterr().out
-    lines = out.read_text().splitlines()
+    runs = []
+    for _ in range(2):
+        code, out = _run_cli(tmp_path, doc, "oracle-compare")
+        assert code == 0
+        assert "PASS" in capsys.readouterr().out
+        runs.append((out.read_bytes(), (out.parent / (out.name + ".meta.json")).read_bytes()))
+    # CSV and sidecar byte-identical across identical runs; the sidecar
+    # records per row the Gauss-Legendre order that resolved its kappa_c
+    assert runs[1] == runs[0]
+    csv, sidecar = runs[0]
+    lines = csv.decode().splitlines()
     assert lines[0] == "kappa_c,profile,field_rel_dev,spin_rel_dev"
     assert len(lines) == 5
+    assert json.loads(sidecar)["resolution"] == {"order": [32, 32, 32, 32]}
 
 
 def test_cli_oracle_stability_names_kappa_c_and_writes_nothing(tmp_path, capsys,

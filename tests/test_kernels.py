@@ -4,22 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
+from scipy.special import j0
 
 from polariton_lab.kernels import (
-    I_OVERFLOW_X,
     FieldRecord,
     SpinRecord,
     UnresolvedError,
-    _apply_kernel,
-    _causal_self_convolution,
-    _cross_integral,
-    _interp_uniform_centers,
+    _output_map,
     kernel_cross_scaled,
     kernel_self_scaled,
-    output_field,
-    output_spin,
+    output_maps,
 )
 from polariton_lab.model import Grid, PhysicalParams, canonical_params
 from polariton_lab.quadrature import PanelRule, panel_nodes
@@ -30,42 +26,74 @@ from panels import integrate_panels
 GRID = Grid(96, 96)
 
 
-def _records(n_time, n_space, f1, f2, g1, g2):
-    return (FieldRecord.from_functions(f1, f2, n_time),
-            SpinRecord.from_functions(g1, g2, n_space))
+def _zero(v):
+    return np.zeros_like(np.asarray(v, float))
+
+
+def _trig(seed):
+    """A random low-order trigonometric profile, defined on the whole line."""
+    a = np.random.default_rng(seed).normal(size=4)
+    return lambda v: a[0] + a[1] * np.cos(np.pi * v) + a[2] * np.sin(2.0 * v) + a[3] * v * v
+
+
+def _centers(n, unit=1.0):
+    return (np.arange(n) + 0.5) / n * unit
+
+
+def _quad(f):
+    return quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+
+# quad reports rounding at the requested tolerance where the integral cancels
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@given(kappa_c=st.one_of(st.floats(-1e3, -1e-3), st.floats(1e-3, 1e3)),
+       t=st.floats(0.0, 3.0, exclude_min=True),
+       c=st.floats(-10.0, 10.0),
+       seed=st.integers(0, 2**16))
+@example(kappa_c=0.0, t=0.5, c=1.0, seed=0)
+@example(kappa_c=0.0, t=2.5, c=-3.0, seed=1)
+def test_map_matches_per_point_quadrature(kappa_c, t, c, seed):
+    # own(t) - tau Int_0^1 K(t - tau s) own(tau s) ds + c Int_0^1 G(1 - x, t) conj(x) dx,
+    # tau = min(t, 1), by adaptive quadrature one output at a time: the
+    # causal convolution up to t = 1 and the time continuation past it
+    own, conj = _trig(seed), _trig(seed + 1)
+    [[got]], _ = _output_map(kappa_c, np.array([t]), [(own, conj, c)])
+    tau = min(t, 1.0)
+    conv = tau * _quad(lambda s: float(kernel_self_scaled(kappa_c, t - tau * s)) * own(tau * s))
+    cross = c * _quad(lambda x: float(kernel_cross_scaled(kappa_c, 1.0 - x, t)) * conj(x))
+    want = own(t) - conv + cross
+    scale = max(abs(own(t)), abs(conv), abs(cross))
+    assert abs(got - want) <= 1e-10 * scale
 
 
 def test_decoupled_limit_identity():
-    params = PhysicalParams(beta=0.0, epsilon=0.0)
-    xi, sp = _records(GRID.n_time, GRID.n_space,
-                      lambda t: np.sin(2 * t), lambda t: np.cos(t),
-                      lambda z: np.zeros_like(z), lambda z: np.zeros_like(z))
-    out = output_field(params, GRID, xi, sp)
-    np.testing.assert_array_equal(out.xi1, xi.xi1)
-    np.testing.assert_array_equal(out.xi2, xi.xi2)
-    sp_in = SpinRecord.from_functions(lambda z: z, lambda z: 1 - z, GRID.n_space)
-    out_sp = output_spin(params, GRID, FieldRecord(np.zeros(GRID.n_time), np.zeros(GRID.n_time)),
-                         sp_in)
-    np.testing.assert_array_equal(out_sp.jz, sp_in.jz)
-    np.testing.assert_array_equal(out_sp.jy, sp_in.jy)
+    # beta = eps = 0: K = 0 and the cross terms vanish, so every output is
+    # its own input at the bin centers, bit for bit
+    params = PhysicalParams(beta=0.0, epsilon=0.0, length_L=1.7, time_T=0.6)
+    profile = ((lambda t: np.sin(2 * t), np.cos), (lambda z: z, lambda z: 1 - z))
+    [(field, spin)], order = output_maps(params, GRID, [profile])
+    t, z = _centers(GRID.n_time, params.time_T), _centers(GRID.n_space, params.length_L)
+    np.testing.assert_array_equal(field.xi1, np.sin(2 * t))
+    np.testing.assert_array_equal(field.xi2, np.cos(t))
+    np.testing.assert_array_equal(spin.jz, z)
+    np.testing.assert_array_equal(spin.jy, 1 - z)
+    assert order == 32
 
 
 def test_constant_spin_against_adaptive_quadrature():
     # xi_in = 0, Jz = const: Xi1(L,t) = 2*beta*xi3*const*Int_0^L J0(2 sqrt(a(L-z')t)) dz'
     params = canonical_params(1.5, 4.0)
     const = 0.8
-    xi = FieldRecord(np.zeros(GRID.n_time), np.zeros(GRID.n_time))
-    sp = SpinRecord(np.full(GRID.n_space, const), np.zeros(GRID.n_space))
-    out = output_field(params, GRID, xi, sp)
+    [(out, _)], _ = output_maps(params, GRID, [((_zero, _zero),
+                                                (lambda z: np.full_like(z, const), _zero))])
     a = params.a_coupling
     cb = 2.0 * params.beta * params.xi3_bar
-    from scipy.special import j0
     for j in (0, 31, 95):
         t = (j + 0.5) / GRID.n_time
         expected, err = quad(lambda zp: j0(2.0 * math.sqrt(a * (1.0 - zp) * t)),
                              0.0, 1.0, epsabs=1e-12, epsrel=1e-12)
         expected *= cb * const
-        assert abs(out.xi1[j] - expected) <= 1e-9 + 1e-9 * abs(expected)
+        assert abs(out.xi1[j] - expected) <= 1e-12 + 1e-12 * abs(expected)
         assert err < 1e-10
 
 
@@ -73,175 +101,146 @@ def test_qnd_limit_beta_zero():
     # beta = 0 makes a = 0 but eps*jx != 0: single-pass accumulation with G = 1
     params = PhysicalParams(beta=0.0, epsilon=0.35, jx_bar=1.7)
     f1 = lambda t: 0.3 + np.sin(3 * t)
-    xi, sp = _records(GRID.n_time, GRID.n_space, f1, lambda t: np.zeros_like(t),
-                      lambda z: np.cos(z), lambda z: np.zeros_like(z))
-    out = output_spin(params, GRID, xi, sp)
+    [(_, out)], _ = output_maps(params, GRID, [((f1, _zero), (np.cos, _zero))])
     integral, _ = quad(lambda t: 0.3 + math.sin(3 * t), 0.0, 1.0,
                        epsabs=1e-13, epsrel=1e-13)
-    expected = sp.jz - params.epsilon * params.jx_bar * integral
-    # record inputs are center samples; cubic reconstruction limits the
-    # agreement to O(h^4) of the input curvature
-    np.testing.assert_allclose(out.jz, expected, rtol=0, atol=2e-8)
-    np.testing.assert_array_equal(out.jy, sp.jy)
+    z = _centers(GRID.n_space)
+    np.testing.assert_allclose(out.jz, np.cos(z) - params.epsilon * params.jx_bar * integral,
+                               rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(out.jy, np.zeros(GRID.n_space))
 
 
 def test_linearity_machine_precision():
     params = canonical_params(2.0, 10.0)
-    rng = np.random.default_rng(3)
-    xi_a = FieldRecord(rng.normal(size=GRID.n_time), rng.normal(size=GRID.n_time))
-    xi_b = FieldRecord(rng.normal(size=GRID.n_time), rng.normal(size=GRID.n_time))
-    sp_a = SpinRecord(rng.normal(size=GRID.n_space), rng.normal(size=GRID.n_space))
-    sp_b = SpinRecord(rng.normal(size=GRID.n_space), rng.normal(size=GRID.n_space))
+    a, b = [((_trig(s), _trig(s + 1)), (_trig(s + 2), _trig(s + 3))) for s in (3, 7)]
     al, be = 1.25, -0.75
-    combo_xi = FieldRecord(al * xi_a.xi1 + be * xi_b.xi1, al * xi_a.xi2 + be * xi_b.xi2)
-    combo_sp = SpinRecord(al * sp_a.jz + be * sp_b.jz, al * sp_a.jy + be * sp_b.jy)
-    out_combo = output_field(params, GRID, combo_xi, combo_sp)
-    out_a = output_field(params, GRID, xi_a, sp_a)
-    out_b = output_field(params, GRID, xi_b, sp_b)
-    np.testing.assert_allclose(out_combo.xi1, al * out_a.xi1 + be * out_b.xi1,
-                               rtol=0, atol=1e-12)
-    np.testing.assert_allclose(out_combo.xi2, al * out_a.xi2 + be * out_b.xi2,
-                               rtol=0, atol=1e-12)
+    combo = tuple(tuple((lambda v, fa=fa, fb=fb: al * fa(v) + be * fb(v))
+                        for fa, fb in zip(pa, pb)) for pa, pb in zip(a, b))
+    out, _ = output_maps(params, GRID, [a, b, combo])
+    (fa, sa), (fb, sb), (fc, sc) = out
+    for name, ra, rb, got in (("xi1", fa, fb, fc), ("xi2", fa, fb, fc),
+                              ("jz", sa, sb, sc), ("jy", sa, sb, sc)):
+        np.testing.assert_allclose(getattr(got, name),
+                                   al * getattr(ra, name) + be * getattr(rb, name),
+                                   rtol=0, atol=1e-12)
 
 
 def test_time_space_kernel_symmetry():
     # the light self-kernel in time and the spin self-kernel in space are one
-    # scaled kernel: with the conjugate input off, Xi1 out from samples f
-    # equals Jz out from the same samples, even with L != T
+    # scaled kernel: with the conjugate input off, Xi1 out from a profile of
+    # t/T equals Jz out from the same profile of z/L, even with L != T
     params = PhysicalParams(beta=0.4, epsilon=0.3, xi3_bar=1.9, jx_bar=0.8,
                             length_L=2.3, time_T=0.7)
-    rng = np.random.default_rng(4)
-    f = rng.normal(size=GRID.n_time)
-    g = rng.normal(size=GRID.n_time)
-    zeros = np.zeros(GRID.n_time)
-    field = output_field(params, GRID, FieldRecord(f, g), SpinRecord(zeros, zeros))
-    spin = output_spin(params, GRID, FieldRecord(zeros, zeros), SpinRecord(f, g))
-    np.testing.assert_allclose(field.xi1, spin.jz, rtol=1e-14)
-    np.testing.assert_allclose(field.xi2, spin.jy, rtol=1e-14)
+    f, g = _trig(4), _trig(5)
+    T, L = params.time_T, params.length_L
+    light = ((lambda t: f(t / T), lambda t: g(t / T)), (_zero, _zero))
+    spin = ((_zero, _zero), (lambda z: f(z / L), lambda z: g(z / L)))
+    [(field, _), (_, sp)], _ = output_maps(params, GRID, [light, spin])
+    np.testing.assert_allclose(field.xi1, sp.jz, rtol=1e-14)
+    np.testing.assert_allclose(field.xi2, sp.jy, rtol=1e-14)
+
+
+# a 32-point rule on each panel: the per-point references below stay at
+# rounding for every kappa_c drawn here
+FINE = PanelRule(32)
+
+
+def _outputs(n, kind):
+    """Output points: n bin centers, the 8 Gauss nodes of each of n bins, or
+    8 points past 1 (spectral's time continuation)."""
+    return {"centers": _centers(n),
+            "gauss": (np.arange(n)[:, None] + 0.5 * (1.0 + PanelRule().x)).ravel() / n,
+            "tail": np.linspace(1.0, 3.0, 9)[1:]}[kind]
+
+
+def _per_point(integrand, t, upper, n):
+    """Int_0^upper integrand(t, x) dx at each output t, on panels cut at the
+    n bin edges and at the upper limit, and the largest integral of the
+    integrand's magnitude: the scale of the rounding in the sums."""
+    edges = np.arange(n + 1) / n
+    values, scale = [], 0.0
+    for ti, b in zip(t, upper):
+        values.append(integrate_panels(lambda x: integrand(ti, x), 0.0, b, edges, FINE))
+        scale = max(scale, integrate_panels(lambda x: np.abs(integrand(ti, x)), 0.0, b,
+                                            edges, FINE))
+    return np.array(values), scale
 
 
 @pytest.mark.parametrize("n", [3, 4, 64])
 @pytest.mark.parametrize("kappa_c", [0.5, -2.0, 200.0])
 @pytest.mark.parametrize("offsets", ["centers", "gauss"])
 def test_self_convolution_matches_per_point_quadrature(n, kappa_c, offsets):
-    # reference: Int_0^tau K(tau - x) f(x) dx one output at a time, panels
-    # cut at the bin edges, f the same interpolant of the samples (n = 3
-    # takes its linear fallback)
-    rule = PanelRule()
-    offs = np.array([0.5]) if offsets == "centers" else 0.5 * (1.0 + rule.x)
-    samples = np.random.default_rng(n).normal(size=n)
-    f = lambda x: _interp_uniform_centers(samples, x)
-    got = _causal_self_convolution(kappa_c, f, n, offs)
-    edges = np.arange(n + 1) / n
-    ref = np.array([[integrate_panels(lambda x: kernel_self_scaled(kappa_c, tau - x) * f(x),
-                                      0.0, tau, edges, rule)
-                     for tau in (b + offs) / n] for b in range(n)])
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # own - K * own with the conjugate input off, against
+    # Int_0^t K(t - x) own(x) dx one output at a time, panels cut at the
+    # bin edges and at t
+    own = _trig(n)
+    t = _outputs(n, offsets)
+    [got], _ = _output_map(kappa_c, t, [(own, _zero, 0.0)])
+    conv, scale = _per_point(lambda ti, x: kernel_self_scaled(kappa_c, ti - x) * own(x),
+                             t, t, n)
+    assert np.max(np.abs(got - (own(t) - conv))) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("n", [3, 64])
 def test_self_convolution_columns_equal_lone_calls(n):
-    # the K values are shared across columns; each column keeps the bits of
-    # its own call
-    offs = (0.25, 0.5)
-    samples = np.random.default_rng(n).normal(size=(n, 3))
-    got = _causal_self_convolution(2.0, lambda x: _interp_uniform_centers(samples, x), n, offs)
-    assert got.shape == (n, len(offs), 3)
-    for c in range(3):
-        alone = _causal_self_convolution(
-            2.0, lambda x: _interp_uniform_centers(samples[:, c], x), n, offs)
-        np.testing.assert_array_equal(got[:, :, c], alone)
+    # the K and G values are shared across components; each keeps the bits
+    # of its own call, also when another needs a higher order
+    t = (np.arange(n)[:, None] + np.array([0.25, 0.5])).ravel() / n
+    components = [(_trig(c), _trig(c + 3), 1.5 - c) for c in range(3)]
+    components[1] = (lambda v: np.cos(60.0 * v), _trig(4), -0.5)
+    got, order = _output_map(2.0, t, components)
+    orders = []
+    for component, column in zip(components, got):
+        [alone], alone_order = _output_map(2.0, t, [component])
+        np.testing.assert_array_equal(column, alone)
+        orders.append(alone_order)
+    assert order == max(orders) > min(orders)
 
 
 @pytest.mark.parametrize("n", [3, 4, 64])
 @pytest.mark.parametrize("kappa_c", [0.5, -2.0, 200.0])
 @pytest.mark.parametrize("outputs", ["centers", "gauss", "tail"])
 def test_cross_integral_matches_per_point_quadrature(n, kappa_c, outputs):
-    # reference: Int_0^1 G(1 - x, t) f(x) dx one output at a time, panels on
-    # the source bins; outputs at the bin centers (output maps), the Gauss
-    # nodes and past 1 (spectral's Laplace check and time continuation)
-    rule = PanelRule()
-    edges = np.arange(n + 1) / n
-    t = {"centers": (np.arange(n) + 0.5) / n,
-         "gauss": (np.arange(n)[:, None] + 0.5 * (1.0 + rule.x)).ravel() / n,
-         "tail": np.linspace(1.0, 3.0, 9)[1:]}[outputs]
-    samples = np.random.default_rng(n).normal(size=n)
-    f = lambda x: _interp_uniform_centers(samples, x)
-    got = _cross_integral(kappa_c, f, n, t)
-    ref = np.array([integrate_panels(lambda x: kernel_cross_scaled(kappa_c, 1.0 - x, ti) * f(x),
-                                     0.0, 1.0, edges, rule) for ti in t])
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-
-def _dense_apply(kernel, a, b, w):
-    """Reference apply: every kernel value at every output, one matmul."""
-    return kernel(a[:, None], b[None, :]) @ w
-
-
-def _source(n, seed):
-    """Gauss nodes and weights of n source bins and the cubic interpolant
-    of n random center samples."""
-    x, wt = panel_nodes(np.arange(n + 1) / n, PanelRule())
-    samples = np.random.default_rng(seed).normal(size=n)
-    return x.ravel(), wt.ravel(), lambda v: _interp_uniform_centers(samples, v)
-
-
-@given(kappa_c=st.floats(-1e4, 1e4),
-       n_src=st.integers(3, 256),
-       n_out=st.integers(1, 256),
-       outputs=st.sampled_from(["centers", "gauss", "tail"]),
-       tail_end=st.floats(1.0, 3.0, exclude_min=True),
-       seed=st.integers(0, 2**16))
-def test_apply_kernel_matches_dense_reference(kappa_c, n_src, n_out, outputs,
-                                              tail_end, seed):
-    # |kappa_c| <= 1e4 and t <= 3 keep blue-wing arguments below
-    # 2*sqrt(3e4) < I_OVERFLOW_X; K(t - s) is smooth only past the source, so
-    # it is drawn on the tail alone
-    x, wt, f = _source(n_src, seed)
-    t = {"centers": (np.arange(n_out) + 0.5) / n_out,
-         "gauss": (np.arange(n_out)[:, None] + 0.5 * (1.0 + PanelRule().x)).ravel() / n_out,
-         "tail": 1.0 + (tail_end - 1.0) * np.arange(1, n_out + 1) / n_out}[outputs]
-    cases = [(lambda a, r: kernel_cross_scaled(kappa_c, r, a), 1.0 - x)]
-    if outputs == "tail":
-        cases.append((lambda a, s: kernel_self_scaled(kappa_c, a - s), x))
-    for kernel, b in cases:
-        ref = _dense_apply(kernel, t, b, wt * f(x))
-        got = _apply_kernel(kernel, t, b, wt * f(x), kappa_c)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # the cross part alone against Int_0^1 G(1 - x, t) conj(x) dx one output
+    # at a time, panels on n bins; outputs at the bin centers (output maps),
+    # the Gauss nodes and past 1 (spectral's Laplace check)
+    conj = _trig(n)
+    t = _outputs(n, outputs)
+    [got], _ = _output_map(kappa_c, t, [(_zero, conj, 1.0)])
+    ref, scale = _per_point(lambda ti, x: kernel_cross_scaled(kappa_c, 1.0 - x, ti) * conj(x),
+                            t, np.ones_like(t), n)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("kappa_c", [1e4, -1e4])
 def test_cross_integral_resolves_largest_test_coupling(kappa_c):
     n = 512
-    x, wt, _ = _source(n, 0)
     c = lambda v: np.cos(1.3 * (1.0 - v))
-    t = (np.arange(n) + 0.5) / n
-    ref = _dense_apply(lambda a, r: kernel_cross_scaled(kappa_c, r, a), t, 1.0 - x, wt * c(x))
-    got = _cross_integral(kappa_c, c, n, t)
+    t = _centers(n)
+    x, wt = panel_nodes(np.arange(65) / 64, FINE)
+    x, wt = x.ravel(), wt.ravel()
+    ref = kernel_cross_scaled(kappa_c, 1.0 - x[None, :], t[:, None]) @ (wt * c(x))
+    [got], _ = _output_map(kappa_c, t, [(_zero, c, 1.0)])
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_cross_integral_past_the_degree_cap_raises():
-    # kappa_c = 1e6 needs degree ~2048 in t, past the cap
-    with pytest.raises(UnresolvedError, match=r"kappa_c = 1e\+06 .* outputs \[0\.0078125, "
-                       r"0\.992188\] .* tail \S+ at degree 512, \S+ at degree 1024"):
-        _cross_integral(1e6, np.ones_like, 64, (np.arange(64) + 0.5) / 64)
+@pytest.mark.parametrize("kappa_c, conj_scale, message", [
+    # the kernels' own argument threshold
+    (-2e5, 1.0, r"argument 863\.\d+ at kappa_c = -200000 exceeds overflow threshold"),
+    # I0 below its threshold, but the cross sum leaves the double range
+    (-1.2e5, 1e30, r"output map overflows at kappa_c = -120000, Gauss-Legendre order 16"),
+], ids=["kernel-threshold", "sum-overflow"])
+def test_blue_wing_overflow_names_kappa_c(kappa_c, conj_scale, message):
+    t = _centers(8)
+    with pytest.raises(OverflowError, match=message):
+        _output_map(kappa_c, t, [(np.cos, lambda x: conj_scale * np.cos(x), 1.0)])
 
 
-@pytest.mark.parametrize("side", [-1.0, 1.0])
-def test_cross_integral_overflows_exactly_past_the_threshold(side):
-    # the interval ends are interpolation nodes, so the largest argument is
-    # 2*sqrt(|kappa_c| * max(1 - x) * max t), as in a dense apply
-    n = 8
-    x, _, _ = _source(n, 0)
-    t = (np.arange(n) + 0.5) / n
-    edge = (0.5 * I_OVERFLOW_X) ** 2 / (np.max(1.0 - x) * np.max(t))
-    kappa_c = -edge * (1.0 + side * 1e-12)
-    if side > 0:
-        with pytest.raises(OverflowError, match="exceeds overflow threshold"):
-            _cross_integral(kappa_c, np.ones_like, n, t)
-    else:
-        assert np.all(np.isfinite(_cross_integral(kappa_c, np.ones_like, n, t)))
+def test_unresolved_names_kappa_c_and_both_orders():
+    # kappa_c = 1e7 oscillates faster than order 1024 resolves
+    with pytest.raises(UnresolvedError, match=r"output map at kappa_c = 1e\+07 is not resolved "
+                       r"by Gauss-Legendre order 1024: change \S+ from order 512 to 1024"):
+        _output_map(1e7, _centers(8), [(np.cos, np.cos, 1.0)])
 
 
 def test_kernel_small_lag_limit_and_integral():
@@ -258,14 +257,11 @@ def test_kernel_small_lag_limit_and_integral():
 
 def test_negative_coupling_outputs_grow_with_extent():
     # blue wing: monotone growth in L and T for constant positive inputs
-    const_xi = lambda t: np.ones_like(t)
-    const_sp = lambda z: np.ones_like(z)
+    one = np.ones_like
     prev = None
     for scale in (1.0, 1.5, 2.0):
         params = PhysicalParams(beta=-0.6, epsilon=0.6, length_L=scale, time_T=scale)
-        xi = FieldRecord.from_functions(const_xi, const_xi, GRID.n_time, params.time_T)
-        sp = SpinRecord.from_functions(const_sp, const_sp, GRID.n_space, params.length_L)
-        out = output_field(params, GRID, xi, sp)
+        [(out, _)], _ = output_maps(params, GRID, [((one, one), (one, one))])
         peak = np.max(np.abs(out.xi1))
         if prev is not None:
             assert peak > prev
@@ -282,7 +278,3 @@ def test_record_validation():
         FieldRecord(np.array([1.0, np.nan]), np.array([0.0, 0.0]))
     with pytest.raises(ValueError):
         SpinRecord(np.ones(4), np.ones(5))
-    params = canonical_params(1.0, 2.0)
-    with pytest.raises(ValueError):
-        output_field(params, Grid(8, 8), FieldRecord(np.zeros(9), np.zeros(9)),
-                     SpinRecord(np.zeros(8), np.zeros(8)))

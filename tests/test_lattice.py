@@ -14,8 +14,7 @@ from polariton_lab.kernels import (
     SpinRecord,
     kernel_cross_scaled,
     kernel_self_scaled,
-    output_field,
-    output_spin,
+    output_maps,
 )
 from polariton_lab.lattice import (
     SPIN_BLOCK_SIGN,
@@ -172,8 +171,8 @@ def test_stability_precondition_reports_offender():
 
 
 def test_self_convergence_second_order_coupled():
-    # error measured against the closed-form kernel route, which is exact at
-    # the record level up to interpolation noise far below the lattice error
+    # error measured against the closed-form kernel route, which is exact to
+    # its quadrature tolerance, far below the lattice error
     params = canonical_params(2.0, 10.0)
     f = ((lambda t: 1.0 + 0.5 * np.cos(np.pi * t)), (lambda t: 0.5 * np.sin(np.pi * t)))
     s = ((lambda z: np.exp(-((z - 0.5) / 0.4) ** 2)), (lambda z: z * (1 - z)))
@@ -184,8 +183,7 @@ def test_self_convergence_second_order_coupled():
         sp = SpinRecord.from_functions(*s, n)
         u, w = integrate_stacked(params, grid, np.stack([xi.xi1, xi.xi2]),
                                  np.stack([sp.jz, sp.jy]))
-        k_field = output_field(params, grid, xi, sp)
-        k_spin = output_spin(params, grid, xi, sp)
+        [(k_field, k_spin)], _ = output_maps(params, grid, [(f, s)])
         err = max(np.max(np.abs(u[0] - k_field.xi1)),
                   np.max(np.abs(w[1] - k_spin.jy)))
         errs.append(err)

@@ -1,20 +1,21 @@
 """The oracle-compare batch against its one-profile paths.
 
 The batch integrates every (kappa_c, profile) pair as one stack entry of a
-lattice sweep per grid level, and applies the cross integrals of one
-kappa_c as the columns of one kernel apply per source and output size.
+lattice sweep per grid level, and maps the profiles of one kappa_c with one
+set of kernel values per Gauss-Legendre order and output grid.
 """
 
 import numpy as np
 
-from polariton_lab.kernels import _apply_kernel, _interp_uniform_centers, kernel_cross_scaled
+import pytest
+
+from polariton_lab.kernels import output_maps
 from polariton_lab.lattice import integrate_extrapolated
 from polariton_lab.model import Grid, canonical_params
-from polariton_lab.quadrature import PanelRule, panel_nodes
 from polariton_lab.runner import oracle_kernel_deviations, random_smooth_profiles
 
-# n_time != n_space: the field's and the spin's cross integrals have other
-# source and output sizes, so each kappa_c takes two applies
+# n_time != n_space: the field's and the spin's outputs lie on other grids,
+# so each kappa_c takes two sets of kernel values per order
 GRID = Grid(64, 32)
 KAPPA_C = (-1.0, 0.0, 0.5, 2.0)
 RATIO_R = 10.0
@@ -40,31 +41,35 @@ def test_batch_lattice_outputs_equal_per_profile_path():
 
 def test_batch_deviations_match_one_profile_calls():
     cases = _cases()
-    batch = oracle_kernel_deviations(cases, RATIO_R, GRID)
-    assert len(batch) == len(cases)
-    for (kc, field_fns, spin_fns), devs in zip(cases, batch):
-        (one,) = oracle_kernel_deviations([(kc, field_fns, spin_fns)], RATIO_R, GRID)
-        np.testing.assert_allclose(devs, one, rtol=0, atol=1e-14)
+    batch, orders = oracle_kernel_deviations(cases, RATIO_R, GRID)
+    assert len(batch) == len(orders) == len(cases)
+    for (kc, field_fns, spin_fns), devs, order in zip(cases, batch, orders):
+        (one,), (one_order,) = oracle_kernel_deviations([(kc, field_fns, spin_fns)], RATIO_R, GRID)
+        assert devs == one
+        assert one_order <= order
+    # one order per kappa_c, shared by its profiles
+    by_kappa_c = {}
+    for (kc, _, _), order in zip(cases, orders):
+        by_kappa_c.setdefault(kc, set()).add(order)
+    assert all(len(shared) == 1 for shared in by_kappa_c.values())
 
 
-def test_apply_kernel_columns_match_separate_applies():
-    # the sources of the field's cross integrals at GRID, one column per
-    # profile component, one of them many orders smaller than the others
-    n_src, n_out = GRID.n_space, GRID.n_time
-    x, wt = panel_nodes(np.arange(n_src + 1) / n_src, PanelRule())
-    x, wt = x.ravel(), wt.ravel()
-    samples = np.random.default_rng(5).normal(size=(n_src, 5))
-    samples[:, 2] *= 1e-9
-    w = wt[:, None] * _interp_uniform_centers(samples, x)
-    t = (np.arange(n_out) + 0.5) / n_out
-    for kappa_c in KAPPA_C + (200.0,):
-        kernel = lambda a, r: kernel_cross_scaled(kappa_c, r, a)
-        got = _apply_kernel(kernel, t, 1.0 - x, w, kappa_c)
-        assert got.shape == (n_out, w.shape[1])
-        # relative to the summands' magnitudes: the random sources cancel in
-        # the sums, and a matrix product adds them in another order than a
-        # matrix-vector product
-        scale = np.abs(kernel(t[:, None], (1.0 - x)[None, :])) @ np.abs(w)
-        for k in range(w.shape[1]):
-            want = _apply_kernel(kernel, t, 1.0 - x, w[:, k], kappa_c)
-            assert np.max(np.abs(got[:, k] - want)) <= 1e-14 * np.max(scale[:, k])
+@pytest.mark.parametrize("grid", [GRID, Grid(48, 48)], ids=["rectangular", "square"])
+@pytest.mark.parametrize("kappa_c", KAPPA_C + (200.0,))
+def test_stacked_profiles_equal_lone_calls(grid, kappa_c):
+    # the kernel values are shared across profiles; each component keeps the
+    # bits of its own call, also when another profile needs a higher order
+    # (the fast light input of the middle one, wherever it couples)
+    rng = np.random.default_rng(5)
+    profiles = [random_smooth_profiles(rng) for _ in range(3)]
+    profiles[1] = ((lambda t: np.cos(60.0 * t), profiles[1][0][1]), profiles[1][1])
+    params = canonical_params(kappa_c, RATIO_R)
+    stacked, order = output_maps(params, grid, profiles)
+    lone_orders = []
+    for (field, spin), profile in zip(stacked, profiles):
+        [(one_field, one_spin)], one_order = output_maps(params, grid, [profile])
+        lone_orders.append(one_order)
+        for got, want in ((field.xi1, one_field.xi1), (field.xi2, one_field.xi2),
+                          (spin.jz, one_spin.jz), (spin.jy, one_spin.jy)):
+            np.testing.assert_array_equal(got, want)
+    assert order == max(lone_orders)

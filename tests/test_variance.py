@@ -452,6 +452,23 @@ def test_kernel_scan_peak_memory_is_that_of_one_point():
     assert peak(kcs) <= 1.25 * alone
 
 
+def test_one_point_holds_two_tensor_arrays_at_the_largest_order():
+    # the cosine window takes the buffer of the kernel's lags once the lags
+    # are used, so a lone point holds two m x m arrays at a time; a window
+    # kept for the whole order made it three
+    import tracemalloc
+
+    m = 1024
+    PanelRule(m)
+    tracemalloc.start()
+    try:
+        _filter_norms([1.0], 0.5, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 8 * m * m
+
+
 @pytest.mark.parametrize("kcs, failing", [
     # -1e5 overflows in the squared filters at order 16, -2e5 already in
     # the kernels; the first of them in scan order is what the scan raises

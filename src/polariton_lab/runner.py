@@ -1,6 +1,6 @@
 """Run orchestration and deterministic data emission.
 
-Every run writes a CSV with a fixed header plus a sidecar JSON metadata
+Every run writes a CSV under its mode's header plus a sidecar JSON metadata
 file recording the config hash, grid, package version and the Python and
 numpy versions; a closed-form scan and oracle-compare add each row's
 resolution evidence.
@@ -42,6 +42,16 @@ __all__ = ["run", "write_csv", "format_number", "random_smooth_profiles"]
 SYMPLECTIC_TOLERANCE = 1e-8
 ORACLE_TOLERANCE = 1e-6
 
+# every mode's CSV header
+_HEADERS = {
+    "readout": ("kappa_c", "beta_J", "F_light", "Gamma", "v1", "v2", "sql"),
+    "memory": ("kappa_c", "beta_xi3_T", "F_spin", "Gamma", "v_y", "v_z", "sql"),
+    "dispersion": ("omega_T", "q_L_abs"),
+    "oracle-compare": ("kappa_c", "profile", "field_rel_dev", "spin_rel_dev"),
+    "symplectic-check": ("kappa_c", "kappa2_L", "Omega_T", "residual"),
+    "packet-velocity": ("q0", "v_measured", "v_predicted"),
+}
+
 
 def format_number(x: float) -> str:
     return f"{float(x):.17g}"
@@ -59,9 +69,10 @@ def write_csv(path: str | Path, header, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _emit(out: Path, config_text: str, config: RunConfig, header, rows, **extra) -> None:
-    """Write the CSV, then its sidecar, with the row count and ``extra``."""
-    write_csv(out, header, rows)
+def _emit(out: Path, config_text: str, config: RunConfig, rows, **extra) -> None:
+    """Write the CSV under its mode's header, then its sidecar, with the row
+    count and ``extra``."""
+    write_csv(out, _HEADERS[config.mode], rows)
     meta = {
         "config_sha256": sha256(config_text.encode("utf-8")).hexdigest(),
         "grid": {"n_time": config.grid.n_time, "n_space": config.grid.n_space},
@@ -146,9 +157,12 @@ def oracle_kernel_deviations(cases, ratio_r: float,
 
 def _run_scan(config: RunConfig, out: Path, config_text: str) -> int:
     lo, hi, points = config.scan_range
-    kcs = np.linspace(lo, hi, points)
-    result = scan(kcs, config.mode, config.groups, config.grid,
-                  eps_conversion=config.eps_conversion)
+    kcs = np.linspace(lo, hi, points).tolist()
+    result = scan(kcs, config.mode, config.groups, config.grid)
+    # the abscissa re-labels kappa_c = 2 beta_J (eps xi3 T) = 2 beta_xi3_T
+    # (eps jx L), the bracket being eps_conversion
+    rows = [(kc, kc / (2.0 * config.eps_conversion), br.f_self, br.gamma, br.v1, br.v2, br.sql)
+            for kc, br in zip(kcs, result.rows)]
     extra = {"route": result.route}
     if result.route == "kernel":
         # per row: the tensor rule's final order, the relative change of F
@@ -159,7 +173,7 @@ def _run_scan(config: RunConfig, out: Path, config_text: str) -> int:
                                "f_rel_change": [r.f_change for r in res],
                                "gamma_rel_change": [r.gamma_change for r in res],
                                "gamma_rel_floor": [r.gamma_floor for r in res]}
-    _emit(out, config_text, config, result.header, result.as_rows(), **extra)
+    _emit(out, config_text, config, rows, **extra)
     print(f"{config.mode} scan: {points} rows -> {out}")
     return 0
 
@@ -173,7 +187,7 @@ def _run_dispersion(config: RunConfig, out: Path, config_text: str) -> int:
         q = abs(dispersion_p_of_s(config.dispersion_abs_ALT, w))
         rows.append((w, q))
         print(f"omega_T = {format_number(w)}  ->  |q|L = {format_number(q)}")
-    _emit(out, config_text, config, ("omega_T", "q_L_abs"), rows)
+    _emit(out, config_text, config, rows)
     return 0
 
 
@@ -186,8 +200,7 @@ def _run_oracle_compare(config: RunConfig, out: Path, config_text: str) -> int:
     rows = [(kc, p, f_dev, s_dev) for (kc, p), (f_dev, s_dev) in zip(labels, deviations)]
     worst = max(max(dev) for dev in deviations)
     # per row: the Gauss-Legendre order at which the map resolved its kappa_c
-    _emit(out, config_text, config, ("kappa_c", "profile", "field_rel_dev", "spin_rel_dev"), rows,
-          resolution={"order": orders})
+    _emit(out, config_text, config, rows, resolution={"order": orders})
     status = "PASS" if worst <= ORACLE_TOLERANCE else "FAIL"
     print(f"oracle-compare: worst relative deviation {worst:.3e} "
           f"(tolerance {ORACLE_TOLERANCE:g}) {status}")
@@ -199,8 +212,7 @@ def _run_symplectic(config: RunConfig, out: Path, config_text: str) -> int:
     params = canonical_params(g.kappa_c, g.ratio_r, g.kappa2_L, g.Omega_T)
     tm = build_transfer_matrix(params, config.grid)
     res = symplectic_residual(tm)
-    _emit(out, config_text, config, ("kappa_c", "kappa2_L", "Omega_T", "residual"),
-          [(g.kappa_c, g.kappa2_L, g.Omega_T, res)])
+    _emit(out, config_text, config, [(g.kappa_c, g.kappa2_L, g.Omega_T, res)])
     status = "PASS" if res <= SYMPLECTIC_TOLERANCE else "FAIL"
     print(f"symplectic-check: max residual {res:.3e} "
           f"(tolerance {SYMPLECTIC_TOLERANCE:g}) {status}")
@@ -216,7 +228,7 @@ def _run_packet(config: RunConfig, out: Path, config_text: str) -> int:
     bandwidth = config.packet_bandwidth_frac * abs(q0)
     v_meas = measure_packet_velocity(params, config.grid, q0, bandwidth)
     v_pred = group_velocity(-params.a_coupling, q0)
-    _emit(out, config_text, config, ("q0", "v_measured", "v_predicted"), [(q0, v_meas, v_pred)])
+    _emit(out, config_text, config, [(q0, v_meas, v_pred)])
     print(f"packet-velocity: measured {format_number(v_meas)}, "
           f"predicted {format_number(v_pred)}")
     return 0

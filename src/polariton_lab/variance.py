@@ -47,6 +47,11 @@ Two independent routes compute the same quantities:
 The exchange light <-> spin maps one protocol onto the other exactly, so
 the memory engine below mirrors the readout formulas with q in place of
 omega and (v_y, v_z) in place of (v1, v2).
+
+``scan`` is the one dispatch to the two routes: ``readout_variances`` and
+``memory_variances`` are scans of one point.  ``general_variances`` takes
+arbitrary filters on the matrix route.  The module returns variances only;
+the CSV columns and headers are runner.py's.
 """
 
 from __future__ import annotations
@@ -59,20 +64,18 @@ import numpy as np
 from .kernels import (_BLOCK, _FIRST_ORDER, _MAX_ORDER, _RESOLVED_RTOL, UnresolvedError,
                       kernel_cross_scaled, kernel_self_scaled)
 from .lattice import _bin_layout, _group_size, check_stability, transfer_adjoint_apply
-from .model import DimensionlessGroups, Grid, _Record, canonical_params
+from .model import DimensionlessGroups, Grid, canonical_params
 from .quadrature import PanelRule
 
 __all__ = [
     "VarianceBreakdown",
     "Resolution",
-    "GeneralVarianceResult",
     "ChannelVariance",
     "readout_variances",
     "memory_variances",
     "general_variances",
     "scan",
     "ScanResult",
-    "ScanRow",
 ]
 
 _MIN_SCAN_GRID = 64
@@ -141,7 +144,7 @@ def _filter_norms(kappa_c: list[float], w: float, m: int) -> tuple[list, float]:
     int_cos2 = float(np.sum(wt * cx * cx))
     # each g value is a sum of m products, so its rounding is within m eps
     # times its sum of absolute terms, spread
-    gam = m * np.finfo(float).eps
+    gam = m * float(np.finfo(float).eps)
 
     def batch(kcs: list[float]) -> list:
         p = len(kcs)
@@ -212,7 +215,7 @@ def _relative(change: float, value: float) -> float:
     return change / abs(value) if value else math.inf
 
 
-def _kernel_breakdowns(kappa_c, ratio_r: float, w: float) -> list[VarianceBreakdown]:
+def _kernel_breakdowns(kcs: list[float], ratio_r: float, w: float) -> list[VarianceBreakdown]:
     """The closed-form point of each kappa_c at the first order m whose F and
     Gamma agree with those of m/2: F to _RESOLVED_RTOL, Gamma to that or to
     the change its rounding at both orders allows.
@@ -221,7 +224,6 @@ def _kernel_breakdowns(kappa_c, ratio_r: float, w: float) -> list[VarianceBreakd
     _MAX_ORDER a point is unresolved; the call raises what its first failing
     point raises alone (UnresolvedError, or the OverflowError naming its
     kappa_c), and a point after that one is not carried further."""
-    kcs = [float(k) for k in kappa_c]
     done: list = [None] * len(kcs)
     coarse = {}
     pending = list(range(len(kcs)))
@@ -265,14 +267,24 @@ def _resolved(kappa_c: float, ratio_r: float, m: int, coarse, fine,
                              resolution=Resolution(m, f_change, gamma_change, gamma_floor))
 
 
-def _breakdowns(kappa_c: list[float], mode: str, groups: DimensionlessGroups,
-                grid: Grid) -> tuple[list[VarianceBreakdown], str]:
-    """The breakdown of each kappa_c at the other groups of ``groups``, and
-    the route that computed them: "kernel" (the closed form, which covers
-    kappa2 = Omega = 0 only) or "matrix" (the adjoint sweep)."""
+class ScanResult(NamedTuple):
+    """The VarianceBreakdown of each kappa_c of a scan, in scan order, and
+    the route that computed them: "kernel" (the closed form) or "matrix"
+    (the adjoint sweep); only kappa_c varies along a scan, so one route
+    serves every row."""
+
+    rows: tuple[VarianceBreakdown, ...]
+    route: str
+
+
+def scan(kappa_c_values, mode: str, groups: DimensionlessGroups, grid: Grid) -> ScanResult:
+    """The ``mode`` ("readout" or "memory") breakdown of each kappa_c at the
+    other groups of ``groups``: by the closed form when kappa2 = Omega = 0,
+    the only case it covers, else by the adjoint sweep on ``grid``."""
+    kcs = [float(k) for k in kappa_c_values]
     if mode not in ("readout", "memory"):
         raise ValueError(f"unknown scan mode {mode!r}")
-    if not kappa_c:
+    if not kcs:
         raise ValueError("empty scan range")
     if not (math.isfinite(groups.ratio_r) and groups.ratio_r > 0.0):
         raise ValueError(f"ratio_r must be positive and finite, got {groups.ratio_r}")
@@ -282,13 +294,13 @@ def _breakdowns(kappa_c: list[float], mode: str, groups: DimensionlessGroups,
         )
     if groups.kappa2_L == 0.0 and groups.Omega_T == 0.0:
         w = groups.omega_T if mode == "readout" else groups.q_L
-        return _kernel_breakdowns(kappa_c, groups.ratio_r, w), "kernel"
-    return _matrix_breakdowns(kappa_c, groups, grid, mode), "matrix"
+        return ScanResult(tuple(_kernel_breakdowns(kcs, groups.ratio_r, w)), "kernel")
+    return ScanResult(tuple(_matrix_breakdowns(kcs, groups, grid, mode)), "matrix")
 
 
 def readout_variances(groups: DimensionlessGroups, grid: Grid) -> VarianceBreakdown:
     """Variances of the cos(omega*t)-filtered output Stokes components."""
-    return _breakdowns([groups.kappa_c], "readout", groups, grid)[0][0]
+    return scan([groups.kappa_c], "readout", groups, grid).rows[0]
 
 
 def memory_variances(groups: DimensionlessGroups, grid: Grid) -> VarianceBreakdown:
@@ -298,7 +310,7 @@ def memory_variances(groups: DimensionlessGroups, grid: Grid) -> VarianceBreakdo
     filter frequency is q_L, v1 holds the beta-coupled Jy observable and v2
     the eps-coupled Jz observable.
     """
-    return _breakdowns([groups.kappa_c], "memory", groups, grid)[0][0]
+    return scan([groups.kappa_c], "memory", groups, grid).rows[0]
 
 
 def _channel_ratios(grid: Grid, columns) -> list[tuple[float, float, float]]:
@@ -394,25 +406,11 @@ class ChannelVariance(NamedTuple):
     sql: float
 
 
-class GeneralVarianceResult(_Record):
-    """The ChannelVariance of every observable, looked up by channel name.
-    Not a NamedTuple: indexing is by name, not by position."""
-
-    __slots__ = ("channels",)
-
-    def __init__(self, channels: tuple[ChannelVariance, ...]):
-        object.__setattr__(self, "channels", channels)
-
-    def __getitem__(self, name: str) -> ChannelVariance:
-        for ch in self.channels:
-            if ch.channel == name:
-                return ch
-        raise KeyError(name)
-
-
 def general_variances(params, grid: Grid, filter_time: np.ndarray,
-                      filter_space: np.ndarray) -> GeneralVarianceResult:
-    """Quadratic-form variances for arbitrary output filters, all channels.
+                      filter_space: np.ndarray) -> dict[str, ChannelVariance]:
+    """Quadratic-form variances for arbitrary output filters: the
+    ChannelVariance of each channel by its name, in the order xi1, xi2, jz,
+    jy.
 
     filter_time samples a weight on the light output time bins (applied to
     Xi1 and Xi2), filter_space on the spin output space bins (applied to Jz
@@ -441,67 +439,6 @@ def general_variances(params, grid: Grid, filter_time: np.ndarray,
     filters = (("xi1", ft, light_sql), ("xi2", ft, light_sql),
                ("jz", fs, spin_sql), ("jy", fs, spin_sql))
     ratios = _channel_ratios(grid, [(params, name, w) for name, w, _ in filters])
-    return GeneralVarianceResult(tuple(
-        ChannelVariance(channel=name, normalized=normalized, light_part=light,
-                        spin_part=spin, sql=sql)
-        for (name, _, sql), (normalized, light, spin) in zip(filters, ratios)
-    ))
-
-
-class ScanRow(NamedTuple):
-    kappa_c: float
-    abscissa: float
-    f_self: float
-    gamma: float
-    v1: float
-    v2: float
-    sql: float
-    resolution: Resolution | None = None
-
-
-class ScanResult(NamedTuple):
-    """One VarianceBreakdown row per abscissa value, deterministic order.
-
-    ``route`` is "kernel" (closed form) or "matrix" (adjoint sweep); only
-    kappa_c varies along a scan, so one route serves every row.
-    """
-
-    mode: str
-    rows: tuple[ScanRow, ...]
-    route: str
-
-    HEADERS = {
-        "readout": ("kappa_c", "beta_J", "F_light", "Gamma", "v1", "v2", "sql"),
-        "memory": ("kappa_c", "beta_xi3_T", "F_spin", "Gamma", "v_y", "v_z", "sql"),
-    }
-
-    @property
-    def header(self) -> tuple[str, ...]:
-        return self.HEADERS[self.mode]
-
-    def as_rows(self) -> list[tuple[float, ...]]:
-        return [
-            (r.kappa_c, r.abscissa, r.f_self, r.gamma, r.v1, r.v2, r.sql)
-            for r in self.rows
-        ]
-
-
-def scan(kappa_c_values, mode: str, groups: DimensionlessGroups, grid: Grid,
-         eps_conversion: float = 0.5) -> ScanResult:
-    """Variance scan over the composition parameter kappa_c = -A*L*T.
-
-    The second abscissa column re-labels kappa_c as beta_J (readout) or
-    beta_xi3_T (memory) through kappa_c = 2*beta_J*(eps*xi3*T) or
-    kappa_c = 2*beta_xi3_T*(eps*jx*L); ``eps_conversion`` supplies the
-    caller's value of the bracketed product (the default 0.5 makes the
-    abscissa coincide numerically with kappa_c).
-    """
-    kcs = [float(k) for k in kappa_c_values]
-    breakdowns, route = _breakdowns(kcs, mode, groups, grid)
-    rows = tuple(
-        ScanRow(kappa_c=kc, abscissa=kc / (2.0 * eps_conversion), f_self=br.f_self,
-                gamma=br.gamma, v1=br.v1, v2=br.v2, sql=br.sql,
-                resolution=br.resolution)
-        for kc, br in zip(kcs, breakdowns)
-    )
-    return ScanResult(mode=mode, rows=rows, route=route)
+    return {name: ChannelVariance(channel=name, normalized=normalized, light_part=light,
+                                  spin_part=spin, sql=sql)
+            for (name, _, sql), (normalized, light, spin) in zip(filters, ratios)}

@@ -126,8 +126,8 @@ FROZEN_KC2 = dict(F=0.18493374926279596, Gamma=0.20376656268430096,
 
 
 def test_criterion_07_fig1_qualitative():
-    result = scan(np.linspace(0.0, 2.0, 21), "readout", _groups(0.0), G512)
-    rows = result.rows
+    kcs = np.linspace(0.0, 2.0, 21)
+    rows = scan(kcs, "readout", _groups(0.0), G512).rows
     f_vals = [r.f_self for r in rows]
     v1_vals = [r.v1 for r in rows]
     checks = {
@@ -135,7 +135,7 @@ def test_criterion_07_fig1_qualitative():
             and all(a > b for a, b in zip(f_vals, f_vals[1:])),
         "v1 increasing above 1": all(a < b for a, b in zip(v1_vals, v1_vals[1:]))
             and all(r.v1 > 1.0 for r in rows[1:]),
-        "v2 < 1 beyond 0.3": all(r.v2 < 1.0 for r in rows if r.kappa_c > 0.3),
+        "v2 < 1 beyond 0.3": all(r.v2 < 1.0 for kc, r in zip(kcs, rows) if kc > 0.3),
         "v1 > v2 for kc > 0": all(r.v1 > r.v2 for r in rows[1:]),
     }
     last = rows[-1]

@@ -16,6 +16,7 @@ import polariton_lab
 from polariton_lab.cli import main
 from polariton_lab.config import _REQUIRED_HINT, ConfigError, parse_config
 from polariton_lab.runner import format_number, run, write_csv
+from polariton_lab.variance import scan
 
 SPEC_EXAMPLE = json.dumps({
     "mode": "readout",
@@ -530,15 +531,33 @@ def test_grid_count_errors_name_their_path_once(tmp_path, capsys, grid, message)
 
 
 def test_abscissa_block_sets_the_readout_conversion(tmp_path):
-    # beta_J = kappa_c / (2 eps_xi3_T), so 0.25 doubles kappa_c
-    doc = dict(json.loads(SPEC_EXAMPLE), grid={"n_time": 64, "n_space": 64},
-               scan={"from": 0, "to": 2, "points": 3}, abscissa={"eps_xi3_T": 0.25})
-    code, out = _run_cli(tmp_path, doc, "readout")
-    assert code == 0
-    header, *rows = out.read_text().splitlines()
-    assert header.split(",")[:2] == ["kappa_c", "beta_J"]
-    columns = [[float(v) for v in row.split(",")[:2]] for row in rows]
-    assert columns == [[kc, 2.0 * kc] for kc in (0.0, 1.0, 2.0)]
+    # beta_J = kappa_c / (2 eps_xi3_T), so 0.25 doubles kappa_c; memory's
+    # beta_xi3_T = kappa_c / (2 eps_jx_L), here on the matrix route.  Every
+    # row is (kappa_c, abscissa, then scan()'s five variance fields)
+    readout = dict(json.loads(SPEC_EXAMPLE), grid={"n_time": 64, "n_space": 64},
+                   scan={"from": 0, "to": 2, "points": 3}, abscissa={"eps_xi3_T": 0.25})
+    memory = {"mode": "memory",
+              "groups": {"kappa_c": 1, "r": 10, "q_L": 0.9, "kappa2_L": 0.3, "Omega_T": 0.3},
+              "grid": {"n_time": 64, "n_space": 64},
+              "scan": {"from": -1, "to": 2, "points": 4}, "abscissa": {"eps_jx_L": 0.7}}
+    cases = [
+        (readout, 0.25, [0.0, 2.0, 4.0], "kernel", "kappa_c,beta_J,F_light,Gamma,v1,v2,sql"),
+        (memory, 0.7, [-1 / 1.4, 0.0, 1 / 1.4, 2 / 1.4], "matrix",
+         "kappa_c,beta_xi3_T,F_spin,Gamma,v_y,v_z,sql"),
+    ]
+    for doc, eps, abscissa, route, header in cases:
+        code, out = _run_cli(tmp_path, doc, doc["mode"])
+        assert code == 0
+        first, *lines = out.read_text().splitlines()
+        assert first == header
+        cfg = parse_config(json.dumps(doc))
+        kcs = np.linspace(*cfg.scan_range).tolist()
+        result = scan(kcs, cfg.mode, cfg.groups, cfg.grid)
+        assert result.route == route
+        rows = [tuple(float(v) for v in line.split(",")) for line in lines]
+        assert [row[1] for row in rows] == abscissa
+        assert rows == [(kc, kc / (2 * eps), br.f_self, br.gamma, br.v1, br.v2, br.sql)
+                        for kc, br in zip(kcs, result.rows)]
 
 
 SYMPLECTIC_DOC = {

@@ -13,12 +13,10 @@ import pytest
 from polariton_lab.config import RunConfig
 from polariton_lab.lattice import TransferMatrix
 from polariton_lab.model import DimensionlessGroups, FieldRecord, Grid, PhysicalParams, SpinRecord
-from polariton_lab.variance import (ChannelVariance, GeneralVarianceResult, ScanResult,
-                                    ScanRow, VarianceBreakdown)
+from polariton_lab.variance import ChannelVariance, Resolution, ScanResult, VarianceBreakdown
 
 _A, _B = np.linspace(0.0, 1.0, 4), np.linspace(1.0, 2.0, 4)
-_CHANNEL = ChannelVariance("xi1", 1.2, 0.7, 0.5, 0.25)
-_ROW = ScanRow(0.5, 0.5, 1.0, 0.1, 1.3, 0.9, 0.25)
+_ROW = VarianceBreakdown(1.0, 0.1, 1.3, 0.9, 0.25, Resolution(32, 1e-13, 2e-12, 1e-15))
 
 # class -> field values; two records built from the same values must be equal
 RECORDS = {
@@ -33,10 +31,8 @@ RECORDS = {
     VarianceBreakdown: dict(f_self=1.0, gamma=0.1, v1=1.3, v2=0.9, sql=0.25),
     ChannelVariance: dict(channel="xi1", normalized=1.2, light_part=0.7,
                           spin_part=0.5, sql=0.25),
-    GeneralVarianceResult: dict(channels=(_CHANNEL,)),
-    ScanRow: dict(kappa_c=0.5, abscissa=0.5, f_self=1.0, gamma=0.1, v1=1.3, v2=0.9,
-                  sql=0.25),
-    ScanResult: dict(mode="readout", rows=(_ROW,), route="kernel"),
+    Resolution: dict(order=32, f_change=1e-13, gamma_change=2e-12, gamma_floor=1e-15),
+    ScanResult: dict(rows=(_ROW,), route="kernel"),
 }
 _IDS = [cls.__name__ for cls in RECORDS]
 
@@ -62,7 +58,7 @@ def test_equal_fields_compare_equal(cls):
 
 
 @pytest.mark.parametrize("cls", [PhysicalParams, DimensionlessGroups, Grid, RunConfig,
-                                 VarianceBreakdown, ChannelVariance, ScanRow],
+                                 VarianceBreakdown, ChannelVariance, Resolution],
                          ids=lambda cls: cls.__name__)
 def test_records_of_scalars_hash_and_pickle_by_value(cls):
     record = cls(**RECORDS[cls])

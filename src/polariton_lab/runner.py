@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import platform
+import random
 import sys
 from pathlib import Path
 
@@ -87,16 +88,19 @@ def _emit(out: Path, config_text: str, config: RunConfig, rows, **extra) -> None
     )
 
 
-def random_smooth_profiles(rng: np.random.Generator):
+def random_smooth_profiles(rng: random.Random):
     """One draw of smooth light/spin input profiles on the unit box.
 
     Low-order trigonometric light profiles and wide Gaussian spin bumps:
     smooth, O(1), and free of fine structure the lattice cannot carry.
+    The standard library's generator, which numpy already imports, draws
+    the 12 numbers: ``numpy.random`` would load 19 modules on first use,
+    OpenSSL among them.
     """
-    c = rng.normal(size=6)
-    centers = rng.uniform(0.3, 0.7, size=2)
-    widths = rng.uniform(0.3, 0.5, size=2)
-    amps = rng.normal(size=2)
+    c = [rng.normalvariate(0.0, 1.0) for _ in range(6)]
+    centers = [rng.uniform(0.3, 0.7) for _ in range(2)]
+    widths = [rng.uniform(0.3, 0.5) for _ in range(2)]
+    amps = [rng.normalvariate(0.0, 1.0) for _ in range(2)]
 
     def xi1(t):
         return c[0] + c[1] * np.cos(np.pi * t) + c[2] * np.sin(np.pi * t)
@@ -192,15 +196,18 @@ def _run_dispersion(config: RunConfig, out: Path, config_text: str) -> int:
 
 
 def _run_oracle_compare(config: RunConfig, out: Path, config_text: str) -> int:
-    rng = np.random.default_rng(config.compare_seed)
+    rng = random.Random(config.compare_seed)
     labels = [(kc, p) for kc in config.compare_kappa_c
               for p in range(config.compare_profiles)]
     cases = [(kc, *random_smooth_profiles(rng)) for kc, _ in labels]
     deviations, orders = oracle_kernel_deviations(cases, config.groups.ratio_r, config.grid)
     rows = [(kc, p, f_dev, s_dev) for (kc, p), (f_dev, s_dev) in zip(labels, deviations)]
     worst = max(max(dev) for dev in deviations)
-    # per row: the Gauss-Legendre order at which the map resolved its kappa_c
-    _emit(out, config_text, config, rows, resolution={"order": orders})
+    # per row: the Gauss-Legendre order at which the map resolved its kappa_c;
+    # and how the input profiles were drawn
+    _emit(out, config_text, config, rows, resolution={"order": orders},
+          profiles={"generator": "random.Random", "seed": config.compare_seed,
+                    "per_kappa_c": config.compare_profiles})
     status = "PASS" if worst <= ORACLE_TOLERANCE else "FAIL"
     print(f"oracle-compare: worst relative deviation {worst:.3e} "
           f"(tolerance {ORACLE_TOLERANCE:g}) {status}")

@@ -6,6 +6,7 @@ time as well.
 """
 
 import math
+import random
 import time
 
 import numpy as np
@@ -49,7 +50,7 @@ def test_criterion_01_sql_limit():
 
 def test_criterion_02_kernel_oracle_equivalence():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(20240917)
+    rng = random.Random(20240917)
     cases = [(kc, *random_smooth_profiles(rng)) for kc in (0.5, 1.0, 2.0) for _ in range(20)]
     deviations, _ = oracle_kernel_deviations(cases, 10.0, G512)
     worst_dev = max(max(devs) for devs in deviations)

@@ -317,13 +317,16 @@ def test_cli_oracle_compare_small(tmp_path, capsys):
         assert "PASS" in capsys.readouterr().out
         runs.append((out.read_bytes(), (out.parent / (out.name + ".meta.json")).read_bytes()))
     # CSV and sidecar byte-identical across identical runs; the sidecar
-    # records per row the Gauss-Legendre order that resolved its kappa_c
+    # records per row the Gauss-Legendre order that resolved its kappa_c,
+    # and how the profiles were drawn
     assert runs[1] == runs[0]
     csv, sidecar = runs[0]
     lines = csv.decode().splitlines()
     assert lines[0] == "kappa_c,profile,field_rel_dev,spin_rel_dev"
     assert len(lines) == 5
-    assert json.loads(sidecar)["resolution"] == {"order": [32, 32, 32, 32]}
+    meta = json.loads(sidecar)
+    assert meta["resolution"] == {"order": [32, 32, 32, 32]}
+    assert meta["profiles"] == {"generator": "random.Random", "seed": 7, "per_kappa_c": 2}
 
 
 def test_cli_oracle_stability_names_kappa_c_and_writes_nothing(tmp_path, capsys,
@@ -645,72 +648,75 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     assert heavy_modules == "[]"
 
 
-def test_cli_readout_point_leaves_scipy_linalg_unloaded(tmp_path):
-    # the Gauss-Legendre rule is the package's own; scipy's roots_legendre
-    # imports scipy.linalg on the first point of a run
-    src = Path(polariton_lab.__file__).resolve().parents[1]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "mode": "readout",
-        "groups": {"kappa_c": 1, "r": 10, "omega_T": 0.5},
-        "grid": {"n_time": 64, "n_space": 64},
-        "scan": {"from": 1, "to": 1, "points": 1},
-    }))
-    code = ("import sys; from polariton_lab.cli import main; "
-            f"status = main(['readout', '--config', {str(cfg)!r}, "
-            f"'--out', {str(tmp_path / 'out.csv')!r}]); "
-            "print(status, sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
-    env = dict(os.environ, PYTHONPATH=str(src))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True, timeout=120)
-    assert result.stdout.splitlines()[-1] == "0 []"
+# one small config per mode, as the CI console-script step runs them
+SMALL_RUNS = {
+    "symplectic-check": {"groups": {"kappa_c": 1, "r": 10},
+                         "grid": {"n_time": 16, "n_space": 16}},
+    "readout": {"groups": {"kappa_c": 2, "r": 10, "omega_T": 0.5},
+                "grid": {"n_time": 64, "n_space": 64},
+                "scan": {"from": 0, "to": 2, "points": 3}},
+    "oracle-compare": {"groups": {"kappa_c": 1, "r": 10},
+                       "grid": {"n_time": 64, "n_space": 64},
+                       "oracle_compare": {"kappa_c_values": [-1, 0.5, 2], "profiles": 1,
+                                          "seed": 1}},
+    "memory": {"groups": {"kappa_c": 1, "r": 10, "q_L": 0.9, "kappa2_L": 0.3,
+                          "Omega_T": 0.3},
+               "grid": {"n_time": 64, "n_space": 64},
+               "scan": {"from": -1, "to": 2, "points": 4}, "abscissa": {"eps_jx_L": 0.7}},
+    "dispersion": {"grid": {"n_time": 8, "n_space": 8},
+                   "dispersion": {"abs_A_LT": 2, "omega_T": [0.5, 4]}},
+    "packet-velocity": {"groups": {"kappa_c": 2, "r": 1},
+                        "grid": {"n_time": 256, "n_space": 256},
+                        "packet": {"q0_L": 8, "bandwidth_frac": 0.1}},
+}
 
 
-def test_cli_kernel_runs_leave_numpy_polynomial_unloaded(tmp_path):
-    # the Gauss-Legendre rules are built by Newton's method; numpy's leggauss
-    # imported numpy.polynomial (nine modules, 5-7 ms) on a run's first rule
+@pytest.fixture(scope="module")
+def all_modes_run(tmp_path_factory):
+    """Run every mode in one interpreter; its exit codes and the heavy modules loaded after."""
+    tmp = tmp_path_factory.mktemp("all_modes")
     src = Path(polariton_lab.__file__).resolve().parents[1]
     runs = []
-    for mode, doc in (("readout", {"groups": {"kappa_c": 1, "r": 10, "omega_T": 0.5},
-                                   "scan": {"from": 1, "to": 1, "points": 1}}),
-                      ("oracle-compare", {"groups": {"kappa_c": 1, "r": 10},
-                                          "oracle_compare": {"kappa_c_values": [0.5],
-                                                             "profiles": 1, "seed": 7}})):
-        cfg = tmp_path / f"{mode}.json"
-        cfg.write_text(json.dumps({"mode": mode, "grid": {"n_time": 64, "n_space": 64}, **doc}))
-        runs.append([mode, "--config", str(cfg), "--out", str(tmp_path / f"{mode}.csv")])
-    code = ("import sys; import polariton_lab.cli as cli; "
+    for mode, doc in SMALL_RUNS.items():
+        cfg = tmp / f"{mode}.json"
+        cfg.write_text(json.dumps({"mode": mode, **doc}))
+        runs.append([mode, "--config", str(cfg), "--out", str(tmp / f"{mode}.csv")])
+    code = ("import json, sys; import polariton_lab.cli as cli; "
             f"codes = [cli.main(args) for args in {runs!r}]; "
-            "print(codes, sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+            "print(json.dumps([codes, sorted(m for m in sys.modules "
+            "if m in ('hashlib', '_hashlib') "
+            "or m.startswith(('numpy.random', 'numpy.polynomial', 'scipy')))]))")
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=120)
-    assert result.stdout.splitlines()[-1] == "[0, 0] []"
+    codes, loaded = json.loads(result.stdout.splitlines()[-1])
+    assert codes == [0] * len(runs)
+    return loaded
 
 
-def test_cli_runs_leave_scipy_unloaded(tmp_path):
+def test_cli_runs_leave_heavy_modules_unloaded(all_modes_run):
+    # the oracle's profiles are drawn by random.Random; numpy.random loads
+    # 19 modules on first use, OpenSSL (_hashlib) among them
+    assert [m for m in all_modes_run
+            if m in ("hashlib", "_hashlib") or m.startswith("numpy.random")] == []
+
+
+def test_cli_runs_leave_scipy_unloaded(all_modes_run):
     # the kernels compute their Bessel values with numpy alone; importing
     # scipy.special was most of the CLI start-up
-    src = Path(polariton_lab.__file__).resolve().parents[1]
-    runs = []
-    for mode, groups in (("readout", {"kappa_c": 1, "r": 10, "omega_T": 0.5}),
-                         ("memory", {"kappa_c": 1, "r": 10, "q_L": 0.5,
-                                     "kappa2_L": 0.3, "Omega_T": 0.3})):
-        cfg = tmp_path / f"{mode}.json"
-        cfg.write_text(json.dumps({
-            "mode": mode, "groups": groups,
-            "grid": {"n_time": 64, "n_space": 64},
-            "scan": {"from": 1, "to": 1, "points": 1},
-        }))
-        runs.append([mode, "--config", str(cfg), "--out", str(tmp_path / f"{mode}.csv")])
-    code = ("import sys; import polariton_lab.cli as cli; "
-            f"codes = [cli.main(args) for args in {runs!r}]; "
-            "print(codes, sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
-    env = dict(os.environ, PYTHONPATH=str(src))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True, timeout=120)
-    assert result.stdout.splitlines()[-1] == "[0, 0] []"
+    assert [m for m in all_modes_run if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_cli_readout_point_leaves_scipy_linalg_unloaded(all_modes_run):
+    # the Gauss-Legendre rule is the package's own; scipy's roots_legendre
+    # imports scipy.linalg on the first point of a run
+    assert [m for m in all_modes_run if m.startswith("scipy.linalg")] == []
+
+
+def test_cli_kernel_runs_leave_numpy_polynomial_unloaded(all_modes_run):
+    # the Gauss-Legendre rules are built by Newton's method; numpy's leggauss
+    # imported numpy.polynomial (nine modules, 5-7 ms) on a run's first rule
+    assert [m for m in all_modes_run if m.startswith("numpy.polynomial")] == []
 
 
 def test_cli_import_leaves_openssl_and_spectral_unloaded():

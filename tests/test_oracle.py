@@ -5,6 +5,8 @@ lattice sweep per grid level, and maps the profiles of one kappa_c with one
 set of kernel values per Gauss-Legendre order and output grid.
 """
 
+import random
+
 import numpy as np
 
 import pytest
@@ -22,8 +24,20 @@ RATIO_R = 10.0
 
 
 def _cases(profiles=2, seed=11):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     return [(kc, *random_smooth_profiles(rng)) for kc in KAPPA_C for _ in range(profiles)]
+
+
+def test_profile_draw_is_frozen():
+    # the oracle's inputs for seed 2024, oracle-compare's default: a change
+    # of generator or of the order of its draws changes these
+    (xi1, xi2), (jz, jy) = random_smooth_profiles(random.Random(2024))
+    x = np.array([0.25, 0.75])
+    for fn, frozen in ((xi1, [-0.9510023481469732, -0.18125221391158028]),
+                       (xi2, [1.5078587640054575, 2.257579421749326]),
+                       (jz, [-1.1720589856744312, -1.7658030338168034]),
+                       (jy, [-0.14222542139462815, -0.1466989864466853])):
+        np.testing.assert_allclose(fn(x), frozen, rtol=1e-12, atol=0.0)
 
 
 def test_batch_lattice_outputs_equal_per_profile_path():
@@ -60,7 +74,7 @@ def test_stacked_profiles_equal_lone_calls(grid, kappa_c):
     # the kernel values are shared across profiles; each component keeps the
     # bits of its own call, also when another profile needs a higher order
     # (the fast light input of the middle one, wherever it couples)
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     profiles = [random_smooth_profiles(rng) for _ in range(3)]
     profiles[1] = ((lambda t: np.cos(60.0 * t), profiles[1][0][1]), profiles[1][1])
     params = canonical_params(kappa_c, RATIO_R)

@@ -18,6 +18,16 @@ every order from 4 to 1024, and the weights within 6.2e-15 relative up to
 order 32, 3.6e-14 at 64, 2.9e-13 at 128 and 2.6e-12 at 1024, end nodes
 included, where numpy's eigenvalue-based leggauss is off by 1.1e-10 at 512
 and 1.2e-9 at 1024.
+
+Orders 16 and 32 are tabulated: every closed-form point takes both, since
+the ladder starts at 16 and resolves a point only when two orders agree, and
+building them costs a cold scan about 650 small numpy calls, a quarter of
+its run.  The table holds each rule's nonnegative half as the shortest float
+literals that round-trip, printed with repr from _gauss_legendre(m), so the
+rules keep its bits; it is regenerated that way, never edited by hand.  Every
+other order (8 for spectral.py's panels, 64 to 1024 at strong coupling) is
+built on first use.  Every rule is read-only, since the cache is shared by
+every later call in the process.
 """
 
 from __future__ import annotations
@@ -69,16 +79,58 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     # below 1e-8 of the node spacing, so the term left out is below rounding
     dp += ddp * step
     w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    return _mirrored(m, x, w)
+
+
+def _mirrored(m: int, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point rule on [-1, 1], ascending and read-only, from its
+    nonnegative nodes x, descending, and their weights w."""
     # the negative half excludes the middle node of an odd order
-    return (np.concatenate((-x[:m // 2], x[::-1])),
+    rule = (np.concatenate((-x[:m // 2], x[::-1])),
             np.concatenate((w[:m // 2], w[::-1])))
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+# (node, weight) of the nonnegative half of each tabulated order, nodes
+# descending: the repr of each pair of zip(x[m // 2:][::-1], w[m // 2:][::-1])
+# with x, w = _gauss_legendre(m)
+_HALVES = {
+    16: ((0.9894009349916499, 0.027152459411754083),
+         (0.9445750230732326, 0.0622535239386479),
+         (0.8656312023878318, 0.09515851168249286),
+         (0.755404408355003, 0.12462897125553384),
+         (0.6178762444026438, 0.14959598881657682),
+         (0.45801677765722737, 0.16915651939500265),
+         (0.2816035507792589, 0.18260341504492356),
+         (0.09501250983763744, 0.18945061045506836)),
+    32: ((0.9972638618494816, 0.007018610009470115),
+         (0.9856115115452683, 0.01627439473090557),
+         (0.9647622555875064, 0.025392065309262028),
+         (0.9349060759377397, 0.03427386291302128),
+         (0.8963211557660521, 0.042835898022226655),
+         (0.84936761373257, 0.05099805926237613),
+         (0.7944837959679424, 0.05868409347853547),
+         (0.7321821187402897, 0.0658222227763619),
+         (0.6630442669302152, 0.07234579410884859),
+         (0.5877157572407623, 0.0781938957870705),
+         (0.5068999089322294, 0.08331192422694676),
+         (0.42135127613063533, 0.08765209300440388),
+         (0.33186860228212767, 0.09117387869576396),
+         (0.23928736225213706, 0.09384439908080454),
+         (0.1444719615827965, 0.09563872007927485),
+         (0.0483076656877383, 0.09654008851472785)),
+}
 
 
 class PanelRule:
     """Cached Gauss-Legendre nodes ``x`` (ascending) and weights ``w`` on
-    [-1, 1] of a given order, built by _gauss_legendre."""
+    [-1, 1] of a given order, read-only: tabulated in _HALVES or built by
+    _gauss_legendre."""
 
-    _cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    _cache: dict[int, tuple[np.ndarray, np.ndarray]] = {
+        m: _mirrored(m, *np.array(half).T) for m, half in _HALVES.items()}
 
     def __new__(cls, order: int = DEFAULT_ORDER):
         if order < 4:

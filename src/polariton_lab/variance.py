@@ -117,9 +117,11 @@ class VarianceBreakdown(NamedTuple):
 
 def _cos_bin_averages(w: float, n: int) -> np.ndarray:
     """Exact bin averages of cos(w*x) on n uniform bins of [0, 1]."""
-    edges = np.arange(n + 1) / n
-    if w == 0.0:
+    if math.cos(w) == 1.0:
+        # |w| below about 1.05e-8: every exact average rounds to 1, while the
+        # sine differences over w lose their digits, or underflow to one bin
         return np.ones(n)
+    edges = np.arange(n + 1) / n
     return (np.sin(w * edges[1:]) - np.sin(w * edges[:-1])) * n / w
 
 

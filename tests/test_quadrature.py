@@ -1,12 +1,18 @@
 """Panel quadrature helpers against closed-form integrals."""
 
 import math
+import random
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from polariton_lab import kernels, quadrature
+from polariton_lab.kernels import output_maps
+from polariton_lab.model import DimensionlessGroups, Grid, canonical_params
 from polariton_lab.quadrature import PanelRule, prefix_integrals
+from polariton_lab.runner import random_smooth_profiles
+from polariton_lab.variance import scan
 
 from panels import integrate_panels
 
@@ -110,3 +116,73 @@ def test_gauss_rule_ascending_and_mirror_symmetric(m):
     np.testing.assert_array_equal(rule.w, rule.w[::-1])
     if m % 2:
         assert rule.x[m // 2] == 0.0
+
+
+@pytest.mark.parametrize("m", sorted(quadrature._HALVES))
+def test_tabulated_rules_match_the_built_ones(m):
+    # the table is printed from _gauss_legendre, bit for bit where it was
+    # printed; another platform's libm may move the built rule by an ulp
+    x, w = quadrature._gauss_legendre(m)
+    rule = PanelRule(m)
+    np.testing.assert_array_max_ulp(rule.x, x, maxulp=2)
+    np.testing.assert_array_max_ulp(rule.w, w, maxulp=2)
+
+
+def test_both_first_orders_of_the_closed_form_ladder_are_tabulated():
+    assert {kernels._FIRST_ORDER, 2 * kernels._FIRST_ORDER} <= set(quadrature._HALVES)
+
+
+@pytest.mark.parametrize("m", [8, 16, 32, 64])
+def test_rules_are_read_only(m):
+    # the cache is shared by every later call in the process
+    rule = PanelRule(m)
+    for a in (rule.x, rule.w):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+        with pytest.raises(ValueError):
+            a *= 2.0
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The orders PanelRule builds from now on, from a cache holding the
+    tabulated rules alone."""
+    orders = []
+    build = quadrature._gauss_legendre
+
+    def spy(m):
+        orders.append(m)
+        return build(m)
+
+    monkeypatch.setattr(quadrature, "_gauss_legendre", spy)
+    monkeypatch.setattr(PanelRule, "_cache",
+                        {m: PanelRule._cache[m] for m in quadrature._HALVES})
+    return orders
+
+
+@pytest.mark.parametrize("omega_T", [0.2, 1.0, 3.0])
+def test_readout_scans_at_weak_coupling_build_no_rule(built, omega_T):
+    # the benchmark's readout window: kappa_c in [0, 2.5], omega_T in [0.2, 3]
+    g = DimensionlessGroups(kappa_c=0.0, ratio_r=10.0, omega_T=omega_T, q_L=0.0,
+                            kappa2_L=0.0, Omega_T=0.0)
+    result = scan(np.linspace(0.0, 2.5, 26), "readout", g, Grid(512, 512))
+    assert {br.resolution.order for br in result.rows} == {32}
+    assert built == []
+
+
+def test_oracle_compare_maps_build_no_rule(built):
+    # the default oracle-compare run: kappa_c in {0.5, 1, 2} at grid 512
+    rng = random.Random(0)
+    profiles = [random_smooth_profiles(rng) for _ in range(2)]
+    for kc in (0.5, 1.0, 2.0):
+        _, order = output_maps(canonical_params(kc, 10.0), Grid(512, 512), profiles)
+        assert order == 32
+    assert built == []
+
+
+def test_strong_coupling_still_builds_its_orders_from_64_up(built):
+    g = DimensionlessGroups(kappa_c=1e4, ratio_r=10.0, omega_T=0.5, q_L=0.0,
+                            kappa2_L=0.0, Omega_T=0.0)
+    order = scan([1e4], "readout", g, Grid(64, 64)).rows[0].resolution.order
+    assert order >= 64
+    assert built == [2 ** k for k in range(6, order.bit_length())]

@@ -324,6 +324,22 @@ def test_matrix_breakdown_equals_general_variances_channels(omega_T, q_L):
         res["jy"].normalized, res["jy"].spin_part, res["jz"].normalized)
 
 
+@pytest.mark.parametrize("w", [5e-324, 1e-320, 1e-9])
+@pytest.mark.parametrize("mode", ["readout", "memory"])
+def test_matrix_rows_at_tiny_filter_frequencies_equal_those_at_zero(mode, w):
+    # below |w| ~ 1.05e-8 every exact bin average of cos(w x) rounds to 1;
+    # the sine differences over w give one bin at 5e-324 and are 2% off at 1e-320
+    key = "omega_T" if mode == "readout" else "q_L"
+    grid = Grid(64, 64)
+
+    def rows(freq):
+        g = groups(1.0, **{key: freq}, kappa2_L=0.3, Omega_T=0.3)
+        return scan([0.5, 1.0], mode, g, grid)
+
+    tiny = rows(w)
+    assert tiny.route == "matrix" and tiny == rows(0.0)
+
+
 def _counting_adjoint(monkeypatch):
     """Count the adjoint sweeps the variance layer makes."""
     from polariton_lab import variance

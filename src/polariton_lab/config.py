@@ -251,9 +251,15 @@ def parse_config(text: str) -> RunConfig:
             raw = cobj["kappa_c_values"]
             if not isinstance(raw, list) or not raw:
                 raise _err("$.oracle_compare.kappa_c_values", "expected a non-empty list")
-            opts["compare_kappa_c"] = tuple(
-                _finite(v, f"$.oracle_compare.kappa_c_values[{i}]")
-                for i, v in enumerate(raw))
+            values = tuple(_finite(v, f"$.oracle_compare.kappa_c_values[{i}]")
+                           for i, v in enumerate(raw))
+            # each kappa_c labels its rows: a repeat would write rows of one
+            # label with other profiles and deviations
+            for i, v in enumerate(values):
+                if values.index(v) < i:
+                    raise _err(f"$.oracle_compare.kappa_c_values[{i}]",
+                               f"repeats kappa_c_values[{values.index(v)}] = {v!r}")
+            opts["compare_kappa_c"] = values
         if "profiles" in cobj:
             opts["compare_profiles"] = _count(cobj, "$.oracle_compare", "profiles")
         if "seed" in cobj:

@@ -22,15 +22,23 @@ These forms are validated against the direct lattice integrator in the test
 suite before anything downstream relies on them.  Their sample records,
 ``FieldRecord`` and ``SpinRecord``, are defined in model.py.
 
-``output_maps`` evaluates these from the input callables, with one
-quadrature: the m-point Gauss-Legendre rule on [0, 1] in s for the self
-part tau Int_0^1 K(t - tau s) own(tau s) ds, tau = min(t, 1), and in z' for
-the cross part.  Both integrands are smooth, so the order doubles from 16
-until two orders agree (the ladder of the closed-form variance, whose
-constants sit beside ``UnresolvedError``); where order 1024 does not
+``output_maps`` evaluates these for a whole set of input profiles, one
+params per profile (the convention of ``lattice.integrate_extrapolated``),
+with one quadrature: the m-point Gauss-Legendre rule on [0, 1] in s for the
+self part tau Int_0^1 K(t - tau s) own(tau s) ds, tau = min(t, 1), and in
+z' for the cross part.  Both integrands are smooth, so the order doubles
+from 16 until two orders agree (the ladder of the closed-form variance,
+whose constants sit beside ``UnresolvedError``); where order 1024 does not
 resolve a component it raises UnresolvedError, a ValueError naming kappa_c
 and both orders.  Past t = 1 the same formula is the time continuation of
 spectral.py's Laplace check.
+
+The map makes one pass per order for every profile (``_output_map``): the
+set is evaluated once at each of the order's point sets, read one profile
+at a time so that only one profile's values at the m x n nodes are held,
+and K and G are computed once per distinct kappa_c, one kernel call each.
+A component still resolves on its own, with the bits of a lone call, and a
+kappa_c's order and error are those of a call on its profiles alone.
 
 The two kernel functions below are the only place Bessel values are
 computed, with numpy alone.  Both are the one entire function
@@ -73,7 +81,7 @@ import math
 
 import numpy as np
 
-from .model import FieldRecord, Grid, PhysicalParams, SpinRecord, _centers
+from .model import FieldRecord, Grid, PhysicalParams, SpinRecord, _centers, _shared_box
 from .quadrature import PanelRule
 
 __all__ = [
@@ -336,94 +344,174 @@ class UnresolvedError(ValueError):
     a component of the output map, or a variance point of variance.py."""
 
 
-def _output_map(kappa_c: float, t: np.ndarray, components) -> tuple[list[np.ndarray], int]:
+def _output_map(t: np.ndarray, kappa_c: list[float], own, conj,
+                coef: list[float]) -> tuple[list[np.ndarray], list[int], dict]:
     """own(t) - tau Int_0^1 K(t - tau s) own(tau s) ds + c Int_0^1 G(1 - x, t) conj(x) dx
-    at the points t, with tau = min(t, 1), for each (own, conj, c) of
-    ``components``, own and conj callables on the unit interval; and the
-    order at which the last component resolved.
+    at the points t, with tau = min(t, 1), for each component j: own, conj
+    and c its input, the input it couples to and the coupling, K and G
+    those of kappa_c[j].  ``own(x)`` and ``conj(x)`` give at an array of
+    points x an indexable whose item j is component j's values; each item
+    is read once per call, in order within each kappa_c.  Returns every
+    component's values, per component the order at which the last
+    component of its kappa_c resolved, and {kappa_c: exception} for the
+    kappa_c that fail.
 
     For t <= 1 the self part is the causal convolution (K * own)(t); past 1
     it is the time continuation of an input whose support ends at 1.  Both
     integrals take the m-point Gauss-Legendre rule on [0, 1], m doubling from
     _FIRST_ORDER.  A component is resolved when its values at m and m/2 agree
     to _RESOLVED_RTOL times the largest magnitude of its three summands, and
-    keeps its values at m; the K and G values of an order are computed once
-    for all components still pending, so each component has the bits of a
-    lone call.  Unresolved at _MAX_ORDER it raises UnresolvedError, and a
-    non-finite value raises OverflowError, each naming kappa_c.
+    keeps its values at m.  Each order reads own and conj once at its nodes
+    and computes K and G once per kappa_c still pending, so every component
+    has the bits of a lone call.  A kappa_c fails as a call on its components
+    alone would raise, and is carried no further: at the first order where a kernel raises, or where
+    a component, in order, is non-finite (OverflowError) or, at _MAX_ORDER,
+    unresolved (UnresolvedError), each naming kappa_c.
     """
     tau = np.minimum(t, 1.0)
-    direct = [own(t) for own, _, _ in components]
-    values = [None] * len(components)
-    pending = list(range(len(components)))
+    at_t = own(t)
+    direct = [np.asarray(at_t[j], dtype=float) for j in range(len(kappa_c))]
+    del at_t
+    values = [None] * len(kappa_c)
+    pending = {}
+    for j, kc in enumerate(kappa_c):
+        pending.setdefault(kc, []).append(j)
+    order, failures = {}, {}
     m = _FIRST_ORDER
     while pending:
         rule = PanelRule(m)
         s, w = 0.5 * (1.0 + rule.x), 0.5 * rule.w
         ts = np.multiply.outer(tau, s)
-        k = kernel_self_scaled(kappa_c, t[:, None] - ts)
-        g = kernel_cross_scaled(kappa_c, 1.0 - s, t[:, None])
-        still = []
-        for i in pending:
-            own, conj, c = components[i]
-            # blue-wing products can leave the double range below the
-            # kernels' own argument threshold; that raises below
-            with np.errstate(over="ignore", invalid="ignore"):
-                conv = tau * ((k * own(ts)) @ w)
-                cross = c * (g @ (w * conj(s)))
-                value = direct[i] - conv + cross
-            if not np.all(np.isfinite(value)):
-                raise OverflowError(f"output map overflows at kappa_c = {kappa_c:.6g}, "
-                                    f"Gauss-Legendre order {m}")
-            last, values[i] = values[i], value
-            if last is not None:
-                change = float(np.max(np.abs(value - last)))
-                scale = max(float(np.max(np.abs(part))) for part in (direct[i], conv, cross))
-                if change <= _RESOLVED_RTOL * scale:
-                    continue
-                if m == _MAX_ORDER:
-                    raise UnresolvedError(
-                        f"output map at kappa_c = {kappa_c:.6g} is not resolved by "
-                        f"Gauss-Legendre order {_MAX_ORDER}: change {change:.3g} from order "
-                        f"{m // 2} to {m}, against largest summand {scale:.3g}")
-            still.append(i)
-        pending = still
+        at_ts, at_s = own(ts), conj(s)
+        lag = t[:, None] - ts
+        for kc in list(pending):
+            order[kc] = m
+            try:
+                k = kernel_self_scaled(kc, lag)
+                g = kernel_cross_scaled(kc, 1.0 - s, t[:, None])
+                still = [j for j in pending[kc]
+                         if not _resolved(kc, m, values, j, direct[j],
+                                          np.asarray(at_ts[j], dtype=float),
+                                          np.asarray(at_s[j], dtype=float), coef[j], k, g,
+                                          tau, w)]
+            except (ValueError, OverflowError) as exc:
+                failures[kc] = exc
+                still = []
+            if still:
+                pending[kc] = still
+            else:
+                del pending[kc]
+            # one kappa_c's kernel values at a time
+            k = g = None
+        del at_ts, at_s, lag
         m *= 2
-    return values, m // 2
+    return values, [order[kc] for kc in kappa_c], failures
 
 
-def output_maps(params: PhysicalParams, grid: Grid,
-                profiles) -> tuple[list[tuple[FieldRecord, SpinRecord]], int]:
+class _Components:
+    """The inputs of the components index[j] = (p, side, i) of ``output_maps``
+    at the points x: item j is item i of profile p's pair in
+    sets[side](x * units[side]).  A set is called when first read, and a
+    profile's pair is read once when its components are read in turn."""
+
+    __slots__ = ("_sets", "_units", "_index", "_x", "_samples", "_pair")
+
+    def __init__(self, sets, units, index, x):
+        self._sets, self._units, self._index, self._x = sets, units, index, x
+        self._samples = [None] * len(sets)
+        self._pair = None, None
+
+    def __getitem__(self, j: int):
+        p, side, i = self._index[j]
+        if self._pair[0] != (p, side):
+            self._pair = None, None
+            if self._samples[side] is None:
+                self._samples[side] = self._sets[side](self._x * self._units[side])
+            self._pair = (p, side), self._samples[side][p]
+        return self._pair[1][i]
+
+
+def output_maps(params, grid: Grid, light, spin) -> tuple[list[tuple[FieldRecord, SpinRecord]],
+                                                          list[int]]:
     """The light record at z = L and the spin record at t = T, at the bin
-    centers, of every ((xi1, xi2), (jz, jy)) input pair of ``profiles``,
-    callables of the physical coordinates (light at z = 0, spins at t = 0);
-    and the Gauss-Legendre order at which the map resolved params.kappa_c.
+    centers, of every input profile of a set, and per profile the largest
+    Gauss-Legendre order that any component of its kappa_c needed.
 
-    The light outputs take the time centers, the spin outputs the space
-    centers: with n_time = n_space all four components of every pair share
-    one set of K and G values per order.
+    ``params`` holds one PhysicalParams per profile, all on one box (time_T,
+    length_L).  ``light(t)`` gives, at an array t of physical times, the
+    profiles' light inputs at z = 0 (item p is profile p's (Xi1, Xi2), two
+    arrays of t's shape, so an array (P, 2, *t.shape) will do), and
+    ``spin(z)`` their spin inputs at t = 0 the same way.  Each result is
+    read profile by profile, so a set may compute a profile's values when
+    they are read.
+
+    Profile p's Xi1 and Xi2 outputs take its Xi1 and Xi2 inputs as own and
+    its Jz and Jy as conj, and its Jz and Jy outputs the reverse, each with
+    the coupling of the map above.  The light outputs are at the time
+    centers and the spin outputs at the space centers: with n_time = n_space
+    they share one ``_output_map`` pass per order, in which the set is
+    evaluated once at each point set and K and G once per distinct kappa_c.
+    Each component has the bits of a lone call.  A failing kappa_c raises
+    what a call on its profiles alone raises, its time-center outputs first;
+    of several, the first in ``params`` raises.
     """
-    T, L = params.time_T, params.length_L
-    field_cb = 2.0 * params.beta * params.xi3_bar * L
-    field_ce = 2.0 * params.epsilon * params.xi3_bar * L
-    spin_ce = params.epsilon * params.jx_bar * T
-    spin_cb = params.beta * params.jx_bar * T
-    # one entry when n_time = n_space
-    components = {grid.n_time: [], grid.n_space: []}
-    for (xi1, xi2), (jz, jy) in profiles:
-        x1, x2 = _scaled(xi1, T), _scaled(xi2, T)
-        j1, j2 = _scaled(jz, L), _scaled(jy, L)
-        components[grid.n_time] += [(x1, j1, field_cb), (x2, j2, -field_ce)]
-        components[grid.n_space] += [(j1, x1, -spin_ce), (j2, x2, spin_cb)]
-    results = {n: _output_map(params.kappa_c, _centers(n), comps)
-               for n, comps in components.items()}
-    # one iterator per output grid, so one shared grid yields in append order
-    values = {n: iter(out) for n, (out, _) in results.items()}
-    light, spin = values[grid.n_time], values[grid.n_space]
-    return ([(FieldRecord(next(light), next(light)), SpinRecord(next(spin), next(spin)))
-             for _ in profiles], max(m for _, m in results.values()))
+    params = list(params)
+    time_T, length_L = _shared_box(params)
+    sets, units = (light, spin), (time_T, length_L)
+    # the coupling of each (side, component) of profile p, side 0 the light
+    coef = [((2.0 * q.beta * q.xi3_bar * length_L, -2.0 * q.epsilon * q.xi3_bar * length_L),
+             (-q.epsilon * q.jx_bar * time_T, q.beta * q.jx_bar * time_T)) for q in params]
+    grids = {}
+    for side, n in enumerate((grid.n_time, grid.n_space)):
+        grids.setdefault(n, []).append(side)
+    out, orders, failures = {}, [0] * len(params), []
+    for n, sides in grids.items():
+        index = [(p, side, i) for p in range(len(params)) for side in sides for i in range(2)]
+        conj = [(p, 1 - side, i) for p, side, i in index]
+        values, reached, failed = _output_map(
+            _centers(n), [params[p].kappa_c for p, _, _ in index],
+            lambda x: _Components(sets, units, index, x),
+            lambda x: _Components(sets, units, conj, x),
+            [coef[p][side][i] for p, side, i in index])
+        out.update(zip(index, values))
+        for (p, _, _), m in zip(index, reached):
+            orders[p] = max(orders[p], m)
+        failures.append(failed)
+    for q in params:
+        for failed in failures:
+            if q.kappa_c in failed:
+                raise failed[q.kappa_c]
+    return [(FieldRecord(out[p, 0, 0], out[p, 0, 1]), SpinRecord(out[p, 1, 0], out[p, 1, 1]))
+            for p in range(len(params))], orders
 
 
-def _scaled(f, unit: float):
-    """f of a physical coordinate as a callable on the unit interval."""
-    return lambda v: np.asarray(f(v * unit), dtype=float)
+def _resolved(kappa_c: float, m: int, values: list, j: int, direct: np.ndarray,
+              own: np.ndarray, conj: np.ndarray, c: float, k: np.ndarray, g: np.ndarray,
+              tau: np.ndarray, w: np.ndarray) -> bool:
+    """Component j's value at order m into values[j], from its input at the
+    outputs, own at the nodes tau s, conj at the nodes x and the coupling c;
+    whether it agrees with its value at m/2.  Raises OverflowError for a
+    non-finite value and UnresolvedError when order _MAX_ORDER does not
+    resolve it."""
+    # blue-wing products can leave the double range below the kernels' own
+    # argument threshold; that raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        conv = tau * ((k * own) @ w)
+        cross = c * (g @ (w * conj))
+        value = direct - conv + cross
+    if not np.all(np.isfinite(value)):
+        raise OverflowError(f"output map overflows at kappa_c = {kappa_c:.6g}, "
+                            f"Gauss-Legendre order {m}")
+    last, values[j] = values[j], value
+    if last is None:
+        return False
+    change = float(np.max(np.abs(value - last)))
+    scale = max(float(np.max(np.abs(part))) for part in (direct, conv, cross))
+    if change <= _RESOLVED_RTOL * scale:
+        return True
+    if m == _MAX_ORDER:
+        raise UnresolvedError(
+            f"output map at kappa_c = {kappa_c:.6g} is not resolved by "
+            f"Gauss-Legendre order {_MAX_ORDER}: change {change:.3g} from order "
+            f"{m // 2} to {m}, against largest summand {scale:.3g}")
+    return False

@@ -46,6 +46,20 @@ every point's stability before any sweep, and march the stack in sweeps of
 at most one step budget (``_group_size``) each, building each sweep's tiles
 first.  The transfer matrix's sweep marches the same tiles.
 
+At kappa2 = Omega = 0 the system is two independent channels, (Xi1, Jz)
+coupled by beta and (Xi2, Jy) by eps, and the Cayley solve leaves exact
+zeros between them, so the cell and every tile built from it are
+block-diagonal.  ``_march`` marches each entry whose cell is block-diagonal
+as two one-component entries, with the halves of its tile, of side
+b_t + b_s: half the multiply-adds, none of them on the zeros.  The halves
+are cut from the dense tile and made C-contiguous.  Cut by fancy indexing
+alone, their strides followed the stack size, BLAS rounded an entry of a
+stack unlike the same entry alone, and the oracle-compare batch stopped
+matching its one-profile calls.  The choice is each entry's, so its bits
+never depend on its stack-mates; rotating cells, the memory scans' adjoint
+with kappa2 or Omega and the transfer matrix's build march all four
+components as before.
+
 The Cayley cell map is exactly canonical: it preserves the weighted
 antisymmetric form pairing (Xi1, Xi2) bins with weight +1 and (Jz, Jy) bins
 with weight SPIN_BLOCK_SIGN in the normalized bin convention below, so the
@@ -64,7 +78,8 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .model import FieldRecord, Grid, PhysicalParams, SpinRecord, _Record
+from .model import (FieldRecord, Grid, PhysicalParams, SpinRecord, _centers, _Record,
+                    _shared_box)
 
 __all__ = [
     "StabilityError",
@@ -106,6 +121,10 @@ _GROUP_STEP_DOUBLES = 1 << 16
 # its product each reuse one buffer of this many rows, so beside M the
 # residual holds those two.
 _RESIDUAL_TILE = 128
+
+# The entries of a (4, 4) cell that couple channel (Xi1, Jz), bins 0 and 2,
+# to channel (Xi2, Jy), bins 1 and 3
+_CROSS_CHANNEL = np.add.outer(np.arange(4), np.arange(4)) % 2 == 1
 
 
 def _tile_sides(n_time: int, n_space: int) -> tuple[int, int]:
@@ -181,15 +200,18 @@ def _sweep(tiles: np.ndarray, u: np.ndarray, w: np.ndarray, sides: tuple[int, in
     """March light u and spin w across the lattice by one tile or a stack of tiles.
 
     A tile is the map of a b_t x b_s block of cells, ``sides = (b_t, b_s)``:
-    a square matrix of D = 2*b_t + 2*b_s rows whose rows and columns are the
-    bins of a b_t x b_s grid in the ``_bin_layout`` order, Xi1 and Xi2 over
-    b_t time bins, then Jz and Jy over b_s space bins.  The 1x1 tile is the
-    (4, 4) cell.  ``tiles`` is one (D, D) tile, marching light u
-    (2, n_time, ...) and spin w (2, n_space, ...), or a stack (P, D, D)
-    marching u (P, 2, n_time, ...) and w (P, 2, n_space, ...), stack entry p
-    by tile p.  b_t divides n_time and b_s divides n_space.  The trailing
-    axes are right-hand sides.  Returns the light after the last space step
-    and the spin after the last time step, in the input shapes.
+    a square matrix of D = c*b_t + c*b_s rows whose rows and columns are the
+    bins of a b_t x b_s grid in the ``_bin_layout`` order, the c light
+    components over b_t time bins, then the c spin components over b_s space
+    bins.  The component count c is that of the inputs: 2 for the dense map,
+    Xi1 and Xi2 then Jz and Jy, whose 1x1 tile is the (4, 4) cell, and 1 for
+    one channel of a split cell (``_march``).  ``tiles`` is one (D, D) tile,
+    marching light u (c, n_time, ...) and spin w (c, n_space, ...), or a
+    stack (P, D, D) marching u (P, c, n_time, ...) and w (P, c, n_space,
+    ...), stack entry p by tile p.  b_t divides n_time and b_s divides
+    n_space.  The trailing axes are right-hand sides.  Returns the light
+    after the last space step and the spin after the last time step, in the
+    input shapes.
 
     The tiles form an m_t x m_s lattice, m_t = n_time / b_t and
     m_s = n_space / b_s, swept like the cells of a 1x1 lattice in
@@ -207,8 +229,8 @@ def _sweep(tiles: np.ndarray, u: np.ndarray, w: np.ndarray, sides: tuple[int, in
 
     ``record``, if given, is called after every step as
     ``record(k0, j0, light, spin)``.  The step's n tiles are
-    (m_s - 1 - k0 - t, j0 + t), t < n; ``light`` (..., 2, b_t, n, R) is the
-    light that leaves them in space and ``spin`` (..., 2, b_s, n, R) the
+    (m_s - 1 - k0 - t, j0 + t), t < n; ``light`` (..., c, b_t, n, R) is the
+    light that leaves them in space and ``spin`` (..., c, b_s, n, R) the
     spin that leaves them in time, with the stack axes first.  Both are
     views of the state that the next step overwrites.
     """
@@ -216,27 +238,28 @@ def _sweep(tiles: np.ndarray, u: np.ndarray, w: np.ndarray, sides: tuple[int, in
     lead = tiles.shape[:-2]
     axis = len(lead) + 1
     shape_u, shape_w = np.shape(u), np.shape(w)
+    comps = shape_u[axis - 1]
     b_t, b_s = sides
     m_t, m_s = shape_u[axis] // b_t, shape_w[axis] // b_s
     nrhs = math.prod(shape_u[axis + 1:])
-    light_rows = 2 * b_t
+    light_rows = comps * b_t
     # light leaves into the copy it entered from, kept in the input's bin
     # order: tile row j's light is u_tiles[..., :, j, :, :].  Rebinding u and
     # deleting w let a caller's temporary inputs go before the march
     u = np.array(u, dtype=float, order="C")
-    u_tiles = u.reshape(lead + (2, m_t, b_t, nrhs))
-    state = np.empty((2,) + lead + (light_rows + 2 * b_s, m_s + 1, nrhs))
-    # views of the rows of a column as (2, b_t) light and (2, b_s) spin bins:
+    u_tiles = u.reshape(lead + (comps, m_t, b_t, nrhs))
+    state = np.empty((2,) + lead + (light_rows + comps * b_s, m_s + 1, nrhs))
+    # views of the rows of a column as (c, b_t) light and (c, b_s) spin bins:
     # splitting an axis never copies.  The light enters at column m_s
     # and leaves at column 0
-    light_in = state[..., :light_rows, m_s, :].reshape((2,) + lead + (2, b_t, nrhs))
-    light_out = state[..., :light_rows, 0, :].reshape((2,) + lead + (2, b_t, nrhs))
+    light_in = state[..., :light_rows, m_s, :].reshape((2,) + lead + (comps, b_t, nrhs))
+    light_out = state[..., :light_rows, 0, :].reshape((2,) + lead + (comps, b_t, nrhs))
     spin_state = state[..., light_rows:, :, :].reshape(
-        (2,) + lead + (2, b_s, m_s + 1, nrhs))
+        (2,) + lead + (comps, b_s, m_s + 1, nrhs))
     spin_state[..., 1:, :] = np.reshape(
-        w, lead + (2, m_s, b_s, nrhs))[..., ::-1, :, :].swapaxes(-3, -2)
+        w, lead + (comps, m_s, b_s, nrhs))[..., ::-1, :, :].swapaxes(-3, -2)
     del w
-    buffers = state.reshape((2,) + lead + (light_rows + 2 * b_s, (m_s + 1) * nrhs))
+    buffers = state.reshape((2,) + lead + (light_rows + comps * b_s, (m_s + 1) * nrhs))
     light_tiles, spin_tiles = tiles[..., :light_rows, :], tiles[..., light_rows:, :]
     # with no space column, column 0 would both take and give the light
     for d in range(m_t + m_s - 1 if m_t and m_s else 0):
@@ -253,12 +276,19 @@ def _sweep(tiles: np.ndarray, u: np.ndarray, w: np.ndarray, sides: tuple[int, in
         if c0 == 1:
             u_tiles[..., :, j0, :, :] = light_out[1 - d % 2]
         if record is not None:
-            record(c0 - 1, j0, light.reshape(lead + (2, b_t, j1 - j0, nrhs)),
-                   spin.reshape(lead + (2, b_s, j1 - j0, nrhs)))
-    w = np.empty(lead + (2, m_s, b_s, nrhs))
+            record(c0 - 1, j0, light.reshape(lead + (comps, b_t, j1 - j0, nrhs)),
+                   spin.reshape(lead + (comps, b_s, j1 - j0, nrhs)))
+    w = np.empty(lead + (comps, m_s, b_s, nrhs))
     w[..., 0::2, :, :] = spin_state[m_t % 2, ..., m_s:0:-2, :].swapaxes(-3, -2)
     w[..., 1::2, :, :] = spin_state[1 - m_t % 2, ..., m_s - 1:0:-2, :].swapaxes(-3, -2)
     return u.reshape(shape_u), w.reshape(shape_w)
+
+
+def _channel_bins(b_t: int, b_s: int) -> np.ndarray:
+    """The rows of a dense b_t x b_s tile that belong to channel (Xi1, Jz),
+    row 0, and to (Xi2, Jy), row 1, each in its one-component tile's order."""
+    light, spin = np.arange(b_t), 2 * b_t + np.arange(b_s)
+    return np.stack([np.concatenate((light + c * b_t, spin + c * b_s)) for c in range(2)])
 
 
 def _march(cells: np.ndarray, grid: Grid, u: np.ndarray, w: np.ndarray,
@@ -274,13 +304,36 @@ def _march(cells: np.ndarray, grid: Grid, u: np.ndarray, w: np.ndarray,
     entry, so it is marched at the width of a sweep of it alone: BLAS rounds
     a block product differently at other widths, and this keeps every entry
     bit-identical to sweeping it alone, in any group.
+
+    An entry whose cell couples neither channel to the other, as at
+    kappa2 = Omega = 0, marches as two one-component entries: its dense
+    tile is then block-diagonal in (Xi1, Jz) + (Xi2, Jy), and each half is
+    cut from it and made C-contiguous, so its products have the strides of
+    a lone entry's whatever the group (a fancy-indexed cut has strides that
+    follow the stack size, and BLAS rounds those differently).  The choice
+    is the cell's alone, so it never depends on the entry's stack-mates.
     """
     sides = _tile_sides(grid.n_time, grid.n_space)
     size = _group_size(grid, math.prod(u.shape[3:]))
+    split = ~np.any(cells[:, _CROSS_CHANNEL], axis=-1)
     for start in range(0, len(cells), size):
         group = slice(start, start + size)
         tiles = _green_matrix(cells[group], *sides)
-        out_u[group], out_w[group] = _sweep(tiles, u[group], w[group], sides)
+        halves = split[group]
+        if not halves.any():
+            out_u[group], out_w[group] = _sweep(tiles, u[group], w[group], sides)
+            continue
+        if not halves.all():
+            dense = start + np.flatnonzero(~halves)
+            out_u[dense], out_w[dense] = _sweep(tiles[~halves], u[dense], w[dense], sides)
+            tiles, group = tiles[halves], start + np.flatnonzero(halves)
+        # (k, 2, D/2, D/2): entry p's channel c rides stack entry (p, c),
+        # marching u[p, c] and w[p, c] as one-component inputs
+        rows = _channel_bins(*sides)
+        half = np.ascontiguousarray(tiles[:, rows[:, :, None], rows[:, None, :]])
+        del tiles
+        one_u, one_w = _sweep(half, u[group][:, :, None], w[group][:, :, None], sides)
+        out_u[group], out_w[group] = one_u[:, :, 0], one_w[:, :, 0]
 
 
 def integrate_stacked(params: PhysicalParams | Sequence[PhysicalParams], grid: Grid,
@@ -314,30 +367,39 @@ def integrate_stacked(params: PhysicalParams | Sequence[PhysicalParams], grid: G
     return (out_u[:, :, 0], out_w[:, :, 0]) if single else (out_u, out_w)
 
 
-def integrate_extrapolated(params: Sequence[PhysicalParams], grid: Grid, field_fns,
-                           spin_fns) -> list[tuple[FieldRecord, SpinRecord]]:
+def _sampled(values, count: int, n: int, name: str) -> np.ndarray:
+    """A profile set's values (count, 2, n) at n bin centers, as a (2, n,
+    count) view; each entry finite."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (count, 2, n):
+        raise ValueError(f"{name} values of shape {values.shape}: expected ({count}, 2, {n})")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} values contain non-finite samples")
+    return np.moveaxis(values, 0, 2)
+
+
+def integrate_extrapolated(params: Sequence[PhysicalParams], grid: Grid, light: Callable,
+                           spin: Callable) -> list[tuple[FieldRecord, SpinRecord]]:
     """High-accuracy oracle reference: Richardson pair of lattice integrates.
 
     Combines the second-order solution at the given grid with a 3x refined
     companion run (center sub-bins align exactly, so no resampling error)
-    as (9*fine - coarse)/8, cancelling the leading h^2 term.  Inputs are
-    callables of the physical coordinates.
+    as (9*fine - coarse)/8, cancelling the leading h^2 term.
 
-    ``params`` is a sequence of P PhysicalParams, field_fns and spin_fns
-    sequences of P pairs (xi1, xi2) and (jz, jy); returns a list of P
-    (FieldRecord, SpinRecord).  Each grid level is one ``integrate_stacked``
-    call with every entry its own stack entry, so entry p is bit-identical
-    to a one-entry call on it.
+    ``params`` is a sequence of P PhysicalParams that share one time_T and
+    length_L, and ``light`` and ``spin`` a set of P input profiles, as
+    ``output_maps`` takes them: ``light(t)`` gives profile p's (Xi1, Xi2) at
+    the physical times t as item p, ``spin(z)`` its (Jz, Jy) at the
+    positions z.  Both grid levels are sampled from the set at their bin
+    centers.  Returns a list of P (FieldRecord, SpinRecord).  Each grid level
+    is one ``integrate_stacked`` call with every entry its own stack entry,
+    so entry p is bit-identical to a one-entry call on it.
     """
+    time_T, length_L = _shared_box(params)
     levels = []
     for g in (grid, Grid(3 * grid.n_time, 3 * grid.n_space)):
-        u = np.empty((2, g.n_time, len(params)))
-        w = np.empty((2, g.n_space, len(params)))
-        for k, (p, f, s) in enumerate(zip(params, field_fns, spin_fns, strict=True)):
-            xi = FieldRecord.from_functions(*f, g.n_time, p.time_T)
-            sp = SpinRecord.from_functions(*s, g.n_space, p.length_L)
-            u[:, :, k] = xi.xi1, xi.xi2
-            w[:, :, k] = sp.jz, sp.jy
+        u = _sampled(light(_centers(g.n_time) * time_T), len(params), g.n_time, "light")
+        w = _sampled(spin(_centers(g.n_space) * length_L), len(params), g.n_space, "spin")
         levels.append(integrate_stacked(params, g, u, w))
     (uc, wc), (uf, wf) = levels
     # the centre sub-bin of every coarse bin

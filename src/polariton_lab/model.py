@@ -224,6 +224,18 @@ def _centers(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) / n
 
 
+def _shared_box(params) -> tuple[float, float]:
+    """(time_T, length_L) of a non-empty sequence of params that share them:
+    the box on which one set of input profiles is sampled."""
+    if not params:
+        raise ValueError("no params given")
+    box = {(p.time_T, p.length_L) for p in params}
+    if len(box) > 1:
+        raise ValueError(f"params span {len(box)} boxes (time_T, length_L); "
+                         f"one set of profiles needs one")
+    return box.pop()
+
+
 def _validate_samples(name: str, arr, n: int) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
     if arr.shape != (n,):

@@ -88,33 +88,88 @@ def _emit(out: Path, config_text: str, config: RunConfig, rows, **extra) -> None
     )
 
 
-def random_smooth_profiles(rng: random.Random):
-    """One draw of smooth light/spin input profiles on the unit box.
+class _Samples:
+    """Every profile's two components at one point set: item k is profile
+    k's pair of arrays, made by ``fn`` from its draw when it is read, and
+    ``np.asarray`` stacks all of them, (len, 2, *shape)."""
+
+    __slots__ = ("_fn", "_draws", "_shape")
+
+    def __init__(self, fn, draws, shape: tuple[int, ...]):
+        self._fn, self._draws, self._shape = fn, draws, shape
+
+    def __len__(self) -> int:
+        return len(self._draws)
+
+    def __getitem__(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        return self._fn(self._draws[k])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = np.empty((len(self._draws), 2) + self._shape, float if dtype is None else dtype)
+        for k, draw in enumerate(self._draws):
+            out[k] = self._fn(draw)
+        return out
+
+
+class SmoothProfiles:
+    """Drawn smooth light/spin input profiles on the unit box, evaluated as a set.
+
+    Profile k has the 12 numbers of its draw: the light components
+    xi1(t) = c0 + c1 cos(pi t) + c2 sin(pi t) and xi2(t) = c3 + c4 cos(pi t)
+    + c5 sin(pi t), the spin components jz(z) = a0 exp(-((z - z0)/w0)^2) and
+    jy(z) = a1 exp(-((z - z1)/w1)^2).  ``light(t)`` and ``spin(z)`` give
+    every profile's two components at the points, as ``output_maps`` and
+    ``integrate_extrapolated`` read them: item k is profile k's pair of
+    arrays, computed when it is read, so a caller can hold one profile's
+    values at a time; ``np.asarray`` gives all of them, (len, 2, *shape).
+    cos(pi t) and sin(pi t) are computed once per ``light`` call, for every
+    profile, and each value comes from its profile's own expression.
+    """
+
+    __slots__ = ("_draws",)
+
+    def __init__(self, draws):
+        self._draws = tuple(draws)
+
+    def __len__(self) -> int:
+        return len(self._draws)
+
+    def light(self, t) -> _Samples:
+        arg = np.pi * t
+        cos, sin = np.cos(arg), np.sin(arg)
+
+        def components(draw):
+            c = draw[0]
+            return c[0] + c[1] * cos + c[2] * sin, c[3] + c[4] * cos + c[5] * sin
+
+        return _Samples(components, self._draws, np.shape(t))
+
+    def spin(self, z) -> _Samples:
+        def components(draw):
+            _, centers, widths, amps = draw
+            return tuple(a * np.exp(-((z - c) / w) ** 2) for a, c, w in zip(amps, centers, widths))
+
+        return _Samples(components, self._draws, np.shape(z))
+
+
+def random_smooth_profiles(rng: random.Random, count: int) -> SmoothProfiles:
+    """``count`` draws of smooth light/spin input profiles on the unit box.
 
     Low-order trigonometric light profiles and wide Gaussian spin bumps:
     smooth, O(1), and free of fine structure the lattice cannot carry.
-    The standard library's generator, which numpy already imports, draws
-    the 12 numbers: ``numpy.random`` would load 19 modules on first use,
-    OpenSSL among them.
+    Each profile draws its 12 numbers in turn: six trigonometric
+    coefficients, two centers, two widths and two amplitudes.  The standard
+    library's generator, which numpy already imports, draws them:
+    ``numpy.random`` would load 19 modules on first use, OpenSSL among them.
     """
-    c = [rng.normalvariate(0.0, 1.0) for _ in range(6)]
-    centers = [rng.uniform(0.3, 0.7) for _ in range(2)]
-    widths = [rng.uniform(0.3, 0.5) for _ in range(2)]
-    amps = [rng.normalvariate(0.0, 1.0) for _ in range(2)]
-
-    def xi1(t):
-        return c[0] + c[1] * np.cos(np.pi * t) + c[2] * np.sin(np.pi * t)
-
-    def xi2(t):
-        return c[3] + c[4] * np.cos(np.pi * t) + c[5] * np.sin(np.pi * t)
-
-    def jz(z):
-        return amps[0] * np.exp(-((z - centers[0]) / widths[0]) ** 2)
-
-    def jy(z):
-        return amps[1] * np.exp(-((z - centers[1]) / widths[1]) ** 2)
-
-    return (xi1, xi2), (jz, jy)
+    draws = []
+    for _ in range(count):
+        c = [rng.normalvariate(0.0, 1.0) for _ in range(6)]
+        centers = [rng.uniform(0.3, 0.7) for _ in range(2)]
+        widths = [rng.uniform(0.3, 0.5) for _ in range(2)]
+        amps = [rng.normalvariate(0.0, 1.0) for _ in range(2)]
+        draws.append((c, centers, widths, amps))
+    return SmoothProfiles(draws)
 
 
 def _relative_deviation(kernel: tuple[np.ndarray, np.ndarray],
@@ -125,34 +180,28 @@ def _relative_deviation(kernel: tuple[np.ndarray, np.ndarray],
                      np.max(np.abs(kernel[1] - oracle[1]))) / scale)
 
 
-def oracle_kernel_deviations(cases, ratio_r: float,
+def oracle_kernel_deviations(kappa_c, profiles, ratio_r: float,
                              grid: Grid) -> tuple[list[tuple[float, float]], list[int]]:
-    """Sup-norm relative deviation (field, spin) of kernels vs lattice oracle,
-    for each (kappa_c, field_fns, spin_fns) of ``cases``, and the
-    Gauss-Legendre order at which the closed-form map resolved each case's
-    kappa_c.
+    """Sup-norm relative deviation (field, spin) of kernels vs lattice oracle
+    for profile k of ``profiles`` (a ``SmoothProfiles``, or any set with its
+    length, ``light`` and ``spin``) at kappa_c[k], and the largest
+    Gauss-Legendre order that any component of kappa_c[k] needed in the
+    closed-form map.
 
     The oracle side is the Richardson-extrapolated reference built from two
     second-order lattice runs; the kernel side is the closed-form map
-    evaluated from the same profile functions at the bin centers.  Every
-    kappa_c is checked for stability at ``grid`` before any sweep or map,
-    and the error names the first that fails.  All cases ride one stacked
-    lattice integrate per grid level, each its own stack entry, and the
-    cases of one kappa_c one ``output_maps`` call.
+    evaluated from the same profiles at the bin centers.  Every kappa_c is
+    checked for stability at ``grid`` before any sweep or map, and the error
+    names the first that fails.  The profiles ride one ``output_maps`` call
+    and one stacked lattice integrate per grid level, each its own entry.
     """
-    params = [canonical_params(kc, ratio_r) for kc, _, _ in cases]
+    params = [canonical_params(kc, ratio_r) for kc in kappa_c]
+    if len(params) != len(profiles):
+        raise ValueError(f"{len(params)} kappa_c values for {len(profiles)} profiles")
     for p in params:
         check_stability(p, grid)
-    by_kappa_c = {}
-    for i, (kc, _, _) in enumerate(cases):
-        by_kappa_c.setdefault(kc, []).append(i)
-    kernel, orders = [None] * len(cases), [None] * len(cases)
-    for group in by_kappa_c.values():
-        records, order = output_maps(params[group[0]], grid, [cases[i][1:] for i in group])
-        for i, out in zip(group, records):
-            kernel[i], orders[i] = out, order
-    oracle = integrate_extrapolated(params, grid, [c[1] for c in cases],
-                                    [c[2] for c in cases])
+    kernel, orders = output_maps(params, grid, profiles.light, profiles.spin)
+    oracle = integrate_extrapolated(params, grid, profiles.light, profiles.spin)
     deviations = [(_relative_deviation((kf.xi1, kf.xi2), (of.xi1, of.xi2)),
                    _relative_deviation((ks.jz, ks.jy), (os_.jz, os_.jy)))
                   for (kf, ks), (of, os_) in zip(kernel, oracle)]
@@ -199,12 +248,13 @@ def _run_oracle_compare(config: RunConfig, out: Path, config_text: str) -> int:
     rng = random.Random(config.compare_seed)
     labels = [(kc, p) for kc in config.compare_kappa_c
               for p in range(config.compare_profiles)]
-    cases = [(kc, *random_smooth_profiles(rng)) for kc, _ in labels]
-    deviations, orders = oracle_kernel_deviations(cases, config.groups.ratio_r, config.grid)
+    profiles = random_smooth_profiles(rng, len(labels))
+    deviations, orders = oracle_kernel_deviations([kc for kc, _ in labels], profiles,
+                                                  config.groups.ratio_r, config.grid)
     rows = [(kc, p, f_dev, s_dev) for (kc, p), (f_dev, s_dev) in zip(labels, deviations)]
     worst = max(max(dev) for dev in deviations)
-    # per row: the Gauss-Legendre order at which the map resolved its kappa_c;
-    # and how the input profiles were drawn
+    # per row: the largest Gauss-Legendre order any component of its kappa_c
+    # needed; and how the input profiles were drawn
     _emit(out, config_text, config, rows, resolution={"order": orders},
           profiles={"generator": "random.Random", "seed": config.compare_seed,
                     "per_kappa_c": config.compare_profiles})

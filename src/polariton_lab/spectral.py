@@ -190,7 +190,10 @@ def laplace_identity_residual(params: PhysicalParams, grid: Grid, s: float,
         edges = np.concatenate([edges, np.arange(1.0, t_max, 0.25)[1:], [t_max]])
     xo, wo = panel_nodes(edges, rule)
     # the kernel solution continued past t = 1, where the input's support ends
-    [field], _ = _output_map(kc, xo.ravel(), [(xi_sc, jz_sc, cb)])
+    [field], _, failed = _output_map(xo.ravel(), [kc], lambda x: [xi_sc(x)],
+                                     lambda x: [jz_sc(x)], [cb])
+    if failed:
+        raise failed[kc]
     lhs = float(np.sum(wo.ravel() * np.exp(-s_sc * xo.ravel()) * field))
 
     edges_in = np.linspace(0.0, 1.0, n + 1)

@@ -51,8 +51,8 @@ def test_criterion_01_sql_limit():
 def test_criterion_02_kernel_oracle_equivalence():
     t0 = time.perf_counter()
     rng = random.Random(20240917)
-    cases = [(kc, *random_smooth_profiles(rng)) for kc in (0.5, 1.0, 2.0) for _ in range(20)]
-    deviations, _ = oracle_kernel_deviations(cases, 10.0, G512)
+    kappa_c = [kc for kc in (0.5, 1.0, 2.0) for _ in range(20)]
+    deviations, _ = oracle_kernel_deviations(kappa_c, random_smooth_profiles(rng, 60), 10.0, G512)
     worst_dev = max(max(devs) for devs in deviations)
     # dual-path variances: closed-form kernels vs lattice covariance route
     from polariton_lab.variance import _matrix_breakdowns

@@ -444,7 +444,12 @@ ORACLE_DOC = {
     ([0.5, True], r"\$\.oracle_compare\.kappa_c_values\[1\]: expected a number"),
     ([math.nan], r"\$\.oracle_compare\.kappa_c_values\[0\]: non-finite"),
     ([], r"\$\.oracle_compare\.kappa_c_values: expected a non-empty list"),
-], ids=["string", "bool", "nan", "empty"])
+    # each kappa_c labels its rows, so a repeat would write two rows of one label
+    ([1.0, 1.0], r"\$\.oracle_compare\.kappa_c_values\[1\]: repeats kappa_c_values\[0\]"),
+    ([0.5, 2, 1, 2.0], r"\$\.oracle_compare\.kappa_c_values\[3\]: repeats kappa_c_values\[1\] "
+                       r"= 2\.0"),
+    ([0.0, -0.0], r"\$\.oracle_compare\.kappa_c_values\[1\]: repeats kappa_c_values\[0\]"),
+], ids=["string", "bool", "nan", "empty", "repeat", "int-and-float", "signed-zero"])
 def test_oracle_kappa_c_values_validated(tmp_path, capsys, values, message):
     doc = dict(ORACLE_DOC, oracle_compare={"kappa_c_values": values})
     with pytest.raises(ConfigError, match=message):

@@ -21,6 +21,7 @@ from polariton_lab.model import Grid, PhysicalParams, canonical_params
 from polariton_lab.quadrature import PanelRule, panel_nodes
 
 from panels import integrate_panels
+from profile_sets import function_set
 
 
 GRID = Grid(96, 96)
@@ -44,6 +45,19 @@ def _quad(f):
     return quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)[0]
 
 
+def _map(kappa_c, t, components):
+    """Each (own, conj, c) of one kappa_c at the outputs t by ``_output_map``,
+    and the order its last component needed; raises what the kappa_c fails
+    with."""
+    owns, conjs, cs = zip(*components)
+    values, orders, failures = _output_map(t, [kappa_c] * len(cs),
+                                           lambda x: [f(x) for f in owns],
+                                           lambda x: [f(x) for f in conjs], list(cs))
+    if failures:
+        raise failures[kappa_c]
+    return values, max(orders)
+
+
 # quad reports rounding at the requested tolerance where the integral cancels
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @given(kappa_c=st.one_of(st.floats(-1e3, -1e-3), st.floats(1e-3, 1e3)),
@@ -57,7 +71,7 @@ def test_map_matches_per_point_quadrature(kappa_c, t, c, seed):
     # tau = min(t, 1), by adaptive quadrature one output at a time: the
     # causal convolution up to t = 1 and the time continuation past it
     own, conj = _trig(seed), _trig(seed + 1)
-    [[got]], _ = _output_map(kappa_c, np.array([t]), [(own, conj, c)])
+    [[got]], _ = _map(kappa_c, np.array([t]), [(own, conj, c)])
     tau = min(t, 1.0)
     conv = tau * _quad(lambda s: float(kernel_self_scaled(kappa_c, t - tau * s)) * own(tau * s))
     cross = c * _quad(lambda x: float(kernel_cross_scaled(kappa_c, 1.0 - x, t)) * conj(x))
@@ -71,7 +85,7 @@ def test_decoupled_limit_identity():
     # its own input at the bin centers, bit for bit
     params = PhysicalParams(beta=0.0, epsilon=0.0, length_L=1.7, time_T=0.6)
     profile = ((lambda t: np.sin(2 * t), np.cos), (lambda z: z, lambda z: 1 - z))
-    [(field, spin)], order = output_maps(params, GRID, [profile])
+    [(field, spin)], [order] = output_maps([params], GRID, *function_set([profile]))
     t, z = _centers(GRID.n_time, params.time_T), _centers(GRID.n_space, params.length_L)
     np.testing.assert_array_equal(field.xi1, np.sin(2 * t))
     np.testing.assert_array_equal(field.xi2, np.cos(t))
@@ -84,8 +98,8 @@ def test_constant_spin_against_adaptive_quadrature():
     # xi_in = 0, Jz = const: Xi1(L,t) = 2*beta*xi3*const*Int_0^L J0(2 sqrt(a(L-z')t)) dz'
     params = canonical_params(1.5, 4.0)
     const = 0.8
-    [(out, _)], _ = output_maps(params, GRID, [((_zero, _zero),
-                                                (lambda z: np.full_like(z, const), _zero))])
+    [(out, _)], _ = output_maps([params], GRID, *function_set(
+        [((_zero, _zero), (lambda z: np.full_like(z, const), _zero))]))
     a = params.a_coupling
     cb = 2.0 * params.beta * params.xi3_bar
     for j in (0, 31, 95):
@@ -101,7 +115,7 @@ def test_qnd_limit_beta_zero():
     # beta = 0 makes a = 0 but eps*jx != 0: single-pass accumulation with G = 1
     params = PhysicalParams(beta=0.0, epsilon=0.35, jx_bar=1.7)
     f1 = lambda t: 0.3 + np.sin(3 * t)
-    [(_, out)], _ = output_maps(params, GRID, [((f1, _zero), (np.cos, _zero))])
+    [(_, out)], _ = output_maps([params], GRID, *function_set([((f1, _zero), (np.cos, _zero))]))
     integral, _ = quad(lambda t: 0.3 + math.sin(3 * t), 0.0, 1.0,
                        epsabs=1e-13, epsrel=1e-13)
     z = _centers(GRID.n_space)
@@ -116,7 +130,7 @@ def test_linearity_machine_precision():
     al, be = 1.25, -0.75
     combo = tuple(tuple((lambda v, fa=fa, fb=fb: al * fa(v) + be * fb(v))
                         for fa, fb in zip(pa, pb)) for pa, pb in zip(a, b))
-    out, _ = output_maps(params, GRID, [a, b, combo])
+    out, _ = output_maps([params] * 3, GRID, *function_set([a, b, combo]))
     (fa, sa), (fb, sb), (fc, sc) = out
     for name, ra, rb, got in (("xi1", fa, fb, fc), ("xi2", fa, fb, fc),
                               ("jz", sa, sb, sc), ("jy", sa, sb, sc)):
@@ -135,7 +149,7 @@ def test_time_space_kernel_symmetry():
     T, L = params.time_T, params.length_L
     light = ((lambda t: f(t / T), lambda t: g(t / T)), (_zero, _zero))
     spin = ((_zero, _zero), (lambda z: f(z / L), lambda z: g(z / L)))
-    [(field, _), (_, sp)], _ = output_maps(params, GRID, [light, spin])
+    [(field, _), (_, sp)], _ = output_maps([params] * 2, GRID, *function_set([light, spin]))
     np.testing.assert_allclose(field.xi1, sp.jz, rtol=1e-14)
     np.testing.assert_allclose(field.xi2, sp.jy, rtol=1e-14)
 
@@ -175,7 +189,7 @@ def test_self_convolution_matches_per_point_quadrature(n, kappa_c, offsets):
     # bin edges and at t
     own = _trig(n)
     t = _outputs(n, offsets)
-    [got], _ = _output_map(kappa_c, t, [(own, _zero, 0.0)])
+    [got], _ = _map(kappa_c, t, [(own, _zero, 0.0)])
     conv, scale = _per_point(lambda ti, x: kernel_self_scaled(kappa_c, ti - x) * own(x),
                              t, t, n)
     assert np.max(np.abs(got - (own(t) - conv))) <= 1e-13 * scale
@@ -188,10 +202,10 @@ def test_self_convolution_columns_equal_lone_calls(n):
     t = (np.arange(n)[:, None] + np.array([0.25, 0.5])).ravel() / n
     components = [(_trig(c), _trig(c + 3), 1.5 - c) for c in range(3)]
     components[1] = (lambda v: np.cos(60.0 * v), _trig(4), -0.5)
-    got, order = _output_map(2.0, t, components)
+    got, order = _map(2.0, t, components)
     orders = []
     for component, column in zip(components, got):
-        [alone], alone_order = _output_map(2.0, t, [component])
+        [alone], alone_order = _map(2.0, t, [component])
         np.testing.assert_array_equal(column, alone)
         orders.append(alone_order)
     assert order == max(orders) > min(orders)
@@ -206,7 +220,7 @@ def test_cross_integral_matches_per_point_quadrature(n, kappa_c, outputs):
     # the Gauss nodes and past 1 (spectral's Laplace check)
     conj = _trig(n)
     t = _outputs(n, outputs)
-    [got], _ = _output_map(kappa_c, t, [(_zero, conj, 1.0)])
+    [got], _ = _map(kappa_c, t, [(_zero, conj, 1.0)])
     ref, scale = _per_point(lambda ti, x: kernel_cross_scaled(kappa_c, 1.0 - x, ti) * conj(x),
                             t, np.ones_like(t), n)
     assert np.max(np.abs(got - ref)) <= 1e-13 * scale
@@ -220,7 +234,7 @@ def test_cross_integral_resolves_largest_test_coupling(kappa_c):
     x, wt = panel_nodes(np.arange(65) / 64, FINE)
     x, wt = x.ravel(), wt.ravel()
     ref = kernel_cross_scaled(kappa_c, 1.0 - x[None, :], t[:, None]) @ (wt * c(x))
-    [got], _ = _output_map(kappa_c, t, [(_zero, c, 1.0)])
+    [got], _ = _map(kappa_c, t, [(_zero, c, 1.0)])
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -233,14 +247,14 @@ def test_cross_integral_resolves_largest_test_coupling(kappa_c):
 def test_blue_wing_overflow_names_kappa_c(kappa_c, conj_scale, message):
     t = _centers(8)
     with pytest.raises(OverflowError, match=message):
-        _output_map(kappa_c, t, [(np.cos, lambda x: conj_scale * np.cos(x), 1.0)])
+        _map(kappa_c, t, [(np.cos, lambda x: conj_scale * np.cos(x), 1.0)])
 
 
 def test_unresolved_names_kappa_c_and_both_orders():
     # kappa_c = 1e7 oscillates faster than order 1024 resolves
     with pytest.raises(UnresolvedError, match=r"output map at kappa_c = 1e\+07 is not resolved "
                        r"by Gauss-Legendre order 1024: change \S+ from order 512 to 1024"):
-        _output_map(1e7, _centers(8), [(np.cos, np.cos, 1.0)])
+        _map(1e7, _centers(8), [(np.cos, np.cos, 1.0)])
 
 
 def test_kernel_small_lag_limit_and_integral():
@@ -261,7 +275,7 @@ def test_negative_coupling_outputs_grow_with_extent():
     prev = None
     for scale in (1.0, 1.5, 2.0):
         params = PhysicalParams(beta=-0.6, epsilon=0.6, length_L=scale, time_T=scale)
-        [(out, _)], _ = output_maps(params, GRID, [((one, one), (one, one))])
+        [(out, _)], _ = output_maps([params], GRID, *function_set([((one, one), (one, one))]))
         peak = np.max(np.abs(out.xi1))
         if prev is not None:
             assert peak > prev

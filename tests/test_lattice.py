@@ -28,6 +28,8 @@ from polariton_lab.lattice import (
 )
 from polariton_lab.model import Grid, PhysicalParams, canonical_params
 
+from profile_sets import function_set
+
 
 def _calibrate_spin_block_sign():
     """Pick the spin-block sign empirically at weak coupling (kappa_c = 0.01).
@@ -183,7 +185,7 @@ def test_self_convergence_second_order_coupled():
         sp = SpinRecord.from_functions(*s, n)
         u, w = integrate_stacked(params, grid, np.stack([xi.xi1, xi.xi2]),
                                  np.stack([sp.jz, sp.jy]))
-        [(k_field, k_spin)], _ = output_maps(params, grid, [(f, s)])
+        [(k_field, k_spin)], _ = output_maps([params], grid, *function_set([(f, s)]))
         err = max(np.max(np.abs(u[0] - k_field.xi1)),
                   np.max(np.abs(w[1] - k_spin.jy)))
         errs.append(err)
@@ -513,6 +515,85 @@ def test_stacked_integrate_equals_single_calls_and_is_linear(points, rhs, group,
     for got, a, b in zip(combo, (u, w), other):
         want = al * a + be * b
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
+def _dense_product(params, grid, u, w):
+    """integrate_stacked's outputs for one params by the transfer matrix:
+    raw bins to normalized ones, M applied, and back."""
+    nt, ns = grid.n_time, grid.n_space
+    nl, nsp = lattice._norms(params, grid)
+    x = np.concatenate([(u * nl).reshape(2 * nt, -1), (w * nsp).reshape(2 * ns, -1)])
+    y = build_transfer_matrix(params, grid).matrix @ x
+    return y[:2 * nt].reshape(u.shape) / nl, y[2 * nt:].reshape(w.shape) / nsp
+
+
+def _sweep_components(monkeypatch):
+    """The component count of every _sweep call from now on."""
+    seen, real = [], lattice._sweep
+
+    def spy(tiles, u, w, sides, record=None):
+        seen.append(np.shape(u)[np.ndim(tiles) - 2])
+        return real(tiles, u, w, sides, record)
+
+    monkeypatch.setattr(lattice, "_sweep", spy)
+    return seen
+
+
+# axes with prime bin counts (1-wide tiles) and unequal tile sides; every
+# |kappa_c| < 12 stays inside the stability limit on 7 x 7 and up
+_AXES = st.sampled_from([7, 11, 12, 16, 24, 40])
+
+
+@settings(max_examples=60)
+@given(kappa_cs=st.lists(st.one_of(st.just(0.0), st.floats(-8.0, 8.0)), min_size=1, max_size=4),
+       rotating=st.lists(st.booleans(), min_size=4, max_size=4),
+       turn=st.floats(0.05, 0.9) | st.floats(-0.9, -0.05),
+       rhs=st.sampled_from([(), (2,), (3,)]), n_time=_AXES, n_space=_AXES)
+@example(kappa_cs=[-1.0, 0.0, 2.0], rotating=[False] * 4, turn=0.3, rhs=(), n_time=32,
+         n_space=16)
+def test_channel_split_matches_dense_map_and_lone_entries(kappa_cs, rotating, turn, rhs,
+                                                          n_time, n_space):
+    # a cell with kappa2 = Omega = 0 marches as its two channels, each entry
+    # on its own; rotating entries (kappa2 or Omega = turn) march dense, in
+    # the same stack.  Both match the dense product of the transfer matrix,
+    # forward and adjoint, and every entry has the bits of its lone march
+    grid = Grid(n_time, n_space)
+    params = [canonical_params(kc, 3.0, *((turn, 0.0) if k % 2 else (0.0, turn))
+                               if rot else (0.0, 0.0))
+              for k, (kc, rot) in enumerate(zip(kappa_cs, rotating))]
+    rng = np.random.default_rng(len(params) + n_time)
+    shape = (len(params),) + rhs
+    u, w = rng.normal(size=(2, n_time) + shape), rng.normal(size=(2, n_space) + shape)
+    y = rng.normal(size=(2 * n_time + 2 * n_space,) + shape)
+    out_u, out_w = integrate_stacked(params, grid, u, w)
+    mty = transfer_adjoint_apply(params, grid, y)
+    for k, p in enumerate(params):
+        lone_u, lone_w = integrate_stacked(p, grid, u[:, :, k], w[:, :, k])
+        np.testing.assert_array_equal(out_u[:, :, k], lone_u)
+        np.testing.assert_array_equal(out_w[:, :, k], lone_w)
+        np.testing.assert_array_equal(mty[:, k], transfer_adjoint_apply(p, grid, y[:, k]))
+        dense_u, dense_w = _dense_product(p, grid, u[:, :, k], w[:, :, k])
+        scale = max(np.max(np.abs(dense_u)), np.max(np.abs(dense_w)))
+        np.testing.assert_allclose(lone_u, dense_u, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(lone_w, dense_w, rtol=0, atol=1e-13 * scale)
+        dense = build_transfer_matrix(p, grid).matrix.T @ y[:, k].reshape(len(y), -1)
+        np.testing.assert_allclose(mty[:, k].reshape(dense.shape), dense, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(dense)))
+
+
+@pytest.mark.parametrize("kappa2_L, Omega_T", [(0.0, 0.0), (0.3, 0.0), (0.0, -0.3), (1e-3, 1e-3)])
+@pytest.mark.parametrize("grid", [Grid(7, 11), Grid(32, 12)], ids=["prime", "tiled"])
+def test_only_zero_rotation_cells_split(monkeypatch, grid, kappa2_L, Omega_T):
+    # the split is the cell's: any kappa2 or Omega marches all four components
+    params = [canonical_params(kc, 3.0, kappa2_L, Omega_T) for kc in (-1.0, 0.0, 2.0)]
+    seen = _sweep_components(monkeypatch)
+    integrate_stacked(params, grid, np.ones((2, grid.n_time, 3)), np.ones((2, grid.n_space, 3)))
+    transfer_adjoint_apply(params, grid, np.ones((2 * grid.n_time + 2 * grid.n_space, 3)))
+    split = kappa2_L == Omega_T == 0.0
+    # the tile builds march the dense cells; the marches take one component
+    # a channel where the cell splits
+    assert (1 in seen) == split
+    assert set(seen) <= ({1, 2} if split else {2})
 
 
 def test_stacked_integrate_rejects_mismatched_entries():

@@ -173,10 +173,10 @@ def test_readout_scans_at_weak_coupling_build_no_rule(built, omega_T):
 def test_oracle_compare_maps_build_no_rule(built):
     # the default oracle-compare run: kappa_c in {0.5, 1, 2} at grid 512
     rng = random.Random(0)
-    profiles = [random_smooth_profiles(rng) for _ in range(2)]
-    for kc in (0.5, 1.0, 2.0):
-        _, order = output_maps(canonical_params(kc, 10.0), Grid(512, 512), profiles)
-        assert order == 32
+    profiles = random_smooth_profiles(rng, 6)
+    params = [canonical_params(kc, 10.0) for kc in (0.5, 1.0, 2.0) for _ in range(2)]
+    _, orders = output_maps(params, Grid(512, 512), profiles.light, profiles.spin)
+    assert orders == [32] * 6
     assert built == []
 
 

@@ -8,8 +8,7 @@ output observables.
 
 __version__ = "0.1.0"
 
-from .model import (PhysicalParams, DimensionlessGroups, Grid, derive_groups, canonical_params,
-                    FieldRecord, SpinRecord)
+from .model import PhysicalParams, DimensionlessGroups, Grid, derive_groups, canonical_params
 from .lattice import (
     StabilityError,
     TransferMatrix,
@@ -30,7 +29,6 @@ from .runner import run
 __all__ = [
     "__version__",
     "PhysicalParams", "DimensionlessGroups", "Grid", "derive_groups", "canonical_params",
-    "FieldRecord", "SpinRecord",
     "StabilityError", "TransferMatrix", "build_transfer_matrix",
     "symplectic_form", "symplectic_residual",
     "dispersion_p_of_s", "group_velocity",

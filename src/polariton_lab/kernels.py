@@ -19,12 +19,12 @@ smooth integrands.  The output maps are
     Jy(z,T)  = Jy_in(z) - (K*Jy_in)(z) + beta*jx * Int G(z,T-t') Xi2_in(t') dt'
 
 These forms are validated against the direct lattice integrator in the test
-suite before anything downstream relies on them.  Their sample records,
-``FieldRecord`` and ``SpinRecord``, are defined in model.py.
+suite before anything downstream relies on them.
 
-``output_maps`` evaluates these for a whole set of input profiles, one
-params per profile (the convention of ``lattice.integrate_extrapolated``),
-with one quadrature: the m-point Gauss-Legendre rule on [0, 1] in s for the
+``output_maps`` evaluates these for a whole set of P input profiles, one
+params per profile, and returns the arrays ``lattice.integrate_extrapolated``
+returns: light (P, 2, n_time) of (Xi1, Xi2) and spin (P, 2, n_space) of
+(Jz, Jy), at the bin centers.  It takes one quadrature: the m-point Gauss-Legendre rule on [0, 1] in s for the
 self part tau Int_0^1 K(t - tau s) own(tau s) ds, tau = min(t, 1), and in
 z' for the cross part.  Both integrands are smooth, so the order doubles
 from 16 until two orders agree (the ladder of the closed-form variance,
@@ -81,7 +81,7 @@ import math
 
 import numpy as np
 
-from .model import FieldRecord, Grid, PhysicalParams, SpinRecord, _centers, _shared_box
+from .model import Grid, _centers, _shared_box
 from .quadrature import PanelRule
 
 __all__ = [
@@ -329,8 +329,6 @@ def kernel_cross_scaled(kappa_c, x, t):
     return _reduced_bessel(0, kappa_c, np.clip(s, 0.0, None, out=s))[()]
 
 
-
-
 # Orders m of the closed-form Gauss-Legendre rules, here and in variance.py:
 # doubled from the first until the results at m and m/2 agree to a relative
 # _RESOLVED_RTOL; a result the largest order does not resolve raises
@@ -431,11 +429,13 @@ class _Components:
         return self._pair[1][i]
 
 
-def output_maps(params, grid: Grid, light, spin) -> tuple[list[tuple[FieldRecord, SpinRecord]],
+def output_maps(params, grid: Grid, light, spin) -> tuple[tuple[np.ndarray, np.ndarray],
                                                           list[int]]:
-    """The light record at z = L and the spin record at t = T, at the bin
-    centers, of every input profile of a set, and per profile the largest
-    Gauss-Legendre order that any component of its kappa_c needed.
+    """The light at z = L and the spin at t = T, at the bin centers, of every
+    input profile of a set, and per profile the largest Gauss-Legendre order
+    that any component of its kappa_c needed.  The light is a (P, 2, n_time)
+    array of (Xi1, Xi2) and the spin a (P, 2, n_space) array of (Jz, Jy),
+    profile first.
 
     ``params`` holds one PhysicalParams per profile, all on one box (time_T,
     length_L).  ``light(t)`` gives, at an array t of physical times, the
@@ -481,8 +481,8 @@ def output_maps(params, grid: Grid, light, spin) -> tuple[list[tuple[FieldRecord
         for failed in failures:
             if q.kappa_c in failed:
                 raise failed[q.kappa_c]
-    return [(FieldRecord(out[p, 0, 0], out[p, 0, 1]), SpinRecord(out[p, 1, 0], out[p, 1, 1]))
-            for p in range(len(params))], orders
+    return tuple(np.array([[out[p, side, 0], out[p, side, 1]] for p in range(len(params))])
+                 for side in (0, 1)), orders
 
 
 def _resolved(kappa_c: float, m: int, values: list, j: int, direct: np.ndarray,

@@ -40,7 +40,9 @@ one tile of light in and one out, and a stack of P points costs far less
 than P sweeps: the Python cost of a step is paid once for the stack.  Two
 callers march stacks: the matrix-route variance scans apply the adjoint that
 way, and the oracle-compare batch integrates every (kappa_c, profile) pair
-forward as one stack entry at each of its two grid levels.  Both hand over
+forward as one stack entry at each of its two grid levels
+(``integrate_extrapolated``, which returns the light (P, 2, n_time) and the
+spin (P, 2, n_space) at the bin centers, profile first).  Both hand over
 the whole stack: ``integrate_stacked`` and ``transfer_adjoint_apply`` check
 every point's stability before any sweep, and march the stack in sweeps of
 at most one step budget (``_group_size``) each, building each sweep's tiles
@@ -78,8 +80,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .model import (FieldRecord, Grid, PhysicalParams, SpinRecord, _centers, _Record,
-                    _shared_box)
+from .model import Grid, PhysicalParams, _centers, _Record, _shared_box
 
 __all__ = [
     "StabilityError",
@@ -379,7 +380,7 @@ def _sampled(values, count: int, n: int, name: str) -> np.ndarray:
 
 
 def integrate_extrapolated(params: Sequence[PhysicalParams], grid: Grid, light: Callable,
-                           spin: Callable) -> list[tuple[FieldRecord, SpinRecord]]:
+                           spin: Callable) -> tuple[np.ndarray, np.ndarray]:
     """High-accuracy oracle reference: Richardson pair of lattice integrates.
 
     Combines the second-order solution at the given grid with a 3x refined
@@ -391,9 +392,11 @@ def integrate_extrapolated(params: Sequence[PhysicalParams], grid: Grid, light: 
     ``output_maps`` takes them: ``light(t)`` gives profile p's (Xi1, Xi2) at
     the physical times t as item p, ``spin(z)`` its (Jz, Jy) at the
     positions z.  Both grid levels are sampled from the set at their bin
-    centers.  Returns a list of P (FieldRecord, SpinRecord).  Each grid level
-    is one ``integrate_stacked`` call with every entry its own stack entry,
-    so entry p is bit-identical to a one-entry call on it.
+    centers.  Returns the light at z = L, a (P, 2, n_time) array of (Xi1,
+    Xi2), and the spin at t = T, a (P, 2, n_space) array of (Jz, Jy), at
+    the bin centers, profile first as ``output_maps`` returns them.  Each
+    grid level is one ``integrate_stacked`` call with every entry its own
+    stack entry, so entry p is bit-identical to a one-entry call on it.
     """
     time_T, length_L = _shared_box(params)
     levels = []
@@ -405,8 +408,7 @@ def integrate_extrapolated(params: Sequence[PhysicalParams], grid: Grid, light: 
     # the centre sub-bin of every coarse bin
     u = (9.0 * uf[:, 1::3] - uc) / 8.0
     w = (9.0 * wf[:, 1::3] - wc) / 8.0
-    return [(FieldRecord(u[0, :, k], u[1, :, k]), SpinRecord(w[0, :, k], w[1, :, k]))
-            for k in range(len(params))]
+    return np.moveaxis(u, 2, 0), np.moveaxis(w, 2, 0)
 
 
 def _norms(params: PhysicalParams, grid: Grid) -> tuple[float, float]:

@@ -1,4 +1,4 @@
-"""Physical parameters, dimensionless groups, grids, and sample records.
+"""Physical parameters, dimensionless groups, and grids.
 
 The engine works internally in scaled coordinates zeta = z/L, tau = t/T on
 the unit square, so every SQL-normalized output depends only on the
@@ -10,8 +10,11 @@ is positive on the red wing (beta*eps > 0, positive group velocity) and
 negative on the blue wing (beta*eps < 0, exponentially enhanced
 fluctuations).  ``kappa_c = a*L*T`` carries the same sign.
 
-The sample records (:class:`FieldRecord`, :class:`SpinRecord`) live here, so
-the lattice engine and the closed-form check need not import each other.
+The bin centers (``_centers``) and the shared box of a profile set
+(``_shared_box``) live here, so the lattice engine and the closed-form check
+sample their inputs alike without importing each other.  Both return a set's
+outputs as arrays in profile-first order: light (P, 2, n_time) of (Xi1, Xi2)
+at z = L, spin (P, 2, n_space) of (Jz, Jy) at t = T, at the bin centers.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ __all__ = [
     "Grid",
     "derive_groups",
     "canonical_params",
-    "FieldRecord",
-    "SpinRecord",
 ]
 
 
@@ -234,52 +235,3 @@ def _shared_box(params) -> tuple[float, float]:
         raise ValueError(f"params span {len(box)} boxes (time_T, length_L); "
                          f"one set of profiles needs one")
     return box.pop()
-
-
-def _validate_samples(name: str, arr, n: int) -> np.ndarray:
-    arr = np.asarray(arr, dtype=float)
-    if arr.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite samples")
-    return arr
-
-
-class FieldRecord(_Record):
-    """Stokes component samples Xi1(t), Xi2(t) at bin centers, fixed z."""
-
-    __slots__ = ("xi1", "xi2")
-
-    def __init__(self, xi1: np.ndarray, xi2: np.ndarray):
-        n = len(xi1)
-        object.__setattr__(self, "xi1", _validate_samples("xi1", xi1, n))
-        object.__setattr__(self, "xi2", _validate_samples("xi2", xi2, n))
-
-    @property
-    def n(self) -> int:
-        return self.xi1.size
-
-    @classmethod
-    def from_functions(cls, f_xi1, f_xi2, n_time: int, time_T: float = 1.0) -> "FieldRecord":
-        t = _centers(n_time) * time_T
-        return cls(np.asarray(f_xi1(t), float), np.asarray(f_xi2(t), float))
-
-
-class SpinRecord(_Record):
-    """Transverse spin samples Jz(z), Jy(z) at bin centers, fixed t."""
-
-    __slots__ = ("jz", "jy")
-
-    def __init__(self, jz: np.ndarray, jy: np.ndarray):
-        n = len(jz)
-        object.__setattr__(self, "jz", _validate_samples("jz", jz, n))
-        object.__setattr__(self, "jy", _validate_samples("jy", jy, n))
-
-    @property
-    def n(self) -> int:
-        return self.jz.size
-
-    @classmethod
-    def from_functions(cls, f_jz, f_jy, n_space: int, length_L: float = 1.0) -> "SpinRecord":
-        z = _centers(n_space) * length_L
-        return cls(np.asarray(f_jz(z), float), np.asarray(f_jy(z), float))

@@ -98,9 +98,6 @@ class _Samples:
     def __init__(self, fn, draws, shape: tuple[int, ...]):
         self._fn, self._draws, self._shape = fn, draws, shape
 
-    def __len__(self) -> int:
-        return len(self._draws)
-
     def __getitem__(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         return self._fn(self._draws[k])
 
@@ -172,14 +169,6 @@ def random_smooth_profiles(rng: random.Random, count: int) -> SmoothProfiles:
     return SmoothProfiles(draws)
 
 
-def _relative_deviation(kernel: tuple[np.ndarray, np.ndarray],
-                        oracle: tuple[np.ndarray, np.ndarray]) -> float:
-    """Sup-norm deviation of two components over the kernel side's sup norm."""
-    scale = max(np.max(np.abs(kernel[0])), np.max(np.abs(kernel[1])))
-    return float(max(np.max(np.abs(kernel[0] - oracle[0])),
-                     np.max(np.abs(kernel[1] - oracle[1]))) / scale)
-
-
 def oracle_kernel_deviations(kappa_c, profiles, ratio_r: float,
                              grid: Grid) -> tuple[list[tuple[float, float]], list[int]]:
     """Sup-norm relative deviation (field, spin) of kernels vs lattice oracle
@@ -202,10 +191,9 @@ def oracle_kernel_deviations(kappa_c, profiles, ratio_r: float,
         check_stability(p, grid)
     kernel, orders = output_maps(params, grid, profiles.light, profiles.spin)
     oracle = integrate_extrapolated(params, grid, profiles.light, profiles.spin)
-    deviations = [(_relative_deviation((kf.xi1, kf.xi2), (of.xi1, of.xi2)),
-                   _relative_deviation((ks.jz, ks.jy), (os_.jz, os_.jy)))
-                  for (kf, ks), (of, os_) in zip(kernel, oracle)]
-    return deviations, orders
+    field, spin = (np.max(np.abs(k - o), axis=(1, 2)) / np.max(np.abs(k), axis=(1, 2))
+                   for k, o in zip(kernel, oracle))
+    return list(zip(field.tolist(), spin.tolist())), orders
 
 
 def _run_scan(config: RunConfig, out: Path, config_text: str) -> int:

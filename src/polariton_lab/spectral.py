@@ -15,7 +15,7 @@ import numpy as np
 
 from .kernels import _output_map
 from .lattice import integrate_stacked
-from .model import FieldRecord, Grid, PhysicalParams, SpinRecord
+from .model import Grid, PhysicalParams, _centers
 from .quadrature import PanelRule, panel_nodes
 
 __all__ = [
@@ -210,7 +210,7 @@ def laplace_identity_residual(params: PhysicalParams, grid: Grid, s: float,
 
 def plane_wave_max_error(params: PhysicalParams, grid: Grid,
                          omega: float) -> float:
-    """Max output-record error of the exact traveling wave under the lattice.
+    """Max output error of the exact traveling wave under the lattice.
 
     The wave pair Xi1 = cos(qz - omega*t), Jz = (eps*jx/omega) sin(qz - omega*t)
     with q = A/omega solves the kappa2 = Omega = 0 system exactly; the lattice
@@ -223,15 +223,10 @@ def plane_wave_max_error(params: PhysicalParams, grid: Grid,
     A = -params.a_coupling
     q = A / omega
     amp = params.epsilon * params.jx_bar / omega
-    xi = FieldRecord.from_functions(
-        lambda t: np.cos(omega * t), lambda t: np.zeros_like(t),
-        grid.n_time, params.time_T)
-    sp = SpinRecord.from_functions(
-        lambda z: amp * np.sin(q * z), lambda z: np.zeros_like(z),
-        grid.n_space, params.length_L)
-    u, w = integrate_stacked(params, grid, np.stack([xi.xi1, xi.xi2]), np.stack([sp.jz, sp.jy]))
-    t = (np.arange(grid.n_time) + 0.5) * grid.dt(params.time_T)
-    z = (np.arange(grid.n_space) + 0.5) * grid.dz(params.length_L)
+    t = _centers(grid.n_time) * params.time_T
+    z = _centers(grid.n_space) * params.length_L
+    u, w = integrate_stacked(params, grid, np.stack([np.cos(omega * t), np.zeros_like(t)]),
+                             np.stack([amp * np.sin(q * z), np.zeros_like(z)]))
     exact_field = np.cos(q * params.length_L - omega * t)
     exact_spin = amp * np.sin(q * z - omega * params.time_T)
     return max(

@@ -38,8 +38,3 @@ def test_engine_and_check_import_neither_each_other(name, allowed):
     module = importlib.import_module(f"polariton_lab.{name}")
     assert _relative_imports(module) == allowed
 
-
-def test_records_resolve_from_their_old_homes():
-    from polariton_lab import kernels, model
-    assert polariton_lab.FieldRecord is kernels.FieldRecord is model.FieldRecord
-    assert polariton_lab.SpinRecord is kernels.SpinRecord is model.SpinRecord

@@ -9,8 +9,6 @@ from scipy.integrate import quad
 from scipy.special import j0
 
 from polariton_lab.kernels import (
-    FieldRecord,
-    SpinRecord,
     UnresolvedError,
     _output_map,
     kernel_cross_scaled,
@@ -85,12 +83,11 @@ def test_decoupled_limit_identity():
     # its own input at the bin centers, bit for bit
     params = PhysicalParams(beta=0.0, epsilon=0.0, length_L=1.7, time_T=0.6)
     profile = ((lambda t: np.sin(2 * t), np.cos), (lambda z: z, lambda z: 1 - z))
-    [(field, spin)], [order] = output_maps([params], GRID, *function_set([profile]))
+    (light, spin), [order] = output_maps([params], GRID, *function_set([profile]))
     t, z = _centers(GRID.n_time, params.time_T), _centers(GRID.n_space, params.length_L)
-    np.testing.assert_array_equal(field.xi1, np.sin(2 * t))
-    np.testing.assert_array_equal(field.xi2, np.cos(t))
-    np.testing.assert_array_equal(spin.jz, z)
-    np.testing.assert_array_equal(spin.jy, 1 - z)
+    assert light.shape == (1, 2, GRID.n_time) and spin.shape == (1, 2, GRID.n_space)
+    np.testing.assert_array_equal(light[0], [np.sin(2 * t), np.cos(t)])
+    np.testing.assert_array_equal(spin[0], [z, 1 - z])
     assert order == 32
 
 
@@ -98,7 +95,7 @@ def test_constant_spin_against_adaptive_quadrature():
     # xi_in = 0, Jz = const: Xi1(L,t) = 2*beta*xi3*const*Int_0^L J0(2 sqrt(a(L-z')t)) dz'
     params = canonical_params(1.5, 4.0)
     const = 0.8
-    [(out, _)], _ = output_maps([params], GRID, *function_set(
+    (light, _), _ = output_maps([params], GRID, *function_set(
         [((_zero, _zero), (lambda z: np.full_like(z, const), _zero))]))
     a = params.a_coupling
     cb = 2.0 * params.beta * params.xi3_bar
@@ -107,7 +104,7 @@ def test_constant_spin_against_adaptive_quadrature():
         expected, err = quad(lambda zp: j0(2.0 * math.sqrt(a * (1.0 - zp) * t)),
                              0.0, 1.0, epsabs=1e-12, epsrel=1e-12)
         expected *= cb * const
-        assert abs(out.xi1[j] - expected) <= 1e-12 + 1e-12 * abs(expected)
+        assert abs(light[0, 0, j] - expected) <= 1e-12 + 1e-12 * abs(expected)
         assert err < 1e-10
 
 
@@ -115,13 +112,13 @@ def test_qnd_limit_beta_zero():
     # beta = 0 makes a = 0 but eps*jx != 0: single-pass accumulation with G = 1
     params = PhysicalParams(beta=0.0, epsilon=0.35, jx_bar=1.7)
     f1 = lambda t: 0.3 + np.sin(3 * t)
-    [(_, out)], _ = output_maps([params], GRID, *function_set([((f1, _zero), (np.cos, _zero))]))
+    (_, spin), _ = output_maps([params], GRID, *function_set([((f1, _zero), (np.cos, _zero))]))
     integral, _ = quad(lambda t: 0.3 + math.sin(3 * t), 0.0, 1.0,
                        epsabs=1e-13, epsrel=1e-13)
     z = _centers(GRID.n_space)
-    np.testing.assert_allclose(out.jz, np.cos(z) - params.epsilon * params.jx_bar * integral,
+    np.testing.assert_allclose(spin[0, 0], np.cos(z) - params.epsilon * params.jx_bar * integral,
                                rtol=0, atol=1e-14)
-    np.testing.assert_array_equal(out.jy, np.zeros(GRID.n_space))
+    np.testing.assert_array_equal(spin[0, 1], np.zeros(GRID.n_space))
 
 
 def test_linearity_machine_precision():
@@ -130,13 +127,9 @@ def test_linearity_machine_precision():
     al, be = 1.25, -0.75
     combo = tuple(tuple((lambda v, fa=fa, fb=fb: al * fa(v) + be * fb(v))
                         for fa, fb in zip(pa, pb)) for pa, pb in zip(a, b))
-    out, _ = output_maps([params] * 3, GRID, *function_set([a, b, combo]))
-    (fa, sa), (fb, sb), (fc, sc) = out
-    for name, ra, rb, got in (("xi1", fa, fb, fc), ("xi2", fa, fb, fc),
-                              ("jz", sa, sb, sc), ("jy", sa, sb, sc)):
-        np.testing.assert_allclose(getattr(got, name),
-                                   al * getattr(ra, name) + be * getattr(rb, name),
-                                   rtol=0, atol=1e-12)
+    sides, _ = output_maps([params] * 3, GRID, *function_set([a, b, combo]))
+    for out in sides:
+        np.testing.assert_allclose(out[2], al * out[0] + be * out[1], rtol=0, atol=1e-12)
 
 
 def test_time_space_kernel_symmetry():
@@ -149,9 +142,8 @@ def test_time_space_kernel_symmetry():
     T, L = params.time_T, params.length_L
     light = ((lambda t: f(t / T), lambda t: g(t / T)), (_zero, _zero))
     spin = ((_zero, _zero), (lambda z: f(z / L), lambda z: g(z / L)))
-    [(field, _), (_, sp)], _ = output_maps([params] * 2, GRID, *function_set([light, spin]))
-    np.testing.assert_allclose(field.xi1, sp.jz, rtol=1e-14)
-    np.testing.assert_allclose(field.xi2, sp.jy, rtol=1e-14)
+    (light_out, spin_out), _ = output_maps([params] * 2, GRID, *function_set([light, spin]))
+    np.testing.assert_allclose(light_out[0], spin_out[1], rtol=1e-14)
 
 
 # a 32-point rule on each panel: the per-point references below stay at
@@ -275,8 +267,8 @@ def test_negative_coupling_outputs_grow_with_extent():
     prev = None
     for scale in (1.0, 1.5, 2.0):
         params = PhysicalParams(beta=-0.6, epsilon=0.6, length_L=scale, time_T=scale)
-        [(out, _)], _ = output_maps([params], GRID, *function_set([((one, one), (one, one))]))
-        peak = np.max(np.abs(out.xi1))
+        (light, _), _ = output_maps([params], GRID, *function_set([((one, one), (one, one))]))
+        peak = np.max(np.abs(light[0, 0]))
         if prev is not None:
             assert peak > prev
         prev = peak
@@ -286,9 +278,3 @@ def test_zero_branch_uses_exact_limits():
     vals = kernel_self_scaled(0.0, np.linspace(0, 1, 5))
     np.testing.assert_array_equal(vals, np.zeros(5))
 
-
-def test_record_validation():
-    with pytest.raises(ValueError):
-        FieldRecord(np.array([1.0, np.nan]), np.array([0.0, 0.0]))
-    with pytest.raises(ValueError):
-        SpinRecord(np.ones(4), np.ones(5))

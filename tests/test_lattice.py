@@ -10,8 +10,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from polariton_lab import lattice
 from polariton_lab.kernels import (
-    FieldRecord,
-    SpinRecord,
     kernel_cross_scaled,
     kernel_self_scaled,
     output_maps,
@@ -26,7 +24,7 @@ from polariton_lab.lattice import (
     symplectic_residual,
     transfer_adjoint_apply,
 )
-from polariton_lab.model import Grid, PhysicalParams, canonical_params
+from polariton_lab.model import Grid, PhysicalParams, _centers, canonical_params
 
 from profile_sets import function_set
 
@@ -49,27 +47,26 @@ def test_pure_stokes_rotation():
     grid = Grid(64, 64)
     f1 = lambda t: np.cos(2 * t)
     f2 = lambda t: 0.3 + np.sin(t)
-    xi = FieldRecord.from_functions(f1, f2, grid.n_time)
-    u, _ = integrate_stacked(params, grid, np.stack([xi.xi1, xi.xi2]),
-                             np.zeros((2, grid.n_space)))
+    t = _centers(grid.n_time)
+    xi1, xi2 = f1(t), f2(t)
+    u, _ = integrate_stacked(params, grid, np.stack([xi1, xi2]), np.zeros((2, grid.n_space)))
     ang = params.kappa2 * params.length_L
-    np.testing.assert_allclose(u[0], math.cos(ang) * xi.xi1 - math.sin(ang) * xi.xi2,
+    np.testing.assert_allclose(u[0], math.cos(ang) * xi1 - math.sin(ang) * xi2,
                                rtol=0, atol=5e-5)
-    np.testing.assert_allclose(u[1], math.sin(ang) * xi.xi1 + math.cos(ang) * xi.xi2,
+    np.testing.assert_allclose(u[1], math.sin(ang) * xi1 + math.cos(ang) * xi2,
                                rtol=0, atol=5e-5)
 
 
 def test_pure_precession():
     params = PhysicalParams(beta=0.0, epsilon=0.0, omega0=0.45, omega2=0.15)
     grid = Grid(64, 64)
-    sp = SpinRecord.from_functions(lambda z: np.sin(z), lambda z: np.cos(2 * z),
-                                   grid.n_space)
-    _, w = integrate_stacked(params, grid, np.zeros((2, grid.n_time)),
-                             np.stack([sp.jz, sp.jy]))
+    z = _centers(grid.n_space)
+    jz, jy = np.sin(z), np.cos(2 * z)
+    _, w = integrate_stacked(params, grid, np.zeros((2, grid.n_time)), np.stack([jz, jy]))
     ang = params.omega * params.time_T
-    np.testing.assert_allclose(w[0], math.cos(ang) * sp.jz + math.sin(ang) * sp.jy,
+    np.testing.assert_allclose(w[0], math.cos(ang) * jz + math.sin(ang) * jy,
                                rtol=0, atol=5e-5)
-    np.testing.assert_allclose(w[1], -math.sin(ang) * sp.jz + math.cos(ang) * sp.jy,
+    np.testing.assert_allclose(w[1], -math.sin(ang) * jz + math.cos(ang) * jy,
                                rtol=0, atol=5e-5)
 
 
@@ -181,13 +178,12 @@ def test_self_convergence_second_order_coupled():
     errs = []
     for n in (48, 96):
         grid = Grid(n, n)
-        xi = FieldRecord.from_functions(*f, n)
-        sp = SpinRecord.from_functions(*s, n)
-        u, w = integrate_stacked(params, grid, np.stack([xi.xi1, xi.xi2]),
-                                 np.stack([sp.jz, sp.jy]))
-        [(k_field, k_spin)], _ = output_maps([params], grid, *function_set([(f, s)]))
-        err = max(np.max(np.abs(u[0] - k_field.xi1)),
-                  np.max(np.abs(w[1] - k_spin.jy)))
+        x = _centers(n)
+        u, w = integrate_stacked(params, grid, np.stack([fn(x) for fn in f]),
+                                 np.stack([fn(x) for fn in s]))
+        (k_light, k_spin), _ = output_maps([params], grid, *function_set([(f, s)]))
+        err = max(np.max(np.abs(u[0] - k_light[0, 0])),
+                  np.max(np.abs(w[1] - k_spin[0, 1])))
         errs.append(err)
     ratio = errs[0] / errs[1]
     assert 3.2 <= ratio <= 4.8

@@ -78,14 +78,36 @@ def test_profile_draw_is_frozen():
 def test_batch_lattice_outputs_equal_per_profile_path():
     kappa_c, profiles = _cases()
     params = [canonical_params(kc, RATIO_R) for kc in kappa_c]
-    batch = integrate_extrapolated(params, GRID, profiles.light, profiles.spin)
-    assert len(batch) == len(kappa_c)
-    for k, (p, (field, spin)) in enumerate(zip(params, batch)):
+    light, spin = integrate_extrapolated(params, GRID, profiles.light, profiles.spin)
+    assert light.shape == (len(kappa_c), 2, GRID.n_time)
+    assert spin.shape == (len(kappa_c), 2, GRID.n_space)
+    for k, p in enumerate(params):
         one = _one(profiles, k)
-        [(one_field, one_spin)] = integrate_extrapolated([p], GRID, one.light, one.spin)
-        for got, want in ((field.xi1, one_field.xi1), (field.xi2, one_field.xi2),
-                          (spin.jz, one_spin.jz), (spin.jy, one_spin.jy)):
-            np.testing.assert_array_equal(got, want)
+        one_light, one_spin = integrate_extrapolated([p], GRID, one.light, one.spin)
+        np.testing.assert_array_equal(light[k:k + 1], one_light)
+        np.testing.assert_array_equal(spin[k:k + 1], one_spin)
+
+
+@pytest.mark.parametrize("side, short, bad, message", [
+    ("light", 0, math.nan, "light values contain non-finite samples"),
+    ("light", 1, 0.0, r"light values of shape \(1, 2, 63\): expected \(1, 2, 64\)"),
+    ("spin", 0, math.inf, "spin values contain non-finite samples"),
+    ("spin", 1, 0.0, r"spin values of shape \(1, 2, 31\): expected \(1, 2, 32\)"),
+], ids=["light-nan", "light-shape", "spin-inf", "spin-shape"])
+def test_oracle_samples_are_validated(side, short, bad, message):
+    # the lattice oracle checks the shape and finiteness of a grid level's
+    # samples before any sweep
+    def sampled(x):
+        out = np.ones((1, 2, x.size - short))
+        out[0, 1, 0] = bad
+        return out
+
+    def ones(x):
+        return np.ones((1, 2, x.size))
+
+    light, spin = (sampled, ones) if side == "light" else (ones, sampled)
+    with pytest.raises(ValueError, match=message):
+        integrate_extrapolated([canonical_params(1.0, RATIO_R)], GRID, light, spin)
 
 
 def test_batch_deviations_match_one_profile_calls():
@@ -130,15 +152,14 @@ def test_stacked_profiles_equal_lone_calls(grid, kappa_c):
     # (the fast light input of the middle one, wherever it couples)
     fns = _fast_middle(random_smooth_profiles(random.Random(5), 3))
     params = canonical_params(kappa_c, RATIO_R)
-    stacked, orders = output_maps([params] * 3, grid, *function_set(fns))
+    (light, spin), orders = output_maps([params] * 3, grid, *function_set(fns))
     lone_orders = []
-    for (field, spin), profile in zip(stacked, fns):
-        [(one_field, one_spin)], [one_order] = output_maps([params], grid,
-                                                           *function_set([profile]))
+    for p, profile in enumerate(fns):
+        (one_light, one_spin), [one_order] = output_maps([params], grid,
+                                                         *function_set([profile]))
         lone_orders.append(one_order)
-        for got, want in ((field.xi1, one_field.xi1), (field.xi2, one_field.xi2),
-                          (spin.jz, one_spin.jz), (spin.jy, one_spin.jy)):
-            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(light[p:p + 1], one_light)
+        np.testing.assert_array_equal(spin[p:p + 1], one_spin)
     assert orders == [max(lone_orders)] * 3
 
 
@@ -151,14 +172,13 @@ def test_one_pass_equals_one_entry_calls(grid):
     kappa_c = [-1.0, 0.0, 0.5, 2.0, 200.0, 0.5, -1.0]
     fns = _fast_middle(random_smooth_profiles(random.Random(8), len(kappa_c)))
     params = [canonical_params(kc, RATIO_R) for kc in kappa_c]
-    got, orders = output_maps(params, grid, *function_set(fns))
+    (light, spin), orders = output_maps(params, grid, *function_set(fns))
     lone = []
-    for p, profile, (field, spin) in zip(params, fns, got):
-        [(one_field, one_spin)], [one_order] = output_maps([p], grid, *function_set([profile]))
+    for k, (p, profile) in enumerate(zip(params, fns)):
+        (one_light, one_spin), [one_order] = output_maps([p], grid, *function_set([profile]))
         lone.append(one_order)
-        for a, b in ((field.xi1, one_field.xi1), (field.xi2, one_field.xi2),
-                     (spin.jz, one_spin.jz), (spin.jy, one_spin.jy)):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(light[k:k + 1], one_light)
+        np.testing.assert_array_equal(spin[k:k + 1], one_spin)
     for kc, order in zip(kappa_c, orders):
         assert order == max(o for k, o in zip(kappa_c, lone) if k == kc)
     # the fast profile raises the order of its own kappa_c, and of no other

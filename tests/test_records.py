@@ -12,10 +12,9 @@ import pytest
 
 from polariton_lab.config import RunConfig
 from polariton_lab.lattice import TransferMatrix
-from polariton_lab.model import DimensionlessGroups, FieldRecord, Grid, PhysicalParams, SpinRecord
+from polariton_lab.model import DimensionlessGroups, Grid, PhysicalParams
 from polariton_lab.variance import ChannelVariance, Resolution, ScanResult, VarianceBreakdown
 
-_A, _B = np.linspace(0.0, 1.0, 4), np.linspace(1.0, 2.0, 4)
 _ROW = VarianceBreakdown(1.0, 0.1, 1.3, 0.9, 0.25, Resolution(32, 1e-13, 2e-12, 1e-15))
 
 # class -> field values; two records built from the same values must be equal
@@ -25,8 +24,6 @@ RECORDS = {
                               kappa2_L=0.3, Omega_T=0.3),
     Grid: dict(n_time=8, n_space=16),
     RunConfig: dict(mode="symplectic-check", grid=Grid(8, 8)),
-    FieldRecord: dict(xi1=_A, xi2=_B),
-    SpinRecord: dict(jz=_A, jy=_B),
     TransferMatrix: dict(matrix=np.eye(12), n_time=2, n_space=4),
     VarianceBreakdown: dict(f_self=1.0, gamma=0.1, v1=1.3, v2=0.9, sql=0.25),
     ChannelVariance: dict(channel="xi1", normalized=1.2, light_part=0.7,
@@ -82,15 +79,11 @@ def test_records_of_different_types_or_values_differ():
      "xi3_bar must be positive, got -1.0"),
     (lambda: Grid(1, 64), "grid must have at least 2 bins per axis, got n_time=1, n_space=64"),
     (lambda: Grid(8, 0), "grid must have at least 2 bins per axis, got n_time=8, n_space=0"),
-    (lambda: FieldRecord(np.ones(3), np.ones(2)), "xi2 must have shape (3,), got (2,)"),
-    (lambda: FieldRecord([1.0, math.nan], [1.0, 1.0]), "xi1 contains non-finite samples"),
-    (lambda: SpinRecord(np.ones(2), np.ones((2, 1))), "jy must have shape (2,), got (2, 1)"),
-    (lambda: SpinRecord([1.0, 1.0], [math.inf, 1.0]), "jy contains non-finite samples"),
     (lambda: TransferMatrix(np.eye(5), 1, 1),
      "matrix of shape (5, 5) does not match the layout of n_time = 1, n_space = 1: "
      "expected (4, 4)"),
 ], ids=["params-nan", "params-inf", "params-length", "params-xi3", "grid-time",
-        "grid-space", "field-shape", "field-nan", "spin-shape", "spin-inf", "matrix"])
+        "grid-space", "matrix"])
 def test_validation_messages_are_unchanged(build, message):
     with pytest.raises(ValueError) as err:
         build()

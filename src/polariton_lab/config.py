@@ -206,6 +206,16 @@ def parse_config(text: str) -> RunConfig:
             raise _err("$.detection.q_L", "memory with physical parameters "
                                           "needs the detection wavenumber")
         groups = derive_groups(params, omega_T=det_w, q_L=det_q)
+    if mode in ("oracle-compare", "packet-velocity"):
+        # both run the kappa2 = Omega = 0 regime alone: the closed form covers
+        # no other, and the packet transport is measured in it
+        for name, keys in (("kappa2_L", ("kappa2",)), ("Omega_T", ("omega0", "omega2"))):
+            value = getattr(groups, name)
+            if value:
+                path = (f"$.physical.{next(k for k in keys if getattr(params, k))}"
+                        if has_physical else f"$.groups.{name}")
+                raise _err(path, f"mode {mode!r} needs kappa2_L = Omega_T = 0, "
+                                 f"got {name} = {value!r}")
 
     # settings a block may override; RunConfig holds each default
     opts: dict[str, Any] = {}

@@ -24,9 +24,10 @@ suite before anything downstream relies on them.
 ``output_maps`` evaluates these for a whole set of P input profiles, one
 params per profile, and returns the arrays ``lattice.integrate_extrapolated``
 returns: light (P, 2, n_time) of (Xi1, Xi2) and spin (P, 2, n_space) of
-(Jz, Jy), at the bin centers.  It takes one quadrature: the m-point Gauss-Legendre rule on [0, 1] in s for the
-self part tau Int_0^1 K(t - tau s) own(tau s) ds, tau = min(t, 1), and in
-z' for the cross part.  Both integrands are smooth, so the order doubles
+(Jz, Jy), at the bin centers.  It takes one quadrature: the m-point
+Gauss-Legendre rule on [0, 1] in s for the self part
+tau Int_0^1 K(t - tau s) own(tau s) ds, tau = min(t, 1), and in z' for the
+cross part.  Both integrands are smooth, so the order doubles
 from 16 until two orders agree (the ladder of the closed-form variance,
 whose constants sit beside ``UnresolvedError``); where order 1024 does not
 resolve a component it raises UnresolvedError, a ValueError naming kappa_c

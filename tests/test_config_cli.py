@@ -594,6 +594,65 @@ def test_block_outside_its_modes_rejected(tmp_path, capsys, doc, block, modes):
     assert f"config error: {message}" in capsys.readouterr().err
 
 
+# what each mode needs beside its parameter block
+_MODE_REST = {
+    "oracle-compare": {"grid": {"n_time": 32, "n_space": 32}},
+    "packet-velocity": {"grid": {"n_time": 256, "n_space": 256}, "packet": {"q0_L": 8}},
+    "readout": {"grid": {"n_time": 64, "n_space": 64}, "detection": {"omega_T": 0.5},
+                "scan": {"from": 0, "to": 1, "points": 2}},
+    "memory": {"grid": {"n_time": 64, "n_space": 64}, "detection": {"q_L": 0.5},
+               "scan": {"from": 0, "to": 1, "points": 2}},
+    "symplectic-check": {"grid": {"n_time": 8, "n_space": 8}},
+}
+
+
+@pytest.mark.parametrize("mode", ["oracle-compare", "packet-velocity"])
+@pytest.mark.parametrize("block, path, message", [
+    ({"groups": {"kappa_c": 1, "r": 10, "kappa2_L": 0.7}}, "$.groups.kappa2_L", "kappa2_L = 0.7"),
+    ({"groups": {"kappa_c": 1, "r": 10, "Omega_T": 0.5}}, "$.groups.Omega_T", "Omega_T = 0.5"),
+    ({"physical": {"beta": 0.5, "epsilon": 0.5, "kappa2": 0.35, "length_L": 2}},
+     "$.physical.kappa2", "kappa2_L = 0.7"),
+    ({"physical": {"beta": 0.5, "epsilon": 0.5, "omega0": 0.25, "time_T": 2}},
+     "$.physical.omega0", "Omega_T = 0.5"),
+    ({"physical": {"beta": 0.5, "epsilon": 0.5, "omega2": 0.5}},
+     "$.physical.omega2", "Omega_T = 0.5"),
+], ids=["groups-kappa2_L", "groups-Omega_T", "physical-kappa2", "physical-omega0",
+        "physical-omega2"])
+def test_rotation_rejected_where_the_mode_ignores_it(tmp_path, capsys, mode, block, path,
+                                                     message):
+    # the closed form and the packet measurement cover kappa2 = Omega = 0
+    # alone; before, both modes dropped the rotation and ran without it
+    doc = {"mode": mode, **block, **_MODE_REST[mode]}
+    expected = f"{path}: mode {mode!r} needs kappa2_L = Omega_T = 0, got {message}"
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert str(err.value) == expected
+    code, out = _run_cli(tmp_path, doc, mode)
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == f"config error: {expected}\n"
+
+
+@pytest.mark.parametrize("mode", ["oracle-compare", "packet-velocity", "readout", "memory",
+                                  "symplectic-check"])
+def test_rotation_that_cancels_is_accepted(mode):
+    # omega0 + omega2 = 0: the precession the run would use is zero
+    doc = {"mode": mode, "physical": {"beta": 0.5, "epsilon": 0.5, "omega0": 0.3,
+                                      "omega2": -0.3}, **_MODE_REST[mode]}
+    assert parse_config(json.dumps(doc)).groups.Omega_T == 0.0
+
+
+@pytest.mark.parametrize("mode", ["readout", "memory", "symplectic-check"])
+def test_rotation_accepted_where_the_mode_reads_it(mode):
+    groups = {"kappa_c": 1, "r": 10, "kappa2_L": 0.7, "Omega_T": 0.5}
+    rest = {k: v for k, v in _MODE_REST[mode].items() if k != "detection"}
+    cfg = parse_config(json.dumps({"mode": mode, "groups": groups, **rest}))
+    assert (cfg.groups.kappa2_L, cfg.groups.Omega_T) == (0.7, 0.5)
+    physical = {"beta": 0.5, "epsilon": 0.5, "kappa2": 0.35, "omega2": 0.25,
+                "length_L": 2, "time_T": 2}
+    cfg = parse_config(json.dumps({"mode": mode, "physical": physical, **_MODE_REST[mode]}))
+    assert (cfg.groups.kappa2_L, cfg.groups.Omega_T) == (0.7, 0.5)
+
+
 @pytest.mark.parametrize("mode, couplings, n, start, message", [
     # kappa_c = -1e5 keeps the I0/I1 argument below I_OVERFLOW_X, but the
     # squared variance filters leave the double range; the variance layer raises

@@ -31,8 +31,7 @@ __all__ = [
     "PhysicalParams", "DimensionlessGroups", "Grid", "derive_groups", "canonical_params",
     "StabilityError", "TransferMatrix", "build_transfer_matrix",
     "symplectic_form", "symplectic_residual",
-    "dispersion_p_of_s", "group_velocity",
-    "measure_packet_velocity", "laplace_identity_residual",
+    "dispersion_p_of_s", "group_velocity", "measure_packet_velocity",
     "VarianceBreakdown", "readout_variances",
     "memory_variances", "general_variances", "scan",
     "RunConfig", "ConfigError", "parse_config", "run",
@@ -40,8 +39,7 @@ __all__ = [
 
 # spectral loads on first use of one of its names (PEP 562): of the CLI modes,
 # only dispersion and packet-velocity need it
-_SPECTRAL = ("dispersion_p_of_s", "group_velocity",
-             "measure_packet_velocity", "laplace_identity_residual")
+_SPECTRAL = ("dispersion_p_of_s", "group_velocity", "measure_packet_velocity")
 
 
 def __getattr__(name):

@@ -31,8 +31,8 @@ cross part.  Both integrands are smooth, so the order doubles
 from 16 until two orders agree (the ladder of the closed-form variance,
 whose constants sit beside ``UnresolvedError``); where order 1024 does not
 resolve a component it raises UnresolvedError, a ValueError naming kappa_c
-and both orders.  Past t = 1 the same formula is the time continuation of
-spectral.py's Laplace check.
+and both orders.  Past t = 1 the same formula is the time continuation
+that the test suite's Laplace-identity check (tests/oracles.py) reads.
 
 The map makes one pass per order for every profile (``_output_map``): the
 set is evaluated once at each of the order's point sets, read one profile

@@ -66,6 +66,9 @@ The Cayley cell map is exactly canonical: it preserves the weighted
 antisymmetric form pairing (Xi1, Xi2) bins with weight +1 and (Jz, Jy) bins
 with weight SPIN_BLOCK_SIGN in the normalized bin convention below, so the
 discrete input-output matrix is symplectic to rounding, not merely to O(h^2).
+The form and the residual know this one sign; the test suite's calibration
+(tests/test_lattice.py) builds the form of each sign as a dense matrix and
+finds the other sign off by many orders of magnitude.
 
 Normalized bins: light samples scale by sqrt(dt / (2*xi3_bar)), spin samples
 by sqrt(dz / jx_bar).  Coherent/Poissonian inputs then have variance 1/2 in
@@ -98,7 +101,7 @@ __all__ = [
 
 # Relative sign of the (Jz, Jy) pairing in the preserved antisymmetric form,
 # calibrated at kappa_c = 0.01 by trying both signs (the test suite repeats
-# the calibration); the light pairing carries +1.
+# the calibration on dense forms); the light pairing carries +1.
 SPIN_BLOCK_SIGN = -1.0
 
 _STABILITY_LIMIT = 0.5
@@ -593,8 +596,7 @@ def transfer_adjoint_apply(params: PhysicalParams | Sequence[PhysicalParams], gr
     return out[:, 0] if single else out
 
 
-def symplectic_form(n_time: int, n_space: int,
-                    spin_sign: float = SPIN_BLOCK_SIGN) -> np.ndarray:
+def symplectic_form(n_time: int, n_space: int) -> np.ndarray:
     """Antisymmetric block form paired (Xi1,Xi2) and (Jz,Jy) bin by bin."""
     dim = 2 * n_time + 2 * n_space
     b = _bin_layout(n_time, n_space)
@@ -603,19 +605,18 @@ def symplectic_form(n_time: int, n_space: int,
     iz = np.eye(n_space)
     omega[b["xi1"], b["xi2"]] = it
     omega[b["xi2"], b["xi1"]] = -it
-    omega[b["jz"], b["jy"]] = spin_sign * iz
-    omega[b["jy"], b["jz"]] = -spin_sign * iz
+    omega[b["jz"], b["jy"]] = SPIN_BLOCK_SIGN * iz
+    omega[b["jy"], b["jz"]] = -SPIN_BLOCK_SIGN * iz
     return omega
 
 
-def symplectic_residual(tm: TransferMatrix,
-                        spin_sign: float = SPIN_BLOCK_SIGN) -> float:
+def symplectic_residual(tm: TransferMatrix) -> float:
     """max |M Omega M^T - Omega| / max |Omega|, without building Omega.
 
     Omega pairs each bin with its conjugate bin: row r holds its one entry,
-    +-1 or +-spin_sign, at the column of r's conjugate.  So a panel of M's
-    rows times Omega is the panel with its column blocks swapped and signed,
-    four slice copies.  Delta = M Omega M^T - Omega is antisymmetric, so its
+    +-1, at the column of r's conjugate.  So a panel of M's rows times Omega
+    is the panel with its column blocks swapped and signed, four slice
+    copies.  Delta = M Omega M^T - Omega is antisymmetric, so its
     upper block triangle holds its largest entry: each ``_RESIDUAL_TILE``-row
     panel is multiplied by M's rows from the panel on, and Omega's entries
     in that block are subtracted.  No array of M's size is made.  The panel
@@ -627,7 +628,7 @@ def symplectic_residual(tm: TransferMatrix,
     b = _bin_layout(nt, ns)
     dim = len(m)
     conj = np.r_[b["xi2"], b["xi1"], b["jy"], b["jz"]]
-    form = np.repeat([1.0, -1.0, spin_sign, -spin_sign], [nt, nt, ns, ns])
+    form = np.repeat([1.0, -1.0, SPIN_BLOCK_SIGN, -SPIN_BLOCK_SIGN], [nt, nt, ns, ns])
     shuffled = np.empty((min(_RESIDUAL_TILE, dim), dim))
     # each panel's product is a contiguous prefix of one buffer
     products = np.empty(shuffled.size)
@@ -645,8 +646,8 @@ def symplectic_residual(tm: TransferMatrix,
                 w = shuffled[:n]
                 np.negative(panel[:, b["xi2"]], out=w[:, b["xi1"]])
                 w[:, b["xi2"]] = panel[:, b["xi1"]]
-                np.multiply(panel[:, b["jy"]], -spin_sign, out=w[:, b["jz"]])
-                np.multiply(panel[:, b["jz"]], spin_sign, out=w[:, b["jy"]])
+                np.multiply(panel[:, b["jy"]], -SPIN_BLOCK_SIGN, out=w[:, b["jz"]])
+                np.multiply(panel[:, b["jz"]], SPIN_BLOCK_SIGN, out=w[:, b["jy"]])
                 delta = np.matmul(w, m[i:].T, out=products[:n * (dim - i)].reshape(n, dim - i))
                 rows = np.arange(i, i + n)
                 rows = rows[conj[rows] >= i]
@@ -654,4 +655,4 @@ def symplectic_residual(tm: TransferMatrix,
                 worst.append(np.max(np.abs(delta, out=delta)))
         finally:
             np.setbufsize(bufsize)
-    return float(np.max(worst) / max(1.0, abs(spin_sign)))
+    return float(np.max(worst))

@@ -1,11 +1,11 @@
 """Composite Gauss-Legendre quadrature on grid-aligned panels.
 
 Panels coincide with the uniform grid bins; a partial panel is one more
-pair of edges.  Eight nodes per panel carry the Laplace transforms of
-spectral.py's identity check, with fully deterministic node placement.  The
-closed-form output maps (kernels.py) and variance (variance.py) need no
-grid: each takes one m-point rule mapped to [0, 1], its order doubling from
-16 until two orders agree.
+pair of edges.  Eight nodes per panel carry the Laplace transforms of the
+test suite's identity check (tests/oracles.py), with fully deterministic
+node placement.  The closed-form output maps (kernels.py) and variance
+(variance.py) need no grid: each takes one m-point rule mapped to [0, 1],
+its order doubling from 16 until two orders agree.
 
 Every rule is built here by Halley's method on the three-term recurrence,
 started from Tricomi's asymptotic node estimates, with each weight from
@@ -25,9 +25,9 @@ building them costs a cold scan about 650 small numpy calls, a quarter of
 its run.  The table holds each rule's nonnegative half as the shortest float
 literals that round-trip, printed with repr from _gauss_legendre(m), so the
 rules keep its bits; it is regenerated that way, never edited by hand.  Every
-other order (8 for spectral.py's panels, 64 to 1024 at strong coupling) is
-built on first use.  Every rule is read-only, since the cache is shared by
-every later call in the process.
+other order (8 for the identity check's panels, 64 to 1024 at strong
+coupling) is built on first use.  Every rule is read-only, since the cache is
+shared by every later call in the process.
 """
 
 from __future__ import annotations

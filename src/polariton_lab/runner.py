@@ -59,7 +59,8 @@ def format_number(x: float) -> str:
 
 
 def write_csv(path: str | Path, header, rows) -> None:
-    """Write header and rows; a non-finite value raises ValueError before any write."""
+    """Write header and rows, making the file's directory; a non-finite value
+    raises ValueError before any write, the directory's included."""
     lines = [",".join(header)]
     for i, row in enumerate(rows, start=1):
         for name, v in zip(header, row):
@@ -67,7 +68,9 @@ def write_csv(path: str | Path, header, rows) -> None:
                 raise ValueError(f"non-finite value {float(v)!r} in CSV row {i}, "
                                  f"column {name!r}; {path} not written")
         lines.append(",".join(format_number(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _emit(out: Path, config_text: str, config: RunConfig, rows, **extra) -> None:
@@ -283,7 +286,6 @@ def run(config: RunConfig, out_path: str | Path | None = None,
         config_text: str = "") -> int:
     """Execute one validated run; returns the process exit status."""
     out = Path(out_path or config.output or f"{config.mode}.csv")
-    out.parent.mkdir(parents=True, exist_ok=True)
     try:
         if config.mode in ("readout", "memory"):
             return _run_scan(config, out, config_text)

@@ -15,9 +15,12 @@ from pathlib import Path
 from polariton_lab.cli import main
 
 HERE = Path(__file__).resolve().parent
+# the benchmark's workload module, read only; as perfbench/tests/conftest.py does
+sys.path.insert(0, str(HERE.parents[1] / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
 
 CONFIGS = {
-    # the console-script configs of .github/workflows/tier1.yml
+    # every CLI mode on a small grid, the oracle also on a rectangular one
     "ci-sym": {"mode": "symplectic-check", "groups": {"kappa_c": 1, "r": 10},
                "grid": {"n_time": 16, "n_space": 16}},
     "ci-readout": {"mode": "readout", "groups": {"kappa_c": 2, "r": 10, "omega_T": 0.5},
@@ -40,28 +43,8 @@ CONFIGS = {
                        "grid": {"n_time": 64, "n_space": 32},
                        "oracle_compare": {"kappa_c_values": [-1, 0, 2], "profiles": 2,
                                           "seed": 3}},
-    # the four perfbench workloads at seed 3, as perfbench/workloads.py builds them
-    "bench-readout-kernel": {"mode": "readout",
-                             "groups": {"kappa_c": 0.35694694063783705, "r": 10.0,
-                                        "omega_T": 1.2358744663346217},
-                             "grid": {"n_time": 512, "n_space": 512},
-                             "scan": {"from": 0.35694694063783705, "to": 1.1290615532858128,
-                                      "points": 5}},
-    "bench-memory-lattice": {"mode": "memory",
-                             "groups": {"kappa_c": 0.35694694063783705, "r": 10.0,
-                                        "q_L": 1.2358744663346217, "kappa2_L": 0.3,
-                                        "Omega_T": 0.3},
-                             "grid": {"n_time": 1024, "n_space": 1024},
-                             "scan": {"from": 0.35694694063783705, "to": 1.1290615532858128,
-                                      "points": 8}},
-    "bench-oracle-compare": {"mode": "oracle-compare", "groups": {"kappa_c": 1.0, "r": 10.0},
-                             "grid": {"n_time": 512, "n_space": 512},
-                             "oracle_compare": {"kappa_c_values": [0.5, 1.0, 2.0],
-                                                "profiles": 2, "seed": 3}},
-    "bench-symplectic-check": {"mode": "symplectic-check",
-                               "groups": {"kappa_c": 0.74731864231135, "r": 10.0,
-                                          "kappa2_L": 0.3, "Omega_T": 0.3},
-                               "grid": {"n_time": 256, "n_space": 256}},
+    # the four perfbench workloads at seed 3
+    **{f"bench-{name}": workload.make_config(3) for name, workload in WORKLOADS.items()},
     # the blue wing, kappa_c = 0, and the matrix route on a rectangular grid
     "blue-readout": {"mode": "readout", "groups": {"kappa_c": -2, "r": 10, "omega_T": 2.0},
                      "grid": {"n_time": 128, "n_space": 128},

@@ -17,11 +17,11 @@ from polariton_lab.runner import oracle_kernel_deviations, random_smooth_profile
 from polariton_lab.spectral import (
     dispersion_p_of_s,
     group_velocity,
-    laplace_identity_residual,
     measure_packet_velocity,
-    plane_wave_max_error,
 )
 from polariton_lab.variance import readout_variances, scan
+
+from oracles import laplace_identity_residual, plane_wave_max_error
 
 G512 = Grid(512, 512)
 G256 = Grid(256, 256)

@@ -791,8 +791,7 @@ def test_cli_import_leaves_openssl_and_spectral_unloaded():
             "print(sorted(m for m in ('_hashlib', 'polariton_lab.spectral') "
             "if m in sys.modules)); "
             "import polariton_lab as p; "
-            "names = ('dispersion_p_of_s', 'group_velocity', 'measure_packet_velocity', "
-            "'laplace_identity_residual'); "
+            "names = ('dispersion_p_of_s', 'group_velocity', 'measure_packet_velocity'); "
             "print(all(n in dir(p) for n in names)); "
             "from polariton_lab import spectral; "
             "print(all(getattr(p, n) is getattr(spectral, n) for n in names))")

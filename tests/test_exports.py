@@ -31,6 +31,7 @@ def _relative_imports(module) -> set[str]:
 @pytest.mark.parametrize("name, allowed", [
     ("lattice", {"model"}),
     ("kernels", {"model", "quadrature"}),
+    ("spectral", {"lattice", "model"}),
 ])
 def test_engine_and_check_import_neither_each_other(name, allowed):
     # read from the source: the package __init__ loads every module, so

@@ -37,8 +37,21 @@ def _calibrate_spin_block_sign():
     """
     params = canonical_params(kappa_c=0.01, ratio_r=3.0)
     tm = build_transfer_matrix(params, Grid(32, 32))
-    res = {s: symplectic_residual(tm, s) for s in (+1.0, -1.0)}
+    res = {s: _dense_residual(tm, _dense_form(32, 32, s)) for s in (+1.0, -1.0)}
     return min(res, key=res.get)
+
+
+def _dense_form(n_time, n_space, spin_sign):
+    """``symplectic_form`` with its (Jz, Jy) pairing scaled to weight ``spin_sign``."""
+    omega = symplectic_form(n_time, n_space)
+    spin = slice(2 * n_time, None)
+    omega[spin, spin] *= spin_sign / SPIN_BLOCK_SIGN
+    return omega
+
+
+def _dense_residual(tm, omega):
+    """max |M Omega M^T - Omega| / max |Omega| by dense products."""
+    return np.max(np.abs(tm.matrix @ omega @ tm.matrix.T - omega)) / np.max(np.abs(omega))
 
 
 def test_pure_stokes_rotation():
@@ -127,8 +140,8 @@ def test_symplectic_preservation_machine_precision():
 def test_wrong_form_sign_fails_badly():
     params = canonical_params(1.0, 10.0)
     tm = build_transfer_matrix(params, Grid(32, 32))
-    assert symplectic_residual(tm, spin_sign=+1.0) > 1e-3
-    assert symplectic_residual(tm, spin_sign=-1.0) <= 1e-12
+    assert _dense_residual(tm, _dense_form(32, 32, -SPIN_BLOCK_SIGN)) > 1e-3
+    assert symplectic_residual(tm) <= 1e-12
 
 
 def test_calibration_matches_persisted_sign():
@@ -681,7 +694,9 @@ def test_green_function_converges_to_closed_form_kernels(kappa_c):
         assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
 
 
-@pytest.mark.parametrize("spin_sign", [-1.0, 1.0, 0.5])
+# the one sign the residual takes; test_wrong_form_sign_fails_badly covers
+# the other
+@pytest.mark.parametrize("spin_sign", [SPIN_BLOCK_SIGN])
 def test_residual_equals_dense_form(spin_sign):
     # near the identity (which preserves every form) the residual is small,
     # so a slip in a column sign or in the subtracted form shows as O(1)
@@ -689,12 +704,11 @@ def test_residual_equals_dense_form(spin_sign):
     rng = np.random.default_rng(3)
     dim = 2 * nt + 2 * ns
     tm = TransferMatrix(np.eye(dim) + 0.1 * rng.normal(size=(dim, dim)), nt, ns)
-    omega = symplectic_form(nt, ns, spin_sign)
-    dense = np.max(np.abs(tm.matrix @ omega @ tm.matrix.T - omega)) / np.max(np.abs(omega))
-    assert symplectic_residual(tm, spin_sign) == pytest.approx(dense, rel=1e-12, abs=0)
+    dense = _dense_residual(tm, _dense_form(nt, ns, spin_sign))
+    assert symplectic_residual(tm) == pytest.approx(dense, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("spin_sign", [-1.0, 1.0, 0.5])
+@pytest.mark.parametrize("spin_sign", [SPIN_BLOCK_SIGN])
 @pytest.mark.parametrize("nt, ns", [(70, 33), (64, 64)])
 def test_tiled_residual_equals_dense_form(nt, ns, spin_sign):
     # dims 206 and 256 span several residual tiles, the first with a partial
@@ -703,9 +717,8 @@ def test_tiled_residual_equals_dense_form(nt, ns, spin_sign):
     dim = 2 * nt + 2 * ns
     assert dim > lattice._RESIDUAL_TILE
     tm = TransferMatrix(np.eye(dim) + 0.1 * rng.normal(size=(dim, dim)), nt, ns)
-    omega = symplectic_form(nt, ns, spin_sign)
-    dense = np.max(np.abs(tm.matrix @ omega @ tm.matrix.T - omega)) / np.max(np.abs(omega))
-    assert symplectic_residual(tm, spin_sign) == pytest.approx(dense, rel=1e-12, abs=0)
+    dense = _dense_residual(tm, _dense_form(nt, ns, spin_sign))
+    assert symplectic_residual(tm) == pytest.approx(dense, rel=1e-12, abs=0)
 
 
 # (p, q) of a planted violation: in the first diagonal tile, in the partial

@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from polariton_lab.kernels import output_maps
+from polariton_lab.lattice import integrate_extrapolated
 from polariton_lab.model import (
     Grid,
     PhysicalParams,
     canonical_params,
     derive_groups,
 )
+
+from profile_sets import function_set
 
 
 def test_params_validation():
@@ -121,3 +125,16 @@ def test_canonical_embedding_round_trip():
         assert math.isclose(abs(g.ratio_r), r, rel_tol=1e-14)
     with pytest.raises(ValueError):
         canonical_params(1.0, -2.0)
+
+
+@pytest.mark.parametrize("route", [output_maps, integrate_extrapolated],
+                         ids=lambda f: f.__name__)
+def test_profile_sets_need_params_on_one_box(route):
+    # both routes sample one set of profiles on the box the params share
+    one = lambda x: np.ones_like(x)
+    light, spin = function_set([((one, one), (one, one))] * 2)
+    params = canonical_params(1.0, 3.0)
+    with pytest.raises(ValueError, match="no params given"):
+        route([], Grid(8, 8), light, spin)
+    with pytest.raises(ValueError, match=r"params span 2 boxes \(time_T, length_L\)"):
+        route([params, params._replace(length_L=2.0)], Grid(8, 8), light, spin)

@@ -63,6 +63,13 @@ def test_records_of_scalars_hash_and_pickle_by_value(cls):
     assert pickle.loads(pickle.dumps(record)) == record
 
 
+def test_slots_records_repr_by_their_fields():
+    assert repr(Grid(8, 16)) == "Grid(n_time=8, n_space=16)"
+    assert repr(PhysicalParams(**RECORDS[PhysicalParams])) == (
+        "PhysicalParams(beta=0.3, epsilon=-0.2, kappa2=0.1, omega0=0.0, omega2=0.0, "
+        "xi3_bar=1.0, jx_bar=1.0, length_L=2.0, time_T=1.0)")
+
+
 def test_records_of_different_types_or_values_differ():
     assert Grid(8, 16) != Grid(16, 8)
     assert Grid(8, 16) != (8, 16)

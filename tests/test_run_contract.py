@@ -2,7 +2,7 @@
 
 - ``parse_config`` raises a ConfigError;
 - ``run`` exits 0 with a finite CSV and its sidecar;
-- ``run`` exits 1 with one ``error:`` line and no CSV;
+- ``run`` exits 1 with one ``error:`` line, no CSV and no new directory;
 - ``run`` exits 1 with a gate's FAIL line and its CSV (oracle-compare,
   symplectic-check).
 
@@ -18,7 +18,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polariton_lab.config import MODES, ConfigError, parse_config
 from polariton_lab.runner import run
@@ -70,6 +70,9 @@ def _finite_rows(csv: Path) -> bool:
 
 @settings(max_examples=200)
 @given(run_docs())
+# a coupling past the grid's stability limit: an error exit
+@example({"mode": "symplectic-check", "groups": {"kappa_c": 5000, "r": 10},
+          "grid": {"n_time": 16, "n_space": 16}})
 def test_every_run_ends_in_one_contract_outcome(doc):
     text = json.dumps(doc)
     try:
@@ -77,8 +80,9 @@ def test_every_run_ends_in_one_contract_outcome(doc):
     except ConfigError:
         return
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "run.csv"
-        meta = Path(tmp) / "run.csv.meta.json"
+        # in a directory that the run makes only when it writes
+        out = Path(tmp) / "new" / "sub" / "run.csv"
+        meta = Path(tmp) / "new" / "sub" / "run.csv.meta.json"
         stdout, stderr = io.StringIO(), io.StringIO()
         with redirect_stdout(stdout), redirect_stderr(stderr):
             code = run(config, out, text)
@@ -90,6 +94,7 @@ def test_every_run_ends_in_one_contract_outcome(doc):
             assert code == 1
             assert len(errors) == 1 and errors[0].startswith("error: ")
             assert not out.exists() and not meta.exists()
+            assert not (Path(tmp) / "new").exists()
         else:
             assert code == 1 and config.mode in GATED
             assert stdout.getvalue().splitlines()[-1].endswith(" FAIL")

@@ -7,10 +7,10 @@ from polariton_lab.model import Grid, canonical_params
 from polariton_lab.spectral import (
     dispersion_p_of_s,
     group_velocity,
-    laplace_identity_residual,
     measure_packet_velocity,
-    plane_wave_max_error,
 )
+
+from oracles import laplace_identity_residual, plane_wave_max_error
 
 
 def test_dispersion_paper_anchors_exact():
@@ -56,6 +56,9 @@ def test_group_velocity_values_and_signs():
     assert group_velocity(-1.1, 2.5) == group_velocity(-1.1, -2.5)
     with pytest.raises(ValueError):
         group_velocity(1.0, 0.0)
+    # nonzero, but its square underflows
+    with pytest.raises(ValueError, match="q\\^2 is 0"):
+        group_velocity(1.0, 1e-200)
 
 
 def test_plane_wave_residual_second_order():
@@ -100,6 +103,10 @@ def test_packet_velocity_preconditions():
     blue = canonical_params(-1.0, 1.0)
     with pytest.raises(ValueError, match="red wing"):
         measure_packet_velocity(blue, Grid(512, 512), 8.0, 0.8)
+    for kappa_c in (2.0, 0.0):
+        with pytest.raises(ValueError, match="underflows"):
+            measure_packet_velocity(canonical_params(kappa_c, 1.0), Grid(16, 16),
+                                    1e-200, 1e-201)
 
 
 def _compact_inputs(seed=4):

@@ -224,6 +224,9 @@ def parse_config(text: str) -> RunConfig:
         lo = _number(sobj, "$.scan", "from", required=True)
         hi = _number(sobj, "$.scan", "to", required=True)
         points = _count(sobj, "$.scan", "points")
+        if points == 1 and hi != lo:
+            raise _err("$.scan.to", f"a one-point scan runs at 'from' alone: to = {hi!r} "
+                                    f"differs from from = {lo!r}")
         opts["scan_range"] = (lo, hi, points)
 
     if "abscissa" in doc:

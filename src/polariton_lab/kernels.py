@@ -67,10 +67,10 @@ relative error below 1e-12 up to 700.  Domain contract: a non-finite
 kappa_c raises ValueError, and a blue-wing argument above ``I_OVERFLOW_X``
 raises OverflowError.
 
-Both kernel functions take kappa_c as a number or as an array of one sign
-(zeros join either) that broadcasts against the coordinates, one entry a
-point: each point gets the values of a lone call at its kappa_c, bit for
-bit, and a point outside the domain raises what a lone call at it raises.
+Both kernel functions take kappa_c as a number or as an array of any
+signs that broadcasts against the coordinates, one entry a point: each
+point gets the values of a lone call at its kappa_c, bit for bit, and a
+point outside the domain raises what a lone call at it raises.
 ``_reduced_bessel`` is the one evaluation: a lone kappa_c is a batch of one
 point, walked in cache-sized blocks.  At kappa_c = 0 the series gives
 E_0 = E_1 = 1 exactly, so K = 0 and G = 1.
@@ -139,14 +139,11 @@ _NODE_SINES = np.sin((np.arange(_TRAPEZOID_NODES) + 0.5) * (0.5 * np.pi / _TRAPE
 
 
 def _check_kappa_c(kappa_c) -> np.ndarray:
-    """kappa_c as a float array: finite, and of one sign (zeros join either)."""
+    """kappa_c as a float array, every entry finite."""
     kappa_c = np.asarray(kappa_c, dtype=float)
-    lo, hi = float(kappa_c.min()), float(kappa_c.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        bad = float(kappa_c[~np.isfinite(kappa_c)][0])
-        raise ValueError(f"kappa_c must be finite, got {bad!r}")
-    if lo < 0.0 < hi:
-        raise ValueError("kappa_c entries of one call must share one sign")
+    finite = np.isfinite(kappa_c)
+    if not finite.all():
+        raise ValueError(f"kappa_c must be finite, got {float(kappa_c[~finite][0])!r}")
     return kappa_c
 
 
@@ -240,12 +237,12 @@ def _hankel(order: int, x: np.ndarray, red: bool) -> np.ndarray:
 
 
 def _reduced_bessel(order: int, kappa_c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """E_order(kappa_c * s) for an array kappa_c of one sign, s >= 0 C-contiguous
-    of the shape kappa_c broadcasts to, in place in s; every entry of kappa_c
-    (a point) gets the values of a lone call at it.
+    """E_order(kappa_c * s) for an array kappa_c, s >= 0 C-contiguous of the
+    shape kappa_c broadcasts to, in place in s; every entry of kappa_c (a
+    point), of either sign, gets the values of a lone call at it.
 
     Each point's largest |y| sets what it takes: the series with as many
-    terms as that needs, or the elementwise regions; on the blue wing it
+    terms as that needs, or the elementwise regions; a blue-wing point
     raises OverflowError when its largest argument passes ``I_OVERFLOW_X``.
     The series terms are padded with leading zeros per point, and 0 * y + 0
     = 0 exactly, so each point's sum starts where its own would (no terms
@@ -255,10 +252,8 @@ def _reduced_bessel(order: int, kappa_c: np.ndarray, s: np.ndarray) -> np.ndarra
     kc = kappa_c.reshape((1,) * (s.ndim - kappa_c.ndim) + kappa_c.shape)
     axes = tuple(i for i, n in enumerate(kc.shape) if n == 1)
     y_max = np.abs(kc) * np.max(s, axis=axes, keepdims=True, initial=0.0)
-    red = kc.max() > 0.0
-    if not red:
-        for k, top in zip(kc.flat, y_max.flat):
-            _check_blue_wing(float(k), float(top))
+    for k, top in zip(kc.flat, y_max.flat):
+        _check_blue_wing(float(k), float(top))
     series = y_max <= _SERIES_MAX_Y
     coeffs, bounds = _SERIES[order]
     # the terms that every point takes are scalars, the others arrays with
@@ -272,43 +267,48 @@ def _reduced_bessel(order: int, kappa_c: np.ndarray, s: np.ndarray) -> np.ndarra
     blocks = [y] if kc.size > 1 else (flat[i:i + _BLOCK] for i in range(0, flat.size, _BLOCK))
     for block in blocks:
         if not series.any():
-            _reduced_bessel_regions(order, red, block)
+            _reduced_bessel_regions(order, block)
             continue
         mixed = not series.all()
         if mixed:
             regions = np.broadcast_to(~series, block.shape)
             far = block[regions]
-            _reduced_bessel_regions(order, red, far)
+            _reduced_bessel_regions(order, far)
         block[...] = _horner(padded, block)
         if mixed:
             block[regions] = far
     return y
 
 
-def _reduced_bessel_regions(order: int, red: bool, y: np.ndarray) -> None:
-    """E_order(y) in place, each point by the method of its region."""
-    near = y <= _SERIES_MAX_Y if red else y >= -_SERIES_MAX_Y
+def _reduced_bessel_regions(order: int, y: np.ndarray) -> None:
+    """E_order(y) in place, each value by the method of its region, on the
+    wing of its sign."""
+    near = np.abs(y) <= _SERIES_MAX_Y
     series = _horner(_SERIES[order][0], y[near])
+    red = y > 0.0
+    wings = ((True, red), (False, ~red))
     x = np.sqrt(np.abs(y, out=y), out=y)
     x *= 2.0
     far = x >= _HANKEL_MIN_X
     mid = ~(near | far)
     y[near] = series
     for region, method in ((far, _hankel), (mid, _trapezoid)):
-        xr = x[region]
-        if xr.size:
-            b = method(order, xr, red)
-            if order:
-                b /= xr
-                b *= 2.0
-            y[region] = b
+        for wing, on_wing in wings:
+            part = region & on_wing
+            xr = x[part]
+            if xr.size:
+                b = method(order, xr, wing)
+                if order:
+                    b /= xr
+                    b *= 2.0
+                y[part] = b
 
 
 def kernel_self_scaled(kappa_c, u):
     """Scaled self-kernel K(u) on u in [0, 1]; K(0+) = kappa_c exactly.
 
-    ``kappa_c`` is a number or an array of one sign that broadcasts against
-    u; each of its entries gets the values of a lone call at that kappa_c."""
+    ``kappa_c`` is a number or an array that broadcasts against u; each of
+    its entries gets the values of a lone call at that kappa_c."""
     kappa_c = _check_kappa_c(kappa_c)
     u = np.asarray(u, dtype=float)
     s = np.clip(u, 0.0, None, out=np.empty(np.broadcast_shapes(u.shape, kappa_c.shape)))
@@ -319,9 +319,8 @@ def kernel_self_scaled(kappa_c, u):
 def kernel_cross_scaled(kappa_c, x, t):
     """Scaled cross-kernel G(x, t) for x, t in [0, 1]; G = 1 at a = 0.
 
-    ``kappa_c`` is a number or an array of one sign that broadcasts against
-    x and t; each of its entries gets the values of a lone call at that
-    kappa_c."""
+    ``kappa_c`` is a number or an array that broadcasts against x and t;
+    each of its entries gets the values of a lone call at that kappa_c."""
     kappa_c = _check_kappa_c(kappa_c)
     shape = np.broadcast_shapes(np.shape(x), np.shape(t), kappa_c.shape)
     # one buffer for the product, overwritten with G; [()] unwraps the 0-d

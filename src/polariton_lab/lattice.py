@@ -315,22 +315,21 @@ def _march(cells: np.ndarray, grid: Grid, u: np.ndarray, w: np.ndarray,
     cut from it and made C-contiguous, so its products have the strides of
     a lone entry's whatever the group (a fancy-indexed cut has strides that
     follow the stack size, and BLAS rounds those differently).  The choice
-    is the cell's alone, so it never depends on the entry's stack-mates.
+    is the cell's alone, and each maximal run of split or of dense entries
+    is sliced into groups on its own, so a group holds one kind.
     """
     sides = _tile_sides(grid.n_time, grid.n_space)
     size = _group_size(grid, math.prod(u.shape[3:]))
     split = ~np.any(cells[:, _CROSS_CHANNEL], axis=-1)
-    for start in range(0, len(cells), size):
-        group = slice(start, start + size)
+    # slices of up to ``size`` entries, each within one run of one kind
+    edges = [0, *(np.flatnonzero(split[1:] != split[:-1]) + 1).tolist(), len(cells)]
+    groups = [slice(start, min(start + size, end))
+              for run, end in zip(edges, edges[1:]) for start in range(run, end, size)]
+    for group in groups:
         tiles = _green_matrix(cells[group], *sides)
-        halves = split[group]
-        if not halves.any():
+        if not split[group.start]:
             out_u[group], out_w[group] = _sweep(tiles, u[group], w[group], sides)
             continue
-        if not halves.all():
-            dense = start + np.flatnonzero(~halves)
-            out_u[dense], out_w[dense] = _sweep(tiles[~halves], u[dense], w[dense], sides)
-            tiles, group = tiles[halves], start + np.flatnonzero(halves)
         # (k, 2, D/2, D/2): entry p's channel c rides stack entry (p, c),
         # marching u[p, c] and w[p, c] as one-component inputs
         rows = _channel_bins(*sides)

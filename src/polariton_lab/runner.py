@@ -41,6 +41,9 @@ from .variance import scan
 __all__ = ["run", "write_csv", "format_number", "random_smooth_profiles"]
 
 SYMPLECTIC_TOLERANCE = 1e-8
+# a residual up to this times max(1, max|M|^2) is M's rounding alone (the
+# test suite bounds built matrices by it)
+SYMPLECTIC_ROUNDING = 1e-12
 ORACLE_TOLERANCE = 1e-6
 
 # every mode's CSV header
@@ -75,7 +78,8 @@ def write_csv(path: str | Path, header, rows) -> None:
 
 def _emit(out: Path, config_text: str, config: RunConfig, rows, **extra) -> None:
     """Write the CSV under its mode's header, then its sidecar, with the row
-    count and ``extra``."""
+    count and ``extra``; a sidecar that cannot be written takes the CSV
+    with it."""
     write_csv(out, _HEADERS[config.mode], rows)
     meta = {
         "config_sha256": sha256(config_text.encode("utf-8")).hexdigest(),
@@ -86,9 +90,13 @@ def _emit(out: Path, config_text: str, config: RunConfig, rows, **extra) -> None
         "versions": {"python": platform.python_version(), "numpy": np.__version__},
         **extra,
     }
-    out.with_suffix(out.suffix + ".meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    try:
+        out.with_suffix(out.suffix + ".meta.json").write_text(
+            json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    except OSError:
+        # no CSV without its sidecar
+        out.unlink()
+        raise
 
 
 class _Samples:
@@ -260,7 +268,19 @@ def _run_symplectic(config: RunConfig, out: Path, config_text: str) -> int:
     params = canonical_params(g.kappa_c, g.ratio_r, g.kappa2_L, g.Omega_T)
     tm = build_transfer_matrix(params, config.grid)
     res = symplectic_residual(tm)
-    _emit(out, config_text, config, [(g.kappa_c, g.kappa2_L, g.Omega_T, res)])
+    extra = {}
+    if res > SYMPLECTIC_TOLERANCE:
+        # over the tolerance by rounding alone: not resolvable, not a FAIL
+        biggest = float(max(tm.matrix.max(), -tm.matrix.min()))
+        floor = SYMPLECTIC_ROUNDING * max(1.0, biggest * biggest)
+        if res <= floor:
+            raise OverflowError(
+                f"symplectic residual {res:.4g} at kappa_c = {g.kappa_c:.6g} is over the "
+                f"tolerance {SYMPLECTIC_TOLERANCE:g} but within the rounding floor "
+                f"{SYMPLECTIC_ROUNDING:g} * max(1, max|M|^2) = {floor:.4g}, max|M| = "
+                f"{biggest:.6g}: not resolvable at this gain")
+        extra = {"max_abs_entry": biggest, "rounding_floor": floor}
+    _emit(out, config_text, config, [(g.kappa_c, g.kappa2_L, g.Omega_T, res)], **extra)
     status = "PASS" if res <= SYMPLECTIC_TOLERANCE else "FAIL"
     print(f"symplectic-check: max residual {res:.3e} "
           f"(tolerance {SYMPLECTIC_TOLERANCE:g}) {status}")
@@ -300,4 +320,7 @@ def run(config: RunConfig, out_path: str | Path | None = None,
         raise ValueError(f"unhandled mode {config.mode!r}")
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1

@@ -35,10 +35,10 @@ Two independent routes compute the same quantities:
   at the two orders, m eps times the sums of absolute terms of g: at
   w = k pi, Int c vanishes and Gamma sits at round-off.  A scan
   evaluates each order once for all its points still pending, in batches
-  of one kappa_c sign and at most max(1, _BLOCK // m^2) points (128 at
-  m = 16, 1 from m = 256 on), so a batch stays as large as one kernel
-  block; every row keeps the bits of its point alone, and a scan raises
-  what its first failing point raises alone;
+  of at most max(1, _BLOCK // m^2) points (128 at m = 16, 1 from m = 256
+  on), so a batch stays as large as one kernel block; every row keeps the
+  bits of its point alone, and a scan raises what its first failing point
+  raises alone;
 
 * the transfer-matrix route propagates the diagonal input covariance
   through the lattice map (via the adjoint sweep, so no matrix is built)
@@ -62,7 +62,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernels import (_BLOCK, _FIRST_ORDER, _MAX_ORDER, _RESOLVED_RTOL, UnresolvedError,
-                      kernel_cross_scaled, kernel_self_scaled)
+                      _check_blue_wing, _check_kappa_c, kernel_cross_scaled,
+                      kernel_self_scaled)
 from .lattice import _bin_layout, _group_size, check_stability, transfer_adjoint_apply
 from .model import DimensionlessGroups, Grid, canonical_params
 from .quadrature import PanelRule
@@ -132,10 +133,10 @@ def _filter_norms(kappa_c: list[float], w: float, m: int) -> tuple[list, float]:
 
     The nodes are built once per order and the cosine window once per batch,
     in the buffer of the kernel's lags; the points go to the kernels in
-    batches of one sign and at most max(1, _BLOCK // m^2) points; every row
-    is bit-identical to its point alone.  A point whose
-    kernels raise, or whose integrals overflow, gets the exception in place
-    of its triple."""
+    batches of at most max(1, _BLOCK // m^2) points; every row is
+    bit-identical to its point alone.  A point whose kernels would raise,
+    or whose integrals overflow, gets the exception in place of its
+    triple."""
     rule = PanelRule(m)
     # the m-point Gauss-Legendre rule mapped to [0, 1]
     x, wt = 0.5 * (1.0 + rule.x), 0.5 * rule.w
@@ -148,12 +149,25 @@ def _filter_norms(kappa_c: list[float], w: float, m: int) -> tuple[list, float]:
     # times its sum of absolute terms, spread
     gam = m * float(np.finfo(float).eps)
 
-    def batch(kcs: list[float]) -> list:
-        p = len(kcs)
-        kc = np.array(kcs)[:, None, None]
+    # each point checked alone as the kernels check it, at the largest lag
+    # x (1 - x') they compute, so that no batch raises
+    top = float(x.max() * (1.0 - x).max())
+    norms, ok = [None] * len(kappa_c), []
+    for i, kc in enumerate(kappa_c):
+        try:
+            _check_kappa_c(kc)
+            _check_blue_wing(kc, abs(kc) * top)
+            ok.append(i)
+        except (ValueError, OverflowError) as exc:
+            norms[i] = exc
+    size = max(1, _BLOCK // (m * m))
+    for start in range(0, len(ok), size):
+        idx = ok[start:start + size]
+        p = len(idx)
+        kc = np.array([kappa_c[i] for i in idx])[:, None, None]
         # the filters square I0/I1 values, so the blue wing can leave the
         # double range below the kernels' own argument threshold; that
-        # raises below
+        # is reported below
         with np.errstate(over="ignore", invalid="ignore"):
             # (K * c)(x) = x Int_0^1 K(x (1 - s)) c(x s) ds
             lags = np.multiply.outer(x, 1.0 - x)
@@ -170,43 +184,19 @@ def _filter_norms(kappa_c: list[float], w: float, m: int) -> tuple[list, float]:
             gk = kernel_cross_scaled(kc, np.broadcast_to(x[:, None], (p, m, 1)), 1.0 - x)
             g = gk @ wcx
             spread = np.abs(gk, out=gk) @ np.abs(wcx)
+            del gk
             int_f2 = np.sum(wt * f * f, axis=-1).tolist()
             int_g2 = np.sum(wt * g * g, axis=-1).tolist()
             int_s2 = np.sum(wt * spread * spread, axis=-1).tolist()
-        out = []
-        for k, f2, g2, s2 in zip(kcs, int_f2, int_g2, int_s2):
+        for i, f2, g2, s2 in zip(idx, int_f2, int_g2, int_s2):
             if not (math.isfinite(f2) and math.isfinite(g2)):
-                out.append(OverflowError(
-                    f"closed-form variance integrals overflow at kappa_c = {k:.6g}: "
-                    f"Int f^2 = {f2!r}, Int g^2 = {g2!r}"))
+                norms[i] = OverflowError(
+                    f"closed-form variance integrals overflow at kappa_c = {kappa_c[i]:.6g}: "
+                    f"Int f^2 = {f2!r}, Int g^2 = {g2!r}")
                 continue
             # |delta Int g^2| <= 2 gam |g| |spread| + (gam |spread|)^2
             bound = (2.0 * gam * math.sqrt(s2) * math.sqrt(g2) + gam * gam * s2) / (2.0 * int_cos2)
-            out.append((f2 / int_cos2, g2 / (2.0 * int_cos2), bound))
-        return out
-
-    def alone(kc: float):
-        try:
-            return batch([kc])[0]
-        except (ValueError, OverflowError) as exc:
-            return exc
-
-    size = max(1, _BLOCK // (m * m))
-    norms = [None] * len(kappa_c)
-    # one wing a batch; zeros join the red one
-    red = [i for i, k in enumerate(kappa_c) if k >= 0.0]
-    blue = [i for i, k in enumerate(kappa_c) if not k >= 0.0]
-    for wing in (red, blue):
-        for start in range(0, len(wing), size):
-            idx = wing[start:start + size]
-            kcs = [kappa_c[i] for i in idx]
-            try:
-                out = batch(kcs)
-            except (ValueError, OverflowError):
-                # which point raised is not known: each one alone
-                out = [alone(kc) for kc in kcs]
-            for i, norm in zip(idx, out):
-                norms[i] = norm
+            norms[i] = (f2 / int_cos2, g2 / (2.0 * int_cos2), bound)
     return norms, int_cos2
 
 

@@ -254,31 +254,42 @@ KAPPA_C_MAGNITUDES = st.one_of(
 )
 
 
-@given(sign=st.sampled_from([1.0, -1.0]),
-       magnitudes=st.lists(KAPPA_C_MAGNITUDES, min_size=1, max_size=6),
+@given(points=st.lists(st.tuples(st.sampled_from([1.0, -1.0]), KAPPA_C_MAGNITUDES),
+                       min_size=1, max_size=6),
        top=st.floats(0.05, 1.0))
-def test_batch_points_equal_lone_calls(sign, magnitudes, top):
-    # a kappa_c array (p, 1, 1) of one sign: each point's values are those of
-    # a lone call at it, whichever regions the other points take
-    kappa_c = sign * np.array(magnitudes)[:, None, None]
+def test_batch_points_equal_lone_calls(points, top):
+    # a kappa_c array (p, 1, 1), each point of its own sign: each point's
+    # values are those of a lone call at it, whichever regions and wings the
+    # other points take
+    kappa_c = np.array([sign * mag for sign, mag in points])[:, None, None]
     u = top * np.linspace(0.0, 1.0, 24).reshape(4, 6)
     x, t = u[:, :1], top * np.linspace(0.0, 1.0, 5)
     self_k = kernel_self_scaled(kappa_c, u)
     cross_k = kernel_cross_scaled(kappa_c, x, t)
-    assert self_k.shape == (len(magnitudes), 4, 6)
-    assert cross_k.shape == (len(magnitudes), 4, 5)
+    assert self_k.shape == (len(points), 4, 6)
+    assert cross_k.shape == (len(points), 4, 5)
     for i, kc in enumerate(kappa_c[:, 0, 0]):
         np.testing.assert_array_equal(self_k[i], kernel_self_scaled(kc, u))
         np.testing.assert_array_equal(cross_k[i], kernel_cross_scaled(kc, x, t))
 
 
-@pytest.mark.parametrize("kernel", [lambda kc: kernel_self_scaled(kc, 0.5),
-                                    lambda kc: kernel_cross_scaled(kc, 0.5, 1.0)],
+@pytest.mark.parametrize("kernel", [lambda kc, u: kernel_self_scaled(kc, u),
+                                    lambda kc, u: kernel_cross_scaled(kc, u, 1.0)],
                          ids=["self", "cross"])
-def test_mixed_sign_kappa_c_rejected(kernel):
-    kappa_c = np.array([0.0, 2.0, -2.0])[:, None]
-    with pytest.raises(ValueError, match="share one sign"):
-        kernel(kappa_c)
+def test_mixed_sign_points_equal_lone_calls(kernel):
+    # both wings and zero in one call, each point reaching the series, the
+    # trapezoid or the Hankel region
+    kappa_c = np.array([0.0, 2.0, -2.0, 300.0, -300.0, 1e5, -1e5])
+    u = np.linspace(0.0, 1.0, 9)
+    batch = kernel(kappa_c[:, None], u)
+    for i, kc in enumerate(kappa_c):
+        np.testing.assert_array_equal(batch[i], kernel(kc, u))
+    # a blue-wing point past the overflow threshold raises what it raises alone
+    with pytest.raises(OverflowError) as alone:
+        kernel(-2e5, u)
+    with pytest.raises(OverflowError) as batched:
+        kernel(np.array([1e5, -1e5, -2e5, -3e5])[:, None], u)
+    assert str(batched.value) == str(alone.value)
 
 
 @given(x=st.floats(0.0, 1e4))

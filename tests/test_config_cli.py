@@ -15,6 +15,8 @@ import pytest
 import polariton_lab
 from polariton_lab.cli import main
 from polariton_lab.config import _REQUIRED_HINT, ConfigError, parse_config
+from polariton_lab.lattice import build_transfer_matrix
+from polariton_lab.model import Grid, canonical_params
 from polariton_lab.runner import format_number, run, write_csv
 from polariton_lab.variance import scan
 
@@ -303,6 +305,44 @@ def test_cli_symplectic_check(tmp_path, capsys):
     assert residual <= 1e-8
 
 
+def _symplectic_doc(kappa_c, n):
+    return {"mode": "symplectic-check", "groups": {"kappa_c": kappa_c, "r": 10},
+            "grid": {"n_time": n, "n_space": n}}
+
+
+def test_symplectic_check_passes_below_the_tolerance(tmp_path, capsys):
+    # on the blue wing at grid 256: residual 4.19e-9, under the tolerance
+    code, out = _run_cli(tmp_path, _symplectic_doc(-30, 256), "symplectic-check")
+    assert code == 0 and "PASS" in capsys.readouterr().out
+    meta = json.loads(Path(f"{out}.meta.json").read_text())
+    assert "max_abs_entry" not in meta and "rounding_floor" not in meta
+
+
+def test_symplectic_check_at_the_rounding_floor_is_an_error(tmp_path, capsys):
+    # residual 1.77e-8 over the tolerance 1e-8, but within the rounding that
+    # max|M| = 1154 allows, 1e-12 * max|M|^2 = 1.33e-6: no verdict, no CSV
+    code, out = _run_cli(tmp_path, _symplectic_doc(-35, 256), "symplectic-check")
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: symplectic residual 1.77e-08 at kappa_c = -35 ")
+    assert "rounding floor 1e-12 * max(1, max|M|^2) = 1.332e-06, max|M| = 1154.03" in line
+    assert not out.exists() and not Path(f"{out}.meta.json").exists()
+
+
+def test_symplectic_check_fails_over_the_rounding_floor(tmp_path, capsys, monkeypatch):
+    # a residual no rounding explains is a FAIL, with the floor in the sidecar
+    from polariton_lab import runner
+    monkeypatch.setattr(runner, "symplectic_residual", lambda tm: 1e-3)
+    code, out = _run_cli(tmp_path, _symplectic_doc(1, 16), "symplectic-check")
+    assert code == 1 and capsys.readouterr().out.rstrip().endswith("FAIL")
+    assert out.read_text().splitlines()[1] == "1,0,0,0.001"
+    meta = json.loads(Path(f"{out}.meta.json").read_text())
+    m = build_transfer_matrix(canonical_params(1.0, 10.0), Grid(16, 16)).matrix
+    assert meta["max_abs_entry"] == np.max(np.abs(m))
+    assert meta["rounding_floor"] == 1e-12 * max(1.0, meta["max_abs_entry"] ** 2)
+
+
 def test_cli_oracle_compare_small(tmp_path, capsys):
     doc = {
         "mode": "oracle-compare",
@@ -507,11 +547,13 @@ def test_oracle_profiles_must_be_positive(tmp_path, capsys, profiles):
     ({"mode": "dispersion", "grid": {"n_time": 8, "n_space": 8},
       "dispersion": {"abs_A_LT": 2}},
      "$.dispersion.omega_T", "missing required key"),
+    (dict(json.loads(SPEC_EXAMPLE), scan={"from": 0, "to": 1, "points": 1}),
+     "$.scan.to", "a one-point scan runs at 'from' alone: to = 1.0 differs from from = 0.0"),
 ], ids=["dispersion-omega-empty", "oracle-seed-negative", "packet-q0-zero", "groups-r-zero",
         "dispersion-abs-negative", "dispersion-omega-zero", "packet-bandwidth-wide",
         "abscissa-zero", "output-not-string", "detection-without-physical",
         "memory-physical-without-q", "grid-missing", "physical-xi3-negative",
-        "no-parameter-block", "dispersion-omega-missing"])
+        "no-parameter-block", "dispersion-omega-missing", "scan-one-point-two-ends"])
 def test_empty_or_negative_entries_rejected(tmp_path, capsys, doc, key, message):
     with pytest.raises(ConfigError, match=re.escape(f"{key}: {message}")):
         parse_config(json.dumps(doc))

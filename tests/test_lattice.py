@@ -590,6 +590,28 @@ def test_channel_split_matches_dense_map_and_lone_entries(kappa_cs, rotating, tu
                                    atol=1e-13 * np.max(np.abs(dense)))
 
 
+def test_march_sweeps_each_run_of_one_kind_in_group_slices(monkeypatch):
+    # a run of split (zero-rotation) or of dense entries is sliced into
+    # sweeps of _group_size entries on its own, so a stack of one kind keeps
+    # the slices of one run
+    grid = Grid(16, 16)
+    size = lattice._group_size(grid)
+    rotating = [False] * (size + 1) + [True] * 2 + [False]
+    params = [canonical_params(0.5, 3.0, 0.3 if rot else 0.0, 0.0) for rot in rotating]
+    marched, real = [], lattice._sweep
+
+    def spy(tiles, u, w, sides, record=None):
+        # the march's sweeps (stack entries, components); tile builds record
+        if record is None:
+            marched.append((len(tiles), np.shape(u)[np.ndim(tiles) - 2]))
+        return real(tiles, u, w, sides, record)
+
+    monkeypatch.setattr(lattice, "_sweep", spy)
+    n = len(params)
+    integrate_stacked(params, grid, np.ones((2, grid.n_time, n)), np.ones((2, grid.n_space, n)))
+    assert marched == [(size, 1), (1, 1), (2, 2), (1, 1)]
+
+
 @pytest.mark.parametrize("kappa2_L, Omega_T", [(0.0, 0.0), (0.3, 0.0), (0.0, -0.3), (1e-3, 1e-3)])
 @pytest.mark.parametrize("grid", [Grid(7, 11), Grid(32, 12)], ids=["prime", "tiled"])
 def test_only_zero_rotation_cells_split(monkeypatch, grid, kappa2_L, Omega_T):

@@ -8,7 +8,8 @@
 
 No other exception may escape ``run``.  Configs are drawn over all six
 modes on small grids, with kappa_c below the strong-coupling orders, with
-and without rotation.
+and without rotation.  An output that cannot be written is an error exit
+too.
 """
 
 import io
@@ -18,6 +19,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polariton_lab.config import MODES, ConfigError, parse_config
@@ -99,3 +101,28 @@ def test_every_run_ends_in_one_contract_outcome(doc):
             assert code == 1 and config.mode in GATED
             assert stdout.getvalue().splitlines()[-1].endswith(" FAIL")
             assert out.exists() and meta.exists() and _finite_rows(out)
+
+
+_SYMPLECTIC = json.dumps({"mode": "symplectic-check", "groups": {"kappa_c": 1, "r": 10},
+                          "grid": {"n_time": 8, "n_space": 8}})
+
+
+@pytest.mark.parametrize("blocked", ["csv-is-a-directory", "csv-under-a-file",
+                                     "sidecar-is-a-directory"])
+def test_unwritable_output_is_one_error_line_and_no_csv(tmp_path, blocked):
+    out = tmp_path / "run.csv"
+    meta = tmp_path / "run.csv.meta.json"
+    if blocked == "csv-is-a-directory":
+        out.mkdir()
+    elif blocked == "csv-under-a-file":
+        (tmp_path / "file").write_text("")
+        out, meta = tmp_path / "file" / "run.csv", tmp_path / "file" / "run.csv.meta.json"
+    else:
+        meta.mkdir()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = run(parse_config(_SYMPLECTIC), out, _SYMPLECTIC)
+    errors = stderr.getvalue().splitlines()
+    assert code == 1
+    assert len(errors) == 1 and errors[0].startswith("error: cannot write output: ")
+    assert not out.is_file() and not meta.is_file()

@@ -183,6 +183,23 @@ def test_f_independent_of_r():
     assert a.gamma == b.gamma
 
 
+@pytest.mark.parametrize("mode", ["readout", "memory"])
+def test_gamma_at_zero_coupling_follows_its_route(mode):
+    # the kernel route reports Gamma's kappa_c -> 0 limit; on the matrix
+    # route Gamma = (v1 - F) / (2 r |kappa_c|) is 0/0 at kappa_c = 0 and
+    # reads 0, while the nearby points approach the limit.  v1 and v2 do
+    # not depend on Gamma at kappa_c = 0
+    kernel = scan([0.0], mode, groups(0.0, omega_T=1.0, q_L=1.0), Grid(64, 64))
+    matrix = scan([0.0, 1e-6], mode, groups(0.0, omega_T=1.0, q_L=1.0, kappa2_L=1e-12),
+                  Grid(64, 64))
+    assert (kernel.route, matrix.route) == ("kernel", "matrix")
+    assert kernel.rows[0].gamma == 0.48676591932104124
+    assert matrix.rows[0].gamma == 0.0
+    assert math.isclose(matrix.rows[1].gamma, 0.48676941112879574, rel_tol=1e-12)
+    for row in (kernel.rows[0], matrix.rows[0]):
+        assert row.v1 == row.v2 == row.f_self
+
+
 def test_shared_gamma_product_structure():
     # (v1 - F)(v2 - F) = (2 kappa_c Gamma)^2, r-independent
     for r in (3.0, 10.0):
@@ -431,6 +448,16 @@ def _counting_kernels(monkeypatch):
 def test_kernel_scan_evaluates_each_order_once(monkeypatch):
     calls = _counting_kernels(monkeypatch)
     result = scan(np.linspace(0.0, 2.5, 5), "readout", groups(0.0), G256)
+    assert [r.resolution.order for r in result.rows] == [32] * 5
+    assert sorted(calls) == sorted((name, m, 5) for m in (16, 32)
+                                   for name in ("kernel_self_scaled", "kernel_cross_scaled"))
+
+
+def test_kernel_scan_takes_both_wings_in_one_call_per_order(monkeypatch):
+    # points of both signs and zero share one batch: one call per kernel
+    # and order
+    calls = _counting_kernels(monkeypatch)
+    result = scan([-2.0, -1.0, 0.0, 1.0, 2.0], "readout", groups(0.0), G256)
     assert [r.resolution.order for r in result.rows] == [32] * 5
     assert sorted(calls) == sorted((name, m, 5) for m in (16, 32)
                                    for name in ("kernel_self_scaled", "kernel_cross_scaled"))

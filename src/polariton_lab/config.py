@@ -26,10 +26,15 @@ MODES = (
 
 _REQUIRED_HINT = (
     "required keys: 'mode' (one of %s), 'grid' {n_time, n_space}, and exactly "
-    "one of 'groups' {kappa_c, r, omega_T?, q_L?, kappa2_L?, Omega_T?} or "
+    "one of 'groups' {kappa_c?, r, omega_T?, q_L?, kappa2_L?, Omega_T?} or "
     "'physical' {beta, epsilon, ...}; scan modes also need "
-    "'scan' {from, to, points}" % (", ".join(MODES))
+    "'scan' {from, to, points}; symplectic-check and packet-velocity need "
+    "groups.kappa_c; dispersion and packet-velocity need no grid" % (", ".join(MODES))
 )
+
+# modes that read groups.kappa_c, and modes that march no lattice on the grid
+_READS_KAPPA_C = ("symplectic-check", "packet-velocity")
+_NO_GRID = ("dispersion", "packet-velocity")
 
 
 # top-level blocks that only some modes read: block -> (modes, required there)
@@ -91,8 +96,11 @@ def _block(obj: Any, path: str, allowed: set[str]) -> dict:
 
 
 class RunConfig(NamedTuple):
+    """A validated run; ``grid`` and ``groups.kappa_c`` are None where the
+    config omits them, which only a mode that does not read them allows."""
+
     mode: str
-    grid: Grid
+    grid: Grid | None
     groups: DimensionlessGroups | None = None
     scan_range: tuple[float, float, int] | None = None
     eps_conversion: float = 0.5
@@ -108,7 +116,7 @@ class RunConfig(NamedTuple):
 
 def _parse_groups(obj: Any, path: str) -> DimensionlessGroups:
     _block(obj, path, {"kappa_c", "r", "omega_T", "q_L", "kappa2_L", "Omega_T"})
-    kappa_c = _number(obj, path, "kappa_c", required=True)
+    kappa_c = _number(obj, path, "kappa_c")
     r = _number(obj, path, "r", required=True)
     if r <= 0:
         raise _err(f"{path}.r", f"coupling ratio must be positive, got {r}")
@@ -166,16 +174,18 @@ def parse_config(text: str) -> RunConfig:
         if required and block not in doc and mode in modes:
             raise _err(f"$.{block}", f"missing required key for mode {mode!r}")
 
-    if "grid" not in doc:
+    grid = None
+    if "grid" in doc:
+        gobj = _block(doc["grid"], "$.grid", {"n_time", "n_space"})
+        # read outside the try, whose wrapping is for Grid's own errors
+        n_time = _integer(gobj, "$.grid", "n_time")
+        n_space = _integer(gobj, "$.grid", "n_space")
+        try:
+            grid = Grid(n_time, n_space)
+        except ValueError as exc:
+            raise _err("$.grid", str(exc)) from exc
+    elif mode not in _NO_GRID:
         raise _err("$.grid", "missing required key")
-    gobj = _block(doc["grid"], "$.grid", {"n_time", "n_space"})
-    # read outside the try, whose wrapping is for Grid's own errors
-    n_time = _integer(gobj, "$.grid", "n_time")
-    n_space = _integer(gobj, "$.grid", "n_space")
-    try:
-        grid = Grid(n_time, n_space)
-    except ValueError as exc:
-        raise _err("$.grid", str(exc)) from exc
 
     has_groups = "groups" in doc
     has_physical = "physical" in doc
@@ -185,6 +195,8 @@ def parse_config(text: str) -> RunConfig:
             "'groups' or 'physical'"
         )
     groups = _parse_groups(doc["groups"], "$.groups") if has_groups else None
+    if has_groups and groups.kappa_c is None and mode in _READS_KAPPA_C:
+        raise _err("$.groups.kappa_c", f"missing required key for mode {mode!r}")
     params = _parse_physical(doc["physical"], "$.physical") if has_physical else None
 
     needs_params = mode in ("readout", "memory", "symplectic-check",

@@ -83,7 +83,8 @@ def _emit(out: Path, config_text: str, config: RunConfig, rows, **extra) -> None
     write_csv(out, _HEADERS[config.mode], rows)
     meta = {
         "config_sha256": sha256(config_text.encode("utf-8")).hexdigest(),
-        "grid": {"n_time": config.grid.n_time, "n_space": config.grid.n_space},
+        "grid": (None if config.grid is None
+                 else {"n_time": config.grid.n_time, "n_space": config.grid.n_space}),
         "mode": config.mode,
         "rows": len(rows),
         "version": __version__,
@@ -294,7 +295,7 @@ def _run_packet(config: RunConfig, out: Path, config_text: str) -> int:
     params = canonical_params(g.kappa_c, g.ratio_r)
     q0 = config.packet_q0_L / params.length_L
     bandwidth = config.packet_bandwidth_frac * abs(q0)
-    v_meas = measure_packet_velocity(params, config.grid, q0, bandwidth)
+    v_meas = measure_packet_velocity(params, q0, bandwidth)
     v_pred = group_velocity(-params.a_coupling, q0)
     _emit(out, config_text, config, [(q0, v_meas, v_pred)])
     print(f"packet-velocity: measured {format_number(v_meas)}, "

@@ -280,13 +280,13 @@ def scan(kappa_c_values, mode: str, groups: DimensionlessGroups, grid: Grid) -> 
         raise ValueError("empty scan range")
     if not (math.isfinite(groups.ratio_r) and groups.ratio_r > 0.0):
         raise ValueError(f"ratio_r must be positive and finite, got {groups.ratio_r}")
-    if min(grid.n_time, grid.n_space) < _MIN_SCAN_GRID:
-        raise ValueError(
-            f"grid coarser than {_MIN_SCAN_GRID} rejected for variance scans"
-        )
     if groups.kappa2_L == 0.0 and groups.Omega_T == 0.0:
         w = groups.omega_T if mode == "readout" else groups.q_L
         return ScanResult(tuple(_kernel_breakdowns(kcs, groups.ratio_r, w)), "kernel")
+    if min(grid.n_time, grid.n_space) < _MIN_SCAN_GRID:
+        raise ValueError(
+            f"grid coarser than {_MIN_SCAN_GRID} rejected for matrix-route scans"
+        )
     return ScanResult(tuple(_matrix_breakdowns(kcs, groups, grid, mode)), "matrix")
 
 
@@ -381,9 +381,10 @@ def _matrix_breakdowns(kappa_c: list[float], groups: DimensionlessGroups, grid: 
                                     for channel in channels])
     out = []
     for kc, (v1, light, spin), (v2, _, _) in zip(kappa_c, ratios[::2], ratios[1::2]):
-        f_self = light if mode == "readout" else spin
+        f_self, cross = (light, spin) if mode == "readout" else (spin, light)
+        # the conjugate part of v1 is 2 r |kappa_c| Gamma, free of v1 - F's cancellation
         coupling = 2.0 * groups.ratio_r * abs(kc)
-        gamma = (v1 - f_self) / coupling if coupling else 0.0
+        gamma = cross / coupling if coupling else 0.0
         out.append(VarianceBreakdown(f_self=f_self, gamma=gamma, v1=v1, v2=v2, sql=sql))
     return out
 

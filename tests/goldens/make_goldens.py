@@ -43,8 +43,9 @@ CONFIGS = {
                        "grid": {"n_time": 64, "n_space": 32},
                        "oracle_compare": {"kappa_c_values": [-1, 0, 2], "profiles": 2,
                                           "seed": 3}},
-    # the four perfbench workloads at seed 3
+    # the four perfbench workloads at seeds 3 and 7
     **{f"bench-{name}": workload.make_config(3) for name, workload in WORKLOADS.items()},
+    **{f"bench7-{name}": workload.make_config(7) for name, workload in WORKLOADS.items()},
     # the blue wing, kappa_c = 0, and the matrix route on a rectangular grid
     "blue-readout": {"mode": "readout", "groups": {"kappa_c": -2, "r": 10, "omega_T": 2.0},
                      "grid": {"n_time": 128, "n_space": 128},

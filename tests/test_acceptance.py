@@ -98,7 +98,7 @@ def test_criterion_04_plane_wave_residual():
 def test_criterion_05_group_velocity():
     params = canonical_params(2.0, 1.0)
     q0 = 8.0
-    v = measure_packet_velocity(params, G512, q0, 0.1 * q0)
+    v = measure_packet_velocity(params, q0, 0.1 * q0)
     v_pred = group_velocity(-params.a_coupling, q0)
     ratio = v / v_pred
     ok = 0.95 <= ratio <= 1.05

@@ -88,10 +88,11 @@ def test_unknown_keys_rejected_with_path():
 
 
 def test_missing_keys_have_paths():
-    doc = json.loads(SPEC_EXAMPLE)
-    del doc["groups"]["kappa_c"]
-    with pytest.raises(ConfigError, match=r"\$\.groups\.kappa_c"):
-        parse_config(json.dumps(doc))
+    # the two modes that read groups.kappa_c require it
+    for doc in (_symplectic_doc(1, 8), dict(PACKET_DOC, groups={"kappa_c": 2, "r": 1})):
+        del doc["groups"]["kappa_c"]
+        with pytest.raises(ConfigError, match=r"\$\.groups\.kappa_c: missing required key"):
+            parse_config(json.dumps(doc))
     doc = json.loads(SPEC_EXAMPLE)
     del doc["scan"]
     with pytest.raises(ConfigError, match=r"\$\.scan"):
@@ -395,20 +396,74 @@ def test_cli_oracle_stability_names_kappa_c_and_writes_nothing(tmp_path, capsys,
     assert not (out.parent / (out.name + ".meta.json")).exists()
 
 
+PACKET_DOC = {
+    "mode": "packet-velocity",
+    "groups": {"kappa_c": 2, "r": 1},
+    "grid": {"n_time": 256, "n_space": 256},
+    "packet": {"q0_L": 8, "bandwidth_frac": 0.1},
+}
+
+
 def test_cli_packet_velocity(tmp_path):
-    doc = {
-        "mode": "packet-velocity",
-        "groups": {"kappa_c": 2, "r": 1},
-        "grid": {"n_time": 256, "n_space": 256},
-        "packet": {"q0_L": 8, "bandwidth_frac": 0.1},
-    }
-    code, out = _run_cli(tmp_path, doc, "packet-velocity")
+    code, out = _run_cli(tmp_path, PACKET_DOC, "packet-velocity")
     assert code == 0
     header, row = out.read_text().splitlines()
     assert header == "q0,v_measured,v_predicted"
     q0, v_meas, v_pred = (float(x) for x in row.split(","))
     assert 0.95 <= v_meas / v_pred <= 1.05
     assert v_meas == pytest.approx(0.032113322367784761, rel=1e-12, abs=0.0)
+
+
+def test_packet_velocity_rows_do_not_depend_on_the_grid(tmp_path):
+    # the packet's lattice steps by its own wavelength / 48, on any grid
+    rows = set()
+    for n in (8, 16, 64, 512):
+        code, out = _run_cli(tmp_path, dict(PACKET_DOC, grid={"n_time": n, "n_space": n}),
+                             "packet-velocity")
+        assert code == 0
+        rows.add(out.read_bytes())
+    assert len(rows) == 1
+
+
+_GRID_2X3 = {"n_time": 2, "n_space": 3}
+_OPTIONAL = [
+    # (mode, doc, block, key, another value): the key changes nothing there
+    ("readout", dict(json.loads(SPEC_EXAMPLE), grid={"n_time": 64, "n_space": 64},
+                     scan={"from": 0, "to": 2, "points": 3}), "groups", "kappa_c", 12345),
+    ("memory", {"mode": "memory",
+                "groups": {"kappa_c": 1, "r": 10, "q_L": 0.9, "kappa2_L": 0.3, "Omega_T": 0.3},
+                "grid": {"n_time": 64, "n_space": 64},
+                "scan": {"from": -1, "to": 2, "points": 4}}, "groups", "kappa_c", 12345),
+    ("oracle-compare", {"mode": "oracle-compare", "groups": {"kappa_c": 1, "r": 10},
+                        "grid": {"n_time": 32, "n_space": 32},
+                        "oracle_compare": {"kappa_c_values": [-1, 0.5], "profiles": 1}},
+     "groups", "kappa_c", 12345),
+    ("dispersion", {"mode": "dispersion", "grid": {"n_time": 8, "n_space": 8},
+                    "dispersion": {"abs_A_LT": 2, "omega_T": [0.5, 4]}}, None, "grid", _GRID_2X3),
+    ("packet-velocity", PACKET_DOC, None, "grid", _GRID_2X3),
+]
+
+
+@pytest.mark.parametrize("mode, doc, block, key, other", _OPTIONAL,
+                         ids=[m for m, *_ in _OPTIONAL])
+def test_optional_keys_change_nothing(tmp_path, mode, doc, block, key, other):
+    # a config that omits the key writes the CSV of one that gives another
+    # value for it: no code path reads a value the config did not give
+    csvs = []
+    for value in (None, other):
+        variant = json.loads(json.dumps(doc))
+        target = variant[block] if block else variant
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        code, out = _run_cli(tmp_path, variant, mode)
+        assert code == 0
+        meta = json.loads(Path(str(out) + ".meta.json").read_text())
+        if key == "grid":
+            assert meta["grid"] == value
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_cli_mode_mismatch(tmp_path):

@@ -8,8 +8,8 @@
 
 No other exception may escape ``run``.  Configs are drawn over all six
 modes on small grids, with kappa_c below the strong-coupling orders, with
-and without rotation.  An output that cannot be written is an error exit
-too.
+and without rotation, and with or without the keys a mode does not read.
+An output that cannot be written is an error exit too.
 """
 
 import io
@@ -26,8 +26,9 @@ from polariton_lab.config import MODES, ConfigError, parse_config
 from polariton_lab.runner import run
 
 GATED = ("oracle-compare", "symplectic-check")
-# grid sides per mode: the scans reject grids below 64 and packet-velocity
-# needs 8 points per wavelength, so each mode draws near its own edge
+# grid sides per mode: matrix-route scans reject grids below 64, so the
+# scans draw near that edge; dispersion and packet-velocity read no grid,
+# and a draw may omit it
 _SIDES = {"readout": [32, 64, 96], "memory": [32, 64, 96], "dispersion": [2, 8],
           "oracle-compare": [4, 8, 16, 32], "symplectic-check": [4, 8, 16, 32],
           "packet-velocity": [16, 64, 128]}
@@ -49,6 +50,11 @@ def run_docs(draw):
         groups["q_L"] = draw(_SMALL)
     if mode != "dispersion":
         doc["groups"] = groups
+    # the keys a mode does not read are optional there
+    if mode in ("dispersion", "packet-velocity") and draw(st.booleans()):
+        del doc["grid"]
+    if mode in ("readout", "memory", "oracle-compare") and draw(st.booleans()):
+        del groups["kappa_c"]
     if mode in ("readout", "memory"):
         doc["scan"] = {"from": draw(_KAPPA_C), "to": draw(_KAPPA_C),
                        "points": draw(st.integers(1, 3))}

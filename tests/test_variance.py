@@ -11,6 +11,7 @@ from polariton_lab.model import DimensionlessGroups, Grid, canonical_params
 from polariton_lab.quadrature import PanelRule, panel_nodes
 from polariton_lab.variance import (
     _RESOLVED_RTOL,
+    _cos_bin_averages,
     _filter_norms,
     _kernel_breakdowns,
     general_variances,
@@ -162,8 +163,10 @@ def test_unresolved_point_raises_with_both_orders():
 @given(kappa_c=st.floats(-2.0, 2.5), w=st.floats(0.2, 4.0),
        mode=st.sampled_from(["readout", "memory"]))
 def test_kernel_route_rows_do_not_depend_on_the_grid(kappa_c, w, mode):
+    # the closed form reads no grid, so the matrix route's floor of 64 does
+    # not apply to it
     g = groups(0.0, omega_T=w, q_L=w)
-    coarse = scan([kappa_c], mode, g, Grid(64, 64))
+    coarse = scan([kappa_c], mode, g, Grid(32, 32))
     fine = scan([kappa_c], mode, g, Grid(512, 512))
     assert coarse.route == "kernel"
     assert coarse.rows == fine.rows
@@ -186,18 +189,47 @@ def test_f_independent_of_r():
 @pytest.mark.parametrize("mode", ["readout", "memory"])
 def test_gamma_at_zero_coupling_follows_its_route(mode):
     # the kernel route reports Gamma's kappa_c -> 0 limit; on the matrix
-    # route Gamma = (v1 - F) / (2 r |kappa_c|) is 0/0 at kappa_c = 0 and
-    # reads 0, while the nearby points approach the limit.  v1 and v2 do
-    # not depend on Gamma at kappa_c = 0
+    # route Gamma is the cross part of v1 over 2 r |kappa_c|, 0/0 at
+    # kappa_c = 0, and reads 0, while the nearby points approach the limit.
+    # v1 and v2 do not depend on Gamma at kappa_c = 0
     kernel = scan([0.0], mode, groups(0.0, omega_T=1.0, q_L=1.0), Grid(64, 64))
     matrix = scan([0.0, 1e-6], mode, groups(0.0, omega_T=1.0, q_L=1.0, kappa2_L=1e-12),
                   Grid(64, 64))
     assert (kernel.route, matrix.route) == ("kernel", "matrix")
     assert kernel.rows[0].gamma == 0.48676591932104124
     assert matrix.rows[0].gamma == 0.0
-    assert math.isclose(matrix.rows[1].gamma, 0.48676941112879574, rel_tol=1e-12)
+    assert math.isclose(matrix.rows[1].gamma, 0.48676941112949235, rel_tol=1e-12)
     for row in (kernel.rows[0], matrix.rows[0]):
         assert row.v1 == row.v2 == row.f_self
+
+
+@pytest.mark.parametrize("mode", ["readout", "memory"])
+def test_matrix_gamma_keeps_its_digits_at_tiny_coupling(mode):
+    # Gamma is read off the cross part of v1: v1 - F would keep only the
+    # 2 r |kappa_c| Gamma / F share of its digits
+    g = groups(0.0, omega_T=1.0, q_L=1.0, kappa2_L=0.3)
+    ref, tiny = scan([1e-13, 1e-16], mode, g, Grid(64, 64)).rows
+    assert math.isclose(tiny.gamma, ref.gamma, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("kappa_c", [1e3, 1e4])
+def test_strong_coupling_kernel_rows_match_the_extrapolated_lattice(kappa_c):
+    # the zero-rotation matrix route on grids 2048 and 4096, extrapolated to
+    # h -> 0, is independent evidence for the kernel route's order ladder;
+    # the bound is a tenth of the extrapolation's own correction
+    w = 0.5
+    (kernel,) = scan([kappa_c], "readout", groups(0.0, omega_T=w), Grid(64, 64)).rows
+    assert kernel.resolution is not None
+    params = canonical_params(kappa_c, 10.0)
+    levels = []
+    for n in (2048, 4096):
+        res = general_variances(params, Grid(n, n), _cos_bin_averages(w, n), np.ones(n))
+        levels.append(np.array([res["xi1"].light_part, res["xi1"].normalized,
+                                res["xi2"].normalized]))
+    coarse, fine = levels
+    richardson = fine + (fine - coarse) / 3.0
+    got = np.array([kernel.f_self, kernel.v1, kernel.v2])
+    assert np.all(np.abs(richardson - got) <= 0.1 * np.abs(fine - coarse) / 3.0)
 
 
 def test_shared_gamma_product_structure():
@@ -624,7 +656,7 @@ def test_error_conditions():
     with pytest.raises(ValueError, match="ratio_r"):
         readout_variances(groups(1.0, r=-1.0), G256)
     with pytest.raises(ValueError, match="coarser"):
-        readout_variances(groups(1.0), Grid(32, 32))
+        readout_variances(groups(1.0, kappa2_L=0.3), Grid(32, 32))
     with pytest.raises(ValueError, match="empty"):
         scan([], "readout", groups(0.0), G256)
     with pytest.raises(ValueError, match="mode"):

@@ -27,12 +27,13 @@ returns: light (P, 2, n_time) of (Xi1, Xi2) and spin (P, 2, n_space) of
 (Jz, Jy), at the bin centers.  It takes one quadrature: the m-point
 Gauss-Legendre rule on [0, 1] in s for the self part
 tau Int_0^1 K(t - tau s) own(tau s) ds, tau = min(t, 1), and in z' for the
-cross part.  Both integrands are smooth, so the order doubles
-from 16 until two orders agree (the ladder of the closed-form variance,
-whose constants sit beside ``UnresolvedError``); where order 1024 does not
-resolve a component it raises UnresolvedError, a ValueError naming kappa_c
-and both orders.  Past t = 1 the same formula is the time continuation
-that the test suite's Laplace-identity check (tests/oracles.py) reads.
+cross part.  Both integrands are smooth, so the order doubles from 16
+until two orders agree, on the ladder the closed-form variance takes too
+(quadrature._resolve, beside UnresolvedError and its constants); where
+order 1024 does not resolve a component it raises UnresolvedError, a
+ValueError naming kappa_c and both orders.  Past t = 1 the same formula is
+the time continuation that the test suite's Laplace-identity check
+(tests/oracles.py) reads.
 
 The map makes one pass per order for every profile (``_output_map``): the
 set is evaluated once at each of the order's point sets, read one profile
@@ -83,7 +84,7 @@ import math
 import numpy as np
 
 from .model import Grid, _centers, _shared_box
-from .quadrature import PanelRule
+from .quadrature import _RESOLVED_RTOL, PanelRule, UnresolvedError, _resolve
 
 __all__ = [
     "I_OVERFLOW_X",
@@ -329,19 +330,6 @@ def kernel_cross_scaled(kappa_c, x, t):
     return _reduced_bessel(0, kappa_c, np.clip(s, 0.0, None, out=s))[()]
 
 
-# Orders m of the closed-form Gauss-Legendre rules, here and in variance.py:
-# doubled from the first until the results at m and m/2 agree to a relative
-# _RESOLVED_RTOL; a result the largest order does not resolve raises
-_FIRST_ORDER = 16
-_MAX_ORDER = 1024
-_RESOLVED_RTOL = 1e-10
-
-
-class UnresolvedError(ValueError):
-    """A closed-form result not resolved at Gauss-Legendre order _MAX_ORDER:
-    a component of the output map, or a variance point of variance.py."""
-
-
 def _output_map(t: np.ndarray, kappa_c: list[float], own, conj,
                 coef: list[float]) -> tuple[list[np.ndarray], list[int], dict]:
     """own(t) - tau Int_0^1 K(t - tau s) own(tau s) ds + c Int_0^1 G(1 - x, t) conj(x) dx
@@ -350,60 +338,64 @@ def _output_map(t: np.ndarray, kappa_c: list[float], own, conj,
     those of kappa_c[j].  ``own(x)`` and ``conj(x)`` give at an array of
     points x an indexable whose item j is component j's values; each item
     is read once per call, in order within each kappa_c.  Returns every
-    component's values, per component the order at which the last
-    component of its kappa_c resolved, and {kappa_c: exception} for the
-    kappa_c that fail.
+    component's values, per component the last order at which its kappa_c
+    was evaluated, and the failures of the ladder (quadrature._resolve).
 
     For t <= 1 the self part is the causal convolution (K * own)(t); past 1
     it is the time continuation of an input whose support ends at 1.  Both
-    integrals take the m-point Gauss-Legendre rule on [0, 1], m doubling from
-    _FIRST_ORDER.  A component is resolved when its values at m and m/2 agree
-    to _RESOLVED_RTOL times the largest magnitude of its three summands, and
-    keeps its values at m.  Each order reads own and conj once at its nodes
-    and computes K and G once per kappa_c still pending, so every component
-    has the bits of a lone call.  A kappa_c fails as a call on its components
-    alone would raise, and is carried no further: at the first order where a kernel raises, or where
-    a component, in order, is non-finite (OverflowError) or, at _MAX_ORDER,
-    unresolved (UnresolvedError), each naming kappa_c.
+    integrals take the m-point Gauss-Legendre rule on [0, 1].  A component
+    is resolved when its values at m and m/2 agree to _RESOLVED_RTOL times
+    the largest magnitude of its three summands.  Each order reads own and
+    conj once at its nodes and computes K and G once per kappa_c still
+    pending, so every component has the bits of a lone call.  A component
+    fails where its kernels raise or its value is non-finite
+    (OverflowError), each naming kappa_c.
     """
     tau = np.minimum(t, 1.0)
     at_t = own(t)
     direct = [np.asarray(at_t[j], dtype=float) for j in range(len(kappa_c))]
     del at_t
-    values = [None] * len(kappa_c)
-    pending = {}
-    for j, kc in enumerate(kappa_c):
-        pending.setdefault(kc, []).append(j)
-    order, failures = {}, {}
-    m = _FIRST_ORDER
-    while pending:
+
+    def evaluate(m, pending):
         rule = PanelRule(m)
         s, w = 0.5 * (1.0 + rule.x), 0.5 * rule.w
         ts = np.multiply.outer(tau, s)
         at_ts, at_s = own(ts), conj(s)
         lag = t[:, None] - ts
-        for kc in list(pending):
-            order[kc] = m
+        by_kc, fine = {}, {}
+        for j in pending:
+            by_kc.setdefault(kappa_c[j], []).append(j)
+        # one kappa_c's kernel values at a time
+        for kc, items in by_kc.items():
             try:
                 k = kernel_self_scaled(kc, lag)
                 g = kernel_cross_scaled(kc, 1.0 - s, t[:, None])
-                still = [j for j in pending[kc]
-                         if not _resolved(kc, m, values, j, direct[j],
-                                          np.asarray(at_ts[j], dtype=float),
-                                          np.asarray(at_s[j], dtype=float), coef[j], k, g,
-                                          tau, w)]
             except (ValueError, OverflowError) as exc:
-                failures[kc] = exc
-                still = []
-            if still:
-                pending[kc] = still
-            else:
-                del pending[kc]
-            # one kappa_c's kernel values at a time
-            k = g = None
-        del at_ts, at_s, lag
-        m *= 2
-    return values, [order[kc] for kc in kappa_c], failures
+                fine.update(dict.fromkeys(items, exc))
+                continue
+            for j in items:
+                # blue-wing products can leave the double range below the
+                # kernels' own argument threshold
+                with np.errstate(over="ignore", invalid="ignore"):
+                    conv = tau * ((k * np.asarray(at_ts[j], dtype=float)) @ w)
+                    cross = coef[j] * (g @ (w * np.asarray(at_s[j], dtype=float)))
+                    value = direct[j] - conv + cross
+                fine[j] = (value, conv, cross) if np.all(np.isfinite(value)) else OverflowError(
+                    f"output map overflows at kappa_c = {kc:.6g}, Gauss-Legendre order {m}")
+            del k, g
+        return [fine[j] for j in pending]
+
+    def agree(j, m, coarse, fine):
+        value, conv, cross = fine
+        change = float(np.max(np.abs(value - coarse[0])))
+        scale = max(float(np.max(np.abs(part))) for part in (direct[j], conv, cross))
+        if change <= _RESOLVED_RTOL * scale:
+            return value
+        return (f"change {change:.3g} from order {m // 2} to {m}, "
+                f"against largest summand {scale:.3g}")
+
+    values, orders, failures = _resolve(kappa_c, evaluate, agree, "output map")
+    return values, [orders[kc] for kc in kappa_c], failures
 
 
 class _Components:
@@ -484,34 +476,3 @@ def output_maps(params, grid: Grid, light, spin) -> tuple[tuple[np.ndarray, np.n
     return tuple(np.array([[out[p, side, 0], out[p, side, 1]] for p in range(len(params))])
                  for side in (0, 1)), orders
 
-
-def _resolved(kappa_c: float, m: int, values: list, j: int, direct: np.ndarray,
-              own: np.ndarray, conj: np.ndarray, c: float, k: np.ndarray, g: np.ndarray,
-              tau: np.ndarray, w: np.ndarray) -> bool:
-    """Component j's value at order m into values[j], from its input at the
-    outputs, own at the nodes tau s, conj at the nodes x and the coupling c;
-    whether it agrees with its value at m/2.  Raises OverflowError for a
-    non-finite value and UnresolvedError when order _MAX_ORDER does not
-    resolve it."""
-    # blue-wing products can leave the double range below the kernels' own
-    # argument threshold; that raises below
-    with np.errstate(over="ignore", invalid="ignore"):
-        conv = tau * ((k * own) @ w)
-        cross = c * (g @ (w * conj))
-        value = direct - conv + cross
-    if not np.all(np.isfinite(value)):
-        raise OverflowError(f"output map overflows at kappa_c = {kappa_c:.6g}, "
-                            f"Gauss-Legendre order {m}")
-    last, values[j] = values[j], value
-    if last is None:
-        return False
-    change = float(np.max(np.abs(value - last)))
-    scale = max(float(np.max(np.abs(part))) for part in (direct, conv, cross))
-    if change <= _RESOLVED_RTOL * scale:
-        return True
-    if m == _MAX_ORDER:
-        raise UnresolvedError(
-            f"output map at kappa_c = {kappa_c:.6g} is not resolved by "
-            f"Gauss-Legendre order {_MAX_ORDER}: change {change:.3g} from order "
-            f"{m // 2} to {m}, against largest summand {scale:.3g}")
-    return False

@@ -4,8 +4,9 @@ Panels coincide with the uniform grid bins; a partial panel is one more
 pair of edges.  Eight nodes per panel carry the Laplace transforms of the
 test suite's identity check (tests/oracles.py), with fully deterministic
 node placement.  The closed-form output maps (kernels.py) and variance
-(variance.py) need no grid: each takes one m-point rule mapped to [0, 1],
-its order doubling from 16 until two orders agree.
+(variance.py) need no grid: each takes one m-point rule mapped to [0, 1] on
+the one order ladder, ``_resolve``, doubling m from 16 until two orders
+agree; each consumer gives it only its evaluation and its agreement test.
 
 Every rule is built here by Halley's method on the three-term recurrence,
 started from Tricomi's asymptotic node estimates, with each weight from
@@ -122,6 +123,58 @@ _HALVES = {
          (0.1444719615827965, 0.09563872007927485),
          (0.0483076656877383, 0.09654008851472785)),
 }
+
+
+# Orders m of the closed-form ladder: doubled from the first until the
+# results at m and m/2 agree to a relative _RESOLVED_RTOL
+_FIRST_ORDER = 16
+_MAX_ORDER = 1024
+_RESOLVED_RTOL = 1e-10
+
+
+class UnresolvedError(ValueError):
+    """A closed-form result not resolved at Gauss-Legendre order _MAX_ORDER:
+    a component of the output map (kernels.py), or a variance point
+    (variance.py)."""
+
+
+def _resolve(kappa_c: list[float], evaluate, agree, what: str) -> tuple[list, dict, dict]:
+    """The closed-form ladder over items j of kappa_c[j]: ``evaluate(m,
+    pending)`` gives each pending item's value at order m, or the exception
+    that fails it; ``agree(j, m, coarse, fine)`` the item's result from its
+    values at m/2 and m, or a string saying how they differ.
+
+    Each item keeps the result of the first order that agrees.  A kappa_c
+    fails at the first order where one of its items, the first in order,
+    fails or is unresolved at _MAX_ORDER; from then on no item of it, or of
+    a kappa_c first seen after it, is evaluated.  Returns the results, the
+    last order at which each kappa_c was evaluated, and {kappa_c: exception}
+    in order of first sight, its first entry being what a caller raises."""
+    results, coarse, orders, failures, first = [None] * len(kappa_c), {}, {}, {}, {}
+    for j, kc in enumerate(kappa_c):
+        first.setdefault(kc, j)
+    pending, m = list(range(len(kappa_c))), _FIRST_ORDER
+    while pending:
+        for j, fine in zip(pending, evaluate(m, pending)):
+            kc = kappa_c[j]
+            orders[kc] = m
+            if kc in failures:
+                continue
+            if j in coarse and not isinstance(fine, Exception):
+                result = agree(j, m, coarse[j], fine)
+                if not isinstance(result, str):
+                    results[j] = result
+                    continue
+                if m == _MAX_ORDER:
+                    fine = UnresolvedError(f"{what} at kappa_c = {kc:.6g} is not resolved by "
+                                           f"Gauss-Legendre order {_MAX_ORDER}: {result}")
+            if isinstance(fine, Exception):
+                failures[kc] = fine
+            coarse[j] = fine
+        cut = min((first[kc] for kc in failures), default=len(kappa_c))
+        pending = [j for j in pending if results[j] is None and first[kappa_c[j]] < cut]
+        m *= 2
+    return results, orders, {kc: failures[kc] for kc in first if kc in failures}
 
 
 class PanelRule:

@@ -28,11 +28,12 @@ Two independent routes compute the same quantities:
   integrands are entire on [0, 1]^2, so one m-point Gauss-Legendre rule in
   each variable gives Int f^2 and Int g^2 with exponential convergence and
   no grid (the rule is symmetric under x -> 1 - x, so nothing is
-  reflected).  The order m doubles from 16 until F and Gamma at m and 2m
-  agree to a relative 1e-10, and the 2m values are returned; unresolved
-  at m = 1024 a point raises kernels.UnresolvedError.  Gamma also counts
-  as resolved when its change is within what rounding alone makes of it
-  at the two orders, m eps times the sums of absolute terms of g: at
+  reflected).  The order m doubles from 16, on the ladder the output maps
+  take too (quadrature._resolve), until F and Gamma at m and 2m agree to a
+  relative 1e-10, and the 2m values are returned; unresolved at m = 1024 a
+  point raises quadrature.UnresolvedError.  Gamma also counts as resolved
+  when its change is within what rounding alone makes of it at the two
+  orders, m eps times the sums of absolute terms of g: at
   w = k pi, Int c vanishes and Gamma sits at round-off.  A scan
   evaluates each order once for all its points still pending, in batches
   of at most max(1, _BLOCK // m^2) points (128 at m = 16, 1 from m = 256
@@ -61,12 +62,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import (_BLOCK, _FIRST_ORDER, _MAX_ORDER, _RESOLVED_RTOL, UnresolvedError,
-                      _check_blue_wing, _check_kappa_c, kernel_cross_scaled,
+from .kernels import (_BLOCK, _check_blue_wing, _check_kappa_c, kernel_cross_scaled,
                       kernel_self_scaled)
 from .lattice import _bin_layout, _group_size, check_stability, transfer_adjoint_apply
 from .model import DimensionlessGroups, Grid, canonical_params
-from .quadrature import PanelRule
+from .quadrature import _RESOLVED_RTOL, PanelRule, _resolve
 
 __all__ = [
     "VarianceBreakdown",
@@ -212,51 +212,30 @@ def _kernel_breakdowns(kcs: list[float], ratio_r: float, w: float) -> list[Varia
     Gamma agree with those of m/2: F to _RESOLVED_RTOL, Gamma to that or to
     the change its rounding at both orders allows.
 
-    Each order is evaluated once for all points still pending.  Past
-    _MAX_ORDER a point is unresolved; the call raises what its first failing
-    point raises alone (UnresolvedError, or the OverflowError naming its
-    kappa_c), and a point after that one is not carried further."""
-    done: list = [None] * len(kcs)
-    coarse = {}
-    pending = list(range(len(kcs)))
-    m = _FIRST_ORDER
-    while pending:
+    Each order is evaluated once for all points still pending; the call
+    raises what its first failing point raises alone (UnresolvedError, or
+    the OverflowError naming its kappa_c)."""
+    def evaluate(m, pending):
         norms, int_cos2 = _filter_norms([kcs[i] for i in pending], w, m)
-        for i, norm in zip(pending, norms):
-            if isinstance(norm, Exception):
-                done[i] = norm
-            elif i in coarse:
-                done[i] = _resolved(kcs[i], ratio_r, m, coarse[i], norm, int_cos2)
-            if done[i] is None and m == _MAX_ORDER:
-                done[i] = UnresolvedError(
-                    f"closed-form variance at kappa_c = {kcs[i]:.6g} is not resolved by "
-                    f"Gauss-Legendre order {_MAX_ORDER}: F = {coarse[i][0]!r} at order "
-                    f"{m // 2}, {norm[0]!r} at order {m}; Gamma = {coarse[i][1]!r} at "
-                    f"order {m // 2}, {norm[1]!r} at order {m}")
-            coarse[i] = norm
-        first = next((i for i, d in enumerate(done) if isinstance(d, Exception)), len(kcs))
-        pending = [i for i in pending if done[i] is None and i < first]
-        m *= 2
-    for d in done:
-        if isinstance(d, Exception):
-            raise d
-    return done
+        return [n if isinstance(n, Exception) else (*n, int_cos2) for n in norms]
 
+    def agree(i, m, coarse, fine):
+        f_self, gamma, bound, int_cos2 = fine
+        f_change = _relative(abs(f_self - coarse[0]), f_self)
+        gamma_change = _relative(abs(gamma - coarse[1]), gamma)
+        gamma_floor = _relative(bound + coarse[2], gamma)
+        if f_change > _RESOLVED_RTOL or gamma_change > max(_RESOLVED_RTOL, gamma_floor):
+            return (f"F = {coarse[0]!r} at order {m // 2}, {f_self!r} at order {m}; "
+                    f"Gamma = {coarse[1]!r} at order {m // 2}, {gamma!r} at order {m}")
+        v1 = f_self + 2.0 * ratio_r * abs(kcs[i]) * gamma
+        v2 = f_self + (2.0 / ratio_r) * abs(kcs[i]) * gamma
+        return VarianceBreakdown(f_self=f_self, gamma=gamma, v1=v1, v2=v2, sql=0.5 * int_cos2,
+                                 resolution=Resolution(m, f_change, gamma_change, gamma_floor))
 
-def _resolved(kappa_c: float, ratio_r: float, m: int, coarse, fine,
-              int_cos2: float) -> VarianceBreakdown | None:
-    """The point from its (F, Gamma, bound) at orders m/2 and m, or None when
-    they do not agree."""
-    f_self, gamma, bound = fine
-    f_change = _relative(abs(f_self - coarse[0]), f_self)
-    gamma_change = _relative(abs(gamma - coarse[1]), gamma)
-    gamma_floor = _relative(bound + coarse[2], gamma)
-    if f_change > _RESOLVED_RTOL or gamma_change > max(_RESOLVED_RTOL, gamma_floor):
-        return None
-    v1 = f_self + 2.0 * ratio_r * abs(kappa_c) * gamma
-    v2 = f_self + (2.0 / ratio_r) * abs(kappa_c) * gamma
-    return VarianceBreakdown(f_self=f_self, gamma=gamma, v1=v1, v2=v2, sql=0.5 * int_cos2,
-                             resolution=Resolution(m, f_change, gamma_change, gamma_floor))
+    rows, _, failures = _resolve(kcs, evaluate, agree, "closed-form variance")
+    if failures:
+        raise next(iter(failures.values()))
+    return rows
 
 
 class ScanResult(NamedTuple):

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from polariton_lab import kernels, quadrature
+from polariton_lab import quadrature
 from polariton_lab.kernels import output_maps
 from polariton_lab.model import DimensionlessGroups, Grid, canonical_params
 from polariton_lab.quadrature import PanelRule, prefix_integrals
@@ -129,7 +129,7 @@ def test_tabulated_rules_match_the_built_ones(m):
 
 
 def test_both_first_orders_of_the_closed_form_ladder_are_tabulated():
-    assert {kernels._FIRST_ORDER, 2 * kernels._FIRST_ORDER} <= set(quadrature._HALVES)
+    assert {quadrature._FIRST_ORDER, 2 * quadrature._FIRST_ORDER} <= set(quadrature._HALVES)
 
 
 @pytest.mark.parametrize("m", [8, 16, 32, 64])
@@ -186,3 +186,64 @@ def test_strong_coupling_still_builds_its_orders_from_64_up(built):
     order = scan([1e4], "readout", g, Grid(64, 64)).rows[0].resolution.order
     assert order >= 64
     assert built == [2 ** k for k in range(6, order.bit_length())]
+
+
+def _ladder(kappa_c, resolve_at=None, fail_at=None):
+    """quadrature._resolve over fake items whose value at order m is m: item
+    j agrees from order resolve_at[j] on (never if absent) and fails at
+    order fail_at[j] with ValueError("item j").  Returns what the ladder
+    returns and the (m, pending) of every evaluation."""
+    resolve_at, fail_at, calls = resolve_at or {}, fail_at or {}, []
+
+    def evaluate(m, pending):
+        calls.append((m, list(pending)))
+        return [ValueError(f"item {j}") if fail_at.get(j) == m else m for j in pending]
+
+    def agree(j, m, coarse, fine):
+        if m >= resolve_at.get(j, math.inf):
+            return (j, fine)
+        return f"{coarse} at order {m // 2}, {fine} at order {m}"
+
+    return (*quadrature._resolve(kappa_c, evaluate, agree, "fake"), calls)
+
+
+def test_ladder_fails_the_first_kappa_c_first_whatever_the_orders():
+    # kappa_c 2 fails at order 16, kappa_c 1 only at 64; 1 is seen first, so
+    # it is carried on and leads the failures
+    _, orders, failures, _ = _ladder([1.0, 2.0], fail_at={0: 64, 1: 16})
+    assert [(kc, str(exc)) for kc, exc in failures.items()] == [(1.0, "item 0"), (2.0, "item 1")]
+    assert orders == {1.0: 64, 2.0: 16}
+
+
+def test_ladder_carries_nothing_after_the_first_failing_kappa_c():
+    # kappa_c 2 fails at order 32: its items and those of 3, first seen
+    # after it, are evaluated no further; item 3 of kappa_c 1 goes on
+    results, orders, failures, calls = _ladder(
+        [1.0, 2.0, 3.0, 1.0, 2.0], resolve_at={0: 64, 2: 64, 3: 128, 4: 64}, fail_at={1: 32})
+    assert calls == [(16, [0, 1, 2, 3, 4]), (32, [0, 1, 2, 3, 4]), (64, [0, 3]), (128, [3])]
+    assert results == [(0, 64), None, None, (3, 128), None]
+    assert orders == {1.0: 128, 2.0: 32, 3.0: 32}
+    assert [(kc, str(exc)) for kc, exc in failures.items()] == [(2.0, "item 1")]
+
+
+def test_ladder_takes_the_first_failing_item_of_a_kappa_c():
+    _, _, failures, _ = _ladder([1.0, 1.0, 1.0], fail_at={1: 32, 2: 32})
+    assert str(failures[1.0]) == "item 1"
+
+
+def test_ladder_items_keep_the_value_of_the_order_that_resolved_them():
+    results, orders, failures, calls = _ladder([1.0, 1.0], resolve_at={0: 32, 1: 128})
+    assert results == [(0, 32), (1, 128)]
+    assert [pending for _, pending in calls] == [[0, 1], [0, 1], [1], [1]]
+    assert orders == {1.0: 128} and failures == {}
+
+
+def test_ladder_unresolved_message_gives_both_orders():
+    # item 0 is unresolved at the largest order, ahead of item 1's error there
+    results, orders, failures, calls = _ladder([1.5, 1.5], fail_at={1: 1024})
+    assert [m for m, _ in calls] == [2 ** k for k in range(4, 11)]
+    assert orders == {1.5: 1024} and results == [None, None]
+    (exc,) = failures.values()
+    assert isinstance(exc, quadrature.UnresolvedError)
+    assert str(exc) == ("fake at kappa_c = 1.5 is not resolved by Gauss-Legendre order 1024: "
+                        "512 at order 512, 1024 at order 1024")

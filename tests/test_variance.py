@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polariton_lab.kernels import UnresolvedError, kernel_cross_scaled, kernel_self_scaled
 from polariton_lab.model import DimensionlessGroups, Grid, canonical_params
@@ -451,6 +451,7 @@ _KAPPA_C = st.one_of(st.just(0.0), st.floats(-2.0, 2.5), st.floats(-200.0, 200.0
 @settings(max_examples=10, deadline=None)
 @given(kcs=st.lists(_KAPPA_C, min_size=1, max_size=6), w=st.floats(0.2, 4.0),
        mode=st.sampled_from(["readout", "memory"]))
+@example(kcs=[0.5, 2.0, 0.5], w=1.0, mode="readout")
 def test_kernel_scan_rows_equal_per_point_rows(kcs, w, mode):
     # the scan evaluates each Gauss order once for all pending points; each
     # row must keep the bits of its point alone, whether the point takes the
@@ -545,6 +546,7 @@ def test_one_point_holds_two_tensor_arrays_at_the_largest_order():
     # the kernels; the first of them in scan order is what the scan raises
     ([-1e3, -1e5, -2e5], -1e5),
     ([-1e3, -2e5, -1e5], -2e5),
+    ([-1e3, -1e5, -1e3, -1e5], -1e5),
 ])
 def test_kernel_scan_raises_its_first_failing_point(kcs, failing):
     with pytest.raises(OverflowError) as alone:

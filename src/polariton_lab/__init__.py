@@ -13,7 +13,6 @@ from .lattice import (
     StabilityError,
     TransferMatrix,
     build_transfer_matrix,
-    symplectic_form,
     symplectic_residual,
 )
 from .variance import (
@@ -29,8 +28,7 @@ from .runner import run
 __all__ = [
     "__version__",
     "PhysicalParams", "DimensionlessGroups", "Grid", "derive_groups", "canonical_params",
-    "StabilityError", "TransferMatrix", "build_transfer_matrix",
-    "symplectic_form", "symplectic_residual",
+    "StabilityError", "TransferMatrix", "build_transfer_matrix", "symplectic_residual",
     "dispersion_p_of_s", "group_velocity", "measure_packet_velocity",
     "VarianceBreakdown", "readout_variances",
     "memory_variances", "general_variances", "scan",

@@ -239,6 +239,8 @@ def parse_config(text: str) -> RunConfig:
         if points == 1 and hi != lo:
             raise _err("$.scan.to", f"a one-point scan runs at 'from' alone: to = {hi!r} "
                                     f"differs from from = {lo!r}")
+        if not math.isfinite(hi - lo):
+            raise _err("$.scan.to", f"span to - from = {hi - lo!r} overflows")
         opts["scan_range"] = (lo, hi, points)
 
     if "abscissa" in doc:

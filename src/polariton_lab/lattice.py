@@ -66,7 +66,7 @@ The Cayley cell map is exactly canonical: it preserves the weighted
 antisymmetric form pairing (Xi1, Xi2) bins with weight +1 and (Jz, Jy) bins
 with weight SPIN_BLOCK_SIGN in the normalized bin convention below, so the
 discrete input-output matrix is symplectic to rounding, not merely to O(h^2).
-The form and the residual know this one sign; the test suite's calibration
+The residual knows this one sign; the test suite's calibration
 (tests/test_lattice.py) builds the form of each sign as a dense matrix and
 finds the other sign off by many orders of magnitude.
 
@@ -95,7 +95,6 @@ __all__ = [
     "build_transfer_matrix",
     "transfer_adjoint_apply",
     "TransferMatrix",
-    "symplectic_form",
     "symplectic_residual",
 ]
 
@@ -595,20 +594,6 @@ def transfer_adjoint_apply(params: PhysicalParams | Sequence[PhysicalParams], gr
     return out[:, 0] if single else out
 
 
-def symplectic_form(n_time: int, n_space: int) -> np.ndarray:
-    """Antisymmetric block form paired (Xi1,Xi2) and (Jz,Jy) bin by bin."""
-    dim = 2 * n_time + 2 * n_space
-    b = _bin_layout(n_time, n_space)
-    omega = np.zeros((dim, dim))
-    it = np.eye(n_time)
-    iz = np.eye(n_space)
-    omega[b["xi1"], b["xi2"]] = it
-    omega[b["xi2"], b["xi1"]] = -it
-    omega[b["jz"], b["jy"]] = SPIN_BLOCK_SIGN * iz
-    omega[b["jy"], b["jz"]] = -SPIN_BLOCK_SIGN * iz
-    return omega
-
-
 def symplectic_residual(tm: TransferMatrix) -> float:
     """max |M Omega M^T - Omega| / max |Omega|, without building Omega.
 
@@ -626,8 +611,11 @@ def symplectic_residual(tm: TransferMatrix) -> float:
     nt, ns = tm.n_time, tm.n_space
     b = _bin_layout(nt, ns)
     dim = len(m)
-    conj = np.r_[b["xi2"], b["xi1"], b["jy"], b["jz"]]
-    form = np.repeat([1.0, -1.0, SPIN_BLOCK_SIGN, -SPIN_BLOCK_SIGN], [nt, nt, ns, ns])
+    # Omega[row block, column block] = weight * I, in row-block order
+    blocks = [(b["xi1"], b["xi2"], 1.0), (b["xi2"], b["xi1"], -1.0),
+              (b["jz"], b["jy"], SPIN_BLOCK_SIGN), (b["jy"], b["jz"], -SPIN_BLOCK_SIGN)]
+    conj = np.concatenate([np.arange(dim)[col] for _, col, _ in blocks])
+    form = np.concatenate([np.full(row.stop - row.start, w) for row, _, w in blocks])
     shuffled = np.empty((min(_RESIDUAL_TILE, dim), dim))
     # each panel's product is a contiguous prefix of one buffer
     products = np.empty(shuffled.size)
@@ -643,10 +631,8 @@ def symplectic_residual(tm: TransferMatrix) -> float:
                 panel = m[i:i + _RESIDUAL_TILE]
                 n = len(panel)
                 w = shuffled[:n]
-                np.negative(panel[:, b["xi2"]], out=w[:, b["xi1"]])
-                w[:, b["xi2"]] = panel[:, b["xi1"]]
-                np.multiply(panel[:, b["jy"]], -SPIN_BLOCK_SIGN, out=w[:, b["jz"]])
-                np.multiply(panel[:, b["jz"]], SPIN_BLOCK_SIGN, out=w[:, b["jy"]])
+                for row, col, weight in blocks:
+                    np.multiply(panel[:, row], weight, out=w[:, col])
                 delta = np.matmul(w, m[i:].T, out=products[:n * (dim - i)].reshape(n, dim - i))
                 rows = np.arange(i, i + n)
                 rows = rows[conj[rows] >= i]

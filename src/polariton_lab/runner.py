@@ -46,16 +46,6 @@ SYMPLECTIC_TOLERANCE = 1e-8
 SYMPLECTIC_ROUNDING = 1e-12
 ORACLE_TOLERANCE = 1e-6
 
-# every mode's CSV header
-_HEADERS = {
-    "readout": ("kappa_c", "beta_J", "F_light", "Gamma", "v1", "v2", "sql"),
-    "memory": ("kappa_c", "beta_xi3_T", "F_spin", "Gamma", "v_y", "v_z", "sql"),
-    "dispersion": ("omega_T", "q_L_abs"),
-    "oracle-compare": ("kappa_c", "profile", "field_rel_dev", "spin_rel_dev"),
-    "symplectic-check": ("kappa_c", "kappa2_L", "Omega_T", "residual"),
-    "packet-velocity": ("q0", "v_measured", "v_predicted"),
-}
-
 
 def format_number(x: float) -> str:
     return f"{float(x):.17g}"
@@ -74,30 +64,6 @@ def write_csv(path: str | Path, header, rows) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _emit(out: Path, config_text: str, config: RunConfig, rows, **extra) -> None:
-    """Write the CSV under its mode's header, then its sidecar, with the row
-    count and ``extra``; a sidecar that cannot be written takes the CSV
-    with it."""
-    write_csv(out, _HEADERS[config.mode], rows)
-    meta = {
-        "config_sha256": sha256(config_text.encode("utf-8")).hexdigest(),
-        "grid": (None if config.grid is None
-                 else {"n_time": config.grid.n_time, "n_space": config.grid.n_space}),
-        "mode": config.mode,
-        "rows": len(rows),
-        "version": __version__,
-        "versions": {"python": platform.python_version(), "numpy": np.__version__},
-        **extra,
-    }
-    try:
-        out.with_suffix(out.suffix + ".meta.json").write_text(
-            json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    except OSError:
-        # no CSV without its sidecar
-        out.unlink()
-        raise
 
 
 class _Samples:
@@ -208,7 +174,7 @@ def oracle_kernel_deviations(kappa_c, profiles, ratio_r: float,
     return list(zip(field.tolist(), spin.tolist())), orders
 
 
-def _run_scan(config: RunConfig, out: Path, config_text: str) -> int:
+def _run_scan(config: RunConfig, out: Path):
     lo, hi, points = config.scan_range
     kcs = np.linspace(lo, hi, points).tolist()
     result = scan(kcs, config.mode, config.groups, config.grid)
@@ -226,25 +192,21 @@ def _run_scan(config: RunConfig, out: Path, config_text: str) -> int:
                                "f_rel_change": [r.f_change for r in res],
                                "gamma_rel_change": [r.gamma_change for r in res],
                                "gamma_rel_floor": [r.gamma_floor for r in res]}
-    _emit(out, config_text, config, rows, **extra)
-    print(f"{config.mode} scan: {points} rows -> {out}")
-    return 0
+    return rows, extra, f"{config.mode} scan: {points} rows -> {out}", True
 
 
-def _run_dispersion(config: RunConfig, out: Path, config_text: str) -> int:
+def _run_dispersion(config: RunConfig, out: Path):
     # spectral is imported by the two modes that use it only
     from .spectral import dispersion_p_of_s
 
-    rows = []
-    for w in config.dispersion_omega_T:
-        q = abs(dispersion_p_of_s(config.dispersion_abs_ALT, w))
-        rows.append((w, q))
-        print(f"omega_T = {format_number(w)}  ->  |q|L = {format_number(q)}")
-    _emit(out, config_text, config, rows)
-    return 0
+    rows = [(w, abs(dispersion_p_of_s(config.dispersion_abs_ALT, w)))
+            for w in config.dispersion_omega_T]
+    status = "\n".join(f"omega_T = {format_number(w)}  ->  |q|L = {format_number(q)}"
+                       for w, q in rows)
+    return rows, {}, status, True
 
 
-def _run_oracle_compare(config: RunConfig, out: Path, config_text: str) -> int:
+def _run_oracle_compare(config: RunConfig, out: Path):
     rng = random.Random(config.compare_seed)
     labels = [(kc, p) for kc in config.compare_kappa_c
               for p in range(config.compare_profiles)]
@@ -255,16 +217,16 @@ def _run_oracle_compare(config: RunConfig, out: Path, config_text: str) -> int:
     worst = max(max(dev) for dev in deviations)
     # per row: the largest Gauss-Legendre order any component of its kappa_c
     # needed; and how the input profiles were drawn
-    _emit(out, config_text, config, rows, resolution={"order": orders},
-          profiles={"generator": "random.Random", "seed": config.compare_seed,
-                    "per_kappa_c": config.compare_profiles})
-    status = "PASS" if worst <= ORACLE_TOLERANCE else "FAIL"
-    print(f"oracle-compare: worst relative deviation {worst:.3e} "
-          f"(tolerance {ORACLE_TOLERANCE:g}) {status}")
-    return 0 if worst <= ORACLE_TOLERANCE else 1
+    extra = {"resolution": {"order": orders},
+             "profiles": {"generator": "random.Random", "seed": config.compare_seed,
+                          "per_kappa_c": config.compare_profiles}}
+    passed = worst <= ORACLE_TOLERANCE
+    status = (f"oracle-compare: worst relative deviation {worst:.3e} "
+              f"(tolerance {ORACLE_TOLERANCE:g}) {'PASS' if passed else 'FAIL'}")
+    return rows, extra, status, passed
 
 
-def _run_symplectic(config: RunConfig, out: Path, config_text: str) -> int:
+def _run_symplectic(config: RunConfig, out: Path):
     g = config.groups
     params = canonical_params(g.kappa_c, g.ratio_r, g.kappa2_L, g.Omega_T)
     tm = build_transfer_matrix(params, config.grid)
@@ -281,14 +243,13 @@ def _run_symplectic(config: RunConfig, out: Path, config_text: str) -> int:
                 f"{SYMPLECTIC_ROUNDING:g} * max(1, max|M|^2) = {floor:.4g}, max|M| = "
                 f"{biggest:.6g}: not resolvable at this gain")
         extra = {"max_abs_entry": biggest, "rounding_floor": floor}
-    _emit(out, config_text, config, [(g.kappa_c, g.kappa2_L, g.Omega_T, res)], **extra)
-    status = "PASS" if res <= SYMPLECTIC_TOLERANCE else "FAIL"
-    print(f"symplectic-check: max residual {res:.3e} "
-          f"(tolerance {SYMPLECTIC_TOLERANCE:g}) {status}")
-    return 0 if res <= SYMPLECTIC_TOLERANCE else 1
+    passed = res <= SYMPLECTIC_TOLERANCE
+    status = (f"symplectic-check: max residual {res:.3e} "
+              f"(tolerance {SYMPLECTIC_TOLERANCE:g}) {'PASS' if passed else 'FAIL'}")
+    return [(g.kappa_c, g.kappa2_L, g.Omega_T, res)], extra, status, passed
 
 
-def _run_packet(config: RunConfig, out: Path, config_text: str) -> int:
+def _run_packet(config: RunConfig, out: Path):
     from .spectral import group_velocity, measure_packet_velocity
 
     g = config.groups
@@ -297,28 +258,58 @@ def _run_packet(config: RunConfig, out: Path, config_text: str) -> int:
     bandwidth = config.packet_bandwidth_frac * abs(q0)
     v_meas = measure_packet_velocity(params, q0, bandwidth)
     v_pred = group_velocity(-params.a_coupling, q0)
-    _emit(out, config_text, config, [(q0, v_meas, v_pred)])
-    print(f"packet-velocity: measured {format_number(v_meas)}, "
-          f"predicted {format_number(v_pred)}")
-    return 0
+    status = (f"packet-velocity: measured {format_number(v_meas)}, "
+              f"predicted {format_number(v_pred)}")
+    return [(q0, v_meas, v_pred)], {}, status, True
 
 
-def run(config: RunConfig, out_path: str | Path | None = None,
-        config_text: str = "") -> int:
-    """Execute one validated run; returns the process exit status."""
+# every mode's CSV header and the function that computes its run: its rows,
+# the sidecar fields it adds, its status text and whether its gate passed
+_MODES = {
+    "readout": (("kappa_c", "beta_J", "F_light", "Gamma", "v1", "v2", "sql"), _run_scan),
+    "memory": (("kappa_c", "beta_xi3_T", "F_spin", "Gamma", "v_y", "v_z", "sql"), _run_scan),
+    "dispersion": (("omega_T", "q_L_abs"), _run_dispersion),
+    "oracle-compare": (("kappa_c", "profile", "field_rel_dev", "spin_rel_dev"),
+                       _run_oracle_compare),
+    "symplectic-check": (("kappa_c", "kappa2_L", "Omega_T", "residual"), _run_symplectic),
+    "packet-velocity": (("q0", "v_measured", "v_predicted"), _run_packet),
+}
+
+
+def run(config: RunConfig, out_path: str | Path | None, config_text: str) -> int:
+    """Execute one validated run; returns the process exit status.
+
+    The mode computes its rows; then the CSV is written, then its sidecar
+    (a sidecar that cannot be written takes the CSV with it), then the
+    status is printed.  Exit 0, or 1 on a gate's FAIL; a ValueError,
+    OverflowError or OSError is one ``error:`` line, exit 1, and no CSV.
+    """
     out = Path(out_path or config.output or f"{config.mode}.csv")
     try:
-        if config.mode in ("readout", "memory"):
-            return _run_scan(config, out, config_text)
-        if config.mode == "dispersion":
-            return _run_dispersion(config, out, config_text)
-        if config.mode == "oracle-compare":
-            return _run_oracle_compare(config, out, config_text)
-        if config.mode == "symplectic-check":
-            return _run_symplectic(config, out, config_text)
-        if config.mode == "packet-velocity":
-            return _run_packet(config, out, config_text)
-        raise ValueError(f"unhandled mode {config.mode!r}")
+        if config.mode not in _MODES:
+            raise ValueError(f"unhandled mode {config.mode!r}")
+        header, compute = _MODES[config.mode]
+        rows, extra, status, passed = compute(config, out)
+        write_csv(out, header, rows)
+        meta = {
+            "config_sha256": sha256(config_text.encode("utf-8")).hexdigest(),
+            "grid": (None if config.grid is None
+                     else {"n_time": config.grid.n_time, "n_space": config.grid.n_space}),
+            "mode": config.mode,
+            "rows": len(rows),
+            "version": __version__,
+            "versions": {"python": platform.python_version(), "numpy": np.__version__},
+            **extra,
+        }
+        try:
+            out.with_suffix(out.suffix + ".meta.json").write_text(
+                json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        except OSError:
+            # no CSV without its sidecar
+            out.unlink()
+            raise
+        print(status)
+        return 0 if passed else 1
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

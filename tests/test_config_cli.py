@@ -604,11 +604,14 @@ def test_oracle_profiles_must_be_positive(tmp_path, capsys, profiles):
      "$.dispersion.omega_T", "missing required key"),
     (dict(json.loads(SPEC_EXAMPLE), scan={"from": 0, "to": 1, "points": 1}),
      "$.scan.to", "a one-point scan runs at 'from' alone: to = 1.0 differs from from = 0.0"),
+    (dict(json.loads(SPEC_EXAMPLE), scan={"from": -1e308, "to": 1e308, "points": 3}),
+     "$.scan.to", "span to - from = inf overflows"),
 ], ids=["dispersion-omega-empty", "oracle-seed-negative", "packet-q0-zero", "groups-r-zero",
         "dispersion-abs-negative", "dispersion-omega-zero", "packet-bandwidth-wide",
         "abscissa-zero", "output-not-string", "detection-without-physical",
         "memory-physical-without-q", "grid-missing", "physical-xi3-negative",
-        "no-parameter-block", "dispersion-omega-missing", "scan-one-point-two-ends"])
+        "no-parameter-block", "dispersion-omega-missing", "scan-one-point-two-ends",
+        "scan-span-overflows"])
 def test_empty_or_negative_entries_rejected(tmp_path, capsys, doc, key, message):
     with pytest.raises(ConfigError, match=re.escape(f"{key}: {message}")):
         parse_config(json.dumps(doc))

@@ -20,7 +20,6 @@ from polariton_lab.lattice import (
     TransferMatrix,
     build_transfer_matrix,
     integrate_stacked,
-    symplectic_form,
     symplectic_residual,
     transfer_adjoint_apply,
 )
@@ -42,10 +41,13 @@ def _calibrate_spin_block_sign():
 
 
 def _dense_form(n_time, n_space, spin_sign):
-    """``symplectic_form`` with its (Jz, Jy) pairing scaled to weight ``spin_sign``."""
-    omega = symplectic_form(n_time, n_space)
-    spin = slice(2 * n_time, None)
-    omega[spin, spin] *= spin_sign / SPIN_BLOCK_SIGN
+    """The dense antisymmetric form pairing (Xi1, Xi2) bins with weight +1 and
+    (Jz, Jy) bins with weight ``spin_sign``, bin by bin in ``_bin_layout``."""
+    b = lattice._bin_layout(n_time, n_space)
+    omega = np.zeros((2 * n_time + 2 * n_space,) * 2)
+    it, iz = np.eye(n_time), np.eye(n_space)
+    omega[b["xi1"], b["xi2"]], omega[b["xi2"], b["xi1"]] = it, -it
+    omega[b["jz"], b["jy"]], omega[b["jy"], b["jz"]] = spin_sign * iz, -spin_sign * iz
     return omega
 
 
@@ -211,7 +213,7 @@ def test_rectangular_grid_supported():
 
 
 def test_symplectic_form_antisymmetric():
-    om = symplectic_form(5, 7)
+    om = _dense_form(5, 7, SPIN_BLOCK_SIGN)
     np.testing.assert_array_equal(om, -om.T)
     assert np.max(np.abs(om)) == 1.0
 
@@ -750,7 +752,7 @@ def test_residual_reports_a_planted_violation(p, q):
     nt, ns = 70, 33
     tm = build_transfer_matrix(canonical_params(0.8, 3.0, kappa2_L=0.2, Omega_T=0.1),
                                Grid(nt, ns))
-    omega = symplectic_form(nt, ns)
+    omega = _dense_form(nt, ns, SPIN_BLOCK_SIGN)
     # row p += a * row r, with r the bin paired to q: beside M's own
     # rounding, (I + a E_pr) M Omega M^T (I + a E_rp) - Omega is
     # a * Omega[r, q] * (E_pq - E_qp)

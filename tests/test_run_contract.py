@@ -2,7 +2,8 @@
 
 - ``parse_config`` raises a ConfigError;
 - ``run`` exits 0 with a finite CSV and its sidecar;
-- ``run`` exits 1 with one ``error:`` line, no CSV and no new directory;
+- ``run`` exits 1 with one ``error:`` line, no stdout, no CSV and no new
+  directory;
 - ``run`` exits 1 with a gate's FAIL line and its CSV (oracle-compare,
   symplectic-check).
 
@@ -81,6 +82,12 @@ def _finite_rows(csv: Path) -> bool:
 # a coupling past the grid's stability limit: an error exit
 @example({"mode": "symplectic-check", "groups": {"kappa_c": 5000, "r": 10},
           "grid": {"n_time": 16, "n_space": 16}})
+# a scan span past double range: a config error, not a linspace overflow
+@example({"mode": "readout", "groups": {"r": 10, "omega_T": 0.5},
+          "grid": {"n_time": 64, "n_space": 64},
+          "scan": {"from": -1e308, "to": 1e308, "points": 3}})
+# |q|L = inf: an error exit that prints no result line
+@example({"mode": "dispersion", "dispersion": {"abs_A_LT": 1e308, "omega_T": [1e-308]}})
 def test_every_run_ends_in_one_contract_outcome(doc):
     text = json.dumps(doc)
     try:
@@ -101,6 +108,7 @@ def test_every_run_ends_in_one_contract_outcome(doc):
         elif errors:
             assert code == 1
             assert len(errors) == 1 and errors[0].startswith("error: ")
+            assert stdout.getvalue() == ""
             assert not out.exists() and not meta.exists()
             assert not (Path(tmp) / "new").exists()
         else:
